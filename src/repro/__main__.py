@@ -1,5 +1,5 @@
 """Command-line entry points:
-``python -m repro [check|stats|trace|bench-perf|sweep|report]``.
+``python -m repro [check|stats|trace|sweep|report]``.
 
 - ``check`` (default) — thirty-second installation self-check: builds
   a small cluster, exercises every §2.2 primitive, measures the §3.2
@@ -9,9 +9,6 @@
   metrics-registry snapshot, and the event-loop profile.
 - ``trace`` — the same demo with activity lanes on, exported as
   Chrome trace-event JSON (open in ``chrome://tracing`` or Perfetto).
-- ``bench-perf`` — the simulator performance suite
-  (:mod:`benchmarks.perf`): events/sec on three workloads, compared
-  against the committed baseline, written to ``BENCH_PERF.json``.
 - ``sweep`` — the full reproduction (:mod:`repro.exp`): every
   registered experiment across a worker pool, one machine-readable
   ``results/<id>.json`` each, EXPERIMENTS.md regenerated from them.
@@ -32,7 +29,6 @@ twenty entries by cumulative time.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from repro.analysis import comparison_table, measure_op_stream, us
@@ -202,32 +198,6 @@ def cmd_trace(args) -> int:
           f"t final {cluster.now / 1000.0:.1f} us")
     print("open in chrome://tracing or https://ui.perfetto.dev")
     return 0
-
-
-def cmd_bench_perf(args) -> int:
-    # The benchmarks package lives at the repo root (next to ``src``),
-    # outside the installed package; fall back to that location when
-    # only ``src`` is on the path.
-    try:
-        from benchmarks.perf import harness
-    except ModuleNotFoundError:
-        repo_root = os.path.dirname(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        )
-        if not os.path.isdir(os.path.join(repo_root, "benchmarks")):
-            print("bench-perf needs the benchmarks/ directory of the "
-                  "source tree", file=sys.stderr)
-            return 2
-        sys.path.insert(0, repo_root)
-        from benchmarks.perf import harness
-
-    forwarded = []
-    if args.quick:
-        forwarded.append("--quick")
-    forwarded += ["--repeats", str(args.repeats), "--out", args.out]
-    if args.check:
-        forwarded.append("--check")
-    return harness.main(forwarded)
 
 
 def cmd_sweep_worker(args) -> int:
@@ -538,20 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--out", default="trace.json",
                          help="output path (default: trace.json)")
 
-    p_bench = sub.add_parser(
-        "bench-perf",
-        help="simulator performance suite (events/sec vs baseline)",
-    )
-    p_bench.add_argument("--quick", action="store_true",
-                         help="small CI-smoke sizes")
-    p_bench.add_argument("--repeats", type=int, default=3,
-                         help="timed passes per workload (default: 3)")
-    p_bench.add_argument("--out", default="BENCH_PERF.json",
-                         help="report path (default: BENCH_PERF.json)")
-    p_bench.add_argument("--check", action="store_true",
-                         help="exit non-zero on >25%% events/sec "
-                              "regression vs the committed baseline")
-
     p_sweep = sub.add_parser(
         "sweep",
         help="run every registered experiment and regenerate "
@@ -663,8 +619,6 @@ def main(argv=None) -> int:
             return cmd_stats(args)
         if args.command == "trace":
             return cmd_trace(args)
-        if args.command == "bench-perf":
-            return cmd_bench_perf(args)
         if args.command == "sweep":
             return cmd_sweep(args)
         if args.command == "report":

@@ -57,7 +57,7 @@ class Link:
         self.node = node
         self.tracer = tracer
         #: Optional :class:`~repro.faults.FaultInjector`; ``None``
-        #: means lossless delivery with zero per-packet overhead.
+        #: means lossless delivery.
         self.injector = injector
         self.packets_carried = 0
         self.bytes_carried = 0
@@ -67,60 +67,41 @@ class Link:
         # the previous packet's flight time — link throughput is set by
         # bandwidth alone, latency by bandwidth + propagation.
         self._wire = BoundedQueue(1, name=f"{name}.wire")
-        # The pump generator is picked once at wiring time: the plain
-        # variant has no per-packet injector/tracer tests at all.  All
-        # variants yield the same sequence of waitables per packet, so
-        # the event schedule is identical whichever is spawned.
-        if injector is None and tracer is None:
-            serializer, pump = self._serialize_bare(), self._propagate_bare()
-        else:
-            serializer, pump = self._serialize(), self._propagate()
-        self._serializer = sim.spawn(serializer, name=f"{name}.ser")
-        self._pump = sim.spawn(pump, name=f"{name}.prop")
+        self._serializer = sim.spawn(self._serialize(), name=f"{name}.ser")
+        self._pump = sim.spawn(self._propagate(), name=f"{name}.prop")
 
-    def _serialize_bare(self):
-        """Lossless untraced serializer: wire stage carries the bare
-        packet (no timestamp tuple)."""
+    def _serialize(self):
         serialization_ns = self.timing.serialization_ns
+        sim = self.sim
         get = self.src.get
         put = self._wire.put
         while True:
             packet: Packet = yield get()
+            started = sim.now
             serialization = serialization_ns(packet.size_bytes)
             yield serialization
             self.busy_ns += serialization
-            yield put(packet)
+            yield put((started, packet))
 
-    def _propagate_bare(self):
+    def _propagate(self):
+        """Deliver each packet after its flight time, through the fault
+        site when an injector is attached.
+
+        The trace span is resolved once when the pump starts, so an
+        untraced link never calls it.  Neither the
+        injector nor the tracer changes the waitables a lossless packet
+        yields, so the event schedule is independent of both.
+        """
         prop_ns = self.timing.link_prop_ns
         get = self._wire.get
         put = self.dst.put
-        while True:
-            packet: Packet = yield get()
-            yield prop_ns
-            # Blocks while the downstream buffer is full: back-pressure.
-            yield put(packet)
-            self.packets_carried += 1
-            self.bytes_carried += packet.size_bytes
-
-    def _serialize(self):
-        timing = self.timing
-        while True:
-            packet: Packet = yield self.src.get()
-            started = self.sim.now
-            serialization = timing.serialization_ns(packet.size_bytes)
-            yield serialization
-            self.busy_ns += serialization
-            yield self._wire.put((started, packet))
-
-    def _propagate(self):
-        timing = self.timing
-        tracer = self.tracer
         injector = self.injector
+        tracer = self.tracer
+        span = (tracer.span if tracer is not None
+                and tracer.enabled and tracer.lanes else None)
         while True:
-            started, packet = yield self._wire.get()
-            yield timing.link_prop_ns
-            deliveries = 1
+            started, packet = yield get()
+            yield prop_ns
             if injector is not None:
                 action = injector.action_for(self.name, packet)
                 if action.kind == "drop":
@@ -131,17 +112,15 @@ class Link:
                     # window holds the same Packet object.
                     packet.corrupted = True
                 elif action.kind == "duplicate":
-                    deliveries = 2
+                    yield put(packet)
                 elif action.kind == "stall":
                     yield action.stall_ns
-            for _ in range(deliveries):
-                # Blocks while the downstream buffer is full:
-                # back-pressure.
-                yield self.dst.put(packet)
+            # Blocks while the downstream buffer is full: back-pressure.
+            yield put(packet)
             self.packets_carried += 1
             self.bytes_carried += packet.size_bytes
-            if tracer is not None:
-                tracer.span(
+            if span is not None:
+                span(
                     "link_xfer", started, link=self.name, node=self.node,
                     src=packet.src, dst=packet.dst, kind=packet.kind.name,
                     bytes=packet.size_bytes,

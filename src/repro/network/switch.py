@@ -84,9 +84,8 @@ class Switch:
             name=f"sw{self.switch_id}.in.{label}",
         )
         self._inputs[label] = queue
-        forwarder = (self._forwarder_bare(queue) if self.injector is None
-                     else self._forwarder(queue))
-        self.sim.spawn(forwarder, name=f"sw{self.switch_id}.fwd.{label}")
+        self.sim.spawn(self._forwarder(queue),
+                       name=f"sw{self.switch_id}.fwd.{label}")
         return queue
 
     def add_output(self, hop: NextHop, link_queue: BoundedQueue) -> None:
@@ -125,18 +124,35 @@ class Switch:
 
     # -- datapath -----------------------------------------------------------
 
-    def _forwarder_bare(self, in_queue: BoundedQueue):
-        """Lossless input stage: one resolved-route dict hit per
-        packet, no fault-site tests.  Yields the same waitable sequence
-        as :meth:`_forwarder` for every packet, so spawning one variant
-        or the other cannot change the event schedule."""
+    def _forwarder(self, in_queue: BoundedQueue):
+        """Input stage: route into a per-(input, output) virtual output
+        queue.  A congested output fills only its own VOQ; packets for
+        other outputs at the same input flow past it — the VC-level
+        flow control of [17], which is what makes the §2.3.5 fast-path
+        /slow-path asymmetry physically possible.
+
+        The input port is a fault site when an injector is attached;
+        a lossless packet yields the same waitables either way, so the
+        injector cannot change the event schedule."""
         route_ns = self.params.timing.switch_route_ns
         label = in_queue.name
         get = in_queue.get
+        injector = self.injector
         voqs: Dict[NextHop, BoundedQueue] = {}
         voq_get = voqs.get
         while True:
             packet: Packet = yield get()
+            duplicate = False
+            if injector is not None:
+                action = injector.action_for(label, packet)
+                if action.kind == "drop":
+                    continue
+                if action.kind == "corrupt":
+                    packet.corrupted = True
+                elif action.kind == "duplicate":
+                    duplicate = True
+                elif action.kind == "stall":
+                    yield action.stall_ns
             pair = self._resolved.get(packet.dst)
             if pair is None:
                 raise RuntimeError(
@@ -148,46 +164,10 @@ class Switch:
             voq = voq_get(hop)
             if voq is None:
                 voq = self._make_voq(label, hop, voqs)
+            if duplicate:
+                yield voq.put(packet)
             # Blocks only when THIS destination's VOQ is full.
             yield voq.put(packet)
-
-    def _forwarder(self, in_queue: BoundedQueue):
-        """Input stage: route into a per-(input, output) virtual output
-        queue.  A congested output fills only its own VOQ; packets for
-        other outputs at the same input flow past it — the VC-level
-        flow control of [17], which is what makes the §2.3.5 fast-path
-        /slow-path asymmetry physically possible."""
-        route_ns = self.params.timing.switch_route_ns
-        label = in_queue.name
-        injector = self.injector
-        voqs: Dict[NextHop, BoundedQueue] = {}
-        while True:
-            packet: Packet = yield in_queue.get()
-            deliveries = 1
-            if injector is not None:
-                action = injector.action_for(label, packet)
-                if action.kind == "drop":
-                    continue
-                if action.kind == "corrupt":
-                    packet.corrupted = True
-                elif action.kind == "duplicate":
-                    deliveries = 2
-                elif action.kind == "stall":
-                    yield action.stall_ns
-            pair = self._resolved.get(packet.dst)
-            if pair is None:
-                raise RuntimeError(
-                    f"switch {self.switch_id!r} has no route to host {packet.dst} "
-                    f"(packet {packet!r})"
-                )
-            hop, _out = pair
-            yield route_ns
-            voq = voqs.get(hop)
-            if voq is None:
-                voq = self._make_voq(label, hop, voqs)
-            for _ in range(deliveries):
-                # Blocks only when THIS destination's VOQ is full.
-                yield voq.put(packet)
 
     def _make_voq(self, label: str, hop: NextHop,
                   voqs: Dict[NextHop, BoundedQueue]) -> BoundedQueue:

@@ -2,9 +2,10 @@
 
 The :class:`~repro.sim.Simulator` accepts one :class:`KernelHooks`
 object (``sim.hooks``) whose callbacks fire on event scheduling and
-execution and around :meth:`~repro.sim.Simulator.run`.  The default is
-``None`` — the kernel's hot loop pays exactly one ``is not None`` test
-per event, so simulations that do not profile lose nothing.
+execution and around each :meth:`~repro.sim.Simulator.run` and
+:meth:`~repro.sim.Simulator.run_until_done` call.  The default is
+``None`` — the kernel's run loop pays one ``is not None`` test per
+event, so simulations that do not profile lose next to nothing.
 
 :class:`EventLoopProfiler` is the stock implementation: it answers
 "where does simulation *wall-clock* time go?" — events executed per
@@ -25,9 +26,13 @@ class KernelHooks:
     """Base class: every callback is a no-op.  Subclass and override.
 
     The kernel invokes, in order: :meth:`on_run_start` when a
-    :meth:`~repro.sim.Simulator.run` begins, :meth:`on_schedule` for
-    every event pushed on the heap, :meth:`on_execute` for every event
-    popped and executed, and :meth:`on_run_end` when the run returns.
+    :meth:`~repro.sim.Simulator.run` or
+    :meth:`~repro.sim.Simulator.run_until_done` call begins,
+    :meth:`on_schedule` for every event queued, :meth:`on_execute` for
+    every event executed, and :meth:`on_run_end` when the call returns
+    or raises.  One call is one run however many events it executes,
+    so a ``Cluster.run(join=...)`` is two runs: the join and the drain
+    after it.
     """
 
     def on_run_start(self, sim) -> None:

@@ -22,31 +22,34 @@ the mechanism used to model CPU preemption.
 
 Fast-path design (see DESIGN.md, "Kernel internals"):
 
-- Pending events live in a **two-tier queue**.  The near-future tier
-  is a calendar of per-timestamp buckets (``{time: [entry, ...]}``
-  plus a min-heap of the *distinct* times): the common FIFO-link
-  insert at ``now + link_ns`` costs a dict hit and a list append, and
-  N events sharing a timestamp cost one time-heap push instead of N
-  entry-heap pushes.  Cancellable events (:meth:`Simulator.schedule`)
-  and posts beyond :attr:`Simulator.bucket_horizon` fall back to a
-  classic binary heap of ``(time, seq, fn, args)`` tuples.
-- ``seq`` is unique and global across both tiers, so merging a bucket
+- Pending events live in a **three-tier queue**.  Delay-0 posts go
+  to the immediate tier, a plain list of events at exactly ``now``.
+  The near-future tier is a calendar of per-timestamp buckets
+  (``{time: [entry, ...]}`` plus a min-heap of the *distinct* times):
+  the common FIFO-link insert at ``now + link_ns`` costs a dict hit
+  and a list append, and N events sharing a timestamp cost one
+  time-heap push instead of N entry-heap pushes.  Cancellable events
+  (:meth:`Simulator.schedule`) and posts beyond
+  :attr:`Simulator.bucket_horizon` fall back to a classic binary heap
+  of ``(time, seq, fn, args)`` tuples.
+- ``seq`` is unique and global across the tiers, so merging a bucket
   with same-time heap entries is a C-speed tuple sort and execution
   order stays the exact ``(time, seq)`` order of a pure heap —
   :mod:`repro.sim.refkernel` is that pure heap, kept as a differential
   reference (``tests/sim/test_kernel_equivalence.py``).
 - Heap events cancel as O(1) tombstones; the heap is compacted in
   place once tombstones dominate, so cancel-heavy workloads
-  (retransmission timers) cannot grow the heap without bound.  Bucket
-  entries are never cancellable, which is what keeps the bucket drain
-  loop free of tombstone tests.
+  (retransmission timers) cannot grow the heap without bound.  Only
+  heap entries are cancellable, so compaction touches one tier.
 - Internal wakeups go through :meth:`Simulator._post`, which returns
   no handle and performs no validation — the common ``yield ns`` costs
   one tuple append, no :class:`Future`, no handle, no closure.
-- Every run loop **batch-dispatches**: it removes the whole run of
-  events sharing the next timestamp in one pass and fires them
-  back-to-back, amortizing queue traffic, ``now`` updates, and bound
-  checks across the batch.  Events posted *during* a batch at the same
+- One run loop serves :meth:`Simulator.run` and
+  :meth:`Simulator.run_until_done`, with or without bounds or hooks.
+  It **batch-dispatches**: it removes the whole run of events sharing
+  the next timestamp in one pass and fires them back-to-back,
+  amortizing queue traffic, ``now`` updates, and the ``until`` test
+  across the batch.  Events posted *during* a batch at the same
   instant (delay-0 wakeups) form the next batch; their ``seq`` is
   necessarily higher, so ordering is unchanged.
 """
@@ -260,7 +263,7 @@ class Process(Waitable):
     value, so processes can be joined: ``result = yield proc``.
     """
 
-    __slots__ = ("sim", "name", "_gen", "_waiting_on", "_started", "_wait_epoch")
+    __slots__ = ("sim", "name", "_gen", "_waiting_on", "_wait_epoch")
 
     def __init__(self, sim: "Simulator", gen: ProcessBody, name: str = "proc"):
         super().__init__()
@@ -273,7 +276,6 @@ class Process(Waitable):
         self.name = name
         self._gen = gen
         self._waiting_on: Optional[Waitable] = None
-        self._started = False
         # Incremented every time the process is resumed for any reason.
         # A wakeup carrying a stale epoch (e.g. a waitable completing
         # after the process was interrupted away from it) is ignored.
@@ -286,31 +288,10 @@ class Process(Waitable):
     # -- scheduling ---------------------------------------------------
 
     def _start(self) -> None:
-        self._started = True
-        self._step(None, None)
-
-    def _step(self, value: Any, exception: Optional[BaseException]) -> None:
-        if self._done:
-            return
-        self._waiting_on = None
-        self._wait_epoch += 1
-        try:
-            if exception is not None:
-                command = self._gen.throw(exception)
-            else:
-                command = self._gen.send(value)
-        except StopIteration as stop:
-            self._finish(getattr(stop, "value", None), None)
-            return
-        except Interrupt as intr:
-            # An uncaught interrupt terminates the process quietly;
-            # its "return value" is the interrupt cause.
-            self._finish(intr.cause, None)
-            return
-        except Exception as err:
-            self._finish(None, err)
-            return
-        self._dispatch(command)
+        # The current epoch, not 0: an interrupt posted before the
+        # first step bumps the epoch, and the start must still run
+        # (the interrupt is then the stale one).
+        self._step_if_epoch(self._wait_epoch, None, None)
 
     def _dispatch(self, command: Any) -> None:
         # Exact-type tests first: almost every yield is a bare int
@@ -367,16 +348,16 @@ class Process(Waitable):
     def _step_if_epoch(
         self, epoch: int, value: Any, exception: Optional[BaseException]
     ) -> None:
+        # Every step of a process runs here: its start, every ``yield
+        # ns`` and waitable completion, and interrupt delivery.
         # Resumption goes through the scheduler (delay 0) rather than
         # re-entering the generator directly: keeps stacks shallow and
         # ordering deterministic when many waiters complete at the same
         # instant.  The epoch check drops wakeups that were overtaken
         # by an interrupt delivered at the same instant.
         #
-        # This is the hot resumption path (every ``yield ns`` and every
-        # waitable completion lands here), so the step/send/dispatch
-        # chain is fused into one frame; :meth:`_step` remains the
-        # entry for cold starts and interrupt delivery.
+        # This is the hot path, so the step/send/dispatch chain is
+        # fused into one frame.
         if self._wait_epoch != epoch or self._done:
             return
         self._waiting_on = None
@@ -391,6 +372,8 @@ class Process(Waitable):
             self._finish(getattr(stop, "value", None), None)
             return
         except Interrupt as intr:
+            # An uncaught interrupt terminates the process quietly;
+            # its "return value" is the interrupt cause.
             self._finish(intr.cause, None)
             return
         except Exception as err:
@@ -467,13 +450,8 @@ class Process(Waitable):
         # was blocked on; the interrupt wins.
         self._waiting_on = None
         self._wait_epoch += 1
-        epoch = self._wait_epoch
-        self.sim._post(0, self._deliver_interrupt, (epoch, cause))
-
-    def _deliver_interrupt(self, epoch: int, cause: Any) -> None:
-        if self._done or self._wait_epoch != epoch:
-            return
-        self._step(None, Interrupt(cause))
+        self.sim._post(0, self._step_if_epoch,
+                       (self._wait_epoch, None, Interrupt(cause)))
 
 
 class Delay:
@@ -557,7 +535,7 @@ class Simulator:
         #: the bucket dict and the time-heap entirely.  Invariant: all
         #: entries are at time ``now`` (enforced by flushing to the
         #: heap whenever the loop would move ``now`` past them).
-        #: Never rebound — the run loops hold a direct reference.
+        #: Never rebound — the run loop holds a direct reference.
         self._now_list: list = []
         self.bucket_horizon: int = self.DEFAULT_BUCKET_HORIZON
         self._seq = 0
@@ -579,8 +557,8 @@ class Simulator:
         """Run ``fn(*args)`` after ``delay`` nanoseconds (cancellable).
 
         Cancellable events always ride the binary heap: cancellation
-        is a tombstone there, and keeping tombstones out of the bucket
-        tier is what keeps bucket dispatch test-free.
+        is a tombstone there, and keeping tombstones out of the other
+        tiers keeps compaction to the heap.
         """
         if delay < 0:
             raise ValueError("cannot schedule into the past")
@@ -657,8 +635,8 @@ class Simulator:
     def _compact(self) -> None:
         """Drop tombstoned slots and re-heapify, in place.
 
-        In place because the run loops hold a reference to the heap
-        list; rebinding ``self._heap`` would detach them.  Ordering is
+        In place because the run loop holds a reference to the heap
+        list; rebinding ``self._heap`` would detach it.  Ordering is
         unaffected: the heap invariant is rebuilt over the same
         ``(time, seq, ...)`` tuples.  Bucket entries are never
         cancellable, so compaction touches only the heap tier.
@@ -678,24 +656,6 @@ class Simulator:
         return (len(self._heap) + len(self._now_list)
                 + sum(map(len, self._buckets.values())))
 
-    def _peek_time(self) -> Optional[int]:
-        """Earliest pending timestamp across all tiers, or ``None``.
-
-        May name a time holding only tombstones; callers use it solely
-        for bound checks (every live event is at or after it).
-        """
-        best: Optional[int] = self.now if self._now_list else None
-        if self._times:
-            time = self._times[0]
-            if best is None or time < best:
-                best = time
-        heap = self._heap
-        if heap:
-            time = heap[0][0]
-            if best is None or time < best:
-                best = time
-        return best
-
     # -- batch collection --------------------------------------------------
 
     def _drain_heap_run(self, time: int) -> Optional[list]:
@@ -704,7 +664,7 @@ class Simulator:
         Returns the seq-ordered live entries, or ``None`` when the run
         was tombstones throughout.  Live ``EventHandle`` slots stay
         wrapped: a handle may still be cancelled by an earlier event in
-        the same batch, so the dispatch loops re-check at fire time.
+        the same batch, so the run loop re-checks at fire time.
         """
         heap = self._heap
         out = []
@@ -717,13 +677,12 @@ class Simulator:
             out.append(entry)
         return out or None
 
-    def _take_batch(self) -> Optional[Tuple[int, list, bool]]:
+    def _take_batch(self) -> Optional[Tuple[int, list]]:
         """Remove and return the next same-timestamp run of events.
 
-        Returns ``(time, batch, has_handles)`` — ``batch`` seq-ordered,
-        ``has_handles`` true when entries may need handle unwrapping —
-        or ``None`` when nothing is pending.  When a timestamp has
-        events in both tiers the runs are merged with a tuple sort:
+        Returns ``(time, batch)`` with ``batch`` seq-ordered, or
+        ``None`` when nothing is pending.  When a timestamp has events
+        in more than one tier the runs are merged with a tuple sort:
         ``seq`` is unique, so the sort is a pure C merge and the result
         is the exact order a single heap would have produced.
         """
@@ -736,17 +695,17 @@ class Simulator:
                     and (not times or times[0] > time)):
                 batch = now_list.copy()
                 now_list.clear()
-                return time, batch, False
+                return time, batch
             if (heap and heap[0][0] == time
                     and (not times or times[0] > time)):
                 batch = now_list.copy()
                 now_list.clear()
                 run = self._drain_heap_run(time)
                 if run is None:
-                    return time, batch, False
+                    return time, batch
                 run += batch
                 run.sort()
-                return time, run, True
+                return time, run
             # A tier holds an earlier (or equal-time bucket) batch:
             # flush the immediate tier to the heap — entries keep
             # their (time, seq), so the generic merge below preserves
@@ -764,33 +723,33 @@ class Simulator:
                         batch = self._drain_heap_run(heap_time)
                         if batch is None:
                             continue
-                        return heap_time, batch, True
+                        return heap_time, batch
                     if heap_time == time:
                         _heappop(times)
                         bucket = self._buckets.pop(time)
                         run = self._drain_heap_run(time)
                         if run is None:
-                            return time, bucket, False
+                            return time, bucket
                         run += bucket
                         run.sort()
-                        return time, run, True
+                        return time, run
                 _heappop(times)
-                return time, self._buckets.pop(time), False
+                return time, self._buckets.pop(time)
             if heap:
                 batch = self._drain_heap_run(heap[0][0])
                 if batch is None:
                     continue
-                return batch[0][0], batch, True
+                return batch[0][0], batch
             return None
 
     def _push_back(self, entries: Iterable[_HeapEntry]) -> None:
         """Return not-yet-executed batch entries to the queue.
 
-        Used when a bound (``max_events``, a completed join, an
-        exception) stops a run mid-batch.  Entries keep their original
-        ``(time, seq)``, so re-insertion into the heap tier — whichever
-        tier they came from — preserves exact ordering; the next batch
-        at that timestamp re-merges them.
+        Used when a bound (``until``, ``max_events``, a completed join,
+        an exception) stops a run mid-batch or before a batch.  Entries
+        keep their original ``(time, seq)``, so re-insertion into the
+        heap tier — whichever tier they came from — preserves exact
+        ordering; the next batch at that timestamp re-merges them.
         """
         heap = self._heap
         for entry in entries:
@@ -809,12 +768,7 @@ class Simulator:
         Returns the number of events executed.  With ``until``, events
         at times ``<= until`` run and ``now`` advances to ``until``.
         """
-        if self.hooks is not None:
-            executed = self._run_hooked(until, max_events)
-        elif until is None and max_events is None:
-            executed = self._run_fast()
-        else:
-            executed = self._run_bounded(until, max_events)
+        executed = self._run_loop(until, max_events, [1])
         if until is not None and self.now < until:
             if self._now_list:
                 # Keep the immediate tier's all-at-``now`` invariant:
@@ -830,238 +784,16 @@ class Simulator:
                 raise SimulationDeadlock(blocked)
         return executed
 
-    def _run_fast(self) -> int:
-        """Drain both tiers with zero per-event bound checks.
-
-        Batch dispatch: each pass removes the whole run of events at
-        the next timestamp and fires them back-to-back.  Pure-bucket
-        batches (the common case) skip handle unwrapping entirely.  On
-        an exception the not-yet-fired tail of the batch is pushed
-        back, so a failed run leaves every unexecuted event queued.
-        """
-        heap = self._heap
-        times = self._times
-        buckets = self._buckets
-        now_list = self._now_list
-        take = self._take_batch
-        failures = self._failures
-        strict = self.strict_failures
-        now = self.now
-        executed = 0
-        try:
-            while True:
-                # Inline fast paths.  First the immediate tier: events
-                # at exactly ``now``, dispatched without touching the
-                # time-heap at all.  Then the bucket tier when the next
-                # timestamp lives only there (no heap entry at or
-                # before it) — no tombstone tests or seq merging.
-                if now_list:
-                    if ((not heap or heap[0][0] > now)
-                            and (not times or times[0] > now)):
-                        if len(now_list) == 1:
-                            entry = now_list[0]
-                            now_list.clear()
-                            entry[2](*entry[3])
-                            executed += 1
-                            if failures and strict:
-                                self._raise_failure()
-                            continue
-                        batch = now_list.copy()
-                        now_list.clear()
-                        tail = iter(batch)
-                        try:
-                            for _t, _s, fn, args in tail:
-                                fn(*args)
-                                executed += 1
-                                if failures and strict:
-                                    self._raise_failure()
-                        except BaseException:
-                            self._push_back(tail)
-                            raise
-                        continue
-                elif times and (not heap or times[0] < heap[0][0]):
-                    time = _heappop(times)
-                    batch = buckets.pop(time)
-                    self.now = now = time
-                    if len(batch) == 1:
-                        entry = batch[0]
-                        entry[2](*entry[3])
-                        executed += 1
-                        if failures and strict:
-                            self._raise_failure()
-                        continue
-                    tail = iter(batch)
-                    try:
-                        for _t, _s, fn, args in tail:
-                            fn(*args)
-                            executed += 1
-                            if failures and strict:
-                                self._raise_failure()
-                    except BaseException:
-                        self._push_back(tail)
-                        raise
-                    continue
-                item = take()
-                if item is None:
-                    break
-                time, batch, has_handles = item
-                self.now = now = time
-                tail = iter(batch)
-                try:
-                    if has_handles:
-                        for _t, _s, fn, args in tail:
-                            if fn is None:
-                                handle = args
-                                if handle.cancelled:
-                                    if self._cancelled > 0:
-                                        self._cancelled -= 1
-                                    continue
-                                handle.cancelled = True
-                                fn = handle.fn
-                                args = handle.args
-                            fn(*args)
-                            executed += 1
-                            if failures and self.strict_failures:
-                                self._raise_failure()
-                    else:
-                        for _t, _s, fn, args in tail:
-                            fn(*args)
-                            executed += 1
-                            if failures and self.strict_failures:
-                                self._raise_failure()
-                except BaseException:
-                    self._push_back(tail)
-                    raise
-        finally:
-            self.events_executed += executed
-        return executed
-
-    def _run_bounded(self, until: Optional[int],
-                     max_events: Optional[int]) -> int:
-        """Batch dispatch under bounds.
-
-        The ``until`` test runs per batch (a batch shares one
-        timestamp); ``max_events`` is a per-event countdown, and a
-        mid-batch stop pushes the unexecuted tail back into the queue.
-        """
-        failures = self._failures
-        executed = 0
-        remaining = max_events if max_events is not None else -1
-        try:
-            while remaining != 0:
-                next_time = self._peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    break
-                item = self._take_batch()
-                if item is None:
-                    break
-                time, batch, _has_handles = item
-                if until is not None and time > until:
-                    # _peek_time saw a tombstone inside the bound; the
-                    # real next batch is outside it.
-                    self._push_back(batch)
-                    break
-                self.now = time
-                tail = iter(batch)
-                try:
-                    for entry in tail:
-                        if remaining == 0:
-                            self._push_back((entry,))
-                            self._push_back(tail)
-                            break
-                        fn = entry[2]
-                        args = entry[3]
-                        if fn is None:
-                            handle = args
-                            if handle.cancelled:
-                                if self._cancelled > 0:
-                                    self._cancelled -= 1
-                                continue
-                            handle.cancelled = True
-                            fn = handle.fn
-                            args = handle.args
-                        fn(*args)
-                        executed += 1
-                        remaining -= 1
-                        if failures and self.strict_failures:
-                            self._raise_failure()
-                except BaseException:
-                    self._push_back(tail)
-                    raise
-        finally:
-            self.events_executed += executed
-        return executed
-
-    def _run_hooked(self, until: Optional[int],
-                    max_events: Optional[int]) -> int:
-        """The instrumented loop: identical semantics, plus hooks."""
-        hooks = self.hooks
-        executed = 0
-        remaining = max_events if max_events is not None else -1
-        hooks.on_run_start(self)
-        try:
-            while remaining != 0:
-                next_time = self._peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    break
-                item = self._take_batch()
-                if item is None:
-                    break
-                time, batch, _has_handles = item
-                if until is not None and time > until:
-                    self._push_back(batch)
-                    break
-                self.now = time
-                tail = iter(batch)
-                try:
-                    for entry in tail:
-                        if remaining == 0:
-                            self._push_back((entry,))
-                            self._push_back(tail)
-                            break
-                        fn = entry[2]
-                        args = entry[3]
-                        if fn is None:
-                            handle = args
-                            if handle.cancelled:
-                                if self._cancelled > 0:
-                                    self._cancelled -= 1
-                                continue
-                            handle.cancelled = True
-                            fn = handle.fn
-                            args = handle.args
-                        fn(*args)
-                        executed += 1
-                        remaining -= 1
-                        hooks.on_execute(self, time, fn)
-                        if self._failures and self.strict_failures:
-                            self._raise_failure()
-                except BaseException:
-                    self._push_back(tail)
-                    raise
-        finally:
-            hooks.on_run_end(self, executed)
-            self.events_executed += executed
-        return executed
-
-    def _raise_failure(self) -> None:
-        process, error = self._failures[0]
-        raise RuntimeError(
-            f"process {process.name!r} failed at t={self.now}ns"
-        ) from error
-
     def run_until_done(
         self, processes: Iterable[Process], limit_ns: Optional[int] = None
     ) -> None:
         """Run until every process in ``processes`` has completed.
 
-        Raises :class:`SimulationDeadlock` if the heap drains first, or
-        ``TimeoutError`` if ``limit_ns`` simulated time passes first.
-        Stops exactly at the event that completes the last process (no
+        Raises :class:`SimulationDeadlock` if the queue drains first, or
+        ``TimeoutError`` if the next event lies beyond ``limit_ns``:
+        no event later than ``limit_ns`` runs, so afterwards ``now <=
+        limit_ns`` and every later event is still queued.  Stops
+        exactly at the event that completes the last process (no
         further events run, ``now`` stays at that event's time).
         """
         targets = list(processes)
@@ -1079,19 +811,32 @@ class Simulator:
                 pending[0] += 1
                 p.add_callback(_one_done)
 
-        if self.hooks is not None:
-            # Instrumented path: preserve the historical per-event
-            # run() cadence the profiler hooks observe.
-            while pending[0]:
-                if (not self._heap and not self._buckets
-                        and not self._now_list):
-                    raise SimulationDeadlock(
-                        [p for p in targets if not p.done])
-                if limit_ns is not None and self.now > limit_ns:
-                    self._raise_run_timeout(targets)
-                self.run(max_events=1)
-            return
+        self._run_loop(limit_ns, None, pending)
+        if pending[0]:
+            if self._heap or self._buckets or self._now_list:
+                # The loop stopped at the limit with events queued.
+                self._raise_run_timeout(targets)
+            raise SimulationDeadlock([p for p in targets if not p.done])
 
+    def _raise_run_timeout(self, targets: List[Process]) -> None:
+        waiting = ", ".join(p.name for p in targets if not p.done)
+        raise TimeoutError(
+            f"processes still running at t={self.now}ns: {waiting}"
+        )
+
+    def _run_loop(self, until: Optional[int], max_events: Optional[int],
+                  pending: List[int]) -> int:
+        """The batch-dispatch loop behind :meth:`run` and
+        :meth:`run_until_done`; returns the events executed.
+
+        Each pass removes the whole run of events at the next timestamp
+        and fires them back-to-back, amortizing queue traffic and the
+        ``until`` test across the batch.  The loop stops before a batch
+        later than ``until`` (leaving it queued), when the queue
+        drains, after ``max_events`` events, or once ``pending[0]``
+        reaches zero; the last two stop mid-batch, and so does an
+        exception, each pushing the unexecuted tail back.
+        """
         heap = self._heap
         times = self._times
         buckets = self._buckets
@@ -1099,128 +844,73 @@ class Simulator:
         take = self._take_batch
         failures = self._failures
         strict = self.strict_failures
-        # Local mirror of self.now for the loop's bound checks; kept in
-        # sync at every assignment (dispatched fns never move ``now``).
+        hooks = self.hooks
+        stop_at = -1 if max_events is None else max_events
+        # Local mirror of self.now; dispatched fns never move ``now``.
         now = self.now
         executed = 0
+        if hooks is not None:
+            hooks.on_run_start(self)
         try:
-            while pending[0]:
-                # Inline fast paths (immediate tier, then bucket-only
-                # timestamps), mirroring _run_fast plus the limit and
-                # completion checks.
-                if now_list:
-                    if ((not heap or heap[0][0] > now)
-                            and (not times or times[0] > now)):
-                        if limit_ns is not None and now > limit_ns:
-                            self._raise_run_timeout(targets)
-                        if len(now_list) == 1:
-                            entry = now_list[0]
-                            now_list.clear()
-                            entry[2](*entry[3])
-                            executed += 1
-                            if failures and strict:
-                                self._raise_failure()
-                            continue
-                        batch = now_list.copy()
-                        now_list.clear()
-                        tail = iter(batch)
-                        try:
-                            for _t, _s, fn, args in tail:
-                                fn(*args)
-                                executed += 1
-                                if failures and strict:
-                                    self._raise_failure()
-                                if not pending[0]:
-                                    # Stop exactly at the completing
-                                    # event: the rest of the batch
-                                    # stays queued.
-                                    self._push_back(tail)
-                                    break
-                        except BaseException:
-                            self._push_back(tail)
-                            raise
-                        continue
-                elif times and (not heap or times[0] < heap[0][0]):
-                    if limit_ns is not None and now > limit_ns:
-                        self._raise_run_timeout(targets)
+            while pending[0] and executed != stop_at:
+                # Inline the two common batch shapes before falling
+                # back to _take_batch: the immediate tier alone at
+                # ``now``, then a bucket no heap entry reaches.  Neither
+                # needs a tier merge, and inlining them saves a call
+                # per batch where batches average one or two events.
+                if (now_list and (not heap or heap[0][0] > now)
+                        and (not times or times[0] > now)):
+                    time = now
+                    batch = now_list.copy()
+                    now_list.clear()
+                elif (times and not now_list
+                        and (not heap or times[0] < heap[0][0])):
                     time = _heappop(times)
                     batch = buckets.pop(time)
-                    self.now = now = time
-                    if len(batch) == 1:
-                        entry = batch[0]
-                        entry[2](*entry[3])
-                        executed += 1
-                        if failures and strict:
-                            self._raise_failure()
-                        continue
-                    tail = iter(batch)
-                    try:
-                        for _t, _s, fn, args in tail:
-                            fn(*args)
-                            executed += 1
-                            if failures and strict:
-                                self._raise_failure()
-                            if not pending[0]:
-                                # Stop exactly at the completing event:
-                                # the rest of the batch stays queued.
-                                self._push_back(tail)
-                                break
-                    except BaseException:
-                        self._push_back(tail)
-                        raise
-                    continue
-                if not heap and not buckets and not now_list:
-                    raise SimulationDeadlock(
-                        [p for p in targets if not p.done])
-                if limit_ns is not None and now > limit_ns:
-                    self._raise_run_timeout(targets)
-                item = take()
-                if item is None:
-                    # Only tombstones were left.
-                    raise SimulationDeadlock(
-                        [p for p in targets if not p.done])
-                time, batch, has_handles = item
+                else:
+                    item = take()
+                    if item is None:
+                        break
+                    time, batch = item
+                if until is not None and time > until:
+                    self._push_back(batch)
+                    break
                 self.now = now = time
                 tail = iter(batch)
                 try:
-                    if has_handles:
-                        for _t, _s, fn, args in tail:
-                            if fn is None:
-                                handle = args
-                                if handle.cancelled:
-                                    if self._cancelled > 0:
-                                        self._cancelled -= 1
-                                    continue
-                                handle.cancelled = True
-                                fn = handle.fn
-                                args = handle.args
-                            fn(*args)
-                            executed += 1
-                            if failures and self.strict_failures:
-                                self._raise_failure()
-                            if not pending[0]:
-                                self._push_back(tail)
-                                break
-                    else:
-                        for _t, _s, fn, args in tail:
-                            fn(*args)
-                            executed += 1
-                            if failures and self.strict_failures:
-                                self._raise_failure()
-                            if not pending[0]:
-                                self._push_back(tail)
-                                break
+                    for _t, _s, fn, args in tail:
+                        if fn is None:
+                            handle = args
+                            if handle.cancelled:
+                                if self._cancelled > 0:
+                                    self._cancelled -= 1
+                                continue
+                            handle.cancelled = True
+                            fn = handle.fn
+                            args = handle.args
+                        fn(*args)
+                        executed += 1
+                        if hooks is not None:
+                            hooks.on_execute(self, time, fn)
+                        if failures and strict:
+                            self._raise_failure()
+                        if executed == stop_at or not pending[0]:
+                            self._push_back(tail)
+                            break
                 except BaseException:
                     self._push_back(tail)
                     raise
         finally:
+            if hooks is not None:
+                hooks.on_run_end(self, executed)
             self.events_executed += executed
+        return executed
 
-    def _raise_run_timeout(self, targets: List[Process]) -> None:
-        waiting = ", ".join(p.name for p in targets if not p.done)
-        raise TimeoutError(
-            f"processes still running at t={self.now}ns: {waiting}"
-        )
+    def _raise_failure(self) -> None:
+        process, error = self._failures[0]
+        raise RuntimeError(
+            f"process {process.name!r} failed at t={self.now}ns"
+        ) from error
 
     # -- failure bookkeeping ------------------------------------------------
 

@@ -6,6 +6,11 @@ keeps the exact queue discipline the repository shipped before the
 calendar-queue rewrite: one binary heap ordered by ``(time, seq)``, one
 event popped and dispatched per loop iteration, every bound
 (``until``, ``max_events``, ``limit_ns``, deadlock) checked per event.
+Its :meth:`~ReferenceSimulator.run` and
+:meth:`~ReferenceSimulator.run_until_done` are separate loops, each
+calling the kernel hooks once around the call and once per event, as
+the tiered kernel's single loop does; a join raises ``TimeoutError``
+before dispatching any event later than ``limit_ns``.
 
 Because both kernels share :class:`~repro.sim.kernel.Process`,
 :class:`~repro.sim.kernel.Future` and the ``(time, seq)`` total order,
@@ -147,12 +152,6 @@ class ReferenceSimulator(Simulator):
     def run_until_done(
         self, processes: Iterable[Process], limit_ns: Optional[int] = None
     ) -> None:
-        if self.hooks is not None:
-            # The base hooked path only drives self.run(max_events=1),
-            # which resolves to the reference loop above.
-            super().run_until_done(processes, limit_ns)
-            return
-
         targets = list(processes)
         pending = [0]
 
@@ -165,30 +164,40 @@ class ReferenceSimulator(Simulator):
                 pending[0] += 1
                 p.add_callback(_one_done)
 
+        hooks = self.hooks
         heap = self._heap
         executed = 0
+        if hooks is not None:
+            hooks.on_run_start(self)
         try:
             while pending[0]:
                 self._flush_tiers()
                 if not heap:
                     raise SimulationDeadlock(
                         [p for p in targets if not p.done])
-                if limit_ns is not None and self.now > limit_ns:
-                    self._raise_run_timeout(targets)
-                time, _seq, fn, args = _heappop(heap)
+                entry = _heappop(heap)
+                time, _seq, fn, args = entry
                 if fn is None:
                     handle = args
                     if handle.cancelled:
                         if self._cancelled > 0:
                             self._cancelled -= 1
                         continue
+                if limit_ns is not None and time > limit_ns:
+                    _heappush(heap, entry)
+                    self._raise_run_timeout(targets)
+                if fn is None:
                     handle.cancelled = True
                     fn = handle.fn
                     args = handle.args
                 self.now = time
                 fn(*args)
                 executed += 1
+                if hooks is not None:
+                    hooks.on_execute(self, time, fn)
                 if self._failures and self.strict_failures:
                     self._raise_failure()
         finally:
+            if hooks is not None:
+                hooks.on_run_end(self, executed)
             self.events_executed += executed

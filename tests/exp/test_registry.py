@@ -54,8 +54,7 @@ def test_every_spec_has_its_bench_harness():
     registered |= {grid.bench for grid in default_grids()}
     for bench in registered:
         assert (REPO_ROOT / bench).is_file(), bench
-    # ...and every experiment-shaped bench file is registered (the
-    # perf suite under benchmarks/perf is a separate harness).
+    # ...and every experiment-shaped bench file is registered.
     on_disk = {
         f"benchmarks/{p.name}"
         for p in (REPO_ROOT / "benchmarks").glob("bench_*.py")

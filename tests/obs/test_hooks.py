@@ -75,6 +75,15 @@ def test_profiler_and_metrics_do_not_perturb_simulated_history():
     assert profiler.events_scheduled >= profiler.events_executed
 
 
+def test_profiler_counts_one_run_per_kernel_call():
+    # A join is one run, however many events it takes, and the drain
+    # that follows it is the other.
+    cluster, _, _ = _observed_run(profile=True)
+    profiler = cluster.profiler
+    assert profiler.events_executed == cluster.sim.events_executed
+    assert profiler.runs == 2
+
+
 def test_cluster_exit_detaches_hooks():
     config = ClusterConfig(n_nodes=2, profile_kernel=True)
     with Cluster(config) as cluster:

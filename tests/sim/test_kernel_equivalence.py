@@ -13,9 +13,12 @@ This file checks that promise two ways:
 - **Randomized schedules**: ``N_SCHEDULES`` seeded scripts of
   post/cancel/timer/process/wakeup operations (including bound
   ``run(until=…)`` / ``run(max_events=…)`` slices that strand events
-  mid-batch) are interpreted against both kernels; the full dispatch
-  logs must serialize to identical bytes.  ``REPRO_STRESS_ITERS=N``
-  multiplies the schedule count.
+  mid-batch, ``until`` bounds below ``now``, and ``run_until_done``
+  joins that complete, time out or deadlock) are interpreted against
+  both kernels; the full dispatch logs must serialize to identical
+  bytes.  Each script also runs a third time on the tiered kernel with
+  no-op :class:`~repro.obs.KernelHooks` attached, which must not change
+  its log.  ``REPRO_STRESS_ITERS=N`` multiplies the schedule count.
 - **Cross-kernel cluster pins**: full-cluster workloads (the golden
   retry run, a coherence/hotspot run, the 8-node NIC-collectives run)
   are executed under ``kernel="bucket"`` and ``kernel="reference"``
@@ -30,9 +33,11 @@ import random
 
 import pytest
 
+from repro.obs import KernelHooks
 from repro.sim import (
     KERNELS,
     ReferenceSimulator,
+    SimulationDeadlock,
     Simulator,
     make_simulator,
 )
@@ -54,6 +59,9 @@ DELAYS = (0, 0, 0, 1, 2, 3, 7, 10, 10, 64, 1000,
           Simulator.DEFAULT_BUCKET_HORIZON,
           Simulator.DEFAULT_BUCKET_HORIZON + 1,
           1 << 20)
+
+#: How far past ``now`` a join may run before it times out.
+JOIN_LIMITS = (50, 500, 5000, 10**9)
 
 
 # -- schedule scripts -------------------------------------------------------
@@ -85,19 +93,29 @@ def build_script(seed: int):
             script.append(("timer", rng.choice(DELAYS)))
         elif r < 0.55:
             script.append(("cancel", rng.randrange(6)))
-        elif r < 0.75:
+        elif r < 0.72:
             # A process: a run of yields, each a delay or a wait on a
-            # future resolved by a separately scheduled timeout.
+            # future resolved by a separately scheduled timeout.  Now
+            # and then it ends by blocking forever, so a join on it
+            # can only time out or deadlock.
             steps = tuple(
                 ("delay", rng.choice(DELAYS)) if rng.random() < 0.7
                 else ("wait", rng.choice(DELAYS))
                 for _ in range(rng.randrange(1, 5))
             )
+            if rng.random() < 0.1:
+                steps += (("hang", 0),)
             script.append(("spawn", steps))
-        elif r < 0.85:
+        elif r < 0.80:
             script.append(("run_until", rng.randrange(0, 2000)))
-        else:
+        elif r < 0.83:
+            # A bound below ``now``: the run must execute nothing.
+            script.append(("run_until", -rng.randrange(1, 100)))
+        elif r < 0.91:
             script.append(("run_max", rng.randrange(1, 8)))
+        else:
+            script.append(("join", rng.randrange(6),
+                           rng.choice(JOIN_LIMITS)))
     script.append(("run_all",))
     return script
 
@@ -109,6 +127,7 @@ class ScriptRunner:
         self.sim = sim
         self.log = []
         self.handles = []
+        self.processes = []
         self._tags = iter(range(1 << 30))
 
     def _fire(self, tag, children):
@@ -121,6 +140,8 @@ class ScriptRunner:
         for kind, delay in steps:
             if kind == "delay":
                 yield delay
+            elif kind == "hang":
+                yield self.sim.future()  # never resolved
             else:
                 future = self.sim.future()
                 self.sim._post(delay, future.set_result, (tag,))
@@ -142,11 +163,20 @@ class ScriptRunner:
                     self.handles.pop(op[1] % len(self.handles)).cancel()
             elif kind == "spawn":
                 tag = next(self._tags)
-                sim.spawn(self._process(tag, op[1]), name=f"p{tag}")
+                self.processes.append(
+                    sim.spawn(self._process(tag, op[1]), name=f"p{tag}"))
             elif kind == "run_until":
-                sim.run(until=sim.now + op[1])
+                before = sim.now
+                ran = sim.run(until=before + op[1])
+                if op[1] < 0:
+                    assert (ran, sim.now) == (0, before), (
+                        f"run(until={before + op[1]}) at now={before} "
+                        f"ran {ran} events and moved now to {sim.now}")
+                self.log.append(("ran", sim.now, ran))
             elif kind == "run_max":
-                sim.run(max_events=op[1])
+                self.log.append(("ran", sim.now, sim.run(max_events=op[1])))
+            elif kind == "join":
+                self._join(op[1], op[2])
             else:
                 sim.run()
         sim.run()
@@ -154,13 +184,36 @@ class ScriptRunner:
                          sim.pending_events))
         return self.log
 
+    def _join(self, pick, limit):
+        live = [p for p in self.processes if not p.done]
+        if not live:
+            return
+        sim = self.sim
+        limit_ns = sim.now + limit
+        try:
+            sim.run_until_done([live[pick % len(live)]], limit_ns=limit_ns)
+            outcome = "joined"
+        except TimeoutError:
+            outcome = "timeout"
+            assert sim.now <= limit_ns, (sim.now, limit_ns)
+        except SimulationDeadlock:
+            outcome = "deadlock"
+        self.log.append(("join", outcome, sim.now, sim.events_executed))
+
 
 def _log_bytes(log) -> bytes:
     return json.dumps(log, separators=(",", ":")).encode()
 
 
+def _hooked_simulator():
+    sim = Simulator()
+    sim.hooks = KernelHooks()
+    return sim
+
+
 def test_randomized_schedules_dispatch_identically():
     divergent = []
+    hook_divergent = []
     for seed in range(N_SCHEDULES):
         script = build_script(seed)
         logs = {}
@@ -169,10 +222,17 @@ def test_randomized_schedules_dispatch_identically():
                 ScriptRunner(make_simulator(kernel)).execute(script))
         if logs["bucket"] != logs["reference"]:
             divergent.append(seed)
+        hooked = _log_bytes(ScriptRunner(_hooked_simulator()).execute(script))
+        if hooked != logs["bucket"]:
+            hook_divergent.append(seed)
     assert not divergent, (
         f"{len(divergent)}/{N_SCHEDULES} schedules diverged between "
         f"kernels; first failing seeds: {divergent[:10]} — replay with "
         "ScriptRunner(make_simulator(k)).execute(build_script(seed))"
+    )
+    assert not hook_divergent, (
+        f"{len(hook_divergent)}/{N_SCHEDULES} schedules changed when no-op "
+        f"hooks were attached; first failing seeds: {hook_divergent[:10]}"
     )
 
 
@@ -191,6 +251,28 @@ def test_mid_batch_bound_preserves_order():
         logs[kernel] = _log_bytes(runner.log)
     assert logs["bucket"] == logs["reference"]
     assert json.loads(logs["bucket"])[0] == [10, 0]
+
+
+@pytest.mark.parametrize("hooked", [False, True], ids=["plain", "hooked"])
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_join_timeout_runs_nothing_past_the_limit(kernel, hooked):
+    # Five events at t=100 and a join limited to t=50: the join times
+    # out before dispatching any of them, and they stay queued.
+    sim = make_simulator(kernel)
+    if hooked:
+        sim.hooks = KernelHooks()
+    runner = ScriptRunner(sim)
+    for i in range(5):
+        sim._post(100, runner._fire, (i, ()))
+    proc = sim.spawn(runner._process(5, (("delay", 200),)), name="p5")
+    with pytest.raises(TimeoutError):
+        sim.run_until_done([proc], limit_ns=50)
+    assert runner.log == []
+    assert sim.now <= 50
+    assert sim.events_executed == 1  # the process start at t=0
+    assert sim.pending_events == 6
+    sim.run()
+    assert runner.log == [(100, i) for i in range(5)] + [(200, "step", 5)]
 
 
 def test_until_bound_strands_and_resumes_identically():

@@ -5,22 +5,14 @@ in README.md, and the expected command set must match the parser —
 adding a subcommand without documenting it fails here.
 """
 
-import json
 import shutil
-import sys
 from pathlib import Path
 
 from repro.__main__ import build_parser, main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-# The benchmarks package lives at the repo root, next to ``src`` (the
-# same fallback ``repro bench-perf`` itself uses).
-if str(REPO_ROOT) not in sys.path:
-    sys.path.insert(0, str(REPO_ROOT))
-
-EXPECTED_COMMANDS = {"check", "stats", "trace", "bench-perf", "sweep",
-                     "report"}
+EXPECTED_COMMANDS = {"check", "stats", "trace", "sweep", "report"}
 
 
 def registered_commands():
@@ -49,7 +41,7 @@ def test_readme_documents_every_subcommand():
 
 def test_collectives_flag_on_every_cluster_command():
     """`--collectives {host,nic}` is part of the cluster surface:
-    present on stats/trace/bench-perf and (as the exploratory mode) on
+    present on stats/trace and (as the exploratory mode) on
     sweep — and documented in README.md."""
     parser = build_parser()
     (subparsers,) = [
@@ -119,6 +111,15 @@ def _sweep_subparser():
         if hasattr(action, "choices") and action.choices
     ]
     return subparsers.choices["sweep"]
+
+
+def _option_strings(parser):
+    return {
+        opt
+        for action in parser._actions
+        for opt in action.option_strings
+        if opt not in ("-h", "--help")
+    }
 
 
 def test_sweep_distributed_flags_registered_and_documented():
@@ -248,82 +249,3 @@ def test_sweep_cli_render_only_requires_results(tmp_path, capsys):
     ])
     assert code == 1
     assert "sweep" in capsys.readouterr().err
-
-
-# -- bench-perf drift gates ------------------------------------------------
-#
-# The performance suite has two surfaces that can silently drift from
-# the code: the ``repro bench-perf`` subcommand (which *forwards* to
-# benchmarks.perf.harness rather than calling it directly) and the
-# committed BENCH_PERF.json document.  Both are pinned here.
-
-
-def _bench_perf_subparser():
-    parser = build_parser()
-    (subparsers,) = [
-        action for action in parser._actions
-        if hasattr(action, "choices") and action.choices
-    ]
-    return subparsers.choices["bench-perf"]
-
-
-def _option_strings(parser):
-    return {
-        opt
-        for action in parser._actions
-        for opt in action.option_strings
-        if opt not in ("-h", "--help")
-    }
-
-
-def test_bench_perf_help_matches_harness_surface():
-    """Every flag the harness parser defines must exist on the
-    ``repro bench-perf`` subcommand and vice versa — adding a harness
-    flag without threading it through ``cmd_bench_perf`` fails here."""
-    from benchmarks.perf import harness
-
-    cli_flags = _option_strings(_bench_perf_subparser())
-    harness_flags = _option_strings(harness.build_parser())
-    assert cli_flags == harness_flags
-    assert {"--quick", "--repeats", "--out", "--check"} <= cli_flags
-    help_text = _bench_perf_subparser().format_help()
-    for flag in harness_flags:
-        assert flag in help_text, flag
-
-
-def test_bench_perf_document_schema_in_sync():
-    """The committed BENCH_PERF.json must carry the current schema
-    version, the three protocol workloads, and one ``fabric_scaling_N``
-    entry per mesh size of its mode — plus the aggregate block the
-    README quotes throughput retention from."""
-    from benchmarks.perf import harness
-    from benchmarks.perf.workloads import FABRIC_SCALING_NODES, WORKLOADS
-
-    doc = json.loads((REPO_ROOT / "BENCH_PERF.json").read_text("utf-8"))
-    assert doc["schema"] == harness.SCHEMA
-    mode = doc["mode"]
-    expected = set(WORKLOADS) | {
-        f"fabric_scaling_{n}" for n in FABRIC_SCALING_NODES[mode]
-    }
-    assert set(doc["workloads"]) == expected
-    for entry in doc["workloads"].values():
-        assert {"events", "wall_s", "events_per_sec"} <= set(entry)
-    assert doc["fabric_scaling"]["nodes"] == FABRIC_SCALING_NODES[mode]
-    assert len(doc["fabric_scaling"]["points"]) \
-        == len(FABRIC_SCALING_NODES[mode])
-
-
-def test_bench_perf_baseline_covers_scaling_entries():
-    """The regression gate is only as good as its baseline: every mode
-    must have baseline numbers for every workload the suite emits,
-    including the scaling entries, so ``--check`` never silently skips
-    a workload."""
-    from benchmarks.perf import harness
-    from benchmarks.perf.workloads import FABRIC_SCALING_NODES, WORKLOADS
-
-    baseline = harness.load_baseline()
-    assert baseline is not None
-    for mode, sizes in FABRIC_SCALING_NODES.items():
-        recorded = set(baseline["modes"][mode]["workloads"])
-        expected = set(WORKLOADS) | {f"fabric_scaling_{n}" for n in sizes}
-        assert recorded == expected, mode
