@@ -13,7 +13,7 @@ prints a profile, and an alarm armed on the hottest page fires mid-run.
 Run:  python examples/hotspot_profiling.py
 """
 
-from repro.api import Cluster
+from repro.api import Cluster, ClusterConfig
 from repro.workloads import hot_page_stream
 
 N_PAGES = 8
@@ -21,7 +21,7 @@ ACCESSES = 300
 
 
 def main():
-    cluster = Cluster(n_nodes=2)
+    cluster = Cluster(ClusterConfig(n_nodes=2))
     seg = cluster.alloc_segment(home=1, pages=N_PAGES, name="data")
     proc = cluster.create_process(node=0, name="client")
     base = proc.map(seg)

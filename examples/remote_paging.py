@@ -11,14 +11,14 @@ overlap, completed by a single FENCE — versus a ~10 ms disk seek.
 Run:  python examples/remote_paging.py
 """
 
-from repro.api import Cluster
+from repro.api import Cluster, ClusterConfig
 
 PAGE_WORDS = 128          # one "page" worth of words to fetch
 DISK_SEEK_US = 10_000.0   # mid-90s disk: ~10 ms seek + rotation
 
 
 def main():
-    cluster = Cluster(n_nodes=2)
+    cluster = Cluster(ClusterConfig(n_nodes=2))
     # The memory server (node 1) holds the paged-out page.
     server_page = cluster.alloc_segment(home=1, pages=1, name="swapped")
     for i in range(PAGE_WORDS):

@@ -14,12 +14,12 @@ The flag handoff uses the safe §2.3.5 pattern (FENCE before flag).
 Run:  python examples/streaming_pipeline.py
 """
 
-from repro.api import Cluster
+from repro.api import Cluster, ClusterConfig
 from repro.workloads import run_producer_consumer
 
 
 def run(mode: str, protocol: str):
-    cluster = Cluster(n_nodes=3, protocol=protocol)
+    cluster = Cluster(ClusterConfig(n_nodes=3, protocol=protocol))
     result = run_producer_consumer(
         cluster,
         producer_node=0,

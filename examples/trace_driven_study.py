@@ -16,7 +16,7 @@ Run:  python examples/trace_driven_study.py
 """
 
 from repro.analysis import ClusterReport, Table
-from repro.api import Cluster
+from repro.api import Cluster, ClusterConfig
 from repro.workloads import (
     TracePlayer,
     false_sharing_trace,
@@ -30,7 +30,7 @@ THINK_NS = 800_000
 
 
 def run_case(mode, protocol, trace):
-    cluster = Cluster(n_nodes=3, protocol=protocol)
+    cluster = Cluster(ClusterConfig(n_nodes=3, protocol=protocol))
     seg = cluster.alloc_segment(home=0, pages=max(1, trace.n_pages),
                                 name="study")
     player = TracePlayer(cluster, seg, mode=mode)

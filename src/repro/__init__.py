@@ -3,9 +3,9 @@ user-level shared-memory network interface for workstation clusters.
 
 The public API lives in :mod:`repro.api`::
 
-    from repro.api import Cluster
+    from repro.api import Cluster, ClusterConfig
 
-    cluster = Cluster(n_nodes=2)
+    cluster = Cluster(ClusterConfig(n_nodes=2))
     seg = cluster.alloc_segment(home=1, pages=1, name="data")
     proc = cluster.create_process(node=0, name="writer")
     base = proc.map(seg)
@@ -25,7 +25,8 @@ Subpackages (see DESIGN.md for the full map):
 - :mod:`repro.hib` — the Host Interface Board (the paper's §2.2);
 - :mod:`repro.coherence` — the §2.3 protocols and their baselines;
 - :mod:`repro.os` — driver, VM, kernel, scheduler, replication;
-- :mod:`repro.api` — clusters, segments, processes, sync, messaging;
+- :mod:`repro.api` — clusters, segments, processes, collectives,
+  messaging;
 - :mod:`repro.baselines` — software DSM and sockets comparators;
 - :mod:`repro.workloads` / :mod:`repro.analysis` — experiments.
 """

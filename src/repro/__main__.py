@@ -12,11 +12,6 @@
 - ``sweep`` — the full reproduction (:mod:`repro.exp`): every
   registered experiment across a worker pool, one machine-readable
   ``results/<id>.json`` each, EXPERIMENTS.md regenerated from them.
-  ``--executor {local,spool,ssh}`` picks the backend: an in-process
-  pool, a shared spool directory any number of workers pull shards
-  from (``--worker`` turns this same CLI into such a worker), or the
-  spool plus an ssh fan-out that starts one worker per ``--hosts``
-  entry (:mod:`repro.exp.dist`).
 - ``report`` — the evaluation pipeline (:mod:`repro.analysis.results`):
   folds every grid family's cached points into one plot-ready
   ``results/aggregates/<family>.json`` and prints the summary tables;
@@ -200,56 +195,18 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def cmd_sweep_worker(args) -> int:
-    """The worker role of the distributed sweep: same binary, second
-    terminal (or remote host).  Claims shards from ``--spool-dir``
-    until the coordinator marks the sweep complete."""
-    from repro.exp import default_registry
-    from repro.exp.dist import SpoolWorker
-
-    if not args.spool_dir:
-        print("sweep: --worker requires --spool-dir", file=sys.stderr)
-        return 2
-    worker = SpoolWorker(
-        args.spool_dir,
-        default_registry(),
-        worker_id=args.worker_id,
-        startup_timeout_s=args.worker_startup_timeout,
-        progress=print,
-    )
-    stats = worker.run()
-    print(f"worker {worker.worker_id}: {stats['shards']} shards, "
-          f"{stats['experiments_ran']} ran, "
-          f"{stats['experiments_spool_cached']} spool-cached, "
-          f"{stats['experiments_failed']} failed, "
-          f"{stats['lease_renewals']} lease renewals")
-    return 0
-
-
-def _print_dist_summary(outcome) -> None:
-    """Render the ``exp.dist.*`` metrics snapshot the coordinator
-    collected: shard lifecycle counts, lease renewals, per-worker
-    wall-clock."""
-    snapshot = outcome.stats.get("dist", {})
-    shard_counts = snapshot.get("exp.dist.shards", {})
-    if shard_counts:
-        print("dist shards: " + ", ".join(
-            f"{label.split('=', 1)[1]}={count}"
-            for label, count in sorted(shard_counts.items())))
-    renewals = snapshot.get("exp.dist.lease_renewals", {})
-    if renewals:
-        print(f"dist lease renewals: {sum(renewals.values())}")
-    for label, summary in sorted(
-            snapshot.get("exp.dist.shard_wall_s", {}).items()):
-        worker = label.split("=", 1)[1]
-        print(f"dist worker {worker}: {summary.get('count', 0)} shards, "
-              f"{summary.get('count', 0) * summary.get('mean', 0.0):.1f}s "
-              f"wall")
-
-
 def cmd_sweep(args) -> int:
     from repro.analysis.report import render_experiments_md
     from repro.exp import ResultCache, default_registry, run_sweep, select
+
+    if args.workers < 1:
+        print(f"sweep: --workers must be at least 1, got {args.workers}",
+              file=sys.stderr)
+        return 2
+    if args.retries < 0:
+        print(f"sweep: --retries must be at least 0, got {args.retries}",
+              file=sys.stderr)
+        return 2
 
     if args.collectives:
         # Exploratory mode: re-run the collectives experiments
@@ -267,9 +224,6 @@ def cmd_sweep(args) -> int:
             print(module.render(module.run(backends=(args.collectives,))))
             print()
         return 0
-
-    if args.worker:
-        return cmd_sweep_worker(args)
 
     specs = default_registry()
     if args.only:
@@ -328,54 +282,18 @@ def cmd_sweep(args) -> int:
 
     monitor = SweepMonitor(emit=print)
     if not args.render_only:
-        if args.executor == "local":
-            outcome = run_sweep(
-                specs, workers=args.workers, cache=cache, force=args.force,
-                retries=args.retries, progress=monitor,
-            )
-        else:
-            from repro.exp.dist import SpoolMismatchError, SSHLauncher, run_spool_sweep
-
-            if not args.spool_dir:
-                print(f"sweep: --executor {args.executor} requires "
-                      f"--spool-dir (a directory every worker can see)",
-                      file=sys.stderr)
-                return 2
-            hosts = [part for chunk in args.hosts
-                     for part in chunk.split(",") if part.strip()]
-            if args.executor == "ssh" and not hosts:
-                print("sweep: --executor ssh requires --hosts",
-                      file=sys.stderr)
-                return 2
-            launcher = None
-            if args.executor == "ssh":
-                launcher = SSHLauncher(
-                    hosts, args.spool_dir,
-                    python=args.remote_python, progress=print,
-                )
-            try:
-                outcome = run_spool_sweep(
-                    specs, args.spool_dir, cache=cache, force=args.force,
-                    workers=args.workers, shards=args.shards or None,
-                    lease_s=args.lease_s, max_claims=args.max_claims,
-                    retries=args.retries, progress=monitor,
-                    launcher=launcher,
-                )
-            except SpoolMismatchError as exc:
-                print(f"sweep: {exc}", file=sys.stderr)
-                return 2
-            _print_dist_summary(outcome)
+        outcome = run_sweep(
+            specs, workers=args.workers, cache=cache, force=args.force,
+            retries=args.retries, progress=monitor,
+        )
         print(f"sweep: {len(outcome.ran)} ran, {len(outcome.cached)} cached, "
               f"{len(outcome.failures)} failed "
-              f"({args.executor} executor, {args.workers} "
-              f"worker{'s' if args.workers != 1 else ''})")
+              f"({args.workers} worker{'s' if args.workers != 1 else ''})")
         if monitor.families:
             print(monitor.summary())
         for failure in outcome.failures:
-            where = f" on {failure.host}" if failure.host else ""
             print(f"  FAILED {failure.experiment} "
-                  f"(shard {failure.shard}, {failure.attempts} attempts"
-                  f"{where})",
+                  f"(shard {failure.shard}, {failure.attempts} attempts)",
                   file=sys.stderr)
             print("    " + failure.error.strip().replace("\n", "\n    "),
                   file=sys.stderr)
@@ -513,53 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run every registered experiment and regenerate "
              "EXPERIMENTS.md from results/*.json",
     )
-    p_sweep.add_argument("--executor", choices=("local", "spool", "ssh"),
-                         default="local",
-                         help="execution backend: in-process pool "
-                              "(local), shared spool directory that any "
-                              "worker can pull from (spool), or spool "
-                              "plus an ssh fan-out that starts one CLI "
-                              "worker per host (ssh) (default: local)")
-    p_sweep.add_argument("--spool-dir", default="",
-                         help="spool directory for the spool/ssh "
-                              "executors; must be visible to every "
-                              "worker (e.g. an NFS mount)")
-    p_sweep.add_argument("--hosts", action="append", default=[],
-                         metavar="HOSTS",
-                         help="ssh executor: hosts to start workers on "
-                              "(comma-separated, repeatable)")
-    p_sweep.add_argument("--lease-s", type=float, default=30.0,
-                         help="shard lease duration in seconds; a "
-                              "worker silent for this long is presumed "
-                              "dead and its shard is reclaimed "
-                              "(default: 30)")
-    p_sweep.add_argument("--max-claims", type=int, default=3,
-                         help="claim budget per shard (first claim + "
-                              "re-claims after lease expiry) "
-                              "(default: 3)")
-    p_sweep.add_argument("--shards", type=int, default=0,
-                         help="shard count for the spool/ssh executors "
-                              "(default: 0 = same as --workers)")
-    p_sweep.add_argument("--worker", action="store_true",
-                         help="run as a pull-model worker attached to "
-                              "--spool-dir instead of coordinating (the "
-                              "same binary plays both roles)")
-    p_sweep.add_argument("--worker-id", default=None,
-                         help="stable worker identity for leases and "
-                              "provenance (default: <host>.<pid>)")
-    p_sweep.add_argument("--worker-startup-timeout", type=float,
-                         default=None, metavar="S",
-                         help="worker: exit if no sweep manifest "
-                              "appears within S seconds (default: wait "
-                              "forever)")
-    p_sweep.add_argument("--remote-python", default="python3",
-                         help="ssh executor: python interpreter to run "
-                              "remote workers with (default: python3)")
     p_sweep.add_argument("--workers", type=int, default=1,
-                         help="parallel worker processes (default: 1); "
-                              "for the spool/ssh executors this is the "
-                              "number of *local* workers the "
-                              "coordinator also runs (0 = pull-only)")
+                         help="parallel worker processes (default: 1)")
     p_sweep.add_argument("--only", action="append", default=[],
                          metavar="IDS",
                          help="run only these experiment ids "

@@ -1,8 +1,8 @@
 """Sweep progress monitoring.
 
-The runner and the distributed coordinator report progress as plain
-lines (``[T2/link_prop_ns=200] done``).  A :class:`SweepMonitor` sits
-in that callback seat, keeps per-family tallies, and renders a compact
+The sweep runner reports progress as plain lines
+(``[T2/link_prop_ns=200] done``).  A :class:`SweepMonitor` sits in
+that callback seat, keeps per-family tallies, and renders a compact
 end-of-sweep summary — with parameter grids a sweep is dozens of
 points, and "which families moved" is the useful digest, not the
 line-per-point scroll.
@@ -20,7 +20,6 @@ _PROGRESS_RE = re.compile(r"\[([^\]\s]+)\]\s+(.*)$")
 _EVENTS = {
     "done": "ran",
     "cached": "cached",
-    "spool-cached": "cached",
     "FAILED": "failed",
 }
 

@@ -18,8 +18,6 @@ This is the layer a Telegraphos application developer sees:
   (``nic``).  Also home of :class:`~repro.api.collectives.Mutex` and
   :class:`~repro.api.collectives.Signal`, each embedding the §2.3.5
   FENCE.
-- :mod:`repro.api.sync` — the deprecated pre-collectives names
-  (``SpinLock``/``Barrier``/``Flag``), kept as warning shims.
 - :mod:`repro.api.msg` — message-passing channels built on remote
   writes ("applications that want to send small messages can do that
   very efficiently", §3.2).
@@ -54,22 +52,18 @@ from repro.api.collectives import (
 from repro.api.config import ClusterConfig
 from repro.api.msg import BroadcastChannel, Channel
 from repro.api.shmem import Proc, Segment
-from repro.api.sync import Barrier, Flag, SpinLock
 
 __all__ = [
-    "Barrier",
     "BroadcastChannel",
     "Channel",
     "Cluster",
     "ClusterConfig",
     "Collective",
     "CollectiveGroup",
-    "Flag",
     "Mutex",
     "Proc",
     "Segment",
     "Signal",
-    "SpinLock",
     "Workstation",
     "counter_barrier_wait",
 ]

@@ -14,24 +14,19 @@ A :class:`Cluster` builds, for ``config.n_nodes`` workstations:
   :class:`~repro.obs.metrics.MetricsRegistry` wired into every layer,
   and (opt-in) an event-loop profiler on the simulation kernel.
 
-The documented construction path is a :class:`ClusterConfig`::
+A cluster is built from one :class:`ClusterConfig`::
 
     with Cluster(ClusterConfig(n_nodes=4, protocol="telegraphos")) as c:
         ...
         c.run(join=contexts)
         print(c.stats()["metrics"]["hib.remote_writes"])
-
-The older forms — positional arguments or bare keywords — still work
-but emit :class:`DeprecationWarning` (see :mod:`repro.api.config` for
-the policy).
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Dict, List, Optional
 
-from repro.api.config import LEGACY_POSITIONAL_ORDER, ClusterConfig
+from repro.api.config import ClusterConfig
 from repro.coherence import CoherenceChecker, SharingDirectory, make_engine
 from repro.faults import FaultInjector
 from repro.hib import HIB
@@ -94,16 +89,12 @@ class Workstation:
 class Cluster:
     """A Telegraphos workstation cluster."""
 
-    def __init__(self, config: Optional[ClusterConfig] = None,
-                 *args: Any, **kwargs: Any):
-        if isinstance(config, ClusterConfig):
-            if args or kwargs:
-                raise TypeError(
-                    "pass either a ClusterConfig or keyword arguments, "
-                    "not both"
-                )
-        else:
-            config = self._legacy_config(config, args, kwargs)
+    def __init__(self, config: ClusterConfig):
+        if not isinstance(config, ClusterConfig):
+            raise TypeError(
+                f"Cluster takes one ClusterConfig, got {config!r}; "
+                "build it as Cluster(ClusterConfig(n_nodes=...))"
+            )
         self.config = config
         self.params = config.params or DEFAULT_PARAMS
         self.protocol = config.protocol
@@ -158,29 +149,6 @@ class Cluster:
         self._collective_groups: Dict[str, "CollectiveGroup"] = {}
         self._collective_gids = 0
         self._register_metrics()
-
-    @staticmethod
-    def _legacy_config(first: Any, args: tuple, kwargs: dict) -> ClusterConfig:
-        """Translate the deprecated constructor forms into a config."""
-        if first is None and args:
-            raise TypeError("positional arguments require n_nodes first")
-        if first is not None:
-            positional = dict(zip(LEGACY_POSITIONAL_ORDER, (first,) + args))
-            if len((first,) + args) > len(LEGACY_POSITIONAL_ORDER):
-                raise TypeError("too many positional arguments")
-            overlap = set(positional) & set(kwargs)
-            if overlap:
-                raise TypeError(
-                    f"argument(s) given twice: {sorted(overlap)}"
-                )
-            kwargs = {**positional, **kwargs}
-        warnings.warn(
-            "building Cluster from bare arguments is deprecated; pass a "
-            "ClusterConfig: Cluster(ClusterConfig(n_nodes=...))",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return ClusterConfig(**kwargs)
 
     # -- context management ------------------------------------------------
 

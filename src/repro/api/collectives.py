@@ -30,10 +30,8 @@ overrides per group):
     fetch&adds merge in combining windows so the home word is touched
     once per window (≈O(log N) hops per round).
 
-The module is also the non-deprecated home of the point-to-point
-primitives (:class:`Mutex`, :class:`Signal`,
-:func:`counter_barrier_wait`); :mod:`repro.api.sync` keeps the old
-``SpinLock``/``Barrier``/``Flag`` names as deprecated shims over them.
+The module is also the home of the point-to-point primitives
+(:class:`Mutex`, :class:`Signal`, :func:`counter_barrier_wait`).
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ COLLECTIVE_BACKENDS = ("host", "nic")
 REDUCTIONS = ("sum", "min", "max")
 
 
-# -- point-to-point primitives (non-deprecated sync home) ---------------
+# -- point-to-point primitives -----------------------------------------
 
 
 class Mutex:

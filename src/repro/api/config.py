@@ -2,17 +2,12 @@
 
 :class:`ClusterConfig` is the one object that describes a cluster
 build: machine shape (nodes, topology, memory), protocol choice, and
-the observability switches.  It exists so that
-:class:`~repro.api.cluster.Cluster` construction has a single,
-serialisable surface — ``Cluster(ClusterConfig(...))`` — instead of a
-growing positional-argument list, and so experiment scripts can store
-and replay exact configurations (:meth:`ClusterConfig.to_dict` /
+the observability switches.  It gives
+:class:`~repro.api.cluster.Cluster` construction a single,
+serialisable surface — ``Cluster(ClusterConfig(...))``, the only form
+``Cluster`` accepts — and lets experiment scripts store and replay
+exact configurations (:meth:`ClusterConfig.to_dict` /
 :meth:`ClusterConfig.from_dict` round-trip through plain JSON types).
-
-Deprecation policy: the pre-config constructor forms
-(``Cluster(4, "telegraphos")`` positionally, or the bare keyword form
-``Cluster(n_nodes=4)``) keep working for one major version and emit
-:class:`DeprecationWarning`; new code should build a config.
 """
 
 from __future__ import annotations
@@ -154,11 +149,3 @@ class ClusterConfig:
                 prototype=params["prototype"],
             )
         return cls(params=params, **data)
-
-
-# Positional order of the legacy ``Cluster(...)`` constructor, used to
-# translate deprecated calls (see repro.api.cluster).
-LEGACY_POSITIONAL_ORDER = (
-    "n_nodes", "protocol", "topology", "params", "trace",
-    "cache_entries", "dram_bytes", "replication_threshold",
-)

@@ -16,11 +16,6 @@ than a pile of scripts:
   deterministic LPT shard assignment, retry-on-worker-crash, and
   structured :class:`ExperimentFailure` degradation in the style of
   :class:`repro.faults.NodeFailure`.
-- :mod:`repro.exp.dist` — the distributed executor behind
-  ``repro sweep --executor {spool,ssh}``: the same LPT shards
-  published as claimable job files in a shared spool directory,
-  pulled by lease-renewing workers on any host, reclaimed on expiry,
-  and gathered with byte-level verification.
 
 ``repro sweep --workers N`` runs everything, writes one
 machine-readable ``results/<id>.json`` per table/figure, and
@@ -30,7 +25,6 @@ any worker count.
 """
 
 from repro.exp.cache import DEFAULT_RESULTS_DIR, ResultCache
-from repro.exp.dist import run_spool_sweep
 from repro.exp.grid import GridSpec, expand_grids
 from repro.exp.registry import (
     default_grids,
@@ -68,7 +62,6 @@ __all__ = [
     "default_registry",
     "expand_grids",
     "flat_specs",
-    "run_spool_sweep",
     "run_sweep",
     "select",
     "shard_assignment",

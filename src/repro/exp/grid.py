@@ -4,8 +4,8 @@ A :class:`GridSpec` declares a *family* of experiments — one measurement
 function swept over the cartesian product of its axes.  :meth:`expand`
 turns the family into ordinary :class:`~repro.exp.spec.ExperimentSpec`
 points, so everything downstream (blake2b cache keys, LPT sharding, the
-local pool, the spool executor, ssh workers, byte-identity checks) works
-on grid points without knowing grids exist.
+worker pool, byte-identity checks) works on grid points without knowing
+grids exist.
 
 Point ids are ``family/axis=value,...`` with axes in declaration order
 (``"T2/link_prop_ns=200"``), which doubles as the results path:

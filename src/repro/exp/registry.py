@@ -31,8 +31,8 @@ def default_registry() -> List[ExperimentSpec]:
     family's points in expansion order.
 
     Grid points are ordinary specs by the time they leave here, so the
-    cache, the LPT sharder, and all three executors treat them exactly
-    like the flat claims.
+    cache, the LPT sharder, and the worker pool treat them exactly like
+    the flat claims.
     """
     specs = flat_specs() + expand_grids(default_grids())
     ids = [spec.exp_id for spec in specs]

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import multiprocessing
 import queue as queue_module
-import socket
 import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -54,9 +53,6 @@ class ExperimentFailure:
     #: Last traceback, or the worker's death notice (with exit code)
     #: when it never reported back.
     error: str
-    #: Host the last failing attempt ran on — one sweep can now span
-    #: machines, so "where" is part of the report.
-    host: str = ""
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -64,7 +60,6 @@ class ExperimentFailure:
             "shard": self.shard,
             "attempts": self.attempts,
             "error": self.error,
-            "host": self.host,
         }
 
 
@@ -81,9 +76,6 @@ class SweepOutcome:
     cached: List[str] = field(default_factory=list)
     #: Experiments that exhausted their retry budget.
     failures: List[ExperimentFailure] = field(default_factory=list)
-    #: Executor-specific bookkeeping (the distributed executor puts its
-    #: ``exp.dist.*`` metrics snapshot here); empty for the local pool.
-    stats: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -169,10 +161,9 @@ def _run_sharded(
         worker.join()
     # A worker that died without reporting leaves its unresolved
     # experiments with no traceback at all; synthesize a death notice
-    # carrying what the parent *can* know — the exit code (or signal)
-    # and the host — so the failure that eventually surfaces is more
-    # than "something stopped answering".
-    host = socket.gethostname()
+    # carrying what the parent *can* know, the exit code (or signal),
+    # so the failure that eventually surfaces is more than "something
+    # stopped answering".
     for shard, worker in zip(populated, workers):
         if worker.exitcode == 0:
             continue
@@ -181,7 +172,7 @@ def _run_sharded(
                 continue
             errors[spec.exp_id] = (
                 f"worker process died before reporting a result "
-                f"(exitcode {worker.exitcode}) on host {host}"
+                f"(exitcode {worker.exitcode})"
             )
     return results, errors
 
@@ -258,6 +249,5 @@ def run_sweep(
                     spec.exp_id,
                     "worker process died before reporting a result",
                 ),
-                host=socket.gethostname(),
             ))
     return outcome

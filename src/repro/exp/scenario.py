@@ -148,7 +148,7 @@ def _load_builtins() -> None:
         """Fabric-level counters: per-link utilization extremes plus
         the torus routing-decision counters (zero on tree fabrics).
         All values derive from integer simulation counters, so the
-        document is deterministic across executors and kernels."""
+        document is deterministic across worker counts and kernels."""
         fabric = cluster.fabric
         now = cluster.now
         links = fabric.links

@@ -9,7 +9,7 @@ from repro.analysis import (
     measure_single_ops,
     us,
 )
-from repro.api import Cluster
+from repro.api import Cluster, ClusterConfig
 
 
 def test_us_conversion():
@@ -44,7 +44,7 @@ def test_comparison_table_zero_paper_value():
 
 
 def test_measure_op_stream_remote_writes():
-    cluster = Cluster(n_nodes=2)
+    cluster = Cluster(ClusterConfig(n_nodes=2))
     seg = cluster.alloc_segment(home=1, pages=1, name="s")
     proc = cluster.create_process(node=0, name="p")
     base = proc.map(seg)
@@ -55,7 +55,7 @@ def test_measure_op_stream_remote_writes():
 
 
 def test_measure_single_ops_reads():
-    cluster = Cluster(n_nodes=2)
+    cluster = Cluster(ClusterConfig(n_nodes=2))
     seg = cluster.alloc_segment(home=1, pages=1, name="s")
     proc = cluster.create_process(node=0, name="p")
     base = proc.map(seg)
@@ -65,7 +65,7 @@ def test_measure_single_ops_reads():
 
 
 def test_measure_supports_composite_ops():
-    cluster = Cluster(n_nodes=2)
+    cluster = Cluster(ClusterConfig(n_nodes=2))
     seg = cluster.alloc_segment(home=1, pages=1, name="s")
     proc = cluster.create_process(node=0, name="p")
     base = proc.map(seg)

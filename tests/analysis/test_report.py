@@ -1,11 +1,11 @@
 """Tests for the cluster report and remaining measure helpers."""
 
 from repro.analysis import ClusterReport, run_to_completion
-from repro.api import Cluster
+from repro.api import Cluster, ClusterConfig
 
 
 def busy_cluster():
-    cluster = Cluster(n_nodes=3, protocol="telegraphos")
+    cluster = Cluster(ClusterConfig(n_nodes=3, protocol="telegraphos"))
     seg = cluster.alloc_segment(home=0, pages=1, name="data")
     writer = cluster.create_process(node=1, name="writer")
     wbase = writer.map(seg, mode="replica")
@@ -56,7 +56,7 @@ def test_hot_pages_table_lists_accessed_pages():
 
 
 def test_run_to_completion_returns_makespan():
-    cluster = Cluster(n_nodes=2)
+    cluster = Cluster(ClusterConfig(n_nodes=2))
     seg = cluster.alloc_segment(home=1, pages=1, name="s")
     proc = cluster.create_process(node=0, name="p")
     base = proc.map(seg)

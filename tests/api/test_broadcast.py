@@ -3,11 +3,11 @@ multicast (§2.2.7)."""
 
 import pytest
 
-from repro.api import BroadcastChannel, Cluster
+from repro.api import BroadcastChannel, Cluster, ClusterConfig
 
 
 def make_broadcast(n_receivers=2, capacity=4, slot_words=8):
-    cluster = Cluster(n_nodes=1 + n_receivers)
+    cluster = Cluster(ClusterConfig(n_nodes=1 + n_receivers))
     receivers = list(range(1, 1 + n_receivers))
     channel = BroadcastChannel(
         cluster, sender_node=0, receiver_nodes=receivers, name="bc",
@@ -80,7 +80,7 @@ def test_sender_waits_for_slowest_receiver():
 
 
 def test_broadcast_validations():
-    cluster = Cluster(n_nodes=3)
+    cluster = Cluster(ClusterConfig(n_nodes=3))
     with pytest.raises(ValueError, match="receiver"):
         BroadcastChannel(cluster, 0, [], name="a")
     with pytest.raises(ValueError, match="sender"):
@@ -91,7 +91,7 @@ def test_broadcast_validations():
 
 
 def test_unbound_endpoints_rejected():
-    cluster = Cluster(n_nodes=2)
+    cluster = Cluster(ClusterConfig(n_nodes=2))
     channel = BroadcastChannel(cluster, 0, [1], name="bc")
     with pytest.raises(RuntimeError):
         next(channel.sender.send([1]))

@@ -3,23 +3,23 @@ processes, op builders, both prototypes."""
 
 import pytest
 
-from repro.api import Cluster
+from repro.api import Cluster, ClusterConfig
 from repro.params import Params
 
 
 def test_cluster_builds_nodes():
-    cluster = Cluster(n_nodes=3)
+    cluster = Cluster(ClusterConfig(n_nodes=3))
     assert len(cluster) == 3
     assert cluster.node(2).node_id == 2
 
 
 def test_cluster_needs_a_node():
     with pytest.raises(ValueError):
-        Cluster(n_nodes=0)
+        Cluster(ClusterConfig(n_nodes=0))
 
 
 def test_quickstart_write_fence_read():
-    cluster = Cluster(n_nodes=2)
+    cluster = Cluster(ClusterConfig(n_nodes=2))
     seg = cluster.alloc_segment(home=1, pages=1, name="data")
     proc = cluster.create_process(node=0, name="writer")
     base = proc.map(seg)
@@ -38,7 +38,7 @@ def test_quickstart_write_fence_read():
 
 
 def test_segment_names_unique():
-    cluster = Cluster(n_nodes=2)
+    cluster = Cluster(ClusterConfig(n_nodes=2))
     cluster.alloc_segment(home=0, pages=1, name="s")
     with pytest.raises(ValueError):
         cluster.alloc_segment(home=1, pages=1, name="s")
@@ -46,7 +46,7 @@ def test_segment_names_unique():
 
 
 def test_home_process_accesses_segment_locally():
-    cluster = Cluster(n_nodes=2)
+    cluster = Cluster(ClusterConfig(n_nodes=2))
     seg = cluster.alloc_segment(home=0, pages=1, name="data")
     proc = cluster.create_process(node=0, name="local")
     base = proc.map(seg)
@@ -65,7 +65,7 @@ def test_home_process_accesses_segment_locally():
 @pytest.mark.parametrize("prototype", [1, 2])
 def test_atomics_via_api_both_prototypes(prototype):
     params = Params(prototype=prototype)
-    cluster = Cluster(n_nodes=2, params=params)
+    cluster = Cluster(ClusterConfig(n_nodes=2, params=params))
     seg = cluster.alloc_segment(home=1, pages=1, name="sync")
     seg.poke(0, 10)
     proc = cluster.create_process(node=0, name="p")
@@ -86,7 +86,7 @@ def test_atomics_via_api_both_prototypes(prototype):
 @pytest.mark.parametrize("prototype", [1, 2])
 def test_remote_copy_via_api_both_prototypes(prototype):
     params = Params(prototype=prototype)
-    cluster = Cluster(n_nodes=2, params=params)
+    cluster = Cluster(ClusterConfig(n_nodes=2, params=params))
     src = cluster.alloc_segment(home=1, pages=1, name="src")
     dst = cluster.alloc_segment(home=0, pages=1, name="dst")
     src.poke(0x20, 1234)
@@ -103,7 +103,7 @@ def test_remote_copy_via_api_both_prototypes(prototype):
 
 
 def test_replica_mapping_with_protocol():
-    cluster = Cluster(n_nodes=3, protocol="telegraphos")
+    cluster = Cluster(ClusterConfig(n_nodes=3, protocol="telegraphos"))
     seg = cluster.alloc_segment(home=0, pages=1, name="shared")
     writer = cluster.create_process(node=1, name="writer")
     reader = cluster.create_process(node=2, name="reader")
@@ -128,7 +128,7 @@ def test_replica_mapping_with_protocol():
 
 
 def test_replica_preloads_existing_contents():
-    cluster = Cluster(n_nodes=2, protocol="telegraphos")
+    cluster = Cluster(ClusterConfig(n_nodes=2, protocol="telegraphos"))
     seg = cluster.alloc_segment(home=0, pages=1, name="shared")
     seg.poke(0x10, 5555)
     reader = cluster.create_process(node=1, name="reader")
@@ -143,7 +143,7 @@ def test_replica_preloads_existing_contents():
 
 
 def test_multi_page_replica_is_contiguous_and_correct():
-    cluster = Cluster(n_nodes=2, protocol="telegraphos")
+    cluster = Cluster(ClusterConfig(n_nodes=2, protocol="telegraphos"))
     page = cluster.amap.page_bytes
     seg = cluster.alloc_segment(home=0, pages=3, name="big")
     for i in range(3):
@@ -170,7 +170,7 @@ def test_non_contiguous_resident_replica_raises_not_corrupts():
     """Regression: a pre-existing replica placement that cannot back a
     consecutive multi-page mapping must fail loudly (the old code
     silently mapped the wrong backend pages)."""
-    cluster = Cluster(n_nodes=2, protocol="telegraphos")
+    cluster = Cluster(ClusterConfig(n_nodes=2, protocol="telegraphos"))
     seg = cluster.alloc_segment(home=0, pages=2, name="split")
     reader = cluster.create_process(node=1, name="reader")
     vm = cluster.node(1).vm
@@ -189,7 +189,7 @@ def test_non_contiguous_resident_replica_raises_not_corrupts():
 
 
 def test_bad_mapping_mode_rejected():
-    cluster = Cluster(n_nodes=2)
+    cluster = Cluster(ClusterConfig(n_nodes=2))
     seg = cluster.alloc_segment(home=0, pages=1, name="s")
     proc = cluster.create_process(node=1, name="p")
     with pytest.raises(ValueError):
@@ -197,7 +197,7 @@ def test_bad_mapping_mode_rejected():
 
 
 def test_multi_page_segment():
-    cluster = Cluster(n_nodes=2)
+    cluster = Cluster(ClusterConfig(n_nodes=2))
     seg = cluster.alloc_segment(home=1, pages=3, name="big")
     proc = cluster.create_process(node=0, name="p")
     base = proc.map(seg)
@@ -214,7 +214,7 @@ def test_multi_page_segment():
 
 
 def test_chain_topology_cluster_works():
-    cluster = Cluster(n_nodes=4, topology="chain")
+    cluster = Cluster(ClusterConfig(n_nodes=4, topology="chain"))
     seg = cluster.alloc_segment(home=3, pages=1, name="far")
     proc = cluster.create_process(node=0, name="p")
     base = proc.map(seg)
@@ -228,7 +228,7 @@ def test_chain_topology_cluster_works():
 
 
 def test_prototype2_uses_dram_backend():
-    cluster = Cluster(n_nodes=2, params=Params(prototype=2))
+    cluster = Cluster(ClusterConfig(n_nodes=2, params=Params(prototype=2)))
     from repro.hib.backend import DramBackend
 
     assert isinstance(cluster.node(0).backend, DramBackend)

@@ -1,10 +1,7 @@
 """The unified collectives surface: both backends agree on semantics
 (barrier ordering, reductions, broadcast, fetch&add permutations), the
 NIC backend's two release modes work, and the group lifecycle is
-policed.  :mod:`repro.api.sync`'s deprecated shims are covered at the
-bottom."""
-
-import warnings
+policed."""
 
 import pytest
 
@@ -252,39 +249,3 @@ def test_collective_metrics_registered():
     metrics = cluster.stats()["metrics"]
     assert metrics["hib.coll.rounds"]["node=0"] == 1
     assert sum(metrics["hib.coll.joins_sent"].values()) == N - 1
-
-
-# -- the deprecated repro.api.sync shims ----------------------------------
-
-
-def test_sync_shims_warn_but_still_work():
-    from repro.api import Barrier, Flag, SpinLock
-    from repro.api.collectives import Mutex, Signal
-
-    cluster = make_cluster("host")
-    seg = cluster.alloc_segment(home=0, pages=1, name="s")
-    proc = cluster.create_process(node=1, name="p")
-    base = proc.map(seg)
-
-    with pytest.deprecated_call(match="Mutex"):
-        lock = SpinLock(proc, base)
-    assert isinstance(lock, Mutex)
-    with pytest.deprecated_call(match="Signal"):
-        flag = Flag(proc, base + 8)
-    assert isinstance(flag, Signal)
-    with pytest.deprecated_call(match="counter_barrier_wait"):
-        barrier = Barrier(proc, base + 12, base + 16, n_parties=1)
-
-    def program(p):
-        yield from lock.acquire()
-        yield p.store(base + 4, 1)
-        yield from lock.release()
-        yield from flag.raise_flag(3)
-        yield from barrier.wait()
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # construction warned, use must not
-        cluster.run(join=[proc.start(program)])
-    assert seg.peek(4) == 1
-    assert seg.peek(8) == 3
-    assert lock.acquisitions == 1

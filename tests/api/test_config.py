@@ -1,5 +1,5 @@
-"""ClusterConfig and the redesigned Cluster construction surface:
-config round-trips, deprecation of the bare-argument forms, context
+"""ClusterConfig and the Cluster construction surface: config
+round-trips, the single ``Cluster(ClusterConfig(...))`` form, context
 management, and the stats/run facades."""
 
 import warnings
@@ -54,7 +54,7 @@ def test_config_rejects_unknown_collectives_backend():
         ClusterConfig(collectives="fpga")
 
 
-# -- deprecation of the old constructor forms -----------------------------
+# -- the one constructor form --------------------------------------------
 
 
 def test_config_construction_does_not_warn():
@@ -63,34 +63,24 @@ def test_config_construction_does_not_warn():
         Cluster(ClusterConfig(n_nodes=2))
 
 
-def test_keyword_construction_warns_but_works():
-    with pytest.deprecated_call():
-        cluster = Cluster(n_nodes=3, protocol="telegraphos")
-    assert len(cluster) == 3
-    assert cluster.config == ClusterConfig(n_nodes=3, protocol="telegraphos")
-
-
-def test_positional_construction_warns_but_works():
-    with pytest.deprecated_call():
-        cluster = Cluster(3, "telegraphos", "chain")
-    assert cluster.config.n_nodes == 3
-    assert cluster.config.protocol == "telegraphos"
-    assert cluster.config.topology == "chain"
+@pytest.mark.parametrize("args, kwargs, match", [
+    pytest.param((3,), {}, r"Cluster\(ClusterConfig\(n_nodes=", id="positional"),
+    pytest.param((), {}, None, id="no-arguments"),
+    pytest.param((), {"n_nodes": 3, "protocol": "telegraphos"}, None,
+                 id="keyword"),
+    pytest.param((3, "telegraphos", "chain"), {}, None, id="positionals"),
+    pytest.param((3,), {"n_nodes": 3}, None, id="positional-and-keyword"),
+    pytest.param((2, "none", "star", None, True, 32, 1 << 22, None, "extra"),
+                 {}, None, id="too-many-positionals"),
+])
+def test_bare_argument_construction_rejected(args, kwargs, match):
+    with pytest.raises(TypeError, match=match):
+        Cluster(*args, **kwargs)
 
 
 def test_config_plus_extra_arguments_rejected():
     with pytest.raises(TypeError):
         Cluster(ClusterConfig(n_nodes=2), protocol="none")
-
-
-def test_positional_and_keyword_duplicate_rejected():
-    with pytest.raises(TypeError):
-        Cluster(3, n_nodes=3)
-
-
-def test_too_many_positionals_rejected():
-    with pytest.raises(TypeError):
-        Cluster(2, "none", "star", None, True, 32, 1 << 22, None, "extra")
 
 
 # -- context manager and facades ------------------------------------------

@@ -13,12 +13,13 @@ then checks every global invariant: no lost updates, coherent replicas
 pending-write counters, and channel FIFO integrity.
 """
 
-from repro.api import Channel, Cluster, SpinLock
+from repro.api import Channel, Cluster, ClusterConfig, Mutex
 from repro.os.scheduler import RoundRobinScheduler
 
 
 def test_kitchen_sink_mesh_cluster():
-    cluster = Cluster(n_nodes=8, topology="mesh", protocol="telegraphos")
+    cluster = Cluster(ClusterConfig(n_nodes=8, topology="mesh",
+                                    protocol="telegraphos"))
     contexts = []
 
     # --- 1. producer/consumer over replicas (nodes 0 -> 1, 2) --------
@@ -60,7 +61,7 @@ def test_kitchen_sink_mesh_cluster():
     per_node = 4
     for node in (3, 4, 5):
         worker = cluster.create_process(node=node, name=f"locker{node}")
-        lock = SpinLock(worker, worker.map(sync))
+        lock = Mutex(worker, worker.map(sync))
         dbase = worker.map(shared)
 
         def work(p, lock=lock, dbase=dbase):

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.api import Channel, Cluster
+from repro.api import Channel, Cluster, ClusterConfig
 
 
 def make_channel(capacity=4, slot_words=8):
-    cluster = Cluster(n_nodes=2)
+    cluster = Cluster(ClusterConfig(n_nodes=2))
     channel = Channel(cluster, sender_node=0, receiver_node=1,
                       name="ch", capacity=capacity, slot_words=slot_words)
     sender_proc = cluster.create_process(node=0, name="sender")
@@ -88,7 +88,7 @@ def test_payload_size_enforced():
 
 
 def test_unbound_endpoints_rejected():
-    cluster = Cluster(n_nodes=2)
+    cluster = Cluster(ClusterConfig(n_nodes=2))
     channel = Channel(cluster, 0, 1, name="ch")
     with pytest.raises(RuntimeError):
         next(channel.sender.send([1]))
@@ -97,7 +97,7 @@ def test_unbound_endpoints_rejected():
 
 
 def test_bind_wrong_node_rejected():
-    cluster = Cluster(n_nodes=3)
+    cluster = Cluster(ClusterConfig(n_nodes=3))
     channel = Channel(cluster, 0, 1, name="ch")
     wrong = cluster.create_process(node=2, name="wrong")
     with pytest.raises(ValueError):
@@ -105,7 +105,7 @@ def test_bind_wrong_node_rejected():
 
 
 def test_channel_geometry_validated():
-    cluster = Cluster(n_nodes=2)
+    cluster = Cluster(ClusterConfig(n_nodes=2))
     with pytest.raises(ValueError):
         Channel(cluster, 0, 1, name="bad", capacity=0)
     with pytest.raises(ValueError):

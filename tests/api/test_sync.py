@@ -1,14 +1,23 @@
-"""Tests for locks, barriers, and flags — including the §2.3.5
+"""Tests for the point-to-point primitives of
+:mod:`repro.api.collectives` — the spin lock (:class:`Mutex`), the
+counter barrier, and the flag (:class:`Signal`) — including the §2.3.5
 memory-consistency demonstration."""
 
 import pytest
 
-from repro.api import Barrier, Cluster, Flag, SpinLock
+from repro.api import (
+    Cluster,
+    ClusterConfig,
+    Mutex,
+    Signal,
+    counter_barrier_wait,
+)
 from repro.params import Params
 
 
 def make_cluster(n=3, prototype=1, **kw):
-    return Cluster(n_nodes=n, params=Params(prototype=prototype), **kw)
+    return Cluster(ClusterConfig(
+        n_nodes=n, params=Params(prototype=prototype), **kw))
 
 
 @pytest.mark.parametrize("prototype", [1, 2])
@@ -25,7 +34,7 @@ def test_spinlock_mutual_exclusion(prototype):
         proc = cluster.create_process(node=node, name=f"p{node}")
         lock_base = proc.map(sync)
         data_base = proc.map(data)
-        lock = SpinLock(proc, lock_base)
+        lock = Mutex(proc, lock_base)
 
         def program(p, lock=lock, data_base=data_base, node=node):
             for _ in range(per_proc):
@@ -53,7 +62,7 @@ def test_spinlock_contention_counts():
     sync = cluster.alloc_segment(home=0, pages=1, name="sync")
     proc = cluster.create_process(node=1, name="p")
     base = proc.map(sync)
-    lock = SpinLock(proc, base)
+    lock = Mutex(proc, base)
     sync.poke(0, 1)  # already held by someone else
 
     def program(p):
@@ -75,11 +84,10 @@ def test_barrier_synchronises_parties():
     for node in range(3):
         proc = cluster.create_process(node=node, name=f"p{node}")
         base = proc.map(sync)
-        barrier = Barrier(proc, base, base + 4, n_parties=3)
 
-        def program(p, barrier=barrier, node=node):
+        def program(p, base=base, node=node):
             yield p.think(node * 50_000)  # stagger arrivals
-            yield from barrier.wait()
+            yield from counter_barrier_wait(p, base, base + 4, n_parties=3)
             after.append((node, cluster.now))
 
         ctxs.append(cluster.start(proc, program))
@@ -98,12 +106,12 @@ def test_barrier_reusable_across_phases():
     for node in range(2):
         proc = cluster.create_process(node=node, name=f"p{node}")
         base = proc.map(sync)
-        barrier = Barrier(proc, base, base + 4, n_parties=2)
 
-        def program(p, barrier=barrier, node=node):
+        def program(p, base=base, node=node):
             for phase in range(3):
                 yield p.think((node + 1) * 10_000)
-                yield from barrier.wait()
+                yield from counter_barrier_wait(p, base, base + 4,
+                                                n_parties=2)
                 phases[node].append(phase)
 
         ctxs.append(cluster.start(proc, program))
@@ -125,17 +133,17 @@ def test_flag_with_fence_never_shows_stale_data():
     producer = cluster.create_process(node=0, name="producer")
     data_w = producer.map(data)
     flag_w = producer.map(flags)
-    flag = Flag(producer, flag_w)
+    flag = Signal(producer, flag_w)
 
     consumer = cluster.create_process(node=1, name="consumer")
     data_r = consumer.map(data)
     flag_r = consumer.map(flags)
-    cflag = Flag(consumer, flag_r)
+    cflag = Signal(consumer, flag_r)
     got = []
 
     def produce(p):
         yield p.store(data_w, 4242)
-        yield from flag.raise_flag()
+        yield from flag.raise_signal()
 
     def consume(p):
         yield from cflag.await_value(1)

@@ -1,12 +1,12 @@
 """Tests for the VSM (software DSM) baseline."""
 
 
-from repro.api import Cluster
+from repro.api import Cluster, ClusterConfig
 from repro.baselines import VsmManager
 
 
 def make_vsm(n_nodes=3, pages=2):
-    cluster = Cluster(n_nodes=n_nodes)
+    cluster = Cluster(ClusterConfig(n_nodes=n_nodes))
     seg = cluster.alloc_segment(home=0, pages=pages, name="vsm")
     vsm = VsmManager(cluster, seg)
     return cluster, seg, vsm

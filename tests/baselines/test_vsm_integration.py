@@ -2,7 +2,7 @@
 Telegraphos synchronization (the 'integrated hardware and software
 solution' of §4)."""
 
-from repro.api import Cluster, SpinLock
+from repro.api import Cluster, ClusterConfig, Mutex
 from repro.baselines import VsmManager
 from repro.machine import Think
 
@@ -11,7 +11,7 @@ def test_vsm_ping_pong_ownership_migrates():
     """Two nodes alternately write the same page; ownership bounces,
     every write is preserved, and the fault counts match the
     transitions."""
-    cluster = Cluster(n_nodes=3)
+    cluster = Cluster(ClusterConfig(n_nodes=3))
     seg = cluster.alloc_segment(home=0, pages=1, name="pp")
     vsm = VsmManager(cluster, seg)
     a = cluster.create_process(node=1, name="a")
@@ -50,7 +50,7 @@ def test_vsm_data_with_telegraphos_locks():
     """§4: 'Telegraphos builds on top of these approaches' — VSM-managed
     data protected by hardware fetch&add locks, no lost updates even
     with concurrent contenders."""
-    cluster = Cluster(n_nodes=3)
+    cluster = Cluster(ClusterConfig(n_nodes=3))
     data = cluster.alloc_segment(home=0, pages=1, name="vsmdata")
     sync = cluster.alloc_segment(home=0, pages=1, name="hwlock")
     vsm = VsmManager(cluster, data)
@@ -59,7 +59,7 @@ def test_vsm_data_with_telegraphos_locks():
     for node in (1, 2):
         proc = cluster.create_process(node=node, name=f"p{node}")
         dbase = vsm.map_into(proc)
-        lock = SpinLock(proc, proc.map(sync))
+        lock = Mutex(proc, proc.map(sync))
 
         def program(p, dbase=dbase, lock=lock):
             for _ in range(per_node):

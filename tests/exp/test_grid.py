@@ -1,10 +1,10 @@
 """The grid expander: deterministic expansion, per-point cache
-isolation, float-safe cache keys, and executor byte-identity on a
-two-parameter grid."""
+isolation, float-safe cache keys, and byte-identity across worker
+counts on a two-parameter grid."""
 
 import pytest
 
-from repro.exp import GridSpec, ResultCache, run_spool_sweep, run_sweep
+from repro.exp import GridSpec, ResultCache, run_sweep
 from repro.exp.grid import expand_grids, family_points, format_axis_value
 from repro.exp.spec import canonical_key_material
 
@@ -149,14 +149,13 @@ def test_grid_point_results_land_in_family_subdirectory(tmp_path):
     assert cache.lookup(point) is not None
 
 
-# -- executor byte-identity ------------------------------------------------
+# -- byte-identity across worker counts -----------------------------------
 
 
 def test_w1_grid_byte_identical_across_executors(tmp_path):
     """The acceptance contract on a real two-parameter grid: the W1
     family (sharing × rounds_per_node) produces byte-identical point
-    files under ``--workers 1``, ``--workers 3``, and the spool
-    executor."""
+    files under ``--workers 1`` and ``--workers 3``."""
     from repro.exp import default_grids
 
     (grid,) = [g for g in default_grids() if g.family == "W1"]
@@ -165,16 +164,10 @@ def test_w1_grid_byte_identical_across_executors(tmp_path):
                        cache=ResultCache(str(tmp_path / "serial")))
     parallel = run_sweep(specs, workers=3,
                          cache=ResultCache(str(tmp_path / "parallel")))
-    spool = run_spool_sweep(
-        specs, str(tmp_path / "spool"),
-        cache=ResultCache(str(tmp_path / "dist")),
-        workers=2, shards=2, poll_s=0.05, timeout_s=120,
-    )
-    assert serial.ok and parallel.ok and spool.ok
+    assert serial.ok and parallel.ok
     assert sorted(serial.ran) == sorted(parallel.ran) \
-        == sorted(spool.ran) == sorted(s.exp_id for s in specs)
+        == sorted(s.exp_id for s in specs)
     for spec in specs:
         name = f"{spec.exp_id}.json"
         reference = (tmp_path / "serial" / name).read_bytes()
         assert (tmp_path / "parallel" / name).read_bytes() == reference
-        assert (tmp_path / "dist" / name).read_bytes() == reference

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import Cluster
+from repro.api import Cluster, ClusterConfig
 from repro.hib.atomic import AtomicOp, apply_atomic
 
 
@@ -46,7 +46,7 @@ def test_property_fad_adds(old, delta):
 def test_property_no_lost_fetch_and_add(increments):
     """Any mix of fetch&adds from any nodes sums exactly — the HIB's
     rmw makes the home the single serialization point."""
-    cluster = Cluster(n_nodes=3, trace=False)
+    cluster = Cluster(ClusterConfig(n_nodes=3, trace=False))
     seg = cluster.alloc_segment(home=2, pages=1, name="ctr")
     per_node = {}
     for node, delta in increments:
@@ -82,7 +82,7 @@ def test_property_no_lost_fetch_and_add(increments):
 )
 @settings(max_examples=10, deadline=None)
 def test_property_fence_implies_all_writes_visible(n_writes, home):
-    cluster = Cluster(n_nodes=3, trace=False)
+    cluster = Cluster(ClusterConfig(n_nodes=3, trace=False))
     seg = cluster.alloc_segment(home=home, pages=1, name="w")
     proc = cluster.create_process(node=0, name="p")
     base = proc.map(seg)
@@ -105,7 +105,7 @@ def test_property_fence_implies_all_writes_visible(n_writes, home):
 def test_property_last_write_wins_per_word(values):
     """Same-source writes to one word apply in program order (per-pair
     in-order delivery), so the final value is the last written."""
-    cluster = Cluster(n_nodes=2, trace=False)
+    cluster = Cluster(ClusterConfig(n_nodes=2, trace=False))
     seg = cluster.alloc_segment(home=1, pages=1, name="w")
     proc = cluster.create_process(node=0, name="p")
     base = proc.map(seg)

@@ -4,7 +4,7 @@ terminated and the HIB will be restored into a clean state")."""
 
 import pytest
 
-from repro.api import Cluster
+from repro.api import Cluster, ClusterConfig
 from repro.hib.registers import Reg
 from repro.hib.special import SpecialOpcode
 from repro.machine import Load, PalSequence, Store
@@ -16,7 +16,7 @@ def test_fault_inside_pal_launch_kills_and_resets_hib():
     """Telegraphos I: a store to an invalid address inside the PAL
     launch sequence faults; the OS kills the process and restores the
     HIB special-mode state; the next program's launch works."""
-    cluster = Cluster(n_nodes=2, params=Params(prototype=1))
+    cluster = Cluster(ClusterConfig(n_nodes=2, params=Params(prototype=1)))
     seg = cluster.alloc_segment(home=1, pages=1, name="sync")
     station = cluster.node(0)
 
@@ -59,7 +59,7 @@ def test_forged_key_cannot_use_foreign_context():
     """Telegraphos II: process B guesses/forges keys for process A's
     context; every attempt is dropped with a protection event and A's
     context state is untouched."""
-    cluster = Cluster(n_nodes=2, params=Params(prototype=2))
+    cluster = Cluster(ClusterConfig(n_nodes=2, params=Params(prototype=2)))
     seg = cluster.alloc_segment(home=1, pages=1, name="sync")
 
     victim = cluster.create_process(node=0, name="victim")
@@ -100,7 +100,7 @@ def test_forged_key_cannot_use_foreign_context():
 
 
 def test_driver_close_revokes_context():
-    cluster = Cluster(n_nodes=2, params=Params(prototype=2))
+    cluster = Cluster(ClusterConfig(n_nodes=2, params=Params(prototype=2)))
     proc = cluster.create_process(node=0, name="p")
     ctx_id = proc.binding.ctx_id
     cluster.node(0).driver.close(proc.binding)
@@ -109,7 +109,7 @@ def test_driver_close_revokes_context():
 
 def test_context_exhaustion():
     params = Params(prototype=2).with_sizing(contexts=2)
-    cluster = Cluster(n_nodes=1, params=params)
+    cluster = Cluster(ClusterConfig(n_nodes=1, params=params))
     cluster.create_process(node=0, name="a")
     cluster.create_process(node=0, name="b")
     with pytest.raises(RuntimeError, match="contexts"):
@@ -120,7 +120,7 @@ def test_atomic_via_nonblocking_go_is_a_launch_error():
     """Atomics must return a result; triggering one with a GO *store*
     is a malformed launch and fails the program (as a driver bug
     would)."""
-    cluster = Cluster(n_nodes=2, params=Params(prototype=1))
+    cluster = Cluster(ClusterConfig(n_nodes=2, params=Params(prototype=1)))
     seg = cluster.alloc_segment(home=1, pages=1, name="sync")
     proc = cluster.create_process(node=0, name="p")
     base = proc.map(seg)
@@ -143,7 +143,7 @@ def test_atomic_via_nonblocking_go_is_a_launch_error():
 
 
 def test_malformed_copy_missing_address_fails_cleanly():
-    cluster = Cluster(n_nodes=2, params=Params(prototype=1))
+    cluster = Cluster(ClusterConfig(n_nodes=2, params=Params(prototype=1)))
     seg = cluster.alloc_segment(home=1, pages=1, name="s")
     proc = cluster.create_process(node=0, name="p")
     base = proc.map(seg)
@@ -170,7 +170,7 @@ def test_malformed_copy_missing_address_fails_cleanly():
 def test_special_op_argument_must_be_shared_memory():
     """A special-op argument naming private DRAM is rejected — only
     shared regions are legal targets."""
-    cluster = Cluster(n_nodes=2, params=Params(prototype=1))
+    cluster = Cluster(ClusterConfig(n_nodes=2, params=Params(prototype=1)))
     proc = cluster.create_process(node=0, name="p")
     private = proc.map_private(pages=1)
     hib_vaddr = proc.binding.hib_vaddr

@@ -1,15 +1,15 @@
 """Tests for the §2.2.6 alarm-based replication policy."""
 
 
-from repro.api import Cluster
+from repro.api import Cluster, ClusterConfig
 
 
 def make_cluster(threshold=4):
-    return Cluster(
+    return Cluster(ClusterConfig(
         n_nodes=2,
         protocol="telegraphos",
         replication_threshold=threshold,
-    )
+    ))
 
 
 def test_hot_page_gets_replicated_and_remapped():

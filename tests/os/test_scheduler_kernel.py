@@ -3,7 +3,7 @@ launch-interruption interplay."""
 
 import pytest
 
-from repro.api import Cluster
+from repro.api import Cluster, ClusterConfig
 from repro.machine import Think
 from repro.machine.cpu import ProtectionViolation
 from repro.os.scheduler import RoundRobinScheduler
@@ -11,7 +11,7 @@ from repro.params import Params
 
 
 def test_round_robin_interleaves_three_programs():
-    cluster = Cluster(n_nodes=1)
+    cluster = Cluster(ClusterConfig(n_nodes=1))
     station = cluster.node(0)
     sched = RoundRobinScheduler(
         cluster.sim, cluster.params.timing, station.cpu, quantum_ns=100_000
@@ -39,7 +39,7 @@ def test_round_robin_interleaves_three_programs():
 
 
 def test_scheduler_quantum_validation():
-    cluster = Cluster(n_nodes=1)
+    cluster = Cluster(ClusterConfig(n_nodes=1))
     with pytest.raises(ValueError):
         RoundRobinScheduler(
             cluster.sim, cluster.params.timing, cluster.node(0).cpu, quantum_ns=0
@@ -52,7 +52,8 @@ def test_atomics_correct_under_heavy_preemption(prototype):
     constantly switching between two processes that launch special
     operations, every launch still executes correctly — via PAL
     (Tg I) or via per-process contexts (Tg II)."""
-    cluster = Cluster(n_nodes=2, params=Params(prototype=prototype))
+    cluster = Cluster(ClusterConfig(n_nodes=2,
+                                    params=Params(prototype=prototype)))
     seg = cluster.alloc_segment(home=1, pages=1, name="ctr")
     station = cluster.node(0)
     RoundRobinScheduler(
@@ -74,7 +75,7 @@ def test_atomics_correct_under_heavy_preemption(prototype):
 
 
 def test_kernel_kills_on_unserviceable_fault():
-    cluster = Cluster(n_nodes=1)
+    cluster = Cluster(ClusterConfig(n_nodes=1))
     proc = cluster.create_process(node=0, name="bad")
     killed = []
 
@@ -92,7 +93,7 @@ def test_kernel_kills_on_unserviceable_fault():
 
 
 def test_kernel_fixer_chain_can_retry():
-    cluster = Cluster(n_nodes=1)
+    cluster = Cluster(ClusterConfig(n_nodes=1))
     station = cluster.node(0)
     proc = cluster.create_process(node=0, name="p")
     base = proc.map_private(pages=1)
@@ -125,7 +126,7 @@ def test_kernel_fixer_chain_can_retry():
 
 
 def test_kernel_kill_resets_hib_special_state():
-    cluster = Cluster(n_nodes=2)
+    cluster = Cluster(ClusterConfig(n_nodes=2))
     station = cluster.node(0)
     station.hib.special1.arm(1)
     proc = cluster.create_process(node=0, name="bad")
@@ -141,7 +142,7 @@ def test_kernel_kill_resets_hib_special_state():
 
 
 def test_shared_mapping_registry():
-    cluster = Cluster(n_nodes=2)
+    cluster = Cluster(ClusterConfig(n_nodes=2))
     seg = cluster.alloc_segment(home=1, pages=2, name="s")
     proc = cluster.create_process(node=0, name="p")
     vaddr = proc.map(seg)

@@ -2,11 +2,14 @@
 
 The help-drift gate: every registered subcommand must be documented
 in README.md, and the expected command set must match the parser —
-adding a subcommand without documenting it fails here.
+adding a subcommand without documenting it fails here.  The sweep flag
+set is pinned the same way.
 """
 
 import shutil
 from pathlib import Path
+
+import pytest
 
 from repro.__main__ import build_parser, main
 
@@ -123,63 +126,40 @@ def _option_strings(parser):
 
 
 def test_sweep_distributed_flags_registered_and_documented():
-    """The distributed-executor surface: flag drift gate plus README
-    coverage for the user-facing pieces."""
+    """The sweep flag drift gate: the parser registers exactly these
+    options (none of the removed distributed executor's), and README.md
+    mentions each one."""
     flags = _option_strings(_sweep_subparser())
-    assert {
-        "--executor", "--spool-dir", "--hosts", "--lease-s",
-        "--max-claims", "--shards", "--worker", "--worker-id",
-        "--worker-startup-timeout", "--remote-python",
-    } <= flags
-    (action,) = [a for a in _sweep_subparser()._actions
-                 if "--executor" in a.option_strings]
-    assert set(action.choices) == {"local", "spool", "ssh"}
+    assert flags == {
+        "--workers", "--only", "--force", "--retries", "--results-dir",
+        "--out", "--render-only", "--list", "--collectives",
+    }
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
-    for flag in ("--executor", "--spool-dir", "--hosts", "--worker"):
+    for flag in sorted(flags):
         assert flag in readme, (
             f"README.md does not document the `{flag}` sweep flag"
         )
 
 
-def test_sweep_cli_requires_spool_dir_for_spool_executor(tmp_path, capsys):
-    code = main([
-        "sweep", "--executor", "spool", "--only", "T1",
-        "--results-dir", str(tmp_path), "--out", str(tmp_path / "E.md"),
-    ])
-    assert code == 2
-    assert "--spool-dir" in capsys.readouterr().err
-
-
-def test_sweep_cli_requires_hosts_for_ssh_executor(tmp_path, capsys):
-    code = main([
-        "sweep", "--executor", "ssh", "--only", "T1",
-        "--spool-dir", str(tmp_path / "spool"),
-        "--results-dir", str(tmp_path), "--out", str(tmp_path / "E.md"),
-    ])
-    assert code == 2
-    assert "--hosts" in capsys.readouterr().err
-
-
-def test_sweep_cli_spool_round_trip(tmp_path, capsys):
-    """The CLI spool path end to end: coordinator + two in-process
-    workers over a fresh spool recompute T1 byte-identically."""
+@pytest.mark.parametrize("flag, value", [
+    ("--workers", "0"),
+    ("--retries", "-3"),
+])
+def test_sweep_cli_rejects_bad_workers_and_retries(tmp_path, capsys,
+                                                   flag, value):
+    """A worker count below 1 or a negative retry budget fails before
+    any experiment runs: exit 2 and one stderr line naming the flag."""
     results_dir = tmp_path / "results"
-    shutil.copytree(REPO_ROOT / "results", results_dir)
-    out = tmp_path / "EXPERIMENTS.md"
     code = main([
-        "sweep", "--only", "T1", "--force",
-        "--executor", "spool", "--spool-dir", str(tmp_path / "spool"),
-        "--workers", "2",
-        "--results-dir", str(results_dir), "--out", str(out),
+        "sweep", "--only", "T1", "--force", flag, value,
+        "--results-dir", str(results_dir), "--out", str(tmp_path / "E.md"),
     ])
-    assert code == 0
-    assert (results_dir / "T1.json").read_bytes() \
-        == (REPO_ROOT / "results" / "T1.json").read_bytes()
-    assert out.read_bytes() \
-        == (REPO_ROOT / "EXPERIMENTS.md").read_bytes()
-    stdout = capsys.readouterr().out
-    assert "1 ran" in stdout
-    assert "spool executor" in stdout
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert flag in captured.err and value in captured.err
+    assert not results_dir.exists()
 
 
 def test_sweep_cli_list_shows_grid_families(capsys):

@@ -6,12 +6,13 @@ be reproduced bit-for-bit — the property every result in
 EXPERIMENTS.md rests on.
 """
 
-from repro.api import Cluster
+from repro.api import Cluster, ClusterConfig
 from repro.workloads import true_sharing_trace, TracePlayer
 
 
 def mixed_run():
-    cluster = Cluster(n_nodes=4, protocol="telegraphos", topology="chain")
+    cluster = Cluster(ClusterConfig(n_nodes=4, protocol="telegraphos",
+                                    topology="chain"))
     seg = cluster.alloc_segment(home=0, pages=1, name="mix")
     ctxs = []
     for node in (1, 2, 3):
@@ -47,7 +48,7 @@ def test_identical_runs_produce_identical_histories():
 
 def test_trace_replay_is_deterministic():
     def once():
-        cluster = Cluster(n_nodes=3, protocol="telegraphos")
+        cluster = Cluster(ClusterConfig(n_nodes=3, protocol="telegraphos"))
         seg = cluster.alloc_segment(home=0, pages=1, name="t")
         player = TracePlayer(cluster, seg, mode="replica")
         result = player.run(true_sharing_trace([1, 2], refs_per_node=8))
@@ -65,12 +66,12 @@ def faulty_run(fault_seed):
     the fault seed."""
     import json
 
-    cluster = Cluster(
+    cluster = Cluster(ClusterConfig(
         n_nodes=3, protocol="telegraphos", topology="chain",
         faults={"seed": fault_seed, "drop_rate": 0.03,
                 "corrupt_rate": 0.02, "duplicate_rate": 0.02,
                 "stall_rate": 0.03},
-    )
+    ))
     seg = cluster.alloc_segment(home=0, pages=1, name="f")
     ctxs = []
     for node in (1, 2):

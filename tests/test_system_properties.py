@@ -4,7 +4,7 @@ that must hold for every randomly generated workload."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import Channel, Cluster
+from repro.api import Channel, Cluster, ClusterConfig
 from repro.params import Params
 
 
@@ -24,7 +24,7 @@ def test_property_operation_conservation(plan):
     """Every issued remote operation completes exactly once: no
     pending reply futures, no outstanding counters, no lost atomics —
     for any operation mix from any nodes."""
-    cluster = Cluster(n_nodes=4, trace=False)
+    cluster = Cluster(ClusterConfig(n_nodes=4, trace=False))
     seg = cluster.alloc_segment(home=3, pages=1, name="t")
     per_node = {}
     for node, kind, word in plan:
@@ -65,7 +65,7 @@ def test_property_operation_conservation(plan):
 def test_property_channel_fifo_exact(payloads):
     """The message channel delivers exactly the sent payloads, in
     order, for any payload contents."""
-    cluster = Cluster(n_nodes=2, trace=False)
+    cluster = Cluster(ClusterConfig(n_nodes=2, trace=False))
     channel = Channel(cluster, sender_node=0, receiver_node=1, name="ch",
                       capacity=3, slot_words=8)
     sp = cluster.create_process(node=0, name="s")
@@ -94,8 +94,8 @@ def test_property_atomics_survive_any_preemption_quantum(quantum_us):
     from repro.os.scheduler import RoundRobinScheduler
 
     for prototype in (1, 2):
-        cluster = Cluster(n_nodes=2, params=Params(prototype=prototype),
-                          trace=False)
+        cluster = Cluster(ClusterConfig(
+            n_nodes=2, params=Params(prototype=prototype), trace=False))
         seg = cluster.alloc_segment(home=1, pages=1, name="ctr")
         RoundRobinScheduler(
             cluster.sim, cluster.params.timing, cluster.node(0).cpu,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import Cluster
+from repro.api import Cluster, ClusterConfig
 from repro.workloads import (
     Trace,
     TracePlayer,
@@ -68,7 +68,7 @@ def test_generators_deterministic():
 
 
 def play(mode, protocol, trace):
-    cluster = Cluster(n_nodes=3, protocol=protocol)
+    cluster = Cluster(ClusterConfig(n_nodes=3, protocol=protocol))
     seg = cluster.alloc_segment(home=0, pages=max(1, trace.n_pages),
                                 name="trace")
     player = TracePlayer(cluster, seg, mode=mode)
@@ -93,7 +93,7 @@ def test_player_replica_mode_is_coherent():
 
 def test_player_vsm_mode_counts_faults():
     trace = true_sharing_trace([1, 2], refs_per_node=4, think_ns=500_000)
-    cluster = Cluster(n_nodes=3)
+    cluster = Cluster(ClusterConfig(n_nodes=3))
     seg = cluster.alloc_segment(home=0, pages=1, name="trace")
     player = TracePlayer(cluster, seg, mode="vsm")
     result = player.run(trace)
@@ -102,14 +102,14 @@ def test_player_vsm_mode_counts_faults():
 
 
 def test_player_rejects_bad_mode():
-    cluster = Cluster(n_nodes=2)
+    cluster = Cluster(ClusterConfig(n_nodes=2))
     seg = cluster.alloc_segment(home=0, pages=1, name="t")
     with pytest.raises(ValueError):
         TracePlayer(cluster, seg, mode="weird")
 
 
 def test_player_rejects_oversized_trace():
-    cluster = Cluster(n_nodes=2)
+    cluster = Cluster(ClusterConfig(n_nodes=2))
     seg = cluster.alloc_segment(home=0, pages=1, name="t")
     player = TracePlayer(cluster, seg)
     trace = Trace([TraceRecord(1, True, 5, 0)], n_pages=6, description="big")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import Cluster
+from repro.api import Cluster, ClusterConfig
 from repro.workloads import (
     hot_page_stream,
     run_hotspot_counter,
@@ -44,7 +44,7 @@ def test_offsets_word_aligned():
 
 
 def test_producer_consumer_replica_mode():
-    cluster = Cluster(n_nodes=3, protocol="telegraphos")
+    cluster = Cluster(ClusterConfig(n_nodes=3, protocol="telegraphos"))
     result = run_producer_consumer(
         cluster, producer_node=0, consumer_nodes=[1, 2],
         batches=3, words_per_batch=8, sharing="replica",
@@ -54,7 +54,7 @@ def test_producer_consumer_replica_mode():
 
 
 def test_producer_consumer_remote_mode():
-    cluster = Cluster(n_nodes=2, protocol="none")
+    cluster = Cluster(ClusterConfig(n_nodes=2, protocol="none"))
     result = run_producer_consumer(
         cluster, consumer_nodes=[1], batches=2, words_per_batch=4,
         sharing="remote",
@@ -66,18 +66,18 @@ def test_replica_reads_cheaper_than_remote_reads():
     """The point of eager updating (§2.2.7): consumer reads become
     local."""
     remote = run_producer_consumer(
-        Cluster(n_nodes=2, protocol="none"),
+        Cluster(ClusterConfig(n_nodes=2, protocol="none")),
         consumer_nodes=[1], batches=3, words_per_batch=8, sharing="remote",
     )
     replica = run_producer_consumer(
-        Cluster(n_nodes=2, protocol="telegraphos"),
+        Cluster(ClusterConfig(n_nodes=2, protocol="telegraphos")),
         consumer_nodes=[1], batches=3, words_per_batch=8, sharing="replica",
     )
     assert replica.consumer_read_ns.mean < remote.consumer_read_ns.mean / 2
 
 
 def test_producer_consumer_bad_mode():
-    cluster = Cluster(n_nodes=2)
+    cluster = Cluster(ClusterConfig(n_nodes=2))
     with pytest.raises(ValueError):
         run_producer_consumer(cluster, sharing="bogus")
 
@@ -86,7 +86,7 @@ def test_producer_consumer_bad_mode():
 
 
 def test_hotspot_no_lost_updates():
-    cluster = Cluster(n_nodes=4)
+    cluster = Cluster(ClusterConfig(n_nodes=4))
     result = run_hotspot_counter(cluster, increments_per_node=6)
     assert result.final_value == result.expected_value == 24
     assert result.lost_updates == 0
@@ -94,7 +94,7 @@ def test_hotspot_no_lost_updates():
 
 
 def test_hotspot_home_atomics_cheaper_than_remote():
-    cluster = Cluster(n_nodes=2)
+    cluster = Cluster(ClusterConfig(n_nodes=2))
     result = run_hotspot_counter(cluster, home=0, increments_per_node=5)
     # Mixed latencies: home-local atomics vs network round trips.
     assert result.atomic_ns.minimum < result.atomic_ns.maximum / 2
@@ -104,7 +104,7 @@ def test_hotspot_home_atomics_cheaper_than_remote():
 
 
 def test_migratory_remote_mode_correct():
-    cluster = Cluster(n_nodes=3, protocol="none")
+    cluster = Cluster(ClusterConfig(n_nodes=3, protocol="none"))
     result = run_migratory(cluster, rounds_per_node=2, words=4,
                            sharing="remote")
     assert result.final_sum == result.expected_sum
@@ -112,7 +112,7 @@ def test_migratory_remote_mode_correct():
 
 
 def test_migratory_replica_mode_correct_but_chatty():
-    cluster = Cluster(n_nodes=3, protocol="telegraphos")
+    cluster = Cluster(ClusterConfig(n_nodes=3, protocol="telegraphos"))
     result = run_migratory(cluster, rounds_per_node=2, words=4,
                            sharing="replica")
     assert result.final_sum == result.expected_sum
