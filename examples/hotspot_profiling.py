@@ -52,7 +52,7 @@ def main():
             else:
                 yield p.load(vaddr)
 
-    cluster.run_programs([cluster.start(proc, client)])
+    cluster.run(join=[cluster.start(proc, client)])
 
     counters = cluster.node(0).hib.page_counters
     print(f"access profile after {ACCESSES} remote accesses "

@@ -60,7 +60,7 @@ def reduce_once(backend: str):
 
         contexts.append(cluster.start(proc, worker))
 
-    cluster.run_programs(contexts)
+    cluster.run(join=contexts)
     print(f"[{backend}] {N_NODES} nodes reduced {N_NODES * SLICE_WORDS} "
           f"words in {cluster.now / 1000.0:.0f} us (simulated)")
     for node in range(N_NODES):

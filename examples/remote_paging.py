@@ -47,7 +47,7 @@ def main():
         timings["local_read"] = cluster.now - start
         assert value == 0xC0DE
 
-    cluster.run_programs([cluster.start(client, page_in)])
+    cluster.run(join=[cluster.start(client, page_in)])
 
     for i in range(PAGE_WORDS):
         assert local_frame.peek(4 * i) == 0xC0DE + i

@@ -15,7 +15,7 @@ The public API lives in :mod:`repro.api`::
         yield p.fence()             # MEMORY_BARRIER
         value = yield p.load(base)  # blocking remote read, ~7 us
 
-    cluster.run_programs([cluster.start(proc, program)])
+    cluster.run(join=[cluster.start(proc, program)])
 
 Subpackages (see DESIGN.md for the full map):
 

@@ -1,9 +1,10 @@
 """Command-line entry points:
 ``python -m repro [check|stats|trace|sweep|report]``.
 
-- ``check`` (default) — thirty-second installation self-check: builds
-  a small cluster, exercises every §2.2 primitive, measures the §3.2
-  headline latencies, prints a paper-vs-measured summary.
+- ``check`` (default) — one-second installation self-check: builds a
+  small cluster, exercises every §2.2 primitive, measures the §3.2
+  headline latencies and Table 1 with their experiment specs, and
+  judges them with the specs' checks.
 - ``stats`` — runs a demo workload on an N-node cluster and prints
   the full observability report: per-node HIB/CPU/bus tables, the
   metrics-registry snapshot, and the event-loop profile.
@@ -26,9 +27,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.analysis import comparison_table, measure_op_stream, us
+from repro.analysis import comparison_table
 from repro.api import Cluster, ClusterConfig
-from repro.hib import GateCountModel
+
+#: Operations per §3.2 stream in the self-check: T2's methodology at a
+#: tenth of its 10000 operations, which keeps the check near a second.
+SELF_CHECK_OPS = 1000
 
 
 def self_check() -> int:
@@ -60,42 +64,31 @@ def self_check() -> int:
     print(f"primitives (write/read/fence/atomics/copy): "
           f"{'OK' if functional else 'FAILED'}")
 
-    # 2. The §3.2 headline latencies.
-    def write_us():
-        c = Cluster(ClusterConfig(n_nodes=2, trace=False, metrics=False))
-        s = c.alloc_segment(home=1, pages=2, name="b")
-        p = c.create_process(node=0, name="b")
-        b = p.map(s)
-        return us(measure_op_stream(
-            c, p, lambda i: p.store(b + 4 * (i % 512), i), count=2000))
+    # 2. The §3.2 headline latencies and Table 1, measured and judged
+    # by their experiment specs.
+    from repro.exp.experiments import t1_gatecount, t2_latency
 
-    def read_us():
-        c = Cluster(ClusterConfig(n_nodes=2, trace=False, metrics=False))
-        s = c.alloc_segment(home=1, pages=2, name="b")
-        p = c.create_process(node=0, name="b")
-        b = p.map(s)
-        return us(measure_op_stream(
-            c, p, lambda i: p.load(b), count=200, fence_at_end=False))
-
-    w, r = write_us(), read_us()
+    latency = t2_latency.run(ops=SELF_CHECK_OPS)
     print()
     print(comparison_table(
         "S3.2 latencies",
-        [("Remote Read (us)", 7.2, r), ("Remote Write (us)", 0.70, w)],
+        [("Remote Read (us)", t2_latency.PAPER_READ_US, latency["read_us"]),
+         ("Remote Write (us)", t2_latency.PAPER_WRITE_US,
+          latency["write_us"])],
     ).render())
-
-    # 3. Table 1 headline.
-    model = GateCountModel()
+    gates = t1_gatecount.run()
+    problems = t2_latency.check(latency) + t1_gatecount.check(gates)
     print()
     print(f"Table 1: shared-memory support = "
-          f"{model.shared_memory_gates} gates "
-          f"(paper: 2700) — "
-          f"{'OK' if model.shared_memory_gates == 2700 else 'FAILED'}")
+          f"{gates['shared_memory_gates']} gates "
+          f"(paper: {t1_gatecount.PAPER_SHARED_GATES})")
+    for problem in problems:
+        print(f"  FAILED: {problem}")
 
-    ok = functional and abs(r - 7.2) / 7.2 < 0.15 and abs(w - 0.70) / 0.70 < 0.15
+    ok = functional and not problems
     print()
     print("self-check:", "PASS" if ok else "FAIL")
-    print("next: pytest tests/  |  pytest benchmarks/ --benchmark-only -s")
+    print("next: pytest tests/  |  python -m repro sweep --force")
     return 0 if ok else 1
 
 
@@ -207,23 +200,6 @@ def cmd_sweep(args) -> int:
         print(f"sweep: --retries must be at least 0, got {args.retries}",
               file=sys.stderr)
         return 2
-
-    if args.collectives:
-        # Exploratory mode: re-run the collectives experiments
-        # restricted to one backend and print the tables.  Nothing is
-        # written — the committed results/EXPERIMENTS.md (which compare
-        # both backends) stay byte-identical.
-        from repro.exp.experiments import (
-            x1_barrier_scaling,
-            x2_fetch_add_combining,
-        )
-
-        for module in (x1_barrier_scaling, x2_fetch_add_combining):
-            print(f"== {module.SPEC.exp_id}: {module.SPEC.title} "
-                  f"({args.collectives} backend only) ==")
-            print(module.render(module.run(backends=(args.collectives,))))
-            print()
-        return 0
 
     specs = default_registry()
     if args.only:
@@ -454,12 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--list", action="store_true",
                          help="list registered experiments and their "
                               "cache status, then exit")
-    p_sweep.add_argument("--collectives", choices=("host", "nic"),
-                         default=None,
-                         help="exploratory: re-run the collectives "
-                              "experiments (X1/X2) restricted to one "
-                              "backend and print the tables without "
-                              "touching results/ or EXPERIMENTS.md")
 
     p_report = sub.add_parser(
         "report",

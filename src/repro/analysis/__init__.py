@@ -5,7 +5,7 @@
   :class:`~repro.sim.Accumulator` statistics (the simulated analogue
   of the paper's "10000 operations" methodology, §3.2).
 - :mod:`repro.analysis.tables` — plain-text table rendering for the
-  benchmark harness, including paper-vs-measured comparison rows.
+  self-check and EXPERIMENTS.md, including paper-vs-measured rows.
 - :mod:`repro.analysis.metrics` — structural reduction of result
   documents to flat numeric metrics (the series the aggregates plot).
 - :mod:`repro.analysis.results` — grid-family aggregation: committed

@@ -45,7 +45,7 @@ def measure_op_stream(cluster, proc, op_factory: Callable[[int], object],
         result["elapsed"] = cluster.now - start
 
     ctx = cluster.start(proc, program)
-    cluster.run_programs([ctx])
+    cluster.run(join=[ctx])
     return result["elapsed"] / count
 
 
@@ -70,7 +70,7 @@ def measure_single_ops(cluster, proc, op_factory: Callable[[int], object],
             yield Fence()
 
     ctx = cluster.start(proc, program)
-    cluster.run_programs([ctx])
+    cluster.run(join=[ctx])
     return acc
 
 
@@ -79,5 +79,5 @@ def run_to_completion(cluster, contexts: Iterable,
     """Run the given program contexts to completion; returns the
     simulated makespan in ns."""
     start = cluster.now
-    cluster.run_programs(list(contexts), limit_ns=limit_ns)
+    cluster.run(join=list(contexts), limit_ns=limit_ns)
     return cluster.now - start

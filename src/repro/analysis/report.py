@@ -207,9 +207,11 @@ evaluation, reproduced from one machine-readable `results/<id>.json`
 per experiment (emitted by `repro sweep`, specs in
 `src/repro/exp/experiments/`).  Absolute times come from a calibrated
 behavioural simulator (see "Calibration" in DESIGN.md); **shape
-claims** (who wins, by what factor, where crossovers fall) are
-asserted by the benchmark harness (`pytest benchmarks/
---benchmark-only -s`), so a green bench run *is* the reproduction.
+claims** (who wins, by what factor, where crossovers fall) are each
+spec's `check`, which the sweep applies to every fresh result and the
+test suite to every committed one, so a green sweep *is* the
+reproduction.  (The grid families' source lines keep the historical
+harness label that each aggregate carries.)
 
 All numbers are deterministic: every experiment is a pure function of
 its spec, so `repro sweep --workers N` regenerates byte-identical
@@ -267,11 +269,13 @@ def load_result_document(results_dir: str, spec) -> Dict[str, Any]:
 
 
 def render_experiment_section(spec, document: Dict[str, Any]) -> str:
-    """One ``## <id> — <title>`` section: source pointers, the rendered
-    result, and the inline provenance caveat."""
+    """One ``## <id> — <title>`` section: source pointers (the spec
+    module, the results document), the rendered result, and the inline
+    provenance caveat."""
+    module = spec.render.__module__.replace(".", "/")
     lines = [
         f"## {spec.exp_id} — {spec.title}",
-        f"`{spec.bench}` → [`results/{spec.exp_id}.json`]"
+        f"`src/{module}.py` → [`results/{spec.exp_id}.json`]"
         f"(results/{spec.exp_id}.json)",
         "",
         spec.render(document["result"]).rstrip(),

@@ -1,4 +1,4 @@
-"""Plain-text and markdown tables for the benchmark harness and the
+"""Plain-text and markdown tables for the self-check and the
 EXPERIMENTS.md generator."""
 
 from __future__ import annotations

@@ -242,7 +242,8 @@ class Cluster:
         context (or process) completes, then drains in-flight traffic
         for up to ``drain_ns`` (bounded so perpetual background
         processes — schedulers, pollers — cannot hold the simulation
-        open).  This subsumes the old ``run_programs``.
+        open).  It raises ``TimeoutError`` if they are still running
+        past ``limit_ns`` (default 10**12 ns).
         """
         if join is None:
             self.sim.run(until=until)
@@ -250,14 +251,10 @@ class Cluster:
         if until is not None:
             raise TypeError("pass either until= or join=, not both")
         processes = [getattr(c, "process", c) for c in join]
-        self.sim.run_until_done(processes, limit_ns=limit_ns or 10**12)
+        self.sim.run_until_done(
+            processes, limit_ns=10**12 if limit_ns is None else limit_ns)
         if drain_ns:
             self.sim.run(until=self.sim.now + drain_ns)
-
-    def run_programs(self, contexts, limit_ns: Optional[int] = None,
-                     drain_ns: int = 20_000_000) -> None:
-        """Back-compat alias for :meth:`run` with ``join=``."""
-        self.run(join=contexts, limit_ns=limit_ns, drain_ns=drain_ns)
 
     @property
     def now(self) -> int:

@@ -12,7 +12,7 @@
 
 Both run on the same simulation kernel and timing parameters as the
 Telegraphos model, so the comparisons in
-``benchmarks/bench_motivation_baselines.py`` share a cost basis.
+:mod:`repro.exp.experiments.s7_motivation` share a cost basis.
 """
 
 from repro.baselines.sockets import SocketNetwork

@@ -7,7 +7,7 @@ With a single writer this is the useful producer/consumer mechanism of
 no serialization point, updates are applied in different orders at
 different nodes, and "the pages may end up with different values"
 (Figure 2) — which is exactly what
-``benchmarks/bench_fig2_inconsistency.py`` demonstrates.
+:mod:`repro.exp.experiments.f2_inconsistency` demonstrates.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
-"""Engine construction by protocol name (used by the cluster builder
-and the benchmark harness)."""
+"""Engine construction by protocol name (used by the cluster
+builder)."""
 
 from __future__ import annotations
 

@@ -6,9 +6,10 @@ than a pile of scripts:
 
 - :mod:`repro.exp.spec` — one declarative :class:`ExperimentSpec` per
   claim: a pure measurement function plus params, a version stamp, a
-  provenance tag, and the markdown renderer for its section.
-- :mod:`repro.exp.experiments` — the specs themselves, ported from
-  ``benchmarks/bench_*.py`` (which remain as the asserting harnesses).
+  provenance tag, the markdown renderer for its section, and the
+  ``check`` that states the paper's claim about the result.
+- :mod:`repro.exp.experiments` — the specs themselves, one module per
+  claim.
 - :mod:`repro.exp.cache` — the on-disk result cache: the committed
   ``results/*.json``, addressed by a stable hash of
   ``(experiment, params, spec version, schema version)``.

@@ -1,11 +1,11 @@
 """The declarative experiment specs — one module per paper claim.
 
-Each module is a port of the measurement logic that used to live only
-in ``benchmarks/bench_*.py``: a pure ``run(**params)`` returning a
+Each module holds a pure ``run(**params)`` returning a
 JSON-serializable result, a ``render(result)`` producing the
-EXPERIMENTS.md section body, and a module-level ``SPEC`` tying them
-together.  The bench files remain as the pytest harnesses that assert
-each claim's *shape* on the very same run functions.
+EXPERIMENTS.md section body, a ``check(result)`` returning one message
+per way the result breaks the paper's claim (``[]`` when it holds),
+and a module-level ``SPEC`` tying them together.  The sweep checks
+every fresh result and the test suite every committed one.
 
 ``SPECS`` lists every spec in EXPERIMENTS.md document order.
 """

@@ -18,10 +18,10 @@ Neither dominates — which is precisely why the paper built both.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, List
 
 from repro.analysis.tables import MarkdownTable
-from repro.exp.spec import ExperimentSpec
+from repro.exp.spec import ExperimentSpec, unmet
 
 
 def _local_shared_access_us(prototype: int) -> Dict[str, float]:
@@ -86,7 +86,7 @@ def _atomic_launch_us(prototype: int) -> Dict[str, float]:
                 yield Load(binding.ctx_vaddr + Reg.CTX_GO)
             marks["total"].append(cluster.now - start)
 
-    cluster.run_programs([cluster.start(proc, program)])
+    cluster.run(join=[cluster.start(proc, program)])
     assert seg.peek(0) == 21
 
     def mean(xs):
@@ -132,12 +132,40 @@ def render(result: Dict[str, Any]) -> str:
     )
 
 
+def check(result: Dict[str, Any]) -> List[str]:
+    """The trade-offs the paper argues for each prototype."""
+    tg1, tg2 = result["tg1"], result["tg2"]
+    read_gain = tg1["read_us"] / tg2["read_us"]
+    write_gain = tg1["write_us"] / tg2["write_us"]
+    atomic_ratio = tg2["atomic_us"] / tg1["atomic_us"]
+    return unmet(
+        # §2.2.1's "faster access to shared data": Tg II's local shared
+        # reads skip the TurboChannel entirely...
+        (read_gain > 2,
+         f"Tg II reads local shared data only {read_gain:.2f}× faster "
+         "than Tg I"),
+        # ...while its writes still cross it (the HIB must see them).
+        (read_gain > 1.4 * write_gain,
+         f"Tg II's read gain {read_gain:.2f}× is not 1.4× its write gain "
+         f"{write_gain:.2f}×"),
+        # Contexts + shadow store + GO is one store more than the PAL
+        # pair...
+        (tg2["launch_us"] > tg1["launch_us"],
+         f"Tg II's launch ({tg2['launch_us']:.2f} µs) is not dearer than "
+         f"Tg I's ({tg1['launch_us']:.2f} µs)"),
+        # ...but both atomics are dominated by the network round trip.
+        (0.75 < atomic_ratio < 1.25,
+         f"the atomics differ by {atomic_ratio:.2f}×, beyond 25%"),
+    )
+
+
 SPEC = ExperimentSpec(
     exp_id="A1",
     title="Ablation: Telegraphos I vs II prototypes (§2.2.1, §2.2.4)",
     bench="benchmarks/bench_ablation_prototypes.py",
     run=run,
     render=render,
+    check=check,
     provenance="emergent",
     caveat="Launch sequences use the documented register interfaces of "
            "both prototypes; neither dominates, which is why the paper "

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any, Dict, List
 
 from repro.analysis.tables import MarkdownTable
-from repro.exp.spec import ExperimentSpec
+from repro.exp.spec import ExperimentSpec, unmet
 
 DEFAULT_CASES = [
     {"topology": "star", "n_nodes": 4, "src": 0, "dst": 1},   # same switch
@@ -85,12 +85,29 @@ def render(result: Dict[str, Any]) -> str:
     )
 
 
+def check(result: Dict[str, Any]) -> List[str]:
+    """Blocking reads degrade with hop count; streamed writes stay at
+    the network transfer rate whatever the distance."""
+    ordered = sorted(result["cases"], key=lambda case: case["hops"])
+    near, far = ordered[0], ordered[-1]
+    write_costs = [case["write_us"] for case in ordered]
+    return unmet(
+        (near["hops"] < far["hops"], "every route has the same hop count"),
+        (far["read_us"] > near["read_us"] * 1.3,
+         f"reads cost {near['read_us']:.2f} µs at {near['hops']} hops and "
+         f"{far['read_us']:.2f} µs at {far['hops']}: not 1.3× worse"),
+        (max(write_costs) < min(write_costs) * 1.10,
+         f"streamed writes vary beyond 10% with distance: {write_costs}"),
+    )
+
+
 SPEC = ExperimentSpec(
     exp_id="A2",
     title="Ablation: topology scaling (§2.2.1 asymmetry vs distance)",
     bench="benchmarks/bench_ablation_topology.py",
     run=run,
     render=render,
+    check=check,
     provenance="emergent",
     caveat="Topologies beyond the prototype's one-or-two switches are "
            "extrapolation; the paper shows only Figure 1's layouts.",

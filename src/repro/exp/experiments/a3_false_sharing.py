@@ -13,10 +13,10 @@ data) run under Telegraphos replicas and under VSM.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, List
 
 from repro.analysis.tables import MarkdownTable
-from repro.exp.spec import ExperimentSpec
+from repro.exp.spec import ExperimentSpec, unmet
 
 NODES = [1, 2]
 TRACES = ("false_sharing", "true_sharing", "private_pages")
@@ -107,12 +107,33 @@ def render(result: Dict[str, Any]) -> str:
     )
 
 
+def check(result: Dict[str, Any]) -> List[str]:
+    """Page-granular VSM collapses on false sharing, because of the
+    alignment; word-granular Telegraphos is insensitive to it."""
+    fs, private = result["false_sharing"], result["private_pages"]
+    tele_costs = [row["telegraphos"]["mean_us"] for row in result.values()]
+    return unmet(
+        (fs["vsm"]["mean_us"] > 20 * fs["telegraphos"]["mean_us"],
+         f"VSM under false sharing ({fs['vsm']['mean_us']:.1f} µs) is not "
+         f"20× Telegraphos ({fs['telegraphos']['mean_us']:.2f} µs)"),
+        # The same VSM on page-aligned private data faults once per page.
+        (private["vsm"]["faults"] <= len(NODES) * 2,
+         f"VSM faulted {private['vsm']['faults']} times on private pages"),
+        (fs["vsm"]["faults"] > 4 * private["vsm"]["faults"],
+         f"false sharing cost VSM {fs['vsm']['faults']} transitions, not "
+         f"4× the {private['vsm']['faults']} of private pages"),
+        (max(tele_costs) < 3 * min(tele_costs),
+         f"Telegraphos access costs vary 3× across traces: {tele_costs}"),
+    )
+
+
 SPEC = ExperimentSpec(
     exp_id="A3",
     title="Data alignment / false sharing (the [22] companion study)",
     bench="benchmarks/bench_ablation_false_sharing.py",
     run=run,
     render=render,
+    check=check,
     provenance="emergent",
     caveat="Identical reference streams under word-granular "
            "Telegraphos replicas vs page-granular VSM.",

@@ -15,7 +15,8 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.analysis.tables import MarkdownTable
-from repro.exp.spec import ExperimentSpec
+from repro.exp.experiments.t2_latency import TOLERANCE
+from repro.exp.spec import ExperimentSpec, unmet
 
 PAPER_BATCH_LIMIT_US = 0.5
 PAPER_SUSTAINED_US = 0.70
@@ -67,12 +68,35 @@ def render(result: Dict[str, Any]) -> str:
     )
 
 
+def check(result: Dict[str, Any]) -> List[str]:
+    """The paper's two anchors, and the batch-size crossover shape."""
+    costs = {b["size"]: b["us_per_write"] for b in result["batches"]}
+    return unmet(
+        (costs[100] < PAPER_BATCH_LIMIT_US,
+         f"100 writes take {100 * costs[100]:.1f} µs; the paper: under "
+         f"50 µs, i.e. under {PAPER_BATCH_LIMIT_US} µs each"),
+        (abs(costs[10000] - PAPER_SUSTAINED_US) / PAPER_SUSTAINED_US
+         < TOLERANCE,
+         f"sustained write {costs[10000]:.3f} µs is not within "
+         f"{TOLERANCE:.0%} of the paper's {PAPER_SUSTAINED_US} µs"),
+        # Past startup amortization (tiny batches spread the first
+        # write's latency over few ops) the cost rises monotonically
+        # from the issue rate toward the network transfer rate.
+        (costs[100] <= costs[500] <= costs[2000] <= costs[10000] * 1.01
+         and costs[100] < costs[10000],
+         "µs/write does not rise from 100 to 10000 writes: "
+         + ", ".join(f"{size}: {costs[size]:.3f}"
+                     for size in (100, 500, 2000, 10000))),
+    )
+
+
 SPEC = ExperimentSpec(
     exp_id="C1",
     title="§3.2 claim: 100-write batches under 0.5 µs/write",
     bench="benchmarks/bench_claim_write_batch.py",
     run=run,
     render=render,
+    check=check,
     provenance="fit",
     caveat="The sustained (10000-write) rate is the third calibration "
            "anchor; the batch-size crossover shape is emergent.",

@@ -10,10 +10,10 @@ page's owner (§2.3.1) repairs it.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, List
 
 from repro.analysis.tables import MarkdownTable
-from repro.exp.spec import ExperimentSpec
+from repro.exp.spec import ExperimentSpec, unmet
 
 PROTOCOLS = ("eager", "owner-stale", "telegraphos")
 PROTOCOL_LABELS = {
@@ -43,7 +43,7 @@ def _run_two_writers(protocol: str) -> Dict[str, Any]:
             yield p.store(base, value)
 
         contexts.append(cluster.start(proc, program))
-    cluster.run_programs(contexts)
+    cluster.run(join=contexts)
     checker = cluster.checker()
     return {
         "divergent_words": len(checker.divergent_words(
@@ -78,12 +78,33 @@ def render(result: Dict[str, Any]) -> str:
     )
 
 
+def check(result: Dict[str, Any]) -> List[str]:
+    """No ownership means permanent divergence (the figure); updates
+    through the owner repair it (§2.3.1)."""
+    eager = result["eager"]
+    return unmet(
+        (eager["divergent_words"] > 0, "eager multicast did not diverge"),
+        (eager["order_violations"] > 0,
+         "eager multicast applied every update in order"),
+        # The writers literally swap values (each applied its own first).
+        (eager["copies"][1] != eager["copies"][2],
+         f"the eager writers did not swap values: {eager['copies']}"),
+        *[(result[protocol]["divergent_words"] == 0
+           and len(set(result[protocol]["copies"])) == 1,
+           f"{protocol}: copies {result[protocol]['copies']} diverged")
+          for protocol in ("owner-stale", "telegraphos")],
+        (result["telegraphos"]["order_violations"] == 0,
+         "the counter protocol violated update order"),
+    )
+
+
 SPEC = ExperimentSpec(
     exp_id="F2",
     title="Figure 2: inconsistency from un-owned multicast",
     bench="benchmarks/bench_fig2_inconsistency.py",
     run=run,
     render=render,
+    check=check,
     provenance="emergent",
     caveat="Two simultaneous writers (111 and 222) to the same word of "
            "a 4-copy page.",

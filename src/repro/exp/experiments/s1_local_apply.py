@@ -16,10 +16,10 @@ The counter protocol ("telegraphos") passes both.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, List
 
 from repro.analysis.tables import MarkdownTable
-from repro.exp.spec import ExperimentSpec
+from repro.exp.spec import ExperimentSpec, unmet
 
 PROTOCOLS = ("owner-stale", "owner-local", "telegraphos")
 PROTOCOL_LABELS = {
@@ -45,7 +45,7 @@ def _stale_read_scenario(protocol: str) -> int:
         yield p.store(base, 1)
         got["read"] = yield p.load(base)
 
-    cluster.run_programs([cluster.start(writer, program)])
+    cluster.run(join=[cluster.start(writer, program)])
     return got["read"]
 
 
@@ -65,7 +65,7 @@ def _overwrite_scenario(protocol: str) -> Dict[str, Any]:
         yield p.store(base, 2)
         yield p.store(base, 3)
 
-    cluster.run_programs([cluster.start(writer, program)])
+    cluster.run(join=[cluster.start(writer, program)])
     checker = cluster.checker()
     key = (0, seg.gpage, 0)
     sequence = checker.applied_values(1, key)
@@ -116,12 +116,38 @@ def render(result: Dict[str, Any]) -> str:
     )
 
 
+def check(result: Dict[str, Any]) -> List[str]:
+    """Both §2.3.2 problems reproduce, and the counter protocol fixes
+    both."""
+    from repro.coherence.checker import contains_aba
+
+    stale, over = result["stale_read"], result["overwrite"]
+    local, tele = over["owner-local"], over["telegraphos"]
+    return unmet(
+        (stale["owner-stale"] == 0,
+         f"owner-stale read {stale['owner-stale']} right after writing 1, "
+         "not the old 0 (problem 1)"),
+        # Problem 2: owner-local's copy goes 2,3,2,3 -- backwards in the
+        # middle, with a real time window where a read returns 2.
+        (contains_aba(local["sequence"]) is not None and local["stale_ns"] > 0,
+         f"owner-local's copy {local['sequence']} did not go backwards "
+         "for a while (problem 2)"),
+        (stale["telegraphos"] == 1,
+         f"the counter protocol read {stale['telegraphos']} right after "
+         "writing 1"),
+        (tele["sequence"] == [2, 3] and tele["stale_ns"] == 0,
+         f"the counter protocol's copy went {tele['sequence']}, stale for "
+         f"{tele['stale_ns']} ns"),
+    )
+
+
 SPEC = ExperimentSpec(
     exp_id="S1",
     title="§2.3.2 anomalies of owner-based updates",
     bench="benchmarks/bench_s232_local_apply.py",
     run=run,
     render=render,
+    check=check,
     provenance="emergent",
     version=1,
     cost=0.1,

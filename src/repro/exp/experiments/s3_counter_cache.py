@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.analysis.tables import MarkdownTable
-from repro.exp.spec import ExperimentSpec
+from repro.exp.spec import ExperimentSpec, unmet
 
 #: ``None`` is the unbounded (Telegraphos I) store.
 DEFAULT_SIZES: List[Optional[int]] = [1, 2, 4, 8, 16, 32, None]
@@ -41,7 +41,7 @@ def _run_with_cache(entries: Optional[int], burst: int,
             yield p.fence()  # drain between bursts
 
     start = cluster.now
-    cluster.run_programs([cluster.start(writer, program)])
+    cluster.run(join=[cluster.start(writer, program)])
     makespan = cluster.now - start
     cache = cluster.engines[1].counters
     checker = cluster.checker()
@@ -96,12 +96,39 @@ def render(result: Dict[str, Any]) -> str:
     )
 
 
+def check(result: Dict[str, Any]) -> List[str]:
+    """Correct at every size; tiny caches stall, 32 entries never do,
+    and an unbounded store adds nothing beyond that."""
+    by_size = {point["entries"]: point for point in result["sweep"]}
+    return unmet(
+        # Stalling is a performance event, never a correctness event.
+        *[(point["order_violations"] == 0 and point["divergent_words"] == 0,
+           f"{size} entries: {point['order_violations']} order violations, "
+           f"{point['divergent_words']} divergent words")
+          for size, point in by_size.items()],
+        (by_size[1]["stalls"] > 0
+         and by_size[1]["makespan_ns"] > by_size[32]["makespan_ns"],
+         "a 1-entry cache did not stall or did not slow the writer"),
+        # The paper's 16-32 entry estimate.
+        (by_size[32]["stalls"] == 0,
+         f"a 32-entry cache stalled {by_size[32]['stalls']} times"),
+        (by_size[32]["makespan_ns"] == by_size[None]["makespan_ns"],
+         "32 entries and an unbounded store give different makespans"),
+        # Peak demand is the burst's distinct-word count bounded by what
+        # the network drains, and stays modest.
+        (by_size[None]["max_used"] <= 24,
+         f"peak counter demand {by_size[None]['max_used']} exceeds the "
+         "24-word burst"),
+    )
+
+
 SPEC = ExperimentSpec(
     exp_id="S3",
     title="§2.3.4 counter-cache sizing",
     bench="benchmarks/bench_s234_counter_cache.py",
     run=run,
     render=render,
+    check=check,
     provenance="emergent",
     caveat="Bursts of 24 distinct-word writes — the worst case for "
            "outstanding counters.",

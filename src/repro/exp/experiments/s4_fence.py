@@ -22,10 +22,13 @@ is impossible, at the cost of stalling A for the write round trip.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, List
 
 from repro.analysis.tables import MarkdownTable
-from repro.exp.spec import ExperimentSpec
+from repro.exp.spec import ExperimentSpec, unmet
+
+#: What A writes to ``data`` before raising the flag.
+DATA_VALUE = 4242
 
 
 def _run_scenario(safe: bool) -> Dict[str, Any]:
@@ -59,7 +62,7 @@ def _run_scenario(safe: bool) -> Dict[str, Any]:
     def produce(p):
         yield p.think(30_000)  # let the flood establish its backlog
         start = cluster.now
-        yield p.store(data_w, 4242)
+        yield p.store(data_w, DATA_VALUE)
         if safe:
             yield from a_flag.raise_signal()        # FENCE inside
         else:
@@ -80,7 +83,7 @@ def _run_scenario(safe: bool) -> Dict[str, Any]:
         cluster.start(producer, produce),
         cluster.start(consumer, consume),
     ] + flood_ctxs
-    cluster.run_programs(ctxs)
+    cluster.run(join=ctxs)
     return {"read": got["data"], "publish_ns": timings["publish"]}
 
 
@@ -110,12 +113,30 @@ def render(result: Dict[str, Any]) -> str:
     )
 
 
+def check(result: Dict[str, Any]) -> List[str]:
+    """Without the fence B reads stale data; with it the read is always
+    fresh, and the cost is real: A stalls for the write's completion
+    ("makes synchronization more expensive, but keeps the cost of
+    remote write operations low")."""
+    unsafe, safe = result["unsafe"], result["safe"]
+    return unmet(
+        (unsafe["read"] == 0,
+         f"without the fence B read {unsafe['read']}, not the stale 0"),
+        (safe["read"] == DATA_VALUE,
+         f"with the fence B read {safe['read']}, not {DATA_VALUE}"),
+        (safe["publish_ns"] > 3 * unsafe["publish_ns"],
+         f"the fenced publish ({safe['publish_ns']} ns) is not 3× the "
+         f"unfenced one ({unsafe['publish_ns']} ns)"),
+    )
+
+
 SPEC = ExperimentSpec(
     exp_id="S4",
     title="§2.3.5 memory consistency / FENCE",
     bench="benchmarks/bench_s235_fence.py",
     run=run,
     render=render,
+    check=check,
     provenance="emergent",
     caveat="write(data); write(flag) with the data path congested "
            "(request-plane flood) and the flag path fast.",

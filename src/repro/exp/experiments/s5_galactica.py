@@ -18,10 +18,10 @@ order.  Both protocols converge; only one is ever *observably* wrong.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, List
 
 from repro.analysis.tables import MarkdownTable
-from repro.exp.spec import ExperimentSpec
+from repro.exp.spec import ExperimentSpec, unmet
 
 PROTOCOLS = ("galactica", "telegraphos")
 PROTOCOL_LABELS = {
@@ -49,7 +49,7 @@ def _run_conflict(protocol: str) -> Dict[str, Any]:
             yield p.store(base, value)
 
         contexts.append(cluster.start(procs[node], program))
-    cluster.run_programs(contexts)
+    cluster.run(join=contexts)
     checker = cluster.checker()
     key = (0, seg.gpage, 0)
     return {
@@ -94,12 +94,35 @@ def render(result: Dict[str, Any]) -> str:
     )
 
 
+def check(result: Dict[str, Any]) -> List[str]:
+    """Galactica converges but its observer sees the invalid "1,2,1";
+    under the counter protocol "no processor ever reads 1,2,1"."""
+    galactica, tele = result["galactica"], result["telegraphos"]
+    return unmet(
+        (galactica["divergent_words"] == 0 and galactica["backoffs"] == 1,
+         f"Galactica did not converge through one back-off "
+         f"({galactica['backoffs']} back-offs, "
+         f"{galactica['divergent_words']} divergent words)"),
+        (galactica["observer_sequence"] == [1, 2, 1]
+         and galactica["aba_observations"] > 0,
+         f"Galactica's observer saw {galactica['observer_sequence']}, "
+         "not the invalid 1,2,1"),
+        (tele["divergent_words"] == 0 and tele["order_violations"] == 0,
+         "the counter protocol diverged or violated update order"),
+        (tele["aba_observations"] == 0
+         and tele["observer_sequence"] in ([1], [2], [1, 2], [2, 1]),
+         f"the counter protocol's observer saw "
+         f"{tele['observer_sequence']}"),
+    )
+
+
 SPEC = ExperimentSpec(
     exp_id="S5",
     title="§2.4 Galactica comparison",
     bench="benchmarks/bench_s24_galactica.py",
     run=run,
     render=render,
+    check=check,
     provenance="emergent",
     caveat="The Galactica baseline is implemented from the paper's "
            "§2.4 description of [15] (ring traversal, priority "

@@ -16,10 +16,10 @@ triggers.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.analysis.tables import MarkdownTable
-from repro.exp.spec import ExperimentSpec
+from repro.exp.spec import ExperimentSpec, unmet
 
 POLICIES = ("hot_no_replication", "hot_alarm", "uniform_alarm")
 POLICY_LABELS = {
@@ -98,12 +98,34 @@ def render(result: Dict[str, Any]) -> str:
     )
 
 
+def check(result: Dict[str, Any]) -> List[str]:
+    """The alarm fires exactly for the hot page, post-replication
+    accesses go local, and a uniform stream never triggers it."""
+    no_repl = result["hot_no_replication"]
+    alarm = result["hot_alarm"]
+    uniform = result["uniform_alarm"]
+    return unmet(
+        (alarm["replications"] == 1,
+         f"the alarm replicated {alarm['replications']} pages, not the "
+         "one hot page"),
+        (alarm["tail_us"] < no_repl["tail_us"] / 3,
+         f"after replication the tail costs {alarm['tail_us']:.2f} µs, "
+         f"not a third of {no_repl['tail_us']:.2f} µs"),
+        (alarm["mean_us"] < no_repl["mean_us"],
+         "replication did not improve the whole run"),
+        (uniform["replications"] == 0,
+         f"a uniform stream triggered {uniform['replications']} "
+         "replications"),
+    )
+
+
 SPEC = ExperimentSpec(
     exp_id="S6",
     title="§2.2.6 page access counters → alarm-based replication",
     bench="benchmarks/bench_s226_replication.py",
     run=run,
     render=render,
+    check=check,
     provenance="emergent",
     caveat="400-access streams, 90% of the hot stream on one page.",
     version=1,

@@ -16,10 +16,10 @@ whole-page transfer).
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, List
 
 from repro.analysis.tables import MarkdownTable
-from repro.exp.spec import ExperimentSpec
+from repro.exp.spec import ExperimentSpec, unmet
 
 
 def _telegraphos_word_ns() -> Dict[str, int]:
@@ -39,7 +39,7 @@ def _telegraphos_word_ns() -> Dict[str, int]:
         yield p.fence()
         marks["complete"] = cluster.now - start
 
-    cluster.run_programs([cluster.start(proc, program)])
+    cluster.run(join=[cluster.start(proc, program)])
     return marks
 
 
@@ -88,7 +88,7 @@ def _vsm_word_ns() -> Dict[str, int]:
         yield p.load(base)  # now local
         marks["local"] = cluster.now - start
 
-    cluster.run_programs([cluster.start(proc, program)])
+    cluster.run(join=[cluster.start(proc, program)])
     return marks
 
 
@@ -127,12 +127,32 @@ def render(result: Dict[str, Any]) -> str:
     )
 
 
+def check(result: Dict[str, Any]) -> List[str]:
+    """Each software layer costs an order of magnitude or more, and VSM
+    is fine *after* replication: its problem is the transition."""
+    tele, sock, vsm = (result["telegraphos"], result["sockets"],
+                       result["vsm"])
+    return unmet(
+        (sock["delivered"] > 10 * tele["issue"],
+         f"a socket message ({sock['delivered']} ns) is not 10× a remote "
+         f"write ({tele['issue']} ns)"),
+        (vsm["fault"] > 5 * sock["delivered"],
+         f"a VSM fault ({vsm['fault']} ns) is not 5× a socket message"),
+        (vsm["fault"] > 100 * tele["issue"],
+         "a VSM fault is not 100× a remote write"),
+        (vsm["local"] < tele["complete"],
+         f"a resident VSM read ({vsm['local']} ns) is not cheaper than a "
+         f"completed remote write ({tele['complete']} ns)"),
+    )
+
+
 SPEC = ExperimentSpec(
     exp_id="S7",
     title="§1/§2.1 motivation: Telegraphos vs software sharing",
     bench="benchmarks/bench_motivation_baselines.py",
     run=run,
     render=render,
+    check=check,
     provenance="emergent",
     caveat="One word, node 0 → 1; all three systems share the same "
            "timing parameters.",

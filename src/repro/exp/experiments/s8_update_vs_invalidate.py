@@ -16,10 +16,10 @@ migratory.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, List
 
 from repro.analysis.tables import MarkdownTable
-from repro.exp.spec import ExperimentSpec
+from repro.exp.spec import ExperimentSpec, unmet
 
 MODES = ("replica", "remote")
 
@@ -110,12 +110,30 @@ def render(result: Dict[str, Any]) -> str:
     )
 
 
+def check(result: Dict[str, Any]) -> List[str]:
+    """The crossover: update replication wins producer/consumer, and on
+    migratory sharing it only generates traffic nobody reads."""
+    pc, mig = result["producer_consumer"], result["migratory"]
+    return unmet(
+        # Local reads vs 7 µs remote reads.
+        (pc["replica"]["read_us"] < pc["remote"]["read_us"] / 2,
+         f"replicated consumers read in {pc['replica']['read_us']:.2f} µs, "
+         f"not half of {pc['remote']['read_us']:.2f} µs"),
+        (mig["replica"]["updates"] > 3 * mig["remote"]["updates"],
+         f"migratory replicas sent {mig['replica']['updates']} updates, "
+         f"not 3× {mig['remote']['updates']}"),
+        (mig["remote"]["makespan_us"] <= mig["replica"]["makespan_us"] * 1.10,
+         "update replication paid off on migratory sharing"),
+    )
+
+
 SPEC = ExperimentSpec(
     exp_id="S8",
     title="§2.3.6 update vs invalidate",
     bench="benchmarks/bench_s236_update_vs_invalidate.py",
     run=run,
     render=render,
+    check=check,
     provenance="emergent",
     version=1,
     cost=0.2,

@@ -7,10 +7,10 @@ random logic.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, List
 
 from repro.analysis.tables import MarkdownTable
-from repro.exp.spec import ExperimentSpec
+from repro.exp.spec import ExperimentSpec, unmet
 
 #: The paper's Table 1, block name -> (gates, SRAM Kbits, display SRAM).
 PAPER_TABLE1 = {
@@ -23,6 +23,10 @@ PAPER_TABLE1 = {
     "Page Access Counters": (800, 2048.0, "2048 Kb"),
     "Multiproc. Mem. (MPM)": (0, 0.0, "16 MB DRAM"),
 }
+#: Table 1's "message related" subtotal: (gates, SRAM Kbits).
+PAPER_MESSAGE_SUBTOTAL = (3300, 4.5)
+#: The headline: shared-memory support costs this much random logic.
+PAPER_SHARED_GATES = 2700
 
 
 def run() -> Dict[str, Any]:
@@ -80,14 +84,14 @@ def render(result: Dict[str, Any]) -> str:
     message = result["subtotals"]["message"]
     table.add_row(
         "**Subtotal message related**",
-        "**3300 / 4.5 Kb**",
+        f"**{PAPER_MESSAGE_SUBTOTAL[0]} / {PAPER_MESSAGE_SUBTOTAL[1]:g} Kb**",
         f"**{message['gates']} / {message['sram_kbits']:g} Kb**",
     )
     add_group("shared")
     shared = result["subtotals"]["shared"]
     table.add_row(
         "**Subtotal shared-mem related**",
-        "**2700 / ~2500 Kb**",
+        f"**{PAPER_SHARED_GATES} / ~2500 Kb**",
         f"**{shared['gates']} / {shared['sram_kbits']:g} Kb**",
     )
     return (
@@ -99,12 +103,41 @@ def render(result: Dict[str, Any]) -> str:
     )
 
 
+def check(result: Dict[str, Any]) -> List[str]:
+    """Every row of the model matches the paper's inventory, and so do
+    the subtotals and the 2700-gate headline."""
+    blocks = result["blocks"]
+    message = result["subtotals"]["message"]
+    shared_kbits = result["subtotals"]["shared"]["sram_kbits"]
+    return unmet(
+        ({block["name"] for block in blocks} == set(PAPER_TABLE1),
+         f"blocks {sorted(block['name'] for block in blocks)} are not "
+         f"Table 1's rows {sorted(PAPER_TABLE1)}"),
+        *[((block["gates"], block["sram_kbits"])
+           == PAPER_TABLE1.get(block["name"], (None, None))[:2],
+           f"{block['name']}: {block['gates']} gates / "
+           f"{block['sram_kbits']:g} Kb, not the paper's row")
+          for block in blocks],
+        ((message["gates"], message["sram_kbits"]) == PAPER_MESSAGE_SUBTOTAL,
+         f"message subtotal {message['gates']} gates / "
+         f"{message['sram_kbits']:g} Kb, paper {PAPER_MESSAGE_SUBTOTAL}"),
+        (result["shared_memory_gates"] == PAPER_SHARED_GATES,
+         f"shared-memory support costs {result['shared_memory_gates']} "
+         f"gates, paper {PAPER_SHARED_GATES}"),
+        # The paper prints the shared-memory SRAM subtotal as ~2500
+        # Kbits (512 + 2048 rounded); the exact sum is 2560.
+        (shared_kbits == 2560.0,
+         f"shared-memory SRAM subtotal {shared_kbits:g} Kb, not 512 + 2048"),
+    )
+
+
 SPEC = ExperimentSpec(
     exp_id="T1",
     title="Table 1: gate count of the Telegraphos I HIB",
     bench="benchmarks/bench_table1_gatecount.py",
     run=run,
     render=render,
+    check=check,
     provenance="model",
     caveat="The MPM row is capacity-only (DRAM, no random logic), as "
            "in the paper.",

@@ -11,10 +11,10 @@ elapsed time divided by count.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.analysis.tables import MarkdownTable
-from repro.exp.spec import ExperimentSpec
+from repro.exp.spec import ExperimentSpec, unmet
 
 PAPER_WRITE_US = 0.70
 PAPER_READ_US = 7.2
@@ -72,12 +72,31 @@ def render(result: Dict[str, Any]) -> str:
     )
 
 
+def check(result: Dict[str, Any]) -> List[str]:
+    """The calibration landed, and reads cost roughly an order of
+    magnitude more than writes because they block for the full round
+    trip."""
+    read, write = result["read_us"], result["write_us"]
+    return unmet(
+        (abs(write - PAPER_WRITE_US) / PAPER_WRITE_US < TOLERANCE,
+         f"remote write {write:.3f} µs is not within {TOLERANCE:.0%} of "
+         f"the paper's {PAPER_WRITE_US} µs"),
+        (abs(read - PAPER_READ_US) / PAPER_READ_US < TOLERANCE,
+         f"remote read {read:.2f} µs is not within {TOLERANCE:.0%} of "
+         f"the paper's {PAPER_READ_US} µs"),
+        (read > 5 * write,
+         f"remote read {read:.2f} µs is not 5× the remote write "
+         f"{write:.3f} µs"),
+    )
+
+
 SPEC = ExperimentSpec(
     exp_id="T2",
     title="§3.2 latency table",
     bench="benchmarks/bench_table2_latency.py",
     run=run,
     render=render,
+    check=check,
     provenance="fit",
     caveat="Two nodes, one switch, 10000 operations, elapsed/count "
            "(the paper's methodology).",

@@ -18,10 +18,10 @@ network hops per round.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Sequence, Tuple
+from typing import Any, Dict, List, Sequence
 
 from repro.analysis.tables import MarkdownTable
-from repro.exp.spec import ExperimentSpec
+from repro.exp.spec import ExperimentSpec, unmet
 
 
 def _barrier_round_ns(n_nodes: int, backend: str, rounds: int) -> Dict[str, Any]:
@@ -71,70 +71,83 @@ def run_point(nodes: int, rounds: int = 2) -> Dict[str, Any]:
     }
 
 
-def run(nodes: Sequence[int] = (2, 4, 8, 16, 32, 64), rounds: int = 2,
-        backends: Tuple[str, ...] = ("host", "nic")) -> Dict[str, Any]:
-    points = []
-    for n in nodes:
-        point: Dict[str, Any] = {"nodes": n}
-        for backend in backends:
-            point[backend] = _barrier_round_ns(n, backend, rounds)
-        points.append(point)
-    result: Dict[str, Any] = {"rounds": rounds, "points": points}
-    if "host" in backends and "nic" in backends:
-        first, last = points[0], points[-1]
-        scale = last["nodes"] / first["nodes"]
-        host_growth = last["host"]["round_ns"] / first["host"]["round_ns"]
-        nic_growth = last["nic"]["round_ns"] / first["nic"]["round_ns"]
-        result["claims"] = {
-            # The NIC barrier's growth over a `scale`x node increase is
-            # far below linear (tree depth grows with log N).
-            "nic_sublinear": nic_growth < scale / 2,
-            # The host counter barrier grows at least linearly (poll
-            # traffic makes it super-linear in practice).
-            "host_linear_or_worse": host_growth >= scale / 2,
-            "nic_faster_at_max": (
-                last["host"]["round_ns"] > 2 * last["nic"]["round_ns"]
-            ),
-            "host_growth": round(host_growth, 1),
-            "nic_growth": round(nic_growth, 1),
-            "speedup_at_max": round(
-                last["host"]["round_ns"] / last["nic"]["round_ns"], 1
-            ),
-        }
-    return result
+def _claims(points: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """The scaling claims over the first and last node counts."""
+    first, last = points[0], points[-1]
+    scale = last["nodes"] / first["nodes"]
+    host_growth = last["host"]["round_ns"] / first["host"]["round_ns"]
+    nic_growth = last["nic"]["round_ns"] / first["nic"]["round_ns"]
+    return {
+        # The NIC barrier's growth over a `scale`x node increase is
+        # far below linear (tree depth grows with log N).
+        "nic_sublinear": nic_growth < scale / 2,
+        # The host counter barrier grows at least linearly (poll
+        # traffic makes it super-linear in practice).
+        "host_linear_or_worse": host_growth >= scale / 2,
+        "nic_faster_at_max": (
+            last["host"]["round_ns"] > 2 * last["nic"]["round_ns"]
+        ),
+        "host_growth": round(host_growth, 1),
+        "nic_growth": round(nic_growth, 1),
+        "speedup_at_max": round(
+            last["host"]["round_ns"] / last["nic"]["round_ns"], 1
+        ),
+    }
+
+
+def run(nodes: Sequence[int] = (2, 4, 8, 16, 32, 64),
+        rounds: int = 2) -> Dict[str, Any]:
+    points = [
+        {"nodes": n,
+         "host": _barrier_round_ns(n, "host", rounds),
+         "nic": _barrier_round_ns(n, "nic", rounds)}
+        for n in nodes
+    ]
+    return {"rounds": rounds, "points": points, "claims": _claims(points)}
 
 
 def render(result: Dict[str, Any]) -> str:
-    backends = [b for b in ("host", "nic") if b in result["points"][0]]
-    header = ["nodes"]
-    for backend in backends:
-        header.append(f"{backend} barrier (µs/round)")
-    if len(backends) == 2:
-        header.append("speedup")
-    table = MarkdownTable(header)
+    table = MarkdownTable(["nodes", "host barrier (µs/round)",
+                           "nic barrier (µs/round)", "speedup"])
     for point in result["points"]:
-        row = [point["nodes"]]
-        for backend in backends:
-            row.append(f"{point[backend]['round_ns'] / 1000.0:.1f}")
-        if len(backends) == 2:
-            row.append(
-                f"{point['host']['round_ns'] / point['nic']['round_ns']:.1f}×"
-            )
-        table.add_row(*row)
-    lines = [table.render()]
-    claims = result.get("claims")
-    if claims:
-        first, last = result["points"][0], result["points"][-1]
-        lines.append(
-            f"\nFrom {first['nodes']} to {last['nodes']} nodes the host "
-            f"counter barrier slows down {claims['host_growth']}× (every "
-            "arrival and poll serializes at the home HIB) while the NIC "
-            f"combining tree slows down only {claims['nic_growth']}× "
-            "(the critical path is the tree depth, "
-            f"{last['nic']['tree_depth']} levels at {last['nodes']} "
-            f"nodes) — {claims['speedup_at_max']}× faster at scale."
-        )
-    return "\n".join(lines)
+        host, nic = point["host"]["round_ns"], point["nic"]["round_ns"]
+        table.add_row(point["nodes"], f"{host / 1000.0:.1f}",
+                      f"{nic / 1000.0:.1f}", f"{host / nic:.1f}×")
+    claims = result["claims"]
+    first, last = result["points"][0], result["points"][-1]
+    return (
+        f"{table.render()}\n\n"
+        f"From {first['nodes']} to {last['nodes']} nodes the host "
+        f"counter barrier slows down {claims['host_growth']}× (every "
+        "arrival and poll serializes at the home HIB) while the NIC "
+        f"combining tree slows down only {claims['nic_growth']}× "
+        "(the critical path is the tree depth, "
+        f"{last['nic']['tree_depth']} levels at {last['nodes']} "
+        f"nodes) — {claims['speedup_at_max']}× faster at scale."
+    )
+
+
+def check(result: Dict[str, Any]) -> List[str]:
+    """Sub-linear NIC growth, linear-or-worse host growth, and the NIC
+    barrier wins at every node count, not just at the ends."""
+    points = result["points"]
+    claims = _claims(points)
+    span = f"from {points[0]['nodes']} to {points[-1]['nodes']} nodes"
+    return unmet(
+        (claims["nic_sublinear"],
+         f"the NIC barrier slows {claims['nic_growth']}× {span}: not "
+         "sub-linear"),
+        (claims["host_linear_or_worse"],
+         f"the host barrier slows only {claims['host_growth']}× {span}"),
+        (claims["nic_faster_at_max"],
+         f"the NIC barrier is only {claims['speedup_at_max']}× faster at "
+         f"{points[-1]['nodes']} nodes"),
+        *[(point["nic"]["round_ns"] < point["host"]["round_ns"],
+           f"at {point['nodes']} nodes the NIC barrier "
+           f"({point['nic']['round_ns']} ns) loses to the host one "
+           f"({point['host']['round_ns']} ns)")
+          for point in points],
+    )
 
 
 SPEC = ExperimentSpec(
@@ -143,6 +156,7 @@ SPEC = ExperimentSpec(
     bench="benchmarks/bench_x1_barrier_scaling.py",
     run=run,
     render=render,
+    check=check,
     provenance="emergent",
     caveat="NIC-resident collectives are an extension built from the "
            "paper's own HIB mechanisms (home atomics + multicast "

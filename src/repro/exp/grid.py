@@ -44,9 +44,10 @@ class GridSpec:
     """One declared experiment family: a measurement × a parameter grid.
 
     The non-axis fields mirror :class:`~repro.exp.spec.ExperimentSpec`
-    — every expanded point inherits them (same bench harness, same
-    provenance vocabulary, same version stamp participating in every
-    point's cache key).
+    — every expanded point inherits them (same historical bench label,
+    same provenance vocabulary, same version stamp participating in
+    every point's cache key).  Points carry no ``check``: a family's
+    claim, where it has one, is its flat spec's.
     """
 
     #: Family id — the results subdirectory and the ``--only T2/*``
@@ -55,7 +56,8 @@ class GridSpec:
     #: One-line family description for ``sweep --list`` and the grid
     #: summaries in EXPERIMENTS.md.
     title: str
-    #: The pytest harness covering this family's measurement function.
+    #: Historical label, as :attr:`ExperimentSpec.bench`; every point
+    #: document and the family aggregate carry it as ``"bench"``.
     bench: str
     #: Called per point as ``run(**base, **axis_assignment)``.
     run: Callable[..., Dict[str, Any]]

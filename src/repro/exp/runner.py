@@ -21,10 +21,14 @@ Runs a list of :class:`~repro.exp.spec.ExperimentSpec` across a
   :class:`ExperimentFailure` — the sweep-level analogue of
   :class:`repro.faults.NodeFailure` (same vocabulary: bounded retries,
   then a machine-readable report instead of a hang or a crash).
+- **Check before store** — the parent runs each fresh result through
+  its spec's ``check`` (the paper's claim) before writing it; a result
+  that breaks its claim is a failure, not a document.
 """
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import queue as queue_module
 import traceback
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.exp.cache import ResultCache
-from repro.exp.spec import ExperimentSpec
+from repro.exp.spec import ExperimentSpec, canonical_json_bytes
 
 #: Extra attempts after the first failed one, mirroring the bounded
 #: retransmit budget of the reliable HIB transport.
@@ -177,6 +181,18 @@ def _run_sharded(
     return results, errors
 
 
+def _failed_claims(spec: ExperimentSpec, result: Dict[str, Any]) -> List[str]:
+    """``spec.check`` on ``result`` as it will be committed (through
+    JSON, as the test suite sees it); a check that raises fails with
+    its traceback."""
+    if spec.check is None:
+        return []
+    try:
+        return list(spec.check(json.loads(canonical_json_bytes(result))))
+    except Exception:
+        return [traceback.format_exc()]
+
+
 def run_sweep(
     specs: Sequence[ExperimentSpec],
     workers: int = 1,
@@ -231,6 +247,19 @@ def run_sweep(
         unresolved = [
             spec for spec in unresolved if spec.exp_id not in results
         ]
+
+    # A result that breaks its claim is a failure, not a document.
+    # The check is deterministic, so it is not retried.
+    for spec in pending:
+        if spec.exp_id not in results:
+            continue
+        problems = _failed_claims(spec, results[spec.exp_id])
+        if problems:
+            del results[spec.exp_id]
+            errors[spec.exp_id] = "claim check failed:\n" + "\n".join(
+                problems)
+            if progress is not None:
+                progress(f"[{spec.exp_id}] FAILED its claim check")
 
     # Persist in registry order from the parent: one writer, one
     # serializer, deterministic bytes.

@@ -2,11 +2,11 @@
 
 One :class:`ExperimentSpec` per paper table / figure / quantified
 claim.  A spec is *data about a pure function*: the measurement
-callable (a port of the corresponding ``benchmarks/bench_*.py`` run
-function), the parameters it is called with, a version stamp that must
-be bumped whenever the measurement code changes meaning, and the
-renderer that turns the machine-readable result into its EXPERIMENTS.md
-section.
+callable, the parameters it is called with, a version stamp that must
+be bumped whenever the measurement code changes meaning, the renderer
+that turns the machine-readable result into its EXPERIMENTS.md
+section, and the check that states the paper's claim about that
+result.
 
 The spec's :meth:`~ExperimentSpec.cache_key` is a stable BLAKE2b hash
 of ``(experiment id, params, spec version, schema version)`` — the
@@ -23,7 +23,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 #: Version of the results-document envelope written to ``results/*.json``.
 #: Bump when the envelope layout (not an individual experiment) changes;
@@ -127,6 +127,16 @@ def canonical_json_bytes(document: Mapping[str, Any]) -> bytes:
     ).encode("utf-8")
 
 
+def unmet(*claims: Tuple[bool, str]) -> List[str]:
+    """The messages of the ``(holds, message)`` pairs that do not hold.
+
+    The body of a spec's ``check``: one pair per asserted claim, so a
+    failed check names every broken claim at once.  (Plain ``assert``
+    would stop at the first, and ``python -O`` strips it.)
+    """
+    return [message for holds, message in claims if not holds]
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One paper claim as a pure, cacheable, renderable computation."""
@@ -136,13 +146,22 @@ class ExperimentSpec:
     exp_id: str
     #: Section heading in EXPERIMENTS.md.
     title: str
-    #: The pytest harness that asserts this claim's shape.
+    #: Historical label: the harness file that asserted this claim
+    #: before ``check`` did.  Every results envelope carries it as
+    #: ``"bench"``, so it stays until the next :data:`SCHEMA_VERSION`
+    #: bump rather than move every committed document.
     bench: str
     #: The measurement: called as ``run(**params)``, must return a
     #: JSON-serializable dict and be a pure function of its arguments.
     run: Callable[..., Dict[str, Any]]
     #: Renders the result dict into the markdown section body.
     render: Callable[[Dict[str, Any]], str]
+    #: The paper's claim about the result: one message per way the
+    #: result breaks it, ``[]`` when it holds.  The sweep rejects a
+    #: fresh result that fails it, and the test suite runs it on every
+    #: committed document.  ``None`` only for grid points, which carry
+    #: no claim of their own.  Not part of the cache key.
+    check: Optional[Callable[[Dict[str, Any]], List[str]]] = None
     #: ``fit`` | ``emergent`` | ``model`` (see :data:`PROVENANCES`).
     provenance: str = "emergent"
     #: One-line per-table reproduction caveat emitted under the section.

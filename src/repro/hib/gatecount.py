@@ -9,7 +9,7 @@ and a few kilobits of memory."
 The model is parametric in the sizing configuration so ablations can
 ask, e.g., what doubling the multicast table costs; with the default
 :class:`~repro.params.SizingParams` it reproduces Table 1's numbers
-exactly (see ``benchmarks/bench_table1_gatecount.py``).
+exactly (see ``repro.exp.experiments.t1_gatecount.check``).
 """
 
 from __future__ import annotations

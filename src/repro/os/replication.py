@@ -13,7 +13,7 @@ owner's engine will reflect future updates here), and retargets every
 process mapping of that page from the remote window to the local copy
 — after which reads that used to cost a full network round trip cost a
 local access.  That is the entire point of the mechanism, measured in
-``benchmarks/bench_s226_replication.py``.
+:mod:`repro.exp.experiments.s6_replication`.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ provenance.  Three classes of numbers:
 
 The default values reproduce the paper's Table 1 configuration
 (Telegraphos I) and its §3.2 measurements; see
-``benchmarks/bench_table2_latency.py`` for the check.
+``repro.exp.experiments.t2_latency.check`` for the check.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ A :class:`Tracer` records typed events (category + fields) with their
 simulation timestamps; experiments and the memory-model checker read
 them back.  An :class:`Accumulator` collects scalar samples and reports
 summary statistics — it is the backbone of every latency measurement in
-the benchmark harness.
+the experiment specs.
 """
 
 from __future__ import annotations

@@ -50,7 +50,7 @@ def run_hotspot_counter(
 
         contexts.append(cluster.start(proc, program))
     start = cluster.now
-    cluster.run_programs(contexts)
+    cluster.run(join=contexts)
     expected = increments_per_node * len(cluster.nodes)
     return HotspotResult(
         makespan_ns=cluster.now - start,

@@ -58,7 +58,7 @@ def run_migratory(
 
         contexts.append(cluster.start(proc, program))
     start = cluster.now
-    cluster.run_programs(contexts)
+    cluster.run(join=contexts)
     updates = sum(
         engine.stats["updates_sent"] for engine in cluster.engines.values()
     )

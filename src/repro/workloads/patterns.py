@@ -123,7 +123,7 @@ def play_pattern(
             latencies.append(cluster.now - start)
             yield p.think(think_ns)  # inter-access compute
 
-    cluster.run_programs([cluster.start(proc, program)])
+    cluster.run(join=[cluster.start(proc, program)])
     replications = (
         cluster.node(reader_node).replication.replications
         if watch_threshold is not None else 0

@@ -96,7 +96,7 @@ def run_producer_consumer(
         contexts.append(cluster.start(consumer, consumer_prog))
 
     start = cluster.now
-    cluster.run_programs(contexts)
+    cluster.run(join=contexts)
     return ProducerConsumerResult(
         makespan_ns=cluster.now - start,
         consumer_read_ns=read_latency,

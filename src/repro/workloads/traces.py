@@ -128,7 +128,7 @@ class TracePlayer:
 
             contexts.append(cluster.start(proc, program))
         start = cluster.now
-        cluster.run_programs(contexts)
+        cluster.run(join=contexts)
         return TraceResult(
             makespan_ns=cluster.now - start, latency=latency, trace=trace
         )

@@ -22,7 +22,7 @@ def busy_cluster():
         yield from p.fetch_and_add(rbase + 0x40, 1)
 
     ctxs = [cluster.start(writer, write), cluster.start(reader, read)]
-    cluster.run_programs(ctxs)
+    cluster.run(join=ctxs)
     return cluster
 
 

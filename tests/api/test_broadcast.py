@@ -39,7 +39,7 @@ def test_every_receiver_gets_every_message():
                 got[node].append((yield from channel.receivers[node].recv()))
 
         ctxs.append(cluster.start(proc, recv))
-    cluster.run_programs(ctxs)
+    cluster.run(join=ctxs)
     for node in rps:
         assert got[node] == [[i, 10 * i] for i in range(n)]
     # The fan-out happened in hardware: one multicast update per
@@ -70,7 +70,7 @@ def test_sender_waits_for_slowest_receiver():
         cluster.start(proc, lambda p, node=node: recv(p, node))
         for node, proc in rps.items()
     )
-    cluster.run_programs(ctxs)
+    cluster.run(join=ctxs)
     for node in rps:
         assert [m[0] for m in got[node]] == list(range(n))
     # The third message could not be sent until the slow receiver

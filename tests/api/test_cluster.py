@@ -31,10 +31,27 @@ def test_quickstart_write_fence_read():
         got.append((yield p.load(base)))
 
     ctx = cluster.start(proc, program)
-    cluster.run_programs([ctx])
+    cluster.run(join=[ctx])
     assert got == [42]
     assert seg.peek(0) == 42
     cluster.assert_quiescent()
+
+
+def test_run_join_honours_a_zero_limit():
+    """``limit_ns=0`` is a limit, not "no limit": a program that needs
+    simulated time raises at t=0 instead of running to completion."""
+    cluster = Cluster(ClusterConfig(n_nodes=2))
+    seg = cluster.alloc_segment(home=1, pages=1, name="data")
+    proc = cluster.create_process(node=0, name="reader")
+    base = proc.map(seg)
+
+    def program(p):
+        for _ in range(100):
+            yield p.load(base)
+
+    with pytest.raises(TimeoutError):
+        cluster.run(join=[cluster.start(proc, program)], limit_ns=0)
+    assert cluster.now == 0
 
 
 def test_segment_names_unique():
@@ -56,7 +73,7 @@ def test_home_process_accesses_segment_locally():
         yield p.store(base + 8, 5)
         got.append((yield p.load(base + 8)))
 
-    cluster.run_programs([cluster.start(proc, program)])
+    cluster.run(join=[cluster.start(proc, program)])
     assert got == [5]
     # No network traffic for home accesses.
     assert cluster.node(0).hib.stats["remote_writes"] == 0
@@ -77,7 +94,7 @@ def test_atomics_via_api_both_prototypes(prototype):
         got.append((yield from p.fetch_and_store(base + 4, 7)))
         got.append((yield from p.compare_and_swap(base, 15, 99)))
 
-    cluster.run_programs([cluster.start(proc, program)])
+    cluster.run(join=[cluster.start(proc, program)])
     assert got == [10, 0, 15]
     assert seg.peek(0) == 99
     assert seg.peek(4) == 7
@@ -98,7 +115,7 @@ def test_remote_copy_via_api_both_prototypes(prototype):
         yield from p.remote_copy(src_base + 0x20, dst_base + 0x40)
         yield p.fence()
 
-    cluster.run_programs([cluster.start(proc, program)])
+    cluster.run(join=[cluster.start(proc, program)])
     assert dst.peek(0x40) == 1234
 
 
@@ -114,7 +131,7 @@ def test_replica_mapping_with_protocol():
         yield p.store(wbase, 77)
 
     ctx = cluster.start(writer, wprog)
-    cluster.run_programs([ctx])
+    cluster.run(join=[ctx])
     # The write reached the home and the other replica.
     assert seg.peek(0) == 77
     got = []
@@ -122,7 +139,7 @@ def test_replica_mapping_with_protocol():
     def rprog(p):
         got.append((yield p.load(rbase)))
 
-    cluster.run_programs([cluster.start(reader, rprog)])
+    cluster.run(join=[cluster.start(reader, rprog)])
     assert got == [77]
     assert not cluster.checker().subsequence_violations()
 
@@ -138,7 +155,7 @@ def test_replica_preloads_existing_contents():
     def prog(p):
         got.append((yield p.load(base + 0x10)))
 
-    cluster.run_programs([cluster.start(reader, prog)])
+    cluster.run(join=[cluster.start(reader, prog)])
     assert got == [5555]
 
 
@@ -156,7 +173,7 @@ def test_multi_page_replica_is_contiguous_and_correct():
         for i in range(3):
             got.append((yield p.load(base + i * page)))
 
-    cluster.run_programs([cluster.start(reader, prog)])
+    cluster.run(join=[cluster.start(reader, prog)])
     assert got == [900, 901, 902]
     # The replica occupies one consecutive backend-page run.
     placements = [
@@ -208,7 +225,7 @@ def test_multi_page_segment():
             yield p.store(base + i * page, 100 + i)
         yield p.fence()
 
-    cluster.run_programs([cluster.start(proc, program)])
+    cluster.run(join=[cluster.start(proc, program)])
     for i in range(3):
         assert seg.peek(i * page) == 100 + i
 
@@ -223,7 +240,7 @@ def test_chain_topology_cluster_works():
         yield p.store(base, 1)
         yield p.fence()
 
-    cluster.run_programs([cluster.start(proc, program)])
+    cluster.run(join=[cluster.start(proc, program)])
     assert seg.peek(0) == 1
 
 
@@ -240,5 +257,5 @@ def test_prototype2_uses_dram_backend():
         yield p.store(base, 9)
         yield p.fence()
 
-    cluster.run_programs([cluster.start(proc, program)])
+    cluster.run(join=[cluster.start(proc, program)])
     assert seg.peek(0) == 9

@@ -125,16 +125,3 @@ def test_stats_facade_shape():
     assert stats["coherence"]["divergent_words"] == []
     assert stats["now_ns"] == cluster.now
 
-
-def test_run_programs_is_a_compatible_alias():
-    cluster = Cluster(ClusterConfig(n_nodes=2))
-    seg = cluster.alloc_segment(home=1, pages=1, name="d")
-    proc = cluster.create_process(node=0, name="p")
-    base = proc.map(seg)
-
-    def program(p):
-        yield p.store(base, 7)
-        yield p.fence()
-
-    cluster.run_programs([cluster.start(proc, program)])
-    assert seg.peek(0) == 7

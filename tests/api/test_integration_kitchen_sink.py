@@ -127,7 +127,7 @@ def test_kitchen_sink_mesh_cluster():
         contexts.append(cluster.start(extra, spin))
 
     # --- run and verify everything --------------------------------------
-    cluster.run_programs(contexts, limit_ns=10**12)
+    cluster.run(join=contexts, limit_ns=10**12)
 
     # Producer/consumer: every consumer saw only real batch values.
     for node in (1, 2):

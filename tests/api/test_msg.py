@@ -27,7 +27,7 @@ def test_single_message_roundtrip():
         got.append((yield from channel.receiver.recv()))
 
     ctxs = [cluster.start(sp, send), cluster.start(rp, recv)]
-    cluster.run_programs(ctxs)
+    cluster.run(join=ctxs)
     assert got == [[1, 2, 3]]
 
 
@@ -45,7 +45,7 @@ def test_messages_delivered_in_order():
             got.append((yield from channel.receiver.recv()))
 
     ctxs = [cluster.start(sp, send), cluster.start(rp, recv)]
-    cluster.run_programs(ctxs)
+    cluster.run(join=ctxs)
     assert got == [[i, i * i] for i in range(n)]
     assert channel.sender.messages_sent == n
     assert channel.receiver.messages_received == n
@@ -68,7 +68,7 @@ def test_flow_control_blocks_sender_when_ring_full():
             got.append((yield from channel.receiver.recv()))
 
     ctxs = [cluster.start(sp, send), cluster.start(rp, recv)]
-    cluster.run_programs(ctxs)
+    cluster.run(join=ctxs)
     assert [m[0] for m in got] == list(range(n))
     # First two sends proceed immediately; the third waits for credit.
     assert send_times[1] < 3_000_000

@@ -47,7 +47,7 @@ def test_spinlock_mutual_exclusion(prototype):
                 yield from lock.release()
 
         ctxs.append(cluster.start(proc, program))
-    cluster.run_programs(ctxs)
+    cluster.run(join=ctxs)
     assert data.peek(0) == 3 * per_proc
     # Critical sections are disjoint in time.
     events = sorted(sections, key=lambda e: e[2])
@@ -71,7 +71,7 @@ def test_spinlock_contention_counts():
 
     ctx = cluster.start(proc, program)
     cluster.sim.schedule(200_000, sync.poke, 0, 0)
-    cluster.run_programs([ctx])
+    cluster.run(join=[ctx])
     assert lock.spins > 0
     assert lock.acquisitions == 1
 
@@ -91,7 +91,7 @@ def test_barrier_synchronises_parties():
             after.append((node, cluster.now))
 
         ctxs.append(cluster.start(proc, program))
-    cluster.run_programs(ctxs)
+    cluster.run(join=ctxs)
     assert len(after) == 3
     times = [t for _, t in after]
     # Nobody leaves before the last arrival (node 2 at >=100µs).
@@ -115,7 +115,7 @@ def test_barrier_reusable_across_phases():
                 phases[node].append(phase)
 
         ctxs.append(cluster.start(proc, program))
-    cluster.run_programs(ctxs)
+    cluster.run(join=ctxs)
     assert phases[0] == [0, 1, 2]
     assert phases[1] == [0, 1, 2]
 
@@ -150,5 +150,5 @@ def test_flag_with_fence_never_shows_stale_data():
         got.append((yield p.load(data_r)))
 
     ctxs = [cluster.start(producer, produce), cluster.start(consumer, consume)]
-    cluster.run_programs(ctxs)
+    cluster.run(join=ctxs)
     assert got == [4242]

@@ -28,7 +28,7 @@ def test_first_read_faults_then_is_local():
         got.append((yield p.load(base + 0x10)))
         latencies.append(cluster.now - start)
 
-    cluster.run_programs([cluster.start(proc, program)])
+    cluster.run(join=[cluster.start(proc, program)])
     assert got == [42, 42]
     assert vsm.read_faults == 1
     assert vsm.pages_transferred == 1
@@ -48,14 +48,14 @@ def test_write_fault_invalidates_other_readers():
     def read_phase(p):
         got.append((yield p.load(rbase)))
 
-    cluster.run_programs([cluster.start(reader, read_phase)])
+    cluster.run(join=[cluster.start(reader, read_phase)])
     state = vsm.pages[0]
     assert 1 in state.copyset
 
     def write_phase(p):
         yield p.store(wbase, 9)
 
-    cluster.run_programs([cluster.start(writer, write_phase)])
+    cluster.run(join=[cluster.start(writer, write_phase)])
     assert vsm.write_faults == 1
     assert vsm.invalidations >= 1
     assert state.copyset == {2}
@@ -65,7 +65,7 @@ def test_write_fault_invalidates_other_readers():
     def read_again(p):
         got.append((yield p.load(rbase)))
 
-    cluster.run_programs([cluster.start(reader, read_again)])
+    cluster.run(join=[cluster.start(reader, read_again)])
     assert got == [5, 9]
     assert vsm.read_faults == 2
 
@@ -80,7 +80,7 @@ def test_home_node_starts_mapped_rw():
         yield p.store(base, 7)
         got.append((yield p.load(base)))
 
-    cluster.run_programs([cluster.start(proc, program)])
+    cluster.run(join=[cluster.start(proc, program)])
     assert got == [7]
     assert vsm.read_faults == 0
     assert vsm.write_faults == 0
@@ -95,7 +95,7 @@ def test_write_after_read_upgrades():
         yield p.load(base)       # read fault: page arrives RO
         yield p.store(base, 3)   # write fault: upgrade to RW
 
-    cluster.run_programs([cluster.start(proc, program)])
+    cluster.run(join=[cluster.start(proc, program)])
     assert vsm.read_faults == 1
     assert vsm.write_faults == 1
     assert vsm.pages_transferred == 1  # upgrade reuses the local copy
@@ -111,7 +111,7 @@ def test_pages_independent():
         yield p.load(base)
         yield p.load(base + page)
 
-    cluster.run_programs([cluster.start(proc, program)])
+    cluster.run(join=[cluster.start(proc, program)])
     assert vsm.read_faults == 2
     assert vsm.pages_transferred == 2
 
@@ -129,5 +129,5 @@ def test_vsm_fault_cost_is_hundreds_of_microseconds():
         yield p.load(base)
         cost["fault"] = cluster.now - start
 
-    cluster.run_programs([cluster.start(proc, program)])
+    cluster.run(join=[cluster.start(proc, program)])
     assert cost["fault"] > 300_000  # > 300 µs

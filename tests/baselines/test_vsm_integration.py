@@ -33,7 +33,7 @@ def test_vsm_ping_pong_ownership_migrates():
             yield p.store(bbase, value + 10)
 
     ctxs = [cluster.start(a, ping), cluster.start(b, pong)]
-    cluster.run_programs(ctxs)
+    cluster.run(join=ctxs)
     # 3 increments of 1 and 3 of 10 — nothing lost.
     final = vsm.views[vsm.pages[0].owner].local_page[0]
     owner = vsm.pages[0].owner
@@ -69,7 +69,7 @@ def test_vsm_data_with_telegraphos_locks():
                 yield from lock.release()
 
         ctxs.append(cluster.start(proc, program))
-    cluster.run_programs(ctxs)
+    cluster.run(join=ctxs)
     owner = vsm.pages[0].owner
     local = vsm.views[owner].local_page[0]
     value = cluster.node(owner).backend.peek(

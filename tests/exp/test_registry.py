@@ -1,6 +1,7 @@
-"""The experiment registry: completeness against the benchmark
-suite, and freshness of the committed results cache."""
+"""The experiment registry: completeness, the paper's claims on the
+committed results, and freshness of the committed results cache."""
 
+import copy
 from pathlib import Path
 
 import pytest
@@ -49,17 +50,54 @@ def test_grid_families_are_declared_and_expanded():
             == [p.exp_id for p in grid.expand()]
 
 
-def test_every_spec_has_its_bench_harness():
-    registered = {spec.bench for spec in default_registry()}
-    registered |= {grid.bench for grid in default_grids()}
-    for bench in registered:
-        assert (REPO_ROOT / bench).is_file(), bench
-    # ...and every experiment-shaped bench file is registered.
-    on_disk = {
-        f"benchmarks/{p.name}"
-        for p in (REPO_ROOT / "benchmarks").glob("bench_*.py")
-    }
-    assert on_disk == registered
+def committed_result(exp_id):
+    document = ResultCache(str(REPO_ROOT / "results")).load_document(exp_id)
+    assert document is not None, f"results/{exp_id}.json is missing"
+    return document["result"]
+
+
+@pytest.mark.parametrize("exp_id", EXPECTED_IDS)
+def test_every_claim_holds_on_its_committed_result(exp_id):
+    spec = spec_map(flat_specs())[exp_id]
+    assert spec.check is not None, f"{exp_id} states no claim"
+    assert spec.check(committed_result(exp_id)) == []
+
+
+#: One broken copy per claim: each edit breaks something its check
+#: asserts, so no check can pass vacuously.
+PERTURBATIONS = {
+    "T1": lambda r: r.update(shared_memory_gates=2800),
+    "T2": lambda r: r.update(read_us=r["write_us"]),
+    "C1": lambda r: r["batches"][2].update(us_per_write=0.6),  # 100 writes
+    "F2": lambda r: r["eager"].update(divergent_words=0),
+    "S1": lambda r: r["stale_read"].update(telegraphos=0),
+    "S2": lambda r: r["telegraphos"].update(
+        counter_rmws=r["telegraphos"]["writes"] + 1),
+    "S3": lambda r: r["sweep"][5].update(stalls=3),  # 32 entries
+    "S4": lambda r: r["unsafe"].update(read=4242),
+    "S5": lambda r: r["telegraphos"].update(observer_sequence=[1, 2, 1]),
+    "S6": lambda r: r["uniform_alarm"].update(replications=1),
+    "S7": lambda r: r["sockets"].update(
+        delivered=r["telegraphos"]["issue"]),
+    "S8": lambda r: r["producer_consumer"]["replica"].update(
+        read_us=r["producer_consumer"]["remote"]["read_us"]),
+    "A3": lambda r: r["false_sharing"]["vsm"].update(
+        faults=r["private_pages"]["vsm"]["faults"]),
+    "A1": lambda r: r["tg2"].update(launch_us=r["tg1"]["launch_us"]),
+    "A2": lambda r: r["cases"][-1].update(
+        write_us=2 * r["cases"][-1]["write_us"]),
+    "X1": lambda r: r["points"][-1]["nic"].update(
+        round_ns=r["points"][-1]["host"]["round_ns"]),
+    "X2": lambda r: r["nic"].update(combine_hits=0),
+}
+
+
+@pytest.mark.parametrize("exp_id", EXPECTED_IDS)
+def test_every_check_rejects_its_perturbed_result(exp_id):
+    spec = spec_map(flat_specs())[exp_id]
+    broken = copy.deepcopy(committed_result(exp_id))
+    PERTURBATIONS[exp_id](broken)
+    assert spec.check(broken), f"{exp_id}'s check accepts {broken}"
 
 
 def test_specs_declare_valid_metadata():

@@ -40,13 +40,23 @@ def run_always_exits(code=13):
     os._exit(code)
 
 
-def make_spec(exp_id, run, params=None, cost=1.0):
+def check_value_even(result):
+    return [] if result["value"] % 2 == 0 else [
+        f"value {result['value']} is odd"]
+
+
+def check_always_raises(result):
+    raise KeyError("claim reads a missing field")
+
+
+def make_spec(exp_id, run, params=None, cost=1.0, check=None):
     return ExperimentSpec(
         exp_id=exp_id,
         title=f"synthetic {exp_id}",
         bench="synthetic.py",
         run=run,
         render=render_noop,
+        check=check,
         params=params or {},
         cost=cost,
     )
@@ -143,6 +153,27 @@ def test_retry_budget_exhaustion_degrades_to_structured_failure(tmp_path):
     assert failure.to_dict()["experiment"] == "BAD"
     # The failed experiment left no (stale) result file behind.
     assert not (tmp_path / "BAD.json").exists()
+
+
+def test_failed_claim_check_is_a_failure_and_writes_nothing(tmp_path):
+    """A result that breaks its spec's claim, or whose check raises, is
+    an ExperimentFailure carrying the reason, and no document is
+    written for it.  A check is deterministic, so it is not retried."""
+    specs = [
+        make_spec("EVEN", run_value, params={"value": 2},
+                  check=check_value_even),
+        make_spec("ODD", run_value, params={"value": 3},
+                  check=check_value_even),
+        make_spec("RAISES", run_value, check=check_always_raises),
+    ]
+    outcome = run_sweep(specs, workers=1, cache=ResultCache(str(tmp_path)))
+    assert outcome.ran == ["EVEN"]
+    failures = {failure.experiment: failure for failure in outcome.failures}
+    assert sorted(failures) == ["ODD", "RAISES"]
+    assert "value 3 is odd" in failures["ODD"].error
+    assert failures["ODD"].attempts == 1
+    assert "claim reads a missing field" in failures["RAISES"].error
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["EVEN.json"]
 
 
 def test_dead_worker_failure_reports_exitcode_and_host(tmp_path):

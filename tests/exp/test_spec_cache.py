@@ -57,6 +57,7 @@ def test_cache_key_is_stable_and_version_sensitive():
     assert make_spec(title="renamed").cache_key() == key
     assert make_spec(caveat="different note").cache_key() == key
     assert make_spec(cost=9.0).cache_key() == key
+    assert make_spec(check=lambda result: []).cache_key() == key
 
 
 def test_cache_round_trip(tmp_path):

@@ -80,7 +80,7 @@ def coherence_run(kernel: str = "bucket") -> Cluster:
             yield p.fence()
 
         ctxs.append(cluster.start(proc, program))
-    cluster.run_programs(ctxs)
+    cluster.run(join=ctxs)
     return cluster
 
 

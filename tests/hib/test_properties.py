@@ -63,7 +63,7 @@ def test_property_no_lost_fetch_and_add(increments):
                 fetched.append(old)
 
         ctxs.append(cluster.start(proc, program))
-    cluster.run_programs(ctxs)
+    cluster.run(join=ctxs)
     total = sum(delta for _, delta in increments)
     assert seg.peek(0) == total
     # Every fetch observed a value in range and all were distinct
@@ -96,7 +96,7 @@ def test_property_fence_implies_all_writes_visible(n_writes, home):
         for i in range(n_writes):
             assert seg.peek(4 * i) == i + 1, i
 
-    cluster.run_programs([cluster.start(proc, program)])
+    cluster.run(join=[cluster.start(proc, program)])
     assert cluster.node(0).hib.outstanding.count == 0
 
 
@@ -115,5 +115,5 @@ def test_property_last_write_wins_per_word(values):
             yield p.store(base, value)
         yield p.fence()
 
-    cluster.run_programs([cluster.start(proc, program)])
+    cluster.run(join=[cluster.start(proc, program)])
     assert seg.peek(0) == values[-1] & 0xFFFFFFFF

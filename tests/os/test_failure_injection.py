@@ -36,7 +36,7 @@ def test_fault_inside_pal_launch_kills_and_resets_hib():
         except ProtectionViolation:
             outcome.append("killed")
 
-    cluster.run_programs([cluster.start(bad, bad_program)])
+    cluster.run(join=[cluster.start(bad, bad_program)])
     assert outcome == ["killed"]
     assert station.os.programs_killed == 1
     # §2.2.4 footnote: the HIB was restored to a clean state.
@@ -50,7 +50,7 @@ def test_fault_inside_pal_launch_kills_and_resets_hib():
     def good_program(p):
         got.append((yield from p.fetch_and_add(base, 3)))
 
-    cluster.run_programs([cluster.start(good, good_program)])
+    cluster.run(join=[cluster.start(good, good_program)])
     assert got == [0]
     assert seg.peek(0) == 3
 
@@ -85,7 +85,7 @@ def test_forged_key_cannot_use_foreign_context():
         # Forged key into the victim's context.
         yield Store(attacker_shadow, Reg.shadow_argument(victim_ctx, wrong_key))
 
-    cluster.run_programs([cluster.start(attacker, attack)])
+    cluster.run(join=[cluster.start(attacker, attack)])
     assert len(protections) == 1
     assert cluster.node(0).hib.contexts[victim_ctx].addresses == []
 
@@ -95,7 +95,7 @@ def test_forged_key_cannot_use_foreign_context():
     def victim_prog(p):
         got.append((yield from p.fetch_and_add(victim_base, 1)))
 
-    cluster.run_programs([cluster.start(victim, victim_prog)])
+    cluster.run(join=[cluster.start(victim, victim_prog)])
     assert got == [0]
 
 

@@ -26,7 +26,7 @@ def test_hot_page_gets_replicated_and_remapped():
             values.append((yield p.load(base)))
             yield p.think(100_000)  # leave time for the replication IRQ
 
-    cluster.run_programs([cluster.start(proc, program)])
+    cluster.run(join=[cluster.start(proc, program)])
     policy = cluster.node(0).replication
     assert policy.replications == 1
     assert (1, seg.gpage) in policy.replicated
@@ -54,7 +54,7 @@ def test_reads_get_faster_after_replication():
             latencies.append(cluster.now - start)
             yield p.think(100_000)
 
-    cluster.run_programs([cluster.start(proc, program)])
+    cluster.run(join=[cluster.start(proc, program)])
     # Early reads cross the network; late reads are local.
     assert latencies[-1] < latencies[0] / 2
 
@@ -73,7 +73,7 @@ def test_replica_stays_coherent_with_home_writes():
             yield p.load(base)
             yield p.think(100_000)
 
-    cluster.run_programs([cluster.start(reader, read_phase)])
+    cluster.run(join=[cluster.start(reader, read_phase)])
     assert cluster.node(0).replication.replications == 1
 
     writer = cluster.create_process(node=1, name="writer")
@@ -82,13 +82,13 @@ def test_replica_stays_coherent_with_home_writes():
     def write_phase(p):
         yield p.store(wbase + 8, 777)
 
-    cluster.run_programs([cluster.start(writer, write_phase)])
+    cluster.run(join=[cluster.start(writer, write_phase)])
     got = []
 
     def read_again(p):
         got.append((yield p.load(base + 8)))
 
-    cluster.run_programs([cluster.start(reader, read_again, )])
+    cluster.run(join=[cluster.start(reader, read_again, )])
     assert got == [777]
 
 
@@ -103,7 +103,7 @@ def test_alarm_below_threshold_does_not_replicate():
         for _ in range(5):
             yield p.load(base)
 
-    cluster.run_programs([cluster.start(proc, program)])
+    cluster.run(join=[cluster.start(proc, program)])
     assert cluster.node(0).replication.replications == 0
 
 
@@ -120,5 +120,5 @@ def test_duplicate_alarm_is_idempotent():
             yield p.load(base)
             yield p.think(100_000)
 
-    cluster.run_programs([cluster.start(proc, program)])
+    cluster.run(join=[cluster.start(proc, program)])
     assert policy.replications == 1

@@ -27,7 +27,7 @@ def test_round_robin_interleaves_three_programs():
                 order.append(tag)
 
         ctxs.append(cluster.start(proc, program))
-    cluster.run_programs(ctxs)
+    cluster.run(join=ctxs)
     sched.stop()
     # All finished, and execution actually interleaved (not p0 fully
     # before p1).
@@ -70,7 +70,7 @@ def test_atomics_correct_under_heavy_preemption(prototype):
                 yield from p.fetch_and_add(base, 1)
 
         ctxs.append(cluster.start(proc, program))
-    cluster.run_programs(ctxs)
+    cluster.run(join=ctxs)
     assert seg.peek(0) == 2 * per_proc
 
 
@@ -86,7 +86,7 @@ def test_kernel_kills_on_unserviceable_fault():
             killed.append(True)
 
     ctx = cluster.start(proc, program)
-    cluster.run_programs([ctx])
+    cluster.run(join=[ctx])
     assert killed == [True]
     assert cluster.node(0).os.programs_killed == 1
     assert cluster.node(0).os.faults_handled == 1
@@ -119,7 +119,7 @@ def test_kernel_fixer_chain_can_retry():
         yield p.store(missing_vaddr, 7)
         got.append((yield p.load(missing_vaddr)))
 
-    cluster.run_programs([cluster.start(proc, program)])
+    cluster.run(join=[cluster.start(proc, program)])
     assert fixed == [missing_vaddr]
     assert got == [7]
     assert cluster.node(0).os.programs_killed == 0
@@ -137,7 +137,7 @@ def test_kernel_kill_resets_hib_special_state():
         except ProtectionViolation:
             pass
 
-    cluster.run_programs([cluster.start(proc, program)])
+    cluster.run(join=[cluster.start(proc, program)])
     assert not station.hib.special1.armed
 
 

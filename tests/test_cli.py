@@ -44,14 +44,13 @@ def test_readme_documents_every_subcommand():
 
 def test_collectives_flag_on_every_cluster_command():
     """`--collectives {host,nic}` is part of the cluster surface:
-    present on stats/trace and (as the exploratory mode) on
-    sweep — and documented in README.md."""
+    present on stats/trace and documented in README.md."""
     parser = build_parser()
     (subparsers,) = [
         action for action in parser._actions
         if hasattr(action, "choices") and action.choices
     ]
-    for command in ("stats", "trace", "sweep"):
+    for command in ("stats", "trace"):
         sub = subparsers.choices[command]
         (action,) = [a for a in sub._actions
                      if "--collectives" in a.option_strings]
@@ -132,7 +131,7 @@ def test_sweep_distributed_flags_registered_and_documented():
     flags = _option_strings(_sweep_subparser())
     assert flags == {
         "--workers", "--only", "--force", "--retries", "--results-dir",
-        "--out", "--render-only", "--list", "--collectives",
+        "--out", "--render-only", "--list",
     }
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     for flag in sorted(flags):

@@ -26,7 +26,7 @@ def mixed_run():
                 yield from p.fetch_and_add(base + 0x100, 1)
 
         ctxs.append(cluster.start(proc, program))
-    cluster.run_programs(ctxs)
+    cluster.run(join=ctxs)
     trace_fingerprint = [
         (e.time, e.category, tuple(sorted(e.fields.items())))
         for e in cluster.tracer.events
@@ -85,7 +85,7 @@ def faulty_run(fault_seed):
             yield p.fence()
 
         ctxs.append(cluster.start(proc, program))
-    cluster.run_programs(ctxs)
+    cluster.run(join=ctxs)
     trace_fingerprint = [
         (e.time, e.category, tuple(sorted(e.fields.items())))
         for e in cluster.tracer.events

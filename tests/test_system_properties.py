@@ -46,7 +46,7 @@ def test_property_operation_conservation(plan):
             yield p.fence()
 
         ctxs.append(cluster.start(proc, program))
-    cluster.run_programs(ctxs)
+    cluster.run(join=ctxs)
     assert seg.peek(0x100) == expected_adds
     for station in cluster.nodes:
         assert station.hib.outstanding.count == 0
@@ -82,7 +82,7 @@ def test_property_channel_fifo_exact(payloads):
         for _ in payloads:
             got.append((yield from channel.receiver.recv()))
 
-    cluster.run_programs([cluster.start(sp, send), cluster.start(rp, recv)])
+    cluster.run(join=[cluster.start(sp, send), cluster.start(rp, recv)])
     assert got == payloads
 
 
@@ -112,5 +112,5 @@ def test_property_atomics_survive_any_preemption_quantum(quantum_us):
                     yield from p.fetch_and_add(base, 1)
 
             ctxs.append(cluster.start(proc, program))
-        cluster.run_programs(ctxs)
+        cluster.run(join=ctxs)
         assert seg.peek(0) == 2 * per_proc, f"prototype {prototype}"
