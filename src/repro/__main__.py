@@ -254,19 +254,21 @@ def cmd_sweep(args) -> int:
             print(table.render())
         return 0
 
-    from repro.analysis.monitors import SweepMonitor
-
-    monitor = SweepMonitor(emit=print)
     if not args.render_only:
         outcome = run_sweep(
             specs, workers=args.workers, cache=cache, force=args.force,
-            retries=args.retries, progress=monitor,
+            retries=args.retries, progress=print,
         )
         print(f"sweep: {len(outcome.ran)} ran, {len(outcome.cached)} cached, "
               f"{len(outcome.failures)} failed "
               f"({args.workers} worker{'s' if args.workers != 1 else ''})")
-        if monitor.families:
-            print(monitor.summary())
+        families = outcome.family_counts()
+        if families:
+            print("per family:")
+            for family, tally in families.items():
+                counts = ", ".join(f"{count} {bucket}"
+                                   for bucket, count in tally.items() if count)
+                print(f"  {family}: {counts}")
         for failure in outcome.failures:
             print(f"  FAILED {failure.experiment} "
                   f"(shard {failure.shard}, {failure.attempts} attempts)",

@@ -11,8 +11,6 @@
 - :mod:`repro.analysis.results` — grid-family aggregation: committed
   point results → plot-ready ``results/aggregates/<family>.json``
   (``repro report``).
-- :mod:`repro.analysis.monitors` — sweep progress tallies
-  (:class:`SweepMonitor`), the per-family digest of a grid sweep.
 """
 
 from repro.analysis.measure import (
@@ -22,7 +20,6 @@ from repro.analysis.measure import (
     us,
 )
 from repro.analysis.metrics import flatten_metrics, series_for
-from repro.analysis.monitors import SweepMonitor
 from repro.analysis.report import ClusterReport, render_experiments_md
 from repro.analysis.results import (
     AggregateError,
@@ -39,7 +36,6 @@ __all__ = [
     "AggregateError",
     "ClusterReport",
     "MarkdownTable",
-    "SweepMonitor",
     "Table",
     "aggregate_family",
     "aggregate_path",

@@ -192,15 +192,13 @@ class Cluster:
 
     # -- collectives --------------------------------------------------------
 
-    def collective_group(self, name: str, nodes=None,
-                         backend: Optional[str] = None, radix: int = 2,
+    def collective_group(self, name: str, nodes=None, radix: int = 2,
                          release: str = "tree",
-                         combine_window_ns: int = 400,
-                         poll_ns: int = 2000) -> "CollectiveGroup":
+                         combine_window_ns: int = 400) -> "CollectiveGroup":
         """Create a named collective group (see
         :mod:`repro.api.collectives`).
 
-        ``nodes`` defaults to every node; ``backend`` defaults to
+        ``nodes`` defaults to every node; the backend is the cluster's
         ``config.collectives`` (``"host"`` or ``"nic"``).
         """
         from repro.api.collectives import CollectiveGroup
@@ -210,10 +208,8 @@ class Cluster:
         if nodes is None:
             nodes = range(len(self.nodes))
         group = CollectiveGroup(
-            self, name, nodes,
-            backend=backend or self.config.collectives,
-            radix=radix, release=release,
-            combine_window_ns=combine_window_ns, poll_ns=poll_ns,
+            self, name, nodes, radix=radix, release=release,
+            combine_window_ns=combine_window_ns,
         )
         self._collective_groups[name] = group
         return group

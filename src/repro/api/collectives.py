@@ -11,9 +11,8 @@ together.  Each participating process ``join``\\ s the group and gets a
 - ``fetch_add(vaddr, delta)`` — an atomic increment of a shared word
   that returns the fetched (pre-add) value.
 
-Two backends implement that surface (``ClusterConfig(collectives=...)``
-selects the default; ``Cluster.collective_group(backend=...)``
-overrides per group):
+Two backends implement that surface; ``ClusterConfig(collectives=...)``
+selects one for every group of the cluster:
 
 ``host``
     The classic software path over the paper's primitives: a
@@ -41,10 +40,6 @@ from typing import Optional, Sequence
 from repro.api.shmem import Proc, Segment
 from repro.hib.collectives import CollectiveGroupSpec
 from repro.machine.ops import CollectiveCall, CollectiveFetchAdd
-
-#: Backend names accepted by ``ClusterConfig(collectives=...)`` and
-#: ``Cluster.collective_group(backend=...)``.
-COLLECTIVE_BACKENDS = ("host", "nic")
 
 #: Reduction names accepted by :meth:`Collective.all_reduce`.
 REDUCTIONS = ("sum", "min", "max")
@@ -296,17 +291,14 @@ class CollectiveGroup:
 
     Built by :meth:`repro.api.cluster.Cluster.collective_group`; each
     participating process calls :meth:`join` to get its
-    :class:`Collective` handle.
+    :class:`Collective` handle.  The backend is the cluster's
+    ``config.collectives``.
     """
 
     def __init__(self, cluster, name: str, nodes: Sequence[int],
-                 backend: str, radix: int = 2, release: str = "tree",
-                 combine_window_ns: int = 400, poll_ns: int = 2000):
-        if backend not in COLLECTIVE_BACKENDS:
-            raise ValueError(
-                f"unknown collectives backend {backend!r}; "
-                f"expected one of {COLLECTIVE_BACKENDS}"
-            )
+                 radix: int = 2, release: str = "tree",
+                 combine_window_ns: int = 400):
+        backend = cluster.config.collectives
         members = tuple(nodes)
         if len(set(members)) != len(members):
             raise ValueError("collective group members must be distinct")
@@ -316,7 +308,6 @@ class CollectiveGroup:
         self.name = name
         self.members = members
         self.backend = backend
-        self.poll_ns = poll_ns
         self.gid: Optional[int] = None
         self.segment: Optional[Segment] = None
         self._release_page: Optional[int] = None
@@ -360,8 +351,7 @@ class CollectiveGroup:
         rank = self.members.index(proc.node_id)
         if self.backend == "host":
             base = proc.map(self.segment)
-            return HostCollective(proc, len(self.members), rank, base,
-                                  poll_ns=self.poll_ns)
+            return HostCollective(proc, len(self.members), rank, base)
         return NicCollective(proc, len(self.members), rank, self.gid)
 
     def close(self) -> None:

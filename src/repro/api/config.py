@@ -45,7 +45,7 @@ class ClusterConfig:
     - ``dram_bytes`` — per-node main memory.
     - ``replication_threshold`` — enable the §2.2.6 alarm-driven
       replication policy at this access count (``None`` = off).
-    - ``collectives`` — default backend for collective groups
+    - ``collectives`` — the backend of every collective group
       (:mod:`repro.api.collectives`): ``"host"`` (software counter
       barrier over remote atomics — the classic path, default) or
       ``"nic"`` (HIB-resident combining tree + multicast release).

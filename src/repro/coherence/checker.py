@@ -92,17 +92,6 @@ class CoherenceChecker:
         }
         return sorted(keys)
 
-    def writer_nodes(self, key: Key) -> List[int]:
-        return sorted(
-            {
-                e.fields["node"]
-                for e in self.tracer.events
-                if e.category == "apply"
-                and e.fields["key"] == key
-                and e.fields["kind"] == "local"
-            }
-        )
-
     # -- the §2.3.3 subsequence property -------------------------------------
 
     def subsequence_violations(self) -> List[str]:

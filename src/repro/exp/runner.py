@@ -85,6 +85,22 @@ class SweepOutcome:
     def ok(self) -> bool:
         return not self.failures
 
+    def family_counts(self) -> Dict[str, Dict[str, int]]:
+        """``family -> {"ran": n, "cached": n, "failed": n}``, sorted by
+        family.  A grid point (``T2/link_prop_ns=200``) counts under its
+        family (``T2``), a flat spec as its own family, and every
+        experiment once, under its final outcome."""
+        counts: Dict[str, Dict[str, int]] = {}
+        failed = [failure.experiment for failure in self.failures]
+        for bucket, exp_ids in (("ran", self.ran), ("cached", self.cached),
+                                ("failed", failed)):
+            for exp_id in exp_ids:
+                family = exp_id.split("/", 1)[0]
+                tally = counts.setdefault(
+                    family, {"ran": 0, "cached": 0, "failed": 0})
+                tally[bucket] += 1
+        return dict(sorted(counts.items()))
+
 
 def shard_assignment(
     specs: Sequence[ExperimentSpec], workers: int

@@ -19,7 +19,7 @@ first time two links race.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 
@@ -122,13 +122,6 @@ class FaultConfig:
             "hib_hangs": [list(e) for e in self.hib_hangs],
             "reliability": self.reliability,
         }
-
-    @property
-    def any_packet_faults(self) -> bool:
-        return bool(
-            self.drop_rate or self.corrupt_rate or self.duplicate_rate
-            or self.stall_rate or self.drop_exact
-        )
 
 
 @dataclass

@@ -161,10 +161,6 @@ class CPU:
         if ctx.wake is not None and not ctx.wake.done:
             ctx.wake.set_result(None)
 
-    @property
-    def in_pal(self) -> bool:
-        return self._in_pal
-
     # -- the interpreter -------------------------------------------------------
 
     def _interpret(self, body, ctx: ProgramContext):

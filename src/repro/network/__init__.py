@@ -6,8 +6,10 @@ network: *back-pressured flow control*, *deterministic routing*,
 implements an interconnect with exactly those properties, plus the
 scale-out extension documented in DESIGN.md §10 — torus fabrics with
 dimension-order and backpressure-adaptive routing (which keeps
-deadlock freedom via a dateline escape network, and trades global
-in-order delivery for per-operation matching in adaptive mode).
+deadlock freedom via a dateline escape network).  Adaptive mode can
+reorder the packets of one (src, dst) pair, and on a lossless fabric
+nothing restores their order: a known violation of the §2.1 in-order
+property, tracked on ROADMAP.
 
 Module map — who owns what:
 

@@ -17,10 +17,12 @@ tables, in one of two modes:
   output channel currently has the shallowest queue.  When every
   profitable adaptive channel is full, fall back to the DOR *escape*
   channel.  Adaptive routing balances load around hotspots but may
-  reorder packets that share a (src, dst) pair — safe here because
-  read/atomic replies are matched by ``op_id``, write acks are
-  order-insensitive counters, and the reliable transport treats a
-  reordered (gapped) sequence as loss.
+  reorder packets that share a (src, dst) pair.  Replies are matched
+  by ``op_id`` and the reliable transport treats a gap as loss, but on
+  a lossless fabric nothing restores per-pair order, so posted writes
+  and multicast updates can apply out of order: a known violation of
+  the §2.1 in-order property (DESIGN.md §10; the fix is a ROADMAP
+  item).
 
 Deadlock avoidance — dateline virtual channels (DESIGN.md §10):
 
@@ -325,10 +327,3 @@ class TorusSwitch:
     def input_ports(self) -> Dict[object, BoundedQueue]:
         return dict(self._inputs)
 
-    def channel_depths(self) -> Dict[str, int]:
-        """Instantaneous occupancy per output channel (for gauges)."""
-        return {
-            f"{'+' if step == 1 else '-'}d{dim}.{CHANNEL_NAMES[cls]}":
-                len(queue)
-            for (dim, step, cls), queue in sorted(self._channels.items())
-        }

@@ -70,10 +70,6 @@ class NetworkPort:
         queue = self._egress_rsp if packet.kind._is_reply else self._egress_req
         return queue.put(packet)
 
-    def try_send(self, packet: Packet) -> bool:
-        queue = self._egress_rsp if packet.kind._is_reply else self._egress_req
-        return queue.try_put(packet)
-
     def receive(self):
         """Waitable resolving with the next incoming *request-class*
         packet."""

@@ -29,7 +29,7 @@ buffer — backpressure there is per output channel.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.params import Params
 from repro.sim import BoundedQueue, Simulator
@@ -212,9 +212,6 @@ class Switch:
     @property
     def input_ports(self) -> Dict[object, BoundedQueue]:
         return dict(self._inputs)
-
-    def route_for(self, dst_host: int) -> Optional[NextHop]:
-        return self._routes.get(dst_host)
 
     @property
     def buffer_in_use(self) -> int:

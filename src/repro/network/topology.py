@@ -194,20 +194,6 @@ class TorusTopology(Topology):
                 )
         self.dims: Tuple[int, ...] = tuple(dims)
 
-    def neighbor_coords(
-        self, coords: Tuple[int, ...]
-    ) -> List[Tuple[int, ...]]:
-        """The 2*n torus neighbors of ``coords``, dimension order,
-        +direction first — the deterministic candidate order adaptive
-        routing tie-breaks in."""
-        out: List[Tuple[int, ...]] = []
-        for dim, size in enumerate(self.dims):
-            for step in (1, -1):
-                nxt = list(coords)
-                nxt[dim] = (coords[dim] + step) % size
-                out.append(tuple(nxt))
-        return out
-
 
 def _torus(dims: Tuple[int, ...], hosts_per_switch: int) -> TorusTopology:
     """Build a torus: one switch per coordinate tuple, wraparound

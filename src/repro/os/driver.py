@@ -111,9 +111,6 @@ class TelegraphosDriver:
         """Arm an access-counter alarm for a remote page (§2.2.6)."""
         self.hib.page_counters.set_counter((home, gpage), kind, value)
 
-    def read_page_counter(self, home: int, gpage: int, kind: str) -> int:
-        return self.hib.page_counters.read_counter((home, gpage), kind)
-
     def map_multicast(self, local_page: int, node: int, remote_page: int):
         """Install an eager-update mapping (§2.2.7)."""
         self.hib.multicast.map_out(local_page, node, remote_page)

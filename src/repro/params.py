@@ -23,7 +23,7 @@ The default values reproduce the paper's Table 1 configuration
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 
@@ -135,6 +135,21 @@ class TimingParams:
     os_interrupt_ns: int = 15_000
     #: Context-switch cost.
     os_cswitch_ns: int = 25_000
+
+    def __post_init__(self) -> None:
+        # The kernel takes only non-negative int delays, so a bad value
+        # fails here, naming its field, instead of inside whichever
+        # process first waits on it.
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if type(value) is not int:
+                raise TypeError(
+                    f"TimingParams.{spec.name} must be an int, "
+                    f"got {value!r}")
+            if value < 0:
+                raise ValueError(
+                    f"TimingParams.{spec.name} must be non-negative, "
+                    f"got {value!r}")
 
     def serialization_ns(self, size_bytes: int) -> int:
         """Time to clock ``size_bytes`` onto a link."""

@@ -6,9 +6,11 @@ links, switches, the OS model — runs on this kernel.  It provides:
 - :class:`~repro.sim.kernel.Simulator`: the event loop, with integer
   nanosecond time.
 - :class:`~repro.sim.kernel.Process`: generator-coroutine processes.
-  A process is a Python generator that ``yield``\\ s *waitables* (a
-  delay in nanoseconds, a :class:`~repro.sim.kernel.Future`, another
-  process, ...) and is resumed when the waitable completes.
+  A process is a Python generator that ``yield``\\ s either a
+  non-negative ``int`` delay in nanoseconds or a
+  :class:`~repro.sim.kernel.Waitable` (a future, a done token, another
+  process) and is resumed when the delay elapses or the waitable
+  completes.  Nothing else resumes it: the kernel has no interrupts.
 - :class:`~repro.sim.kernel.Future`: one-shot completion tokens used
   for request/response interactions (e.g. a blocking remote read).
 - :class:`~repro.sim.queues.BoundedQueue`: a FIFO with blocking put
@@ -18,17 +20,15 @@ links, switches, the OS model — runs on this kernel.  It provides:
 
 from repro.sim.kernel import (
     READY,
-    Delay,
     EventHandle,
     Future,
-    Interrupt,
     Process,
     Ready,
     SimulationDeadlock,
     Simulator,
     Waitable,
 )
-from repro.sim.queues import BoundedQueue, QueueClosed
+from repro.sim.queues import BoundedQueue
 from repro.sim.refkernel import ReferenceSimulator
 from repro.sim.timers import Timer
 from repro.sim.trace import Accumulator, Tracer
@@ -57,16 +57,13 @@ def make_simulator(kernel: str = "bucket") -> Simulator:
 __all__ = [
     "Accumulator",
     "BoundedQueue",
-    "Delay",
     "EventHandle",
     "Future",
     "KERNELS",
     "READY",
     "Ready",
     "ReferenceSimulator",
-    "Interrupt",
     "Process",
-    "QueueClosed",
     "SimulationDeadlock",
     "Simulator",
     "make_simulator",

@@ -4,21 +4,24 @@ Time is an integer number of **nanoseconds**.  The kernel is a classic
 event-heap design: callbacks are scheduled at absolute times and run in
 (time, insertion-order) order, so simulations are fully deterministic.
 
-Processes are Python generators.  A process yields *waitables*:
+Processes are Python generators.  A process yields one of two
+commands:
 
-- an ``int`` (or ``float``) — resume after that many nanoseconds;
-- a :class:`Future` — resume when the future resolves, receiving its
-  value as the result of the ``yield`` expression;
-- another :class:`Process` — resume when that process finishes,
-  receiving its return value;
-- ``None`` — resume on the next scheduler pass at the same time
-  (a cooperative yield point).
+- a non-negative ``int`` — resume after that many nanoseconds (``0``
+  resumes on the next scheduler pass at the same time, a cooperative
+  yield point);
+- a :class:`Waitable` — resume when it completes, receiving its value
+  as the result of the ``yield`` expression: a :class:`Future` or
+  :class:`Ready` token, or another :class:`Process` (its return
+  value).
 
-Failures propagate: if a future is failed with an exception, the
+Anything else fails the process: a negative ``int`` with
+``ValueError``, any other value (``None``, a ``float``, a ``bool``)
+with ``TypeError``.  If a waitable fails with an exception, the
 exception is thrown *into* the waiting generator at the ``yield``.
-A process may also be interrupted asynchronously with
-:meth:`Process.interrupt`, which raises :class:`Interrupt` inside it —
-the mechanism used to model CPU preemption.
+Nothing else ever resumes a process: the kernel has no interrupts.
+CPU preemption is modelled between operations by the machine model
+(``repro.machine.cpu.CPU.switch_to``), where the hardware takes it.
 
 Fast-path design (see DESIGN.md, "Kernel internals"):
 
@@ -77,8 +80,8 @@ _WaiterCallback = Callable[[Any, Optional[BaseException]], None]
 
 
 class SimulationDeadlock(RuntimeError):
-    """Raised by :meth:`Simulator.run` when progress was expected but the
-    event heap drained with live processes still blocked.
+    """Raised by :meth:`Simulator.run_until_done` when the event heap
+    drains while a process it waits for is still blocked.
 
     This is how lost-acknowledgement and buffer-cycle bugs surface in
     tests: the simulation simply stops with someone still waiting.
@@ -90,18 +93,6 @@ class SimulationDeadlock(RuntimeError):
         self.blocked = blocked
 
 
-class Interrupt(Exception):
-    """Raised inside a process by :meth:`Process.interrupt`.
-
-    The ``cause`` is whatever the interrupter supplied (for the CPU
-    model it is the preemption reason).
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Waitable:
     """Base class for things a process may ``yield`` on.
 
@@ -111,8 +102,9 @@ class Waitable:
 
     The callback list is lazy (``None`` until the first waiter) so the
     many waitables that complete unobserved, or are yielded on exactly
-    once, never allocate it.  Process waiters are stored as
-    ``(process, epoch)`` pairs rather than closures.
+    once, never allocate it.  A waiting process is stored as itself,
+    not as a closure; anything else in the list is a plain
+    ``fn(value, exception)`` callback.
     """
 
     __slots__ = ("_callbacks", "_done", "_value", "_exception")
@@ -148,15 +140,6 @@ class Waitable:
         else:
             self._callbacks.append(fn)
 
-    def _add_waiter(self, process: "Process", epoch: int) -> None:
-        """Register a process waiter without allocating a closure."""
-        if self._done:
-            process._wake(epoch, self._value, self._exception)
-        elif self._callbacks is None:
-            self._callbacks = [(process, epoch)]
-        else:
-            self._callbacks.append((process, epoch))
-
     def _complete(self, value: Any, exception: Optional[BaseException]) -> None:
         if self._done:
             raise RuntimeError("waitable completed twice")
@@ -167,22 +150,17 @@ class Waitable:
         if callbacks is not None:
             self._callbacks = None
             for cb in callbacks:
-                if type(cb) is tuple:
-                    # Inlined Process._wake — completion is the hot
-                    # resumption trigger: epoch-check the waiter and
-                    # post its wakeup at ``now`` (the immediate tier).
-                    process, epoch = cb
-                    if process._wait_epoch != epoch or process._done:
-                        continue  # stale wakeup
-                    sim = process.sim
+                if type(cb) is Process:
+                    # Inlined wakeup — completion is the hot resumption
+                    # trigger: post the waiter's next step at ``now``
+                    # (the immediate tier).
+                    sim = cb.sim
                     seq = sim._seq
                     sim._seq = seq + 1
                     sim._now_list.append(
-                        (sim.now, seq, process._step_if_epoch,
-                         (epoch, value, exception)))
+                        (sim.now, seq, cb._step, (value, exception)))
                     if sim.hooks is not None:
-                        sim.hooks.on_schedule(
-                            sim, sim.now, process._step_if_epoch)
+                        sim.hooks.on_schedule(sim, sim.now, cb._step)
                 else:
                     cb(value, exception)
 
@@ -208,19 +186,14 @@ class Future(Waitable):
         if callbacks is not None:
             self._callbacks = None
             for cb in callbacks:
-                if type(cb) is tuple:
-                    process, epoch = cb
-                    if process._wait_epoch != epoch or process._done:
-                        continue  # stale wakeup
-                    sim = process.sim
+                if type(cb) is Process:
+                    sim = cb.sim
                     seq = sim._seq
                     sim._seq = seq + 1
                     sim._now_list.append(
-                        (sim.now, seq, process._step_if_epoch,
-                         (epoch, value, None)))
+                        (sim.now, seq, cb._step, (value, None)))
                     if sim.hooks is not None:
-                        sim.hooks.on_schedule(
-                            sim, sim.now, process._step_if_epoch)
+                        sim.hooks.on_schedule(sim, sim.now, cb._step)
                 else:
                     cb(value, None)
 
@@ -263,7 +236,7 @@ class Process(Waitable):
     value, so processes can be joined: ``result = yield proc``.
     """
 
-    __slots__ = ("sim", "name", "_gen", "_waiting_on", "_wait_epoch")
+    __slots__ = ("sim", "name", "_gen")
 
     def __init__(self, sim: "Simulator", gen: ProcessBody, name: str = "proc"):
         super().__init__()
@@ -275,93 +248,21 @@ class Process(Waitable):
         self.sim = sim
         self.name = name
         self._gen = gen
-        self._waiting_on: Optional[Waitable] = None
-        # Incremented every time the process is resumed for any reason.
-        # A wakeup carrying a stale epoch (e.g. a waitable completing
-        # after the process was interrupted away from it) is ignored.
-        self._wait_epoch = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "done" if self.done else ("blocked" if self._waiting_on else "ready")
-        return f"<Process {self.name} {state}>"
+        return f"<Process {self.name} {'done' if self._done else 'live'}>"
 
-    # -- scheduling ---------------------------------------------------
-
-    def _start(self) -> None:
-        # The current epoch, not 0: an interrupt posted before the
-        # first step bumps the epoch, and the start must still run
-        # (the interrupt is then the stale one).
-        self._step_if_epoch(self._wait_epoch, None, None)
-
-    def _dispatch(self, command: Any) -> None:
-        # Exact-type tests first: almost every yield is a bare int
-        # delay or a Waitable, so the common commands resolve in one
-        # or two checks.  The isinstance fallbacks keep the historical
-        # semantics for floats, bools, and int/float subclasses.
-        sim = self.sim
-        epoch = self._wait_epoch
-        if type(command) is int:
-            if command < 0:
-                self._finish(
-                    None, ValueError(f"negative delay {command!r} yielded by {self.name}")
-                )
-                return
-            sim._post(command, self._step_if_epoch, (epoch, None, None))
-        elif isinstance(command, Waitable):
-            self._waiting_on = command
-            command._add_waiter(self, epoch)
-        elif command is None:
-            sim._post(0, self._step_if_epoch, (epoch, None, None))
-        elif isinstance(command, (int, float)):
-            if command < 0:
-                self._finish(
-                    None, ValueError(f"negative delay {command!r} yielded by {self.name}")
-                )
-                return
-            sim._post(int(command), self._step_if_epoch, (epoch, None, None))
-        elif isinstance(command, Delay):
-            sim._post(command.ns, self._step_if_epoch, (epoch, None, None))
-        else:
-            self._finish(
-                None,
-                TypeError(
-                    f"process {self.name} yielded unsupported command "
-                    f"{command!r}; yield a delay, Future, or Process"
-                ),
-            )
-
-    def _wake(self, epoch: int, value: Any,
-              exception: Optional[BaseException]) -> None:
-        """Completion notification from a waitable this process yielded on."""
-        if self._wait_epoch != epoch or self._done:
-            return  # stale wakeup (process was interrupted away)
-        # Inlined delay-0 _post (a wakeup always lands at ``now``, the
-        # immediate tier) — this is the hot completion path.
-        sim = self.sim
-        seq = sim._seq
-        sim._seq = seq + 1
-        sim._now_list.append(
-            (sim.now, seq, self._step_if_epoch, (epoch, value, exception)))
-        if sim.hooks is not None:
-            sim.hooks.on_schedule(sim, sim.now, self._step_if_epoch)
-
-    def _step_if_epoch(
-        self, epoch: int, value: Any, exception: Optional[BaseException]
-    ) -> None:
-        # Every step of a process runs here: its start, every ``yield
-        # ns`` and waitable completion, and interrupt delivery.
+    def _step(self, value: Any, exception: Optional[BaseException]) -> None:
+        # Every step of a process runs here: its start, and its
+        # resumption after every ``yield ns`` and waitable completion.
         # Resumption goes through the scheduler (delay 0) rather than
         # re-entering the generator directly: keeps stacks shallow and
         # ordering deterministic when many waiters complete at the same
-        # instant.  The epoch check drops wakeups that were overtaken
-        # by an interrupt delivered at the same instant.
+        # instant.  A live process has exactly one pending step (its
+        # start, a delay, or one waiter record) and a finished one none.
         #
-        # This is the hot path, so the step/send/dispatch chain is
-        # fused into one frame.
-        if self._wait_epoch != epoch or self._done:
-            return
-        self._waiting_on = None
-        self._wait_epoch += 1
+        # This is the hot path, so the send and the command dispatch
+        # are fused into one frame.
         gen = self._gen
         try:
             if exception is not None:
@@ -369,12 +270,7 @@ class Process(Waitable):
             else:
                 command = gen.send(value)
         except StopIteration as stop:
-            self._finish(getattr(stop, "value", None), None)
-            return
-        except Interrupt as intr:
-            # An uncaught interrupt terminates the process quietly;
-            # its "return value" is the interrupt cause.
-            self._finish(intr.cause, None)
+            self._finish(stop.value, None)
             return
         except Exception as err:
             self._finish(None, err)
@@ -385,8 +281,7 @@ class Process(Waitable):
             seq = sim._seq
             sim._seq = seq + 1
             time = sim.now + command
-            entry = (time, seq, self._step_if_epoch,
-                     (self._wait_epoch, None, None))
+            entry = (time, seq, self._step, (None, None))
             if command == 0:
                 sim._now_list.append(entry)
             elif command <= sim.bucket_horizon:
@@ -399,70 +294,47 @@ class Process(Waitable):
             else:
                 _heappush(sim._heap, entry)
             if sim.hooks is not None:
-                sim.hooks.on_schedule(sim, time, self._step_if_epoch)
+                sim.hooks.on_schedule(sim, time, self._step)
         elif isinstance(command, Waitable):
             if command._done:
-                # Done token (e.g. READY): resume directly instead of
-                # routing through _add_waiter -> _wake.
+                # Done token (e.g. READY): resume at ``now`` without
+                # registering as a waiter.
                 sim = self.sim
                 seq = sim._seq
                 sim._seq = seq + 1
                 sim._now_list.append(
-                    (sim.now, seq, self._step_if_epoch,
-                     (self._wait_epoch, command._value,
-                      command._exception)))
+                    (sim.now, seq, self._step,
+                     (command._value, command._exception)))
                 if sim.hooks is not None:
-                    sim.hooks.on_schedule(sim, sim.now,
-                                          self._step_if_epoch)
+                    sim.hooks.on_schedule(sim, sim.now, self._step)
             else:
-                # Inlined Waitable._add_waiter (not-done branch).
-                self._waiting_on = command
                 callbacks = command._callbacks
                 if callbacks is None:
-                    command._callbacks = [(self, self._wait_epoch)]
+                    command._callbacks = [self]
                 else:
-                    callbacks.append((self, self._wait_epoch))
-        elif command is None:
-            self.sim._post(0, self._step_if_epoch,
-                           (self._wait_epoch, None, None))
+                    callbacks.append(self)
         else:
-            self._dispatch(command)
+            self._reject(command)
+
+    def _reject(self, command: Any) -> None:
+        """Fail the process for a command that is neither a
+        non-negative ``int`` nor a :class:`Waitable`."""
+        error: Exception
+        if type(command) is int:
+            error = ValueError(
+                f"negative delay {command!r} yielded by {self.name}")
+        else:
+            error = TypeError(
+                f"process {self.name} yielded unsupported command "
+                f"{command!r}; yield a non-negative int delay, Future, "
+                "or Process")
+        self._finish(None, error)
 
     def _finish(self, value: Any, exception: Optional[BaseException]) -> None:
         self.sim._live_processes.discard(self)
         if exception is not None:
             self.sim._note_failure(self, exception)
         self._complete(value, exception)
-
-    # -- external control ----------------------------------------------
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Raise :class:`Interrupt` inside the process at its yield point.
-
-        No-op if the process already finished.  Interrupting a process
-        that is waiting on a waitable detaches it logically: when the
-        waitable later completes, the (now resumed or finished) process
-        ignores the late wakeup.
-        """
-        if self._done:
-            return
-        # Invalidate any pending wakeup from the waitable the process
-        # was blocked on; the interrupt wins.
-        self._waiting_on = None
-        self._wait_epoch += 1
-        self.sim._post(0, self._step_if_epoch,
-                       (self._wait_epoch, None, Interrupt(cause)))
-
-
-class Delay:
-    """Explicit delay command (equivalent to yielding a bare int)."""
-
-    __slots__ = ("ns",)
-
-    def __init__(self, ns: int):
-        if ns < 0:
-            raise ValueError("delay must be non-negative")
-        self.ns = int(ns)
 
 
 class EventHandle:
@@ -505,9 +377,9 @@ class Simulator:
         assert proc.done
 
     ``run`` drains the event heap (optionally bounded by ``until`` in
-    nanoseconds or ``max_events``).  If ``check_deadlock`` is set and
-    the heap drains while spawned processes are still blocked,
-    :class:`SimulationDeadlock` is raised.
+    nanoseconds or ``max_events``); :meth:`run_until_done` runs until
+    given processes finish, raising :class:`SimulationDeadlock` if the
+    heap drains first.
     """
 
     #: Tombstone floor below which compaction is never attempted.
@@ -540,6 +412,10 @@ class Simulator:
         self.bucket_horizon: int = self.DEFAULT_BUCKET_HORIZON
         self._seq = 0
         self._cancelled = 0
+        #: Every spawned, unfinished process.  Nothing reads it: it
+        #: keeps a blocked process alive until it finishes, so the
+        #: garbage collector never closes a suspended generator in the
+        #: middle of a run (its ``finally`` blocks may post events).
         self._live_processes: set = set()
         self._failures: List[Tuple[Process, BaseException]] = []
         self.strict_failures = True
@@ -598,31 +474,13 @@ class Simulator:
         if self.hooks is not None:
             self.hooks.on_schedule(self, time, fn)
 
-    def schedule_at(self, time: int, fn: Callable[..., None],
-                    *args: Any) -> EventHandle:
-        """Run ``fn(*args)`` at absolute time ``time``."""
-        if time < self.now:
-            raise ValueError("cannot schedule into the past")
-        return self.schedule(time - self.now, fn, *args)
-
     def spawn(self, gen: ProcessBody, name: str = "proc") -> Process:
         """Create a process from a generator and start it immediately
         (its first step runs at the current simulation time)."""
         process = Process(self, gen, name=name)
         self._live_processes.add(process)
-        self._post(0, process._start)
+        self._post(0, process._step, (None, None))
         return process
-
-    def future(self) -> Future:
-        return Future()
-
-    def timeout(self, ns: int) -> Future:
-        """A future that resolves (with ``None``) after ``ns`` nanoseconds."""
-        if ns < 0:
-            raise ValueError("cannot schedule into the past")
-        future = Future()
-        self._post(int(ns), future.set_result, (None,))
-        return future
 
     # -- tombstone accounting ---------------------------------------------
 
@@ -761,7 +619,6 @@ class Simulator:
         self,
         until: Optional[int] = None,
         max_events: Optional[int] = None,
-        check_deadlock: bool = False,
     ) -> int:
         """Run events until the heap drains (or a bound is hit).
 
@@ -777,11 +634,6 @@ class Simulator:
                 self._push_back(self._now_list)
                 self._now_list.clear()
             self.now = until
-        if (check_deadlock and not self._heap and not self._buckets
-                and not self._now_list):
-            blocked = [p for p in self._live_processes if not p.done]
-            if blocked:
-                raise SimulationDeadlock(blocked)
         return executed
 
     def run_until_done(

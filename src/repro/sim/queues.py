@@ -14,13 +14,9 @@ getters, which is what makes per-link in-order delivery provable.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Deque
 
 from repro.sim.kernel import READY, Future, Ready, Waitable
-
-
-class QueueClosed(RuntimeError):
-    """Raised at getters/putters when the queue is closed."""
 
 
 class BoundedQueue:
@@ -32,8 +28,8 @@ class BoundedQueue:
         yield queue.put(packet)      # blocks while the queue is full
         packet = yield queue.get()   # blocks while the queue is empty
 
-    ``try_put`` / ``try_get`` are the non-blocking variants used by
-    hardware models that poll instead of stalling.
+    ``try_put`` is the non-blocking put, for hardware models that
+    must never stall on a full buffer.
     """
 
     def __init__(self, capacity: int, name: str = "queue"):
@@ -45,17 +41,12 @@ class BoundedQueue:
         # Blocked putters hold (future, item) until space opens up.
         self._putters: Deque[tuple] = deque()
         self._getters: Deque[Future] = deque()
-        self._closed = False
         # Occupancy statistics (sampled at each state change).
         self.max_occupancy = 0
         self.total_puts = 0
 
     def __len__(self) -> int:
         return len(self._items)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     @property
     def full(self) -> bool:
@@ -70,10 +61,6 @@ class BoundedQueue:
     def put(self, item: Any) -> Waitable:
         """Enqueue ``item``; the returned waitable resolves once it is
         accepted — the shared done-token when accepted immediately."""
-        if self._closed:
-            future = Future()
-            future.set_exception(QueueClosed(self.name))
-            return future
         if self._getters and not self._items:
             # Hand the item straight to the oldest waiting getter.
             getter = self._getters.popleft()
@@ -101,18 +88,13 @@ class BoundedQueue:
                 self._admit_blocked_putter()
             return Ready(item)
         future = Future()
-        if self._closed:
-            future.set_exception(QueueClosed(self.name))
-        else:
-            self._getters.append(future)
+        self._getters.append(future)
         return future
 
     # -- non-blocking interface ---------------------------------------------
 
     def try_put(self, item: Any) -> bool:
         """Enqueue if space is available; returns success."""
-        if self._closed:
-            raise QueueClosed(self.name)
         if self._getters and not self._items:
             getter = self._getters.popleft()
             self._account_put()
@@ -123,26 +105,6 @@ class BoundedQueue:
         self._items.append(item)
         self._account_put()
         return True
-
-    def try_get(self) -> Optional[Any]:
-        """Dequeue if an item is available; returns it or ``None``."""
-        if not self._items:
-            return None
-        item = self._items.popleft()
-        self._admit_blocked_putter()
-        return item
-
-    def peek(self) -> Optional[Any]:
-        return self._items[0] if self._items else None
-
-    def close(self) -> None:
-        """Close the queue: pending and future getters/putters fail."""
-        self._closed = True
-        while self._getters:
-            self._getters.popleft().set_exception(QueueClosed(self.name))
-        while self._putters:
-            future, _ = self._putters.popleft()
-            future.set_exception(QueueClosed(self.name))
 
     # -- internals ------------------------------------------------------------
 

@@ -52,7 +52,7 @@ class ReferenceSimulator(Simulator):
 
     # Disable the bucket tier for every producer that tests
     # ``delay <= bucket_horizon`` (including the fused fast paths
-    # inlined into Process._step_if_epoch): -1 rejects all delays, so
+    # inlined into Process._step): -1 rejects all delays, so
     # positive-delay posts go straight to the heap.  Writes (the base
     # __init__, Fabric's install-time widening) are swallowed — the
     # reference kernel has no bucket tier to tune.
@@ -103,7 +103,6 @@ class ReferenceSimulator(Simulator):
         self,
         until: Optional[int] = None,
         max_events: Optional[int] = None,
-        check_deadlock: bool = False,
     ) -> int:
         hooks = self.hooks
         heap = self._heap
@@ -143,10 +142,6 @@ class ReferenceSimulator(Simulator):
             self.events_executed += executed
         if until is not None and self.now < until:
             self.now = until
-        if check_deadlock and not heap:
-            blocked = [p for p in self._live_processes if not p.done]
-            if blocked:
-                raise SimulationDeadlock(blocked)
         return executed
 
     def run_until_done(

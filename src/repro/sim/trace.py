@@ -10,7 +10,7 @@ the experiment specs.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List
 
 
 class TraceEvent:
@@ -35,7 +35,7 @@ class TraceEvent:
 
 
 class Tracer:
-    """Collects :class:`TraceEvent`\\ s; optionally filtered by category.
+    """Collects :class:`TraceEvent`\\ s.
 
     Tracing is off by default (``enabled=False`` skips all recording)
     so the latency benches do not pay for event storage.
@@ -52,16 +52,9 @@ class Tracer:
         #: timeline lanes.
         self.lanes = lanes
         self.events: List[TraceEvent] = []
-        self._category_filter: Optional[set] = None
-
-    def limit_to(self, *categories: str) -> None:
-        """Record only the given categories (saves memory in long runs)."""
-        self._category_filter = set(categories)
 
     def record(self, category: str, **fields: Any) -> None:
         if not self.enabled:
-            return
-        if self._category_filter is not None and category not in self._category_filter:
             return
         self.events.append(TraceEvent(self._clock(), category, fields))
 
@@ -69,8 +62,6 @@ class Tracer:
         """Record an activity span that started at ``begin`` and ends
         now.  No-op unless both ``enabled`` and ``lanes`` are set."""
         if not (self.enabled and self.lanes):
-            return
-        if self._category_filter is not None and category not in self._category_filter:
             return
         self.events.append(
             TraceEvent(self._clock(), category, {"begin": begin, **fields})
@@ -85,12 +76,6 @@ class Tracer:
             if all(event.fields.get(k) == v for k, v in match.items()):
                 out.append(event)
         return out
-
-    def iter_categories(self) -> Iterator[Tuple[str, int]]:
-        counts: Dict[str, int] = {}
-        for event in self.events:
-            counts[event.category] = counts.get(event.category, 0) + 1
-        return iter(sorted(counts.items()))
 
     def clear(self) -> None:
         self.events.clear()

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.metrics import flatten_metrics, is_numeric, series_for
-from repro.analysis.monitors import SweepMonitor
 from repro.analysis.results import (
     AggregateError,
     aggregate_family,
@@ -136,31 +135,3 @@ def test_experiments_md_carries_every_family_summary():
     for grid in default_grids():
         assert f"### {grid.family}/ — {grid.title}" in document
 
-
-# -- monitors --------------------------------------------------------------
-
-
-def test_sweep_monitor_tallies_per_family():
-    lines = []
-    monitor = SweepMonitor(emit=lines.append)
-    monitor("[T2/link_prop_ns=50] done")
-    monitor("[T2/link_prop_ns=200] cached")
-    monitor("[S3/burst=8] FAILED in worker")
-    monitor("[T1] done")
-    monitor("no brackets here")
-    assert monitor.families == {
-        "T2": {"ran": 1, "cached": 1, "failed": 0},
-        "S3": {"ran": 0, "cached": 0, "failed": 1},
-        "T1": {"ran": 1, "cached": 0, "failed": 0},
-    }
-    assert lines == [
-        "[T2/link_prop_ns=50] done",
-        "[T2/link_prop_ns=200] cached",
-        "[S3/burst=8] FAILED in worker",
-        "[T1] done",
-        "no brackets here",
-    ]
-    summary = monitor.summary()
-    assert "T2: 1 ran, 1 cached" in summary
-    assert "S3: 1 failed" in summary
-    assert SweepMonitor(emit=None).summary() == "no experiments ran"

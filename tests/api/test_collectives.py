@@ -220,9 +220,9 @@ def test_non_member_join_rejected():
 
 
 def test_bogus_backend_and_member_lists_rejected():
-    cluster = make_cluster("host")
     with pytest.raises(ValueError, match="backend"):
-        cluster.collective_group("g", backend="fpga")
+        make_cluster("fpga")
+    cluster = make_cluster("host")
     with pytest.raises(ValueError, match="distinct"):
         cluster.collective_group("h", nodes=[0, 0, 1])
     with pytest.raises(ValueError, match="at least one"):
@@ -230,9 +230,9 @@ def test_bogus_backend_and_member_lists_rejected():
 
 
 def test_backend_defaults_to_config_and_overrides():
-    cluster = make_cluster("nic")
-    assert cluster.collective_group("a").backend == "nic"
-    assert cluster.collective_group("b", backend="host").backend == "host"
+    default = Cluster(ClusterConfig(n_nodes=N, trace=False))
+    assert default.collective_group("a").backend == "host"
+    assert make_cluster("nic").collective_group("b").backend == "nic"
 
 
 # -- hib.coll.* metrics ----------------------------------------------------

@@ -176,6 +176,33 @@ def test_failed_claim_check_is_a_failure_and_writes_nothing(tmp_path):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["EVEN.json"]
 
 
+def test_family_counts_tally_each_experiment_once(tmp_path):
+    """The per-family summary counts each experiment once, under its
+    final outcome: a spec that runs and then fails its claim check
+    reports both ``done`` and ``FAILED`` progress lines, but is one
+    failure."""
+    cache = ResultCache(str(tmp_path))
+    grid = [make_spec(f"G/value={v}", run_value, params={"value": v})
+            for v in (2, 4)]
+    run_sweep(grid[:1], workers=1, cache=cache)
+    specs = [
+        make_spec("EVEN", run_value, params={"value": 2},
+                  check=check_value_even),
+        make_spec("ODD", run_value, params={"value": 3},
+                  check=check_value_even),
+        *grid,
+    ]
+    lines = []
+    outcome = run_sweep(specs, workers=1, cache=cache, progress=lines.append)
+    assert "[ODD] done" in lines
+    assert "[ODD] FAILED its claim check" in lines
+    assert outcome.family_counts() == {
+        "EVEN": {"ran": 1, "cached": 0, "failed": 0},
+        "G": {"ran": 1, "cached": 1, "failed": 0},
+        "ODD": {"ran": 0, "cached": 0, "failed": 1},
+    }
+
+
 def test_dead_worker_failure_reports_exitcode_and_host(tmp_path):
     """A worker that hard-dies on every attempt degrades into a
     structured failure naming the exit code — not a bare 'no result'

@@ -3,9 +3,7 @@
 import pytest
 
 from repro.sim import (
-    Delay,
     Future,
-    Interrupt,
     SimulationDeadlock,
     Simulator,
 )
@@ -35,26 +33,6 @@ def test_schedule_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
         sim.schedule(-1, lambda: None)
-
-
-def test_schedule_at_absolute_time():
-    sim = Simulator()
-    seen = []
-    sim.schedule(10, lambda: sim.schedule_at(25, seen.append, "x"))
-    sim.run()
-    assert seen == ["x"]
-    assert sim.now == 25
-
-
-def test_schedule_at_past_rejected():
-    sim = Simulator()
-
-    def later():
-        with pytest.raises(ValueError):
-            sim.schedule_at(5, lambda: None)
-
-    sim.schedule(10, later)
-    sim.run()
 
 
 def test_event_cancellation():
@@ -97,7 +75,7 @@ def test_process_delays_advance_time():
         marks.append(sim.now)
         yield 100
         marks.append(sim.now)
-        yield Delay(50)
+        yield 50
         marks.append(sim.now)
 
     sim.spawn(body())
@@ -120,6 +98,43 @@ def test_process_returns_value_via_join():
     sim.run()
     assert proc.done
     assert proc.value == 42
+
+
+def test_shared_waitables_resume_each_waiter_once_in_order():
+    """One waiter list may hold several processes, and a process's
+    list may mix a plain callback (``run_until_done``'s) with a joining
+    process: each waiter resumes exactly once, in registration order."""
+    sim = Simulator()
+    future = Future()
+    log = []
+
+    def waiter(tag):
+        value = yield future
+        log.append((tag, sim.now, value))
+
+    def child():
+        yield 10
+        return "child-done"
+
+    def joiner():
+        value = yield child_proc
+        log.append(("joiner", sim.now, value))
+
+    sim.spawn(waiter("a"))
+    sim.spawn(waiter("b"))
+    sim.schedule(5, future.set_result, "hello")
+    child_proc = sim.spawn(child(), name="child")
+    sim.spawn(joiner(), name="joiner")
+    # Registers its callback before the joiner's first step runs.
+    sim.run_until_done([child_proc])
+    assert log == [("a", 5, "hello"), ("b", 5, "hello")]
+    # The join stopped at the event that finished the child; the
+    # joiner's resumption is queued behind it, not yet run.
+    assert (sim.now, sim.pending_events) == (10, 1)
+    sim.run()
+    assert log == [("a", 5, "hello"), ("b", 5, "hello"),
+                   ("joiner", 10, "child-done")]
+    assert sim.pending_events == 0
 
 
 def test_future_resolution_wakes_process_with_value():
@@ -201,17 +216,28 @@ def test_spawn_rejects_non_generator():
         sim.spawn(lambda: None)  # type: ignore[arg-type]
 
 
-def test_yielding_garbage_fails_the_process():
+@pytest.mark.parametrize(
+    "command", [object(), 2.5, True, None],
+    ids=["object", "float", "bool", "None"])
+def test_yielding_garbage_fails_the_process(command):
+    """Only a non-negative int or a Waitable is a command: the kernel
+    neither truncates a float nor reads a bool or ``None`` as a
+    delay."""
     sim = Simulator()
     sim.strict_failures = False
+    resumed = []
 
     def bad():
-        yield object()
+        yield command
+        resumed.append(sim.now)
 
     proc = sim.spawn(bad(), name="bad")
     sim.run()
     assert proc.done
     assert isinstance(proc.exception, TypeError)
+    assert "bad" in str(proc.exception)
+    assert repr(command) in str(proc.exception)
+    assert resumed == []
 
 
 def test_negative_delay_fails_the_process():
@@ -226,74 +252,6 @@ def test_negative_delay_fails_the_process():
     assert isinstance(proc.exception, ValueError)
 
 
-def test_interrupt_during_delay_cancels_sleep():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield 1_000_000
-            log.append("overslept")
-        except Interrupt as intr:
-            log.append(("interrupted", sim.now, intr.cause))
-
-    proc = sim.spawn(sleeper(), name="sleeper")
-    sim.schedule(50, proc.interrupt, "preempt")
-    sim.run()
-    assert log == [("interrupted", 50, "preempt")]
-    # Crucially the stale delay wakeup at t=1_000_000 must not
-    # resume the generator a second time (log stays length 1).
-    assert len(log) == 1
-
-
-def test_interrupt_during_future_wait_suppresses_stale_wakeup():
-    sim = Simulator()
-    future = Future()
-    log = []
-
-    def waiter():
-        try:
-            value = yield future
-            log.append(("value", value))
-        except Interrupt:
-            log.append("interrupted")
-            # Go back to sleep on a delay after the interrupt.
-            yield 100
-            log.append(("resumed", sim.now))
-
-    proc = sim.spawn(waiter(), name="waiter")
-    sim.schedule(10, proc.interrupt, None)
-    sim.schedule(20, future.set_result, "late")  # must be ignored
-    sim.run()
-    assert log == ["interrupted", ("resumed", 110)]
-
-
-def test_interrupt_finished_process_is_noop():
-    sim = Simulator()
-
-    def quick():
-        yield 1
-
-    proc = sim.spawn(quick())
-    sim.run()
-    proc.interrupt("too late")
-    sim.run()
-    assert proc.done
-
-
-def test_uncaught_interrupt_terminates_process_with_cause_as_value():
-    sim = Simulator()
-
-    def sleeper():
-        yield 1_000
-
-    proc = sim.spawn(sleeper(), name="sleeper")
-    sim.schedule(5, proc.interrupt, "killed")
-    sim.run()
-    assert proc.done
-    assert proc.value == "killed"
-
-
 def test_run_until_done_raises_deadlock_when_heap_drains():
     sim = Simulator()
     future = Future()  # never resolved
@@ -304,32 +262,6 @@ def test_run_until_done_raises_deadlock_when_heap_drains():
     proc = sim.spawn(stuck(), name="stuck")
     with pytest.raises(SimulationDeadlock):
         sim.run_until_done([proc])
-
-
-def test_run_check_deadlock_flag():
-    sim = Simulator()
-    future = Future()
-
-    def stuck():
-        yield future
-
-    sim.spawn(stuck(), name="stuck")
-    with pytest.raises(SimulationDeadlock) as excinfo:
-        sim.run(check_deadlock=True)
-    assert "stuck" in str(excinfo.value)
-
-
-def test_timeout_future():
-    sim = Simulator()
-    times = []
-
-    def body():
-        yield sim.timeout(123)
-        times.append(sim.now)
-
-    sim.spawn(body())
-    sim.run()
-    assert times == [123]
 
 
 def test_many_processes_interleave_deterministically():
@@ -356,18 +288,18 @@ def test_many_processes_interleave_deterministically():
     ]
 
 
-def test_yield_none_is_cooperative_reschedule():
+def test_yield_zero_is_cooperative_reschedule():
     sim = Simulator()
     order = []
 
     def one():
         order.append("one-start")
-        yield None
+        yield 0
         order.append("one-end")
 
     def two():
         order.append("two-start")
-        yield None
+        yield 0
         order.append("two-end")
 
     sim.spawn(one())

@@ -36,6 +36,7 @@ import pytest
 from repro.obs import KernelHooks
 from repro.sim import (
     KERNELS,
+    Future,
     ReferenceSimulator,
     SimulationDeadlock,
     Simulator,
@@ -141,9 +142,9 @@ class ScriptRunner:
             if kind == "delay":
                 yield delay
             elif kind == "hang":
-                yield self.sim.future()  # never resolved
+                yield Future()  # never resolved
             else:
-                future = self.sim.future()
+                future = Future()
                 self.sim._post(delay, future.set_result, (tag,))
                 got = yield future
                 self.log.append((self.sim.now, "woke", tag, got))

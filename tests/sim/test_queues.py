@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import BoundedQueue, QueueClosed, Simulator
+from repro.sim import BoundedQueue, Simulator
 
 
 def test_capacity_must_be_positive():
@@ -98,23 +98,15 @@ def test_handoff_to_waiting_getter_preserves_order():
     assert got == [("first", "a"), ("second", "b")]
 
 
-def test_try_put_try_get():
+def test_try_put_then_get():
     q = BoundedQueue(2)
     assert q.try_put(1)
     assert q.try_put(2)
     assert not q.try_put(3)
     assert q.full
-    assert q.try_get() == 1
-    assert q.try_get() == 2
-    assert q.try_get() is None
+    assert q.get().value == 1
+    assert q.get().value == 2
     assert q.empty
-
-
-def test_peek_does_not_consume():
-    q = BoundedQueue(2)
-    q.try_put("a")
-    assert q.peek() == "a"
-    assert len(q) == 1
 
 
 def test_blocked_putters_drain_in_order():
@@ -142,46 +134,11 @@ def test_blocked_putters_drain_in_order():
     assert accepted == ["p0", "p1", "p2"]
 
 
-def test_close_fails_waiters():
-    sim = Simulator()
-    q = BoundedQueue(1)
-    outcomes = []
-
-    def consumer():
-        try:
-            yield q.get()
-        except QueueClosed:
-            outcomes.append("closed")
-
-    sim.spawn(consumer())
-    sim.schedule(10, q.close)
-    sim.run()
-    assert outcomes == ["closed"]
-
-
-def test_close_fails_blocked_putter():
-    sim = Simulator()
-    q = BoundedQueue(1)
-    q.try_put("fill")
-    outcomes = []
-
-    def producer():
-        try:
-            yield q.put("blocked")
-        except QueueClosed:
-            outcomes.append("closed")
-
-    sim.spawn(producer())
-    sim.schedule(10, q.close)
-    sim.run()
-    assert outcomes == ["closed"]
-
-
 def test_occupancy_statistics():
     q = BoundedQueue(8)
     for i in range(5):
         q.try_put(i)
-    q.try_get()
+    q.get()
     q.try_put(5)
     assert q.total_puts == 6
     assert q.max_occupancy == 5

@@ -28,14 +28,6 @@ def test_disabled_tracer_records_nothing():
     assert tracer.events == []
 
 
-def test_category_filter():
-    _, tracer = make_tracer()
-    tracer.limit_to("read")
-    tracer.record("write", node=0)
-    tracer.record("read", node=1)
-    assert [e.category for e in tracer.events] == ["read"]
-
-
 def test_event_attribute_access():
     _, tracer = make_tracer()
     tracer.record("apply", value=7)
@@ -43,14 +35,6 @@ def test_event_attribute_access():
     assert event.value == 7
     with pytest.raises(AttributeError):
         _ = event.missing
-
-
-def test_iter_categories_counts():
-    _, tracer = make_tracer()
-    for _ in range(3):
-        tracer.record("a")
-    tracer.record("b")
-    assert list(tracer.iter_categories()) == [("a", 3), ("b", 1)]
 
 
 def test_clear():

@@ -37,6 +37,14 @@ def test_params_with_timing_override():
     assert DEFAULT_PARAMS.timing.cpu_issue_ns == 40  # original untouched
 
 
+@pytest.mark.parametrize("value, error", [
+    (2.5, TypeError), (True, TypeError), (-1, ValueError),
+], ids=["float", "bool", "negative"])
+def test_timing_override_rejects_non_int_or_negative(value, error):
+    with pytest.raises(error, match="link_prop_ns"):
+        DEFAULT_PARAMS.with_timing(link_prop_ns=value)
+
+
 def test_params_with_sizing_override():
     params = DEFAULT_PARAMS.with_sizing(contexts=4)
     assert params.sizing.contexts == 4
