@@ -25,7 +25,6 @@ from repro.analysis.results import (
     AggregateError,
     aggregate_family,
     aggregate_path,
-    build_aggregates,
     check_aggregate,
     render_grid_summary,
     write_aggregate,
@@ -39,7 +38,6 @@ __all__ = [
     "Table",
     "aggregate_family",
     "aggregate_path",
-    "build_aggregates",
     "check_aggregate",
     "comparison_table",
     "flatten_metrics",

@@ -119,18 +119,6 @@ def check_aggregate(aggregate: Dict[str, Any],
     return None
 
 
-def build_aggregates(
-    grids: Optional[Sequence[Any]] = None,
-    results_dir: str = "results",
-) -> List[Dict[str, Any]]:
-    """Every family's aggregate, in declaration order."""
-    if grids is None:
-        from repro.exp.registry import default_grids
-
-        grids = default_grids()
-    return [aggregate_family(grid, results_dir) for grid in grids]
-
-
 def _format_metric(value: Any) -> str:
     if value is None:
         return "–"

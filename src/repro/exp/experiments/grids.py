@@ -13,70 +13,113 @@ plot-ready families ``repro report`` aggregates:
 - **X1/** — barrier cost vs node count for both collective backends:
   the O(N) host funnel vs the O(log N) NIC combining tree.
 - **W1/** — migratory sharing (§2.3.6) across both sharing policies ×
-  round counts, exercising the registered ``migratory`` scenario
-  factory.
+  round counts (:func:`~repro.workloads.run_migratory`).
 - **W2/** — alarm-based replication (§2.2.6) vs stream skew
-  (``hot_fraction`` is a float axis), exercising the registered
-  ``patterns`` scenario factory.
+  (``hot_fraction`` is a float axis; :func:`~repro.workloads.play_pattern`).
 - **A2/** — the topology ablation as a routing-mode family: the same
   4×4 torus under tree (up*/down* over the torus graph), deterministic
   dimension-order, and backpressure-adaptive routing, each under clean
   hotspot traffic and a seeded fault soak (DESIGN.md §10).
 
-Every ``run``/``render`` here is a module-level function: grid points
-travel to pool workers (and, under spawn, must pickle by reference).
+The W1, W2 and A2 runs below build their cluster with
+``Cluster(ClusterConfig(...))``, call one :mod:`repro.workloads`
+function and read the fields of the dataclass it returns.  Every
+``run`` is a module-level function: grid points travel to pool workers
+(and, under spawn, must pickle by reference).  Points carry no
+renderer: EXPERIMENTS.md shows a family through its aggregate.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 from repro.exp.experiments import s3_counter_cache, t2_latency, x1_barrier_scaling
 from repro.exp.grid import GridSpec
 
 
-def render_point(result: Dict[str, Any]) -> str:
-    """Generic grid-point renderer: the raw result document.
+def _coherence_counters(cluster: Any) -> Dict[str, int]:
+    """Update-protocol traffic summed over every coherence engine."""
+    engines = cluster.engines.values()
+    return {
+        "updates_sent": sum(e.stats["updates_sent"] for e in engines),
+        "updates_received": sum(e.stats["updates_received"] for e in engines),
+        "updates_ignored": sum(e.stats["updates_ignored"] for e in engines),
+    }
 
-    Individual points are data for the family aggregate, not prose —
-    the plot-ready story lives in the EXPERIMENTS.md grid summaries
-    built by :mod:`repro.analysis.results`.
-    """
-    from repro.exp.spec import canonical_json_bytes
 
-    body = canonical_json_bytes(result).decode("utf-8").rstrip("\n")
-    return f"```json\n{body}\n```"
+def _hib_counters(cluster: Any) -> Dict[str, int]:
+    """Operation counts summed over every node's HIB."""
+    stations = cluster.nodes
+    return {
+        "remote_writes": sum(s.hib.stats["remote_writes"] for s in stations),
+        "remote_reads": sum(s.hib.stats["remote_reads"] for s in stations),
+        "atomics": sum(s.hib.stats["atomics"] for s in stations),
+        "packets_served": sum(
+            s.hib.stats["packets_served"] for s in stations),
+    }
+
+
+def _network_counters(cluster: Any) -> Dict[str, Any]:
+    """Fabric-level counters: per-link utilization extremes plus the
+    torus routing-decision counters (zero on tree fabrics).  All values
+    derive from integer simulation counters, so the document is
+    deterministic across worker counts and kernels."""
+    fabric = cluster.fabric
+    now = cluster.now
+    links = fabric.links
+    peak_busy = max((link.busy_ns for link in links), default=0)
+    total_busy = sum(link.busy_ns for link in links)
+    torus = [
+        sw for plane in fabric.torus_switches.values()
+        for sw in plane.values()
+    ]
+    depth_count = sum(sw.queue_depth.count for sw in torus)
+    depth_total = sum(sw.queue_depth.total for sw in torus)
+    depth_max = max(
+        (sw.queue_depth.maximum for sw in torus if sw.queue_depth.count),
+        default=0,
+    )
+    return {
+        "packets_routed": fabric.total_packets_routed,
+        "links": len(links),
+        "peak_link_utilization_pct": (
+            round(100.0 * peak_busy / now, 4) if now else 0.0),
+        "mean_link_utilization_pct": (
+            round(100.0 * total_busy / (len(links) * now), 4)
+            if now and links else 0.0),
+        "adaptive_hops": sum(sw.adaptive_hops for sw in torus),
+        "escape_hops": sum(sw.escape_hops for sw in torus),
+        "datelines_crossed": sum(sw.datelines_crossed for sw in torus),
+        "escape_fallbacks": sum(sw.escape_fallbacks for sw in torus),
+        "queue_depth": {
+            "count": depth_count,
+            "mean": (round(depth_total / depth_count, 4)
+                     if depth_count else None),
+            "max": depth_max,
+        },
+    }
 
 
 def run_migratory_point(sharing: str, rounds_per_node: int,
                         words: int = 8, n_nodes: int = 3) -> Dict[str, Any]:
-    """One W1 point: migratory sharing under one policy × round count,
-    through the registered ``migratory`` scenario factory."""
-    from repro.exp.scenario import ScenarioSpec, run_scenario
+    """One W1 point: migratory sharing under one policy × round count."""
+    from repro.api import Cluster, ClusterConfig
+    from repro.workloads import run_migratory
 
-    scenario = ScenarioSpec(
-        name=f"w1.migratory.{sharing}.rounds={rounds_per_node}",
-        workload="migratory",
-        cluster={"n_nodes": n_nodes,
-                 "protocol": "telegraphos" if sharing == "replica" else "none"},
-        params={"rounds_per_node": rounds_per_node, "words": words,
-                "sharing": sharing},
-        collect=("coherence",),
-        description="§2.3.6 migratory sharing grid point",
-    )
-    out = run_scenario(scenario)
-    result = out["result"]
-    if result["final_sum"] != result["expected_sum"]:
+    protocol = "telegraphos" if sharing == "replica" else "none"
+    cluster = Cluster(ClusterConfig(n_nodes=n_nodes, protocol=protocol))
+    result = run_migratory(cluster, rounds_per_node=rounds_per_node,
+                           words=words, sharing=sharing)
+    if result.final_sum != result.expected_sum:
         raise AssertionError(
-            f"lost updates: {result['final_sum']} != "
-            f"{result['expected_sum']}"
+            f"lost updates: {result.final_sum} != {result.expected_sum}"
         )
     return {
         "sharing": sharing,
         "rounds_per_node": rounds_per_node,
-        "makespan_us": result["makespan_ns"] / 1000.0,
-        "updates": result["total_updates_sent"],
-        "coherence": out["collected"]["coherence"],
+        "makespan_us": result.makespan_ns / 1000.0,
+        "updates": result.total_updates_sent,
+        "coherence": _coherence_counters(cluster),
     }
 
 
@@ -85,35 +128,28 @@ def run_patterns_point(hot_fraction: float, threshold: int = 32,
                        seed: int = 11) -> Dict[str, Any]:
     """One W2 point: the alarm-replication stream at one skew level,
     with a no-replication baseline for the speedup column."""
-    from repro.exp.scenario import ScenarioSpec, run_scenario
+    from repro.api import Cluster, ClusterConfig
+    from repro.workloads import PatternRunResult, play_pattern
 
-    def stream(watch: bool) -> Dict[str, Any]:
-        scenario = ScenarioSpec(
-            name=f"w2.hot_page.hot_fraction={hot_fraction}"
-                 f".alarm={watch}",
-            workload="patterns",
-            cluster={"n_nodes": 2, "protocol": "telegraphos",
-                     "replication_threshold":
-                         threshold if watch else None},
-            params={"kind": "hot_page", "accesses": accesses,
-                    "n_pages": n_pages, "hot_fraction": hot_fraction,
-                    "seed": seed,
-                    "watch_threshold": threshold if watch else None},
-            description="§2.2.6 replication grid point",
-        )
-        return run_scenario(scenario)["result"]
+    def stream(replication_threshold: Optional[int]) -> PatternRunResult:
+        cluster = Cluster(ClusterConfig(
+            n_nodes=2, protocol="telegraphos",
+            replication_threshold=replication_threshold))
+        return play_pattern(cluster, kind="hot_page", accesses=accesses,
+                            n_pages=n_pages, hot_fraction=hot_fraction,
+                            seed=seed)
 
-    alarm = stream(watch=True)
-    baseline = stream(watch=False)
+    alarm = stream(threshold)
+    baseline = stream(None)
     return {
         "hot_fraction": hot_fraction,
         "threshold": threshold,
-        "mean_us": alarm["mean_ns"] / 1000.0,
-        "tail_us": alarm["tail_ns"] / 1000.0,
-        "replications": alarm["replications"],
-        "baseline_mean_us": baseline["mean_ns"] / 1000.0,
-        "baseline_tail_us": baseline["tail_ns"] / 1000.0,
-        "tail_speedup": baseline["tail_ns"] / alarm["tail_ns"],
+        "mean_us": alarm.mean_ns / 1000.0,
+        "tail_us": alarm.tail_ns / 1000.0,
+        "replications": alarm.replications,
+        "baseline_mean_us": baseline.mean_ns / 1000.0,
+        "baseline_tail_us": baseline.tail_ns / 1000.0,
+        "tail_speedup": baseline.tail_ns / alarm.tail_ns,
     }
 
 
@@ -129,7 +165,8 @@ def run_fabric_point(routing: str, traffic: str, n_nodes: int = 24,
     exact, which doubles as a termination/livelock check for the
     adaptive router.
     """
-    from repro.exp.scenario import ScenarioSpec, run_scenario
+    from repro.api import Cluster, ClusterConfig
+    from repro.workloads import run_hotspot_counter
 
     faults = None
     if traffic == "fault_soak":
@@ -137,30 +174,23 @@ def run_fabric_point(routing: str, traffic: str, n_nodes: int = 24,
                   "duplicate_rate": 0.001, "reliability": True}
     elif traffic != "hotspot":
         raise ValueError(f"unknown traffic pattern {traffic!r}")
-    scenario = ScenarioSpec(
-        name=f"a2.fabric.{routing}.{traffic}",
-        workload="hotspot",
-        cluster={"n_nodes": n_nodes, "topology": "torus",
-                 "routing": routing, "faults": faults},
-        params={"increments_per_node": increments_per_node},
-        collect=("network", "hib"),
-        description="torus routing-mode grid point (DESIGN.md §10)",
-    )
-    out = run_scenario(scenario)
-    result = out["result"]
-    if result["final_value"] != result["expected_value"]:
+    cluster = Cluster(ClusterConfig(n_nodes=n_nodes, topology="torus",
+                                    routing=routing, faults=faults))
+    result = run_hotspot_counter(
+        cluster, increments_per_node=increments_per_node)
+    if result.final_value != result.expected_value:
         raise AssertionError(
             f"lost increments under routing={routing!r} "
-            f"traffic={traffic!r}: {result['final_value']} != "
-            f"{result['expected_value']}"
+            f"traffic={traffic!r}: {result.final_value} != "
+            f"{result.expected_value}"
         )
     return {
         "routing": routing,
         "traffic": traffic,
-        "makespan_us": result["makespan_ns"] / 1000.0,
-        "atomic_mean_us": result["atomic_ns"]["mean"] / 1000.0,
-        "network": out["collected"]["network"],
-        "hib": out["collected"]["hib"],
+        "makespan_us": result.makespan_ns / 1000.0,
+        "atomic_mean_us": result.atomic_ns.mean / 1000.0,
+        "network": _network_counters(cluster),
+        "hib": _hib_counters(cluster),
     }
 
 
@@ -171,7 +201,6 @@ GRIDS: List[GridSpec] = [
         title="§3.2 remote latency vs link propagation delay",
         bench="benchmarks/bench_table2_latency.py",
         run=t2_latency.run,
-        render=render_point,
         axes={"link_prop_ns": [50, 200, 800, 3200]},
         base={"ops": 2000},
         provenance="emergent",
@@ -187,7 +216,6 @@ GRIDS: List[GridSpec] = [
         title="§2.3.4 counter-cache stalls vs burst size",
         bench="benchmarks/bench_s234_counter_cache.py",
         run=s3_counter_cache.run_point,
-        render=render_point,
         axes={"burst": [8, 16, 24, 32, 48]},
         base={"bursts": 4, "entries": 16},
         provenance="emergent",
@@ -204,7 +232,6 @@ GRIDS: List[GridSpec] = [
         title="Barrier round latency vs node count",
         bench="benchmarks/bench_x1_barrier_scaling.py",
         run=x1_barrier_scaling.run_point,
-        render=render_point,
         axes={"nodes": [2, 4, 8, 16]},
         base={"rounds": 2},
         provenance="emergent",
@@ -220,7 +247,6 @@ GRIDS: List[GridSpec] = [
         title="§2.3.6 migratory sharing across policies",
         bench="benchmarks/bench_s236_update_vs_invalidate.py",
         run=run_migratory_point,
-        render=render_point,
         axes={"sharing": ["replica", "remote"],
               "rounds_per_node": [2, 4]},
         base={"words": 8},
@@ -238,7 +264,6 @@ GRIDS: List[GridSpec] = [
         title="§2.2.6 alarm-based replication vs stream skew",
         bench="benchmarks/bench_s226_replication.py",
         run=run_patterns_point,
-        render=render_point,
         axes={"hot_fraction": [0.5, 0.7, 0.9, 0.98]},
         base={"threshold": 32},
         provenance="emergent",
@@ -254,7 +279,6 @@ GRIDS: List[GridSpec] = [
         title="Torus routing modes under hotspot and fault-soak traffic",
         bench="benchmarks/bench_ablation_topology.py",
         run=run_fabric_point,
-        render=render_point,
         axes={"routing": ["tree", "dor", "adaptive"],
               "traffic": ["hotspot", "fault_soak"]},
         base={"n_nodes": 24, "increments_per_node": 6},
@@ -284,5 +308,5 @@ GRIDS: List[GridSpec] = [
     ),
 ]
 
-__all__ = ["GRIDS", "render_point", "run_fabric_point",
-           "run_migratory_point", "run_patterns_point"]
+__all__ = ["GRIDS", "run_fabric_point", "run_migratory_point",
+           "run_patterns_point"]

@@ -24,10 +24,10 @@ DEFAULT_SIZES: List[Optional[int]] = [1, 2, 4, 8, 16, 32, None]
 
 def _run_with_cache(entries: Optional[int], burst: int,
                     bursts: int) -> Dict[str, Any]:
-    from repro.exp.scenario import make_cluster
+    from repro.api import Cluster, ClusterConfig
 
-    cluster = make_cluster(n_nodes=3, protocol="telegraphos",
-                           cache_entries=entries)
+    cluster = Cluster(ClusterConfig(n_nodes=3, protocol="telegraphos",
+                                    cache_entries=entries))
     seg = cluster.alloc_segment(home=0, pages=1, name="page")
     writer = cluster.create_process(node=1, name="writer")
     base = writer.map(seg, mode="replica")

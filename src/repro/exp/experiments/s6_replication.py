@@ -29,49 +29,36 @@ POLICY_LABELS = {
 }
 
 
-def _stream_scenario(kind: str, accesses: int, n_pages: int, seed: int,
-                     threshold: Optional[int]):
-    """Declare one access-stream run as a scenario.
+def _run_stream(kind: str, accesses: int, n_pages: int, seed: int,
+                threshold: Optional[int]) -> Dict[str, Any]:
+    """Play one access stream on a fresh two-node cluster.
     ``threshold=None`` disables replication."""
-    from repro.exp.scenario import ScenarioSpec
+    from repro.api import Cluster, ClusterConfig
+    from repro.workloads import play_pattern
 
-    return ScenarioSpec(
-        name=f"s6.{kind}.threshold={threshold}",
-        workload="patterns",
-        cluster={"n_nodes": 2, "protocol": "telegraphos",
-                 "replication_threshold": threshold},
-        params={"kind": kind, "accesses": accesses, "n_pages": n_pages,
-                "hot_fraction": 0.9, "seed": seed,
-                "watch_threshold": threshold},
-        description="§2.2.6 access stream vs a replication policy",
-    )
-
-
-def _run_stream(scenario) -> Dict[str, Any]:
-    from repro.exp.scenario import run_scenario
-
-    result = run_scenario(scenario)["result"]
+    cluster = Cluster(ClusterConfig(n_nodes=2, protocol="telegraphos",
+                                    replication_threshold=threshold))
+    result = play_pattern(cluster, kind=kind, accesses=accesses,
+                          n_pages=n_pages, hot_fraction=0.9, seed=seed)
     return {
-        "mean_us": result["mean_ns"] / 1000.0,
-        "tail_us": result["tail_ns"] / 1000.0,
-        "replications": result["replications"],
-        "makespan_us": result["makespan_ns"] / 1000.0,
+        "mean_us": result.mean_ns / 1000.0,
+        "tail_us": result.tail_ns / 1000.0,
+        "replications": result.replications,
+        "makespan_us": result.makespan_ns / 1000.0,
     }
 
 
 def run(accesses: int = 400, threshold: int = 32,
         seed: int = 11) -> Dict[str, Any]:
-    hot = dict(kind="hot_page", accesses=accesses, n_pages=4, seed=seed)
-    # Spread over 16 pages: ~25 accesses per page, below the alarm
-    # threshold — no page is hot enough to be worth replicating.
-    uniform = dict(kind="uniform", accesses=accesses, n_pages=16, seed=seed)
     return {
         "threshold": threshold,
-        "hot_no_replication": _run_stream(
-            _stream_scenario(threshold=None, **hot)),
-        "hot_alarm": _run_stream(_stream_scenario(threshold=threshold, **hot)),
-        "uniform_alarm": _run_stream(
-            _stream_scenario(threshold=threshold, **uniform)),
+        "hot_no_replication": _run_stream("hot_page", accesses, 4, seed,
+                                          None),
+        "hot_alarm": _run_stream("hot_page", accesses, 4, seed, threshold),
+        # Spread over 16 pages: ~25 accesses per page, below the alarm
+        # threshold — no page is hot enough to be worth replicating.
+        "uniform_alarm": _run_stream("uniform", accesses, 16, seed,
+                                     threshold),
     }
 
 

@@ -24,56 +24,39 @@ from repro.exp.spec import ExperimentSpec, unmet
 MODES = ("replica", "remote")
 
 
-def _protocol(mode: str) -> str:
-    return "telegraphos" if mode == "replica" else "none"
+def _cluster(mode: str):
+    """Three nodes; replicas need the update protocol, remote reads
+    none."""
+    from repro.api import Cluster, ClusterConfig
 
-
-def _pc_scenario(mode: str):
-    from repro.exp.scenario import ScenarioSpec
-
-    return ScenarioSpec(
-        name=f"s8.producer_consumer.{mode}",
-        workload="producer_consumer",
-        cluster={"n_nodes": 3, "protocol": _protocol(mode)},
-        params={"producer_node": 0, "consumer_nodes": [1, 2],
-                "batches": 4, "words_per_batch": 16, "sharing": mode},
-        collect=("coherence",),
-        description="§2.3.6 producer/consumer under one sharing policy",
-    )
-
-
-def _mig_scenario(mode: str):
-    from repro.exp.scenario import ScenarioSpec
-
-    return ScenarioSpec(
-        name=f"s8.migratory.{mode}",
-        workload="migratory",
-        cluster={"n_nodes": 3, "protocol": _protocol(mode)},
-        params={"rounds_per_node": 3, "words": 8, "sharing": mode},
-        description="§2.3.6 migratory sharing under one sharing policy",
-    )
+    protocol = "telegraphos" if mode == "replica" else "none"
+    return Cluster(ClusterConfig(n_nodes=3, protocol=protocol))
 
 
 def _run_pc(mode: str) -> Dict[str, Any]:
-    from repro.exp.scenario import run_scenario
+    from repro.workloads import run_producer_consumer
 
-    out = run_scenario(_pc_scenario(mode))
+    cluster = _cluster(mode)
+    result = run_producer_consumer(
+        cluster, producer_node=0, consumer_nodes=[1, 2], batches=4,
+        words_per_batch=16, sharing=mode)
     return {
-        "read_us": out["result"]["consumer_read_ns"]["mean"] / 1000.0,
-        "makespan_us": out["result"]["makespan_ns"] / 1000.0,
-        "updates": out["collected"]["coherence"]["updates_sent"],
+        "read_us": result.consumer_read_ns.mean / 1000.0,
+        "makespan_us": result.makespan_ns / 1000.0,
+        "updates": sum(engine.stats["updates_sent"]
+                       for engine in cluster.engines.values()),
     }
 
 
 def _run_mig(mode: str) -> Dict[str, Any]:
-    from repro.exp.scenario import run_scenario
+    from repro.workloads import run_migratory
 
-    out = run_scenario(_mig_scenario(mode))
-    result = out["result"]
-    assert result["final_sum"] == result["expected_sum"], "lost updates!"
+    result = run_migratory(_cluster(mode), rounds_per_node=3, words=8,
+                           sharing=mode)
+    assert result.final_sum == result.expected_sum, "lost updates!"
     return {
-        "makespan_us": result["makespan_ns"] / 1000.0,
-        "updates": result["total_updates_sent"],
+        "makespan_us": result.makespan_ns / 1000.0,
+        "updates": result.total_updates_sent,
     }
 
 

@@ -24,12 +24,12 @@ TOLERANCE = 0.10
 
 
 def _two_node_setup(link_prop_ns: Optional[int] = None):
-    from repro.exp.scenario import make_cluster
+    from repro.api import Cluster, ClusterConfig
+    from repro.params import DEFAULT_PARAMS
 
-    wiring: Dict[str, Any] = {"n_nodes": 2, "trace": False}
-    if link_prop_ns is not None:
-        wiring["timing"] = {"link_prop_ns": link_prop_ns}
-    cluster = make_cluster(**wiring)
+    params = (None if link_prop_ns is None
+              else DEFAULT_PARAMS.with_timing(link_prop_ns=link_prop_ns))
+    cluster = Cluster(ClusterConfig(n_nodes=2, trace=False, params=params))
     segment = cluster.alloc_segment(home=1, pages=2, name="bench")
     proc = cluster.create_process(node=0, name="bench")
     base = proc.map(segment)

@@ -46,8 +46,10 @@ class GridSpec:
     The non-axis fields mirror :class:`~repro.exp.spec.ExperimentSpec`
     — every expanded point inherits them (same historical bench label,
     same provenance vocabulary, same version stamp participating in
-    every point's cache key).  Points carry no ``check``: a family's
-    claim, where it has one, is its flat spec's.
+    every point's cache key).  Points carry neither ``check`` nor
+    ``render``: a family's claim, where it has one, is its flat spec's,
+    and EXPERIMENTS.md shows a family through its aggregate
+    (:mod:`repro.analysis.results`), not point by point.
     """
 
     #: Family id — the results subdirectory and the ``--only T2/*``
@@ -61,9 +63,6 @@ class GridSpec:
     bench: str
     #: Called per point as ``run(**base, **axis_assignment)``.
     run: Callable[..., Dict[str, Any]]
-    #: Renders one *point's* result dict (grid summaries are assembled
-    #: by :mod:`repro.analysis.results`, not per-point renderers).
-    render: Callable[[Dict[str, Any]], str]
     #: Swept axes, in declaration order: ``axis name -> values``.
     axes: Mapping[str, Sequence[Any]] = field(default_factory=dict)
     #: Parameters shared by every point.
@@ -141,7 +140,6 @@ class GridSpec:
                 title=f"{self.title} — {label}",
                 bench=self.bench,
                 run=self.run,
-                render=self.render,
                 provenance=self.provenance,
                 caveat=self.caveat,
                 version=self.version,

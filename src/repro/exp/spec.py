@@ -6,7 +6,8 @@ callable, the parameters it is called with, a version stamp that must
 be bumped whenever the measurement code changes meaning, the renderer
 that turns the machine-readable result into its EXPERIMENTS.md
 section, and the check that states the paper's claim about that
-result.
+result.  Grid points (:mod:`repro.exp.grid`) carry neither renderer
+nor check.
 
 The spec's :meth:`~ExperimentSpec.cache_key` is a stable BLAKE2b hash
 of ``(experiment id, params, spec version, schema version)`` — the
@@ -155,7 +156,9 @@ class ExperimentSpec:
     #: JSON-serializable dict and be a pure function of its arguments.
     run: Callable[..., Dict[str, Any]]
     #: Renders the result dict into the markdown section body.
-    render: Callable[[Dict[str, Any]], str]
+    #: ``None`` only for grid points, which EXPERIMENTS.md shows
+    #: through their family's aggregate.
+    render: Optional[Callable[[Dict[str, Any]], str]] = None
     #: The paper's claim about the result: one message per way the
     #: result breaks it, ``[]`` when it holds.  The sweep rejects a
     #: fresh result that fails it, and the test suite runs it on every
@@ -177,6 +180,11 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         validate_exp_id(self.exp_id)
+        if self.render is None and not self.is_grid_point:
+            raise ValueError(
+                f"{self.exp_id}: a flat spec needs a render function for "
+                "its EXPERIMENTS.md section"
+            )
         if self.provenance not in PROVENANCES:
             raise ValueError(
                 f"{self.exp_id}: provenance {self.provenance!r} not in "

@@ -140,36 +140,3 @@ class GateCountModel:
     @property
     def shared_memory_gates(self) -> int:
         return self.subtotal("shared")[0]
-
-    # -- rendering ----------------------------------------------------------
-
-    def render(self) -> str:
-        """Text rendering in the shape of Table 1."""
-
-        def fmt_kbits(value: float) -> str:
-            if value == 0:
-                return ""
-            if value == int(value):
-                return f"{int(value)}" if value >= 1 else f"{value:g}"
-            return f"{value:g}"
-
-        lines = []
-        header = f"{'Block':<28}{'Logic':>8}{'SRAM':>10}  Notes"
-        lines.append(header)
-        lines.append(f"{'':<28}{'(gates)':>8}{'(Kbits)':>10}")
-        lines.append("-" * 72)
-        for group, label in (("message", "message related"), ("shared", "shared mem. rel.")):
-            for block in self.blocks():
-                if block.group != group:
-                    continue
-                gates = f"{block.gates}" if block.gates else ""
-                lines.append(
-                    f"{block.name:<28}{gates:>8}{fmt_kbits(block.sram_kbits):>10}"
-                    f"  {block.note}"
-                )
-            gates, kbits = self.subtotal(group)
-            lines.append(
-                f"{'Subtotal ' + label:<28}{gates:>8}{fmt_kbits(kbits):>10}"
-            )
-            lines.append("-" * 72)
-        return "\n".join(lines)

@@ -321,9 +321,3 @@ class TorusSwitch:
         coord = self.coords[dim]
         return coord == self.dims[dim] - 1 if step == 1 else coord == 0
 
-    # -- introspection ----------------------------------------------------
-
-    @property
-    def input_ports(self) -> Dict[object, BoundedQueue]:
-        return dict(self._inputs)
-

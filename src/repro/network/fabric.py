@@ -54,8 +54,6 @@ class NetworkPort:
                  ingress: Dict[str, BoundedQueue],
                  pool: PacketPool = NULL_POOL):
         self.node_id = node_id
-        self._egress = egress
-        self._ingress = ingress
         self.pool = pool
         # Plane queues resolved once; the per-send work is one
         # precomputed plane test plus a queue put.
@@ -79,15 +77,6 @@ class NetworkPort:
         """Waitable resolving with the next incoming *reply-class*
         packet."""
         return self._ingress_rsp.get()
-
-    @property
-    def egress(self) -> BoundedQueue:
-        """The request-plane egress FIFO (the §3.2 write queue)."""
-        return self._egress["req"]
-
-    @property
-    def ingress(self) -> BoundedQueue:
-        return self._ingress["req"]
 
 
 class Fabric:

@@ -210,9 +210,5 @@ class Switch:
     # -- introspection ----------------------------------------------------------
 
     @property
-    def input_ports(self) -> Dict[object, BoundedQueue]:
-        return dict(self._inputs)
-
-    @property
     def buffer_in_use(self) -> int:
         return self._slots.capacity - len(self._slots)

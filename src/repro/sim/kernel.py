@@ -69,7 +69,6 @@ from typing import (
     List,
     Optional,
     Tuple,
-    Union,
 )
 
 #: A heap slot: ``(time, seq, fn, args)`` for fire-and-forget events,
@@ -428,17 +427,24 @@ class Simulator:
 
     # -- scheduling ------------------------------------------------------
 
-    def schedule(self, delay: Union[int, float], fn: Callable[..., None],
+    def schedule(self, delay: int, fn: Callable[..., None],
                  *args: Any) -> EventHandle:
         """Run ``fn(*args)`` after ``delay`` nanoseconds (cancellable).
+
+        ``delay`` must be a non-negative ``int``, as a process's delay
+        command must: nothing is truncated, and a ``bool`` is not a
+        delay.
 
         Cancellable events always ride the binary heap: cancellation
         is a tombstone there, and keeping tombstones out of the other
         tiers keeps compaction to the heap.
         """
+        if type(delay) is not int:
+            raise TypeError(
+                f"schedule delay must be a non-negative int, got {delay!r}")
         if delay < 0:
             raise ValueError("cannot schedule into the past")
-        time = self.now + int(delay)
+        time = self.now + delay
         seq = self._seq
         self._seq = seq + 1
         handle = EventHandle(self, time, seq, fn, args)

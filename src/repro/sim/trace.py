@@ -37,8 +37,9 @@ class TraceEvent:
 class Tracer:
     """Collects :class:`TraceEvent`\\ s.
 
-    Tracing is off by default (``enabled=False`` skips all recording)
-    so the latency benches do not pay for event storage.
+    Recording is on by default; ``enabled=False`` skips it all, so a
+    run that never reads its trace (the T2 latency measurement, a HIB
+    built without a cluster tracer) does not pay for event storage.
     """
 
     def __init__(self, clock: Callable[[], int], enabled: bool = True,

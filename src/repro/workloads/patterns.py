@@ -69,20 +69,18 @@ def play_pattern(
     write_fraction: Optional[float] = None,
     seed: int = 42,
     think_ns: int = 5_000,
-    watch_threshold: Optional[int] = None,
     home: int = 1,
     reader_node: int = 0,
     tail: int = 100,
 ) -> PatternRunResult:
     """Generate a seeded access stream and play it against remote
-    pages — the §2.2.6 replication workload as a registered scenario
-    factory.
+    pages — the §2.2.6 replication workload.
 
     ``kind`` selects the generator (``"hot_page"`` or ``"uniform"``);
     ``write_fraction=None`` keeps each generator's own default.  When
-    ``watch_threshold`` is set, every page is armed for alarm-based
-    replication at that access count (the cluster must be built with a
-    matching ``replication_threshold``).
+    the cluster was built with a ``replication_threshold``, every page
+    is armed for alarm-based replication at that access count;
+    otherwise nothing is replicated.
     """
     if kind == "hot_page":
         fraction = 0.1 if write_fraction is None else write_fraction
@@ -105,10 +103,10 @@ def play_pattern(
                                 name="data")
     proc = cluster.create_process(node=reader_node, name="reader")
     base = proc.map(seg)
-    if watch_threshold is not None:
+    replication = cluster.node(reader_node).replication
+    if replication is not None:
         for page in range(pattern.n_pages):
-            cluster.node(reader_node).replication.watch(
-                home, seg.gpage + page, watch_threshold)
+            replication.watch(home, seg.gpage + page)
     page_bytes = cluster.amap.page_bytes
     latencies: List[int] = []
 
@@ -124,15 +122,12 @@ def play_pattern(
             yield p.think(think_ns)  # inter-access compute
 
     cluster.run(join=[cluster.start(proc, program)])
-    replications = (
-        cluster.node(reader_node).replication.replications
-        if watch_threshold is not None else 0
-    )
     return PatternRunResult(
         makespan_ns=cluster.now,
         mean_ns=sum(latencies) / len(latencies),
         tail_ns=sum(latencies[-tail:]) / len(latencies[-tail:]),
-        replications=replications,
+        replications=(replication.replications
+                      if replication is not None else 0),
         accesses=len(pattern),
         description=pattern.description,
     )

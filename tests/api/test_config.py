@@ -7,7 +7,7 @@ import warnings
 import pytest
 
 from repro.api import Cluster, ClusterConfig
-from repro.params import Params
+from repro.params import DEFAULT_PARAMS, Params
 
 
 # -- the config object ----------------------------------------------------
@@ -39,6 +39,19 @@ def test_config_round_trips_through_plain_data():
 def test_config_round_trip_preserves_none_params():
     config = ClusterConfig(n_nodes=3)
     assert ClusterConfig.from_dict(config.to_dict()) == config
+
+
+def test_config_timing_override_reaches_every_link():
+    """The T2 grid's axis path: a ``with_timing`` override in the
+    config is the propagation delay each link waits."""
+    config = ClusterConfig(
+        params=DEFAULT_PARAMS.with_timing(link_prop_ns=999))
+    links = Cluster(config).fabric.links
+    assert links
+    assert {link.timing.link_prop_ns for link in links} == {999}
+    plain = Cluster(ClusterConfig()).fabric.links
+    assert {link.timing.link_prop_ns for link in plain} \
+        == {DEFAULT_PARAMS.timing.link_prop_ns}
 
 
 def test_config_collectives_round_trips():

@@ -13,17 +13,12 @@ def run_nothing(**params):
     return dict(params)
 
 
-def render_nothing(result):
-    return str(result)
-
-
 def make_grid(**overrides):
     kwargs = dict(
         family="G",
         title="test grid",
         bench="benchmarks/bench_table2_latency.py",
         run=run_nothing,
-        render=render_nothing,
         axes={"alpha": [1, 2], "beta": [0.5, 0.25]},
         base={"fixed": 7},
     )
@@ -59,6 +54,7 @@ def test_points_inherit_family_metadata_and_merge_params():
     assert point.version == 3
     assert point.cost == 0.4
     assert point.bench == grid.bench
+    assert point.check is None and point.render is None
 
 
 def test_grid_validation_rejects_bad_declarations():

@@ -4,6 +4,8 @@ cache (``repro.exp.spec`` / ``repro.exp.cache``)."""
 import dataclasses
 import json
 
+import pytest
+
 from repro.exp import (
     SCHEMA_VERSION,
     ExperimentSpec,
@@ -58,6 +60,16 @@ def test_cache_key_is_stable_and_version_sensitive():
     assert make_spec(caveat="different note").cache_key() == key
     assert make_spec(cost=9.0).cache_key() == key
     assert make_spec(check=lambda result: []).cache_key() == key
+
+
+def test_spec_construction_rejects_misuse():
+    """Only a grid point may leave ``render`` unset; a flat spec
+    without one, or with an unknown provenance, fails at once."""
+    with pytest.raises(ValueError, match="render"):
+        make_spec(render=None)
+    with pytest.raises(ValueError, match="provenance"):
+        make_spec(provenance="guessed")
+    assert make_spec(exp_id="G/alpha=1", render=None).render is None
 
 
 def test_cache_round_trip(tmp_path):

@@ -61,18 +61,3 @@ def test_mpm_note_scales():
     note = block_by_name(model, "Multiproc. Mem. (MPM)").note
     assert "32 MBytes" in note
     assert "256 Mbits" in note
-
-
-def test_render_contains_all_rows_and_subtotals():
-    text = GateCountModel().render()
-    for fragment in [
-        "Central control",
-        "Atomic operations",
-        "16 K multicast list entries x 32 bits",
-        "64 K pages x (16+16) bits",
-        "Subtotal message related",
-        "Subtotal shared mem. rel.",
-        "3300",
-        "2700",
-    ]:
-        assert fragment in text

@@ -1,11 +1,15 @@
 """Unit tests for the discrete-event kernel."""
 
+import re
+
 import pytest
 
 from repro.sim import (
+    KERNELS,
     Future,
     SimulationDeadlock,
     Simulator,
+    make_simulator,
 )
 
 
@@ -33,6 +37,18 @@ def test_schedule_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
         sim.schedule(-1, lambda: None)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize(
+    "delay", [2.5, True, None], ids=["float", "bool", "None"])
+def test_schedule_rejects_non_int_delay(kernel, delay):
+    """A float is not truncated and a bool is not read as 1 ns: both
+    kernels refuse anything but an int, naming the value."""
+    sim = make_simulator(kernel)
+    with pytest.raises(TypeError, match=re.escape(repr(delay))):
+        sim.schedule(delay, lambda: None)
+    assert sim.pending_events == 0
 
 
 def test_event_cancellation():

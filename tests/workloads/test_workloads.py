@@ -5,6 +5,7 @@ import pytest
 from repro.api import Cluster, ClusterConfig
 from repro.workloads import (
     hot_page_stream,
+    play_pattern,
     run_hotspot_counter,
     run_migratory,
     run_producer_consumer,
@@ -98,6 +99,30 @@ def test_hotspot_home_atomics_cheaper_than_remote():
     result = run_hotspot_counter(cluster, home=0, increments_per_node=5)
     # Mixed latencies: home-local atomics vs network round trips.
     assert result.atomic_ns.minimum < result.atomic_ns.maximum / 2
+
+
+# -- playing a pattern --------------------------------------------------------
+
+
+def test_play_pattern_arms_pages_at_the_cluster_threshold():
+    """The alarm threshold comes from the cluster's replication policy:
+    the hot page crosses it and is replicated; without a policy nothing
+    is."""
+    def replications(threshold):
+        cluster = Cluster(ClusterConfig(
+            n_nodes=2, protocol="telegraphos",
+            replication_threshold=threshold))
+        return play_pattern(cluster, kind="hot_page", accesses=400,
+                            n_pages=4, seed=11).replications
+
+    assert replications(32) >= 1
+    assert replications(None) == 0
+
+
+def test_play_pattern_rejects_unknown_kind():
+    cluster = Cluster(ClusterConfig(n_nodes=2, protocol="telegraphos"))
+    with pytest.raises(KeyError, match="zigzag"):
+        play_pattern(cluster, kind="zigzag", accesses=10)
 
 
 # -- migratory ------------------------------------------------------------------
