@@ -16,7 +16,8 @@ Module map — who owns what:
 - :mod:`repro.network.packet` — typed network packets with wire sizes
   (including the ``vc_wrap`` dateline bitmask torus routing stamps).
 - :mod:`repro.network.link` — point-to-point links with serialization
-  delay, propagation delay, and credit back-pressure.
+  delay, propagation delay, and credit back-pressure: callback state
+  machines, so a hop is a few posted events, not a process pair.
 - :mod:`repro.network.switch` — the *tree-fabric* switch:
   input-buffered, deterministic table routing, per-(source,
   destination) in-order forwarding through a shared buffer.

@@ -129,9 +129,8 @@ class Fabric:
         # deliberately loose and capped to keep the bucket dict small
         # on very large fabrics.
         timing = params.timing
-        packets = params.packets
-        wire_ns = packets.atomic_request * 1000 // timing.link_bytes_per_us
-        per_hop = wire_ns + timing.link_prop_ns + timing.switch_route_ns
+        per_hop = (timing.serialization_ns(params.packets.atomic_request)
+                   + timing.link_prop_ns + timing.switch_route_ns)
         traversal = ((len(topology.switch_ids) + 2) * per_hop
                      + timing.hib_decode_ns + timing.hib_inject_ns
                      + timing.hib_mem_read_ns)

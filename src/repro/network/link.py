@@ -1,143 +1,143 @@
 """Point-to-point links.
 
 A :class:`Link` moves packets from a source queue to a destination
-queue, one at a time, charging serialization time (size / bandwidth)
-plus propagation delay.  Back-pressure is structural: the link does not
-take the next packet from its source until the destination queue has
-accepted the current one, so a full buffer at the far end stalls the
-link, which fills the source queue, which stalls whoever feeds it —
-exactly the paper's "back-pressured flow control" (§2.1).
+queue, charging serialization (size / bandwidth) plus propagation.
+Back-pressure is structural: a packet ``dst`` has not accepted keeps
+the link's one flight slot, so a full far-end buffer stalls the link,
+which fills the source queue, which stalls its feeder — the paper's
+"back-pressured flow control" (§2.1).
 
-Because a link is a single simulation process draining a FIFO, it
-trivially preserves order.
+The wire is one deep: while one packet flies (or waits at ``dst``), the
+next waits on the wire and a third is held by the serializer, which
+then stops draining the source.  Serialization overlaps the flight
+before it, but flights are one at a time: packets leave at most one
+per max(serialization, propagation).  FIFO stages keep order.
 
-A link is also a **fault site**: when a
-:class:`~repro.faults.FaultInjector` is attached, each packet's
-traversal may — per the injector's deterministic schedule — be
-dropped, marked corrupted, duplicated, or stalled in flight.  Without
-an injector (the default) none of those branches is ever taken and the
-link is the paper's lossless wire.
+A link is a **fault site**: a :class:`~repro.faults.FaultInjector` may
+drop, corrupt, duplicate or stall a traversal on its deterministic
+schedule.  Without one (the default) the link is a lossless wire.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional, Tuple
 
 from repro.params import TimingParams
 from repro.sim import BoundedQueue, Simulator, Tracer
 from repro.network.packet import Packet
 
+_Slot = Optional[Tuple[int, Packet]]
+
 
 class Link:
-    """A unidirectional link between two buffers.
+    """A unidirectional link as a callback state machine.  A hop is four
+    events — serialization start and done, a delay-0 drain of ``src``
+    that launches the flight, and arrival — each queued behind all
+    already due at its instant, so the link's queue operations, fault
+    decisions and trace records keep their order (DESIGN.md §7)."""
 
-    ``src`` is drained; ``dst`` is filled.  The constructor spawns the
-    pump process; the link runs for the life of the simulation.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        timing: TimingParams,
-        src: BoundedQueue,
-        dst: BoundedQueue,
-        name: str = "link",
-        node: Optional[int] = None,
-        tracer: Optional[Tracer] = None,
-        injector=None,
-    ):
+    def __init__(self, sim: Simulator, timing: TimingParams,
+                 src: BoundedQueue, dst: BoundedQueue, name: str = "link",
+                 node: Optional[int] = None, tracer: Optional[Tracer] = None,
+                 injector: Optional[Any] = None):
         self.sim = sim
         self.timing = timing
         self.src = src
         self.dst = dst
         self.name = name
-        #: Workstation this link attaches to (``None`` for
-        #: switch-to-switch cables) — used to assign the link's
-        #: activity lane to a node in trace exports.
+        #: Attached workstation (``None`` for cables): its trace row.
         self.node = node
-        self.tracer = tracer
-        #: Optional :class:`~repro.faults.FaultInjector`; ``None``
-        #: means lossless delivery.
+        #: Optional :class:`~repro.faults.FaultInjector`.
         self.injector = injector
-        self.packets_carried = 0
-        self.bytes_carried = 0
-        self.busy_ns = 0
-        # One-deep wire stage: the serializer hands each packet to the
-        # propagation pump, so the next packet's serialization overlaps
-        # the previous packet's flight time — link throughput is set by
-        # bandwidth alone, latency by bandwidth + propagation.
-        self._wire = BoundedQueue(1, name=f"{name}.wire")
-        self._serializer = sim.spawn(self._serialize(), name=f"{name}.ser")
-        self._pump = sim.spawn(self._propagate(), name=f"{name}.prop")
+        self.packets_carried = self.bytes_carried = self.busy_ns = 0
+        self._span = (tracer.span if tracer is not None
+                      and tracer.enabled and tracer.lanes else None)
+        # (serialization start, packet): flying or at dst, on wire, held.
+        self._flight: _Slot = None
+        self._wire: _Slot = None
+        self._held: _Slot = None
+        #: When the latest serialization ends.
+        self._due = -1
+        sim._post(0, self._drain)
 
-    def _serialize(self):
-        serialization_ns = self.timing.serialization_ns
-        sim = self.sim
-        get = self.src.get
-        put = self._wire.put
-        while True:
-            packet: Packet = yield get()
-            started = sim.now
-            serialization = serialization_ns(packet.size_bytes)
-            yield serialization
-            self.busy_ns += serialization
-            yield put((started, packet))
+    def _launch(self) -> None:
+        self.sim._post(self.timing.link_prop_ns, self._arrive)
 
-    def _propagate(self):
-        """Deliver each packet after its flight time, through the fault
-        site when an injector is attached.
+    def _drain(self, launch: bool = False) -> None:
+        if launch:
+            self._launch()
+        # Fires at once when a packet is waiting, else on the put.
+        self.src.get().add_callback(self._take)
 
-        The trace span is resolved once when the pump starts, so an
-        untraced link never calls it.  Neither the
-        injector nor the tracer changes the waitables a lossless packet
-        yields, so the event schedule is independent of both.
-        """
-        prop_ns = self.timing.link_prop_ns
-        get = self._wire.get
-        put = self.dst.put
-        injector = self.injector
-        tracer = self.tracer
-        span = (tracer.span if tracer is not None
-                and tracer.enabled and tracer.lanes else None)
-        while True:
-            started, packet = yield get()
-            yield prop_ns
-            if injector is not None:
-                action = injector.action_for(self.name, packet)
-                if action.kind == "drop":
-                    continue
-                if action.kind == "corrupt":
-                    # Model an in-flight bit error as a flag, never by
-                    # mutating the payload: the sender's retransmit
-                    # window holds the same Packet object.
-                    packet.corrupted = True
-                elif action.kind == "duplicate":
-                    yield put(packet)
-                elif action.kind == "stall":
-                    yield action.stall_ns
-            # Blocks while the downstream buffer is full: back-pressure.
-            yield put(packet)
-            self.packets_carried += 1
-            self.bytes_carried += packet.size_bytes
-            if span is not None:
-                span(
-                    "link_xfer", started, link=self.name, node=self.node,
-                    src=packet.src, dst=packet.dst, kind=packet.kind.name,
-                    bytes=packet.size_bytes,
-                )
+    def _take(self, packet: Packet, _exc: Optional[BaseException]) -> None:
+        self.sim._post(0, self._start, (packet,))
 
-    @property
-    def utilization_ns(self) -> int:
-        """Total time the link spent clocking bits."""
-        return self.busy_ns
+    def _start(self, packet: Packet) -> None:
+        ns = self.timing.serialization_ns(packet.size_bytes)
+        self._due = self.sim.now + ns
+        self.sim._post(ns, self._clocked, ((self.sim.now, packet), ns))
 
+    def _clocked(self, item: Tuple[int, Packet], ns: int) -> None:
+        self.busy_ns += ns
+        if self._wire is not None:
+            self._held = item
+        elif self._flight is None:
+            self._flight = item
+            self.sim._post(0, self._drain, (True,))
+        else:
+            self._wire = item
+            self.sim._post(0, self._drain)
 
-def connect(
-    sim: Simulator,
-    timing: TimingParams,
-    src: BoundedQueue,
-    dst: BoundedQueue,
-    name: Optional[str] = None,
-) -> Link:
-    """Convenience constructor for a :class:`Link`."""
-    return Link(sim, timing, src, dst, name=name or f"{src.name}->{dst.name}")
+    def _arrive(self) -> None:
+        assert self._flight is not None
+        packet = self._flight[1]
+        if self.injector is not None:
+            action = self.injector.action_for(self.name, packet)
+            if action.kind == "drop":
+                self._pop()
+                return
+            if action.kind == "corrupt":
+                # A flag: the sender's retransmit window holds this object.
+                packet.corrupted = True
+            elif action.kind == "duplicate":
+                self.dst.put(packet).add_callback(
+                    lambda _value, _exc: self.sim._post(
+                        0, self._deliver, (packet,)))
+                return
+            elif action.kind == "stall":
+                self.sim._post(action.stall_ns, self._deliver, (packet,))
+                return
+        self._deliver(packet)
+
+    def _deliver(self, packet: Packet) -> None:
+        # Waits while the downstream buffer is full: back-pressure.
+        self.dst.put(packet).add_callback(self._delivered)
+
+    def _delivered(self, _value: Any, _exc: Optional[BaseException]) -> None:
+        item = self._flight
+        assert item is not None
+        self.packets_carried += 1
+        self.bytes_carried += item[1].size_bytes
+        # Skip the delay-0 step that frees the slot when nothing can tell.
+        if (self._span is None and self._wire is None
+                and self._due != self.sim.now):
+            self._flight = None
+        else:
+            self.sim._post(0, self._settle, (item,))
+
+    def _settle(self, item: Tuple[int, Packet]) -> None:
+        if self._span is not None:
+            started, packet = item
+            self._span("link_xfer", started, link=self.name, node=self.node,
+                       src=packet.src, dst=packet.dst,
+                       kind=packet.kind.name, bytes=packet.size_bytes)
+        self._pop()
+
+    def _pop(self) -> None:
+        # Free the slot: the wire's packet flies and a held one moves up.
+        self._flight = self._wire
+        if self._flight is not None:
+            self._wire, self._held = self._held, None
+            if self._wire is not None:
+                self.sim._post(0, self._drain)
+            self.sim._post(0, self._launch)

@@ -10,10 +10,10 @@ event, so simulations that do not profile lose next to nothing.
 :class:`EventLoopProfiler` is the stock implementation: it answers
 "where does simulation *wall-clock* time go?" — events executed per
 wall second, peak event-heap depth, and the hottest callbacks by
-invocation count (a CPU interpreter step, a switch forwarder, a link
-pump...).  That is the view needed to optimise the simulator itself,
-complementing the :class:`~repro.obs.metrics.MetricsRegistry`, which
-observes the *simulated machine*.
+invocation count (a CPU interpreter step, a switch forwarder, a
+link's arrival...).  That is the view needed to optimise the simulator
+itself, complementing the :class:`~repro.obs.metrics.MetricsRegistry`,
+which observes the *simulated machine*.
 """
 
 from __future__ import annotations

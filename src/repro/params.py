@@ -150,6 +150,10 @@ class TimingParams:
                 raise ValueError(
                     f"TimingParams.{spec.name} must be non-negative, "
                     f"got {value!r}")
+        # The one divisor: serialization time is size / bandwidth.
+        if self.link_bytes_per_us == 0:
+            raise ValueError(
+                "TimingParams.link_bytes_per_us must be positive, got 0")
 
     def serialization_ns(self, size_bytes: int) -> int:
         """Time to clock ``size_bytes`` onto a link."""

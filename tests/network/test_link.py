@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.network.link import Link, connect
+from repro.network.link import Link
 from repro.network.packet import Packet, PacketKind
 from repro.params import DEFAULT_PARAMS
 from repro.sim import BoundedQueue, Simulator
@@ -42,6 +42,30 @@ def test_serialization_scales_with_size():
     assert timing.serialization_ns(40) == 2 * timing.serialization_ns(20)
 
 
+def test_flights_are_one_at_a_time():
+    """Serialization overlaps the previous flight, but only one packet
+    propagates at a time: back-to-back packets leave one per
+    max(serialization, propagation), here the 3,200 ns flight, not the
+    1,000 ns a 20-byte packet takes to serialize."""
+    sim = Simulator()
+    timing = DEFAULT_PARAMS.with_timing(link_prop_ns=3200).timing
+    src, dst = BoundedQueue(8, name="src"), BoundedQueue(8, name="dst")
+    Link(sim, timing, src, dst)
+    arrivals = []
+
+    def consumer():
+        for _ in range(5):
+            yield dst.get()
+            arrivals.append(sim.now)
+
+    sim.spawn(consumer())
+    for _ in range(5):
+        assert src.try_put(make_packet(size=20))
+    sim.run()
+    assert timing.serialization_ns(20) == 1000
+    assert arrivals == [4200, 7400, 10600, 13800, 17000]
+
+
 def test_link_preserves_fifo_order():
     sim, _, src, dst, _ = setup_link()
     packets = [make_packet(size=10 + i) for i in range(5)]
@@ -68,8 +92,8 @@ def test_backpressure_stalls_source_drain():
     sim.run(until=1_000_000)
     assert len(dst) == 1
     assert link.packets_carried == 1
-    # The pipeline absorbs four packets (dst buffer, propagation stage,
-    # wire queue, serializer in flight); the source retains the fifth.
+    # The pipeline absorbs four packets (dst buffer, flight slot, wire,
+    # held by the serializer); the source retains the fifth.
     assert len(src) == 1
 
 
@@ -103,17 +127,9 @@ def test_link_statistics():
     sim.run()
     assert link.packets_carried == 2
     assert link.bytes_carried == 40
-    assert link.utilization_ns == DEFAULT_PARAMS.timing.serialization_ns(
+    assert link.busy_ns == DEFAULT_PARAMS.timing.serialization_ns(
         10
     ) + DEFAULT_PARAMS.timing.serialization_ns(30)
-
-
-def test_connect_names_link():
-    sim = Simulator()
-    src = BoundedQueue(2, name="a")
-    dst = BoundedQueue(2, name="b")
-    link = connect(sim, DEFAULT_PARAMS.timing, src, dst)
-    assert link.name == "a->b"
 
 
 def test_packet_validation():

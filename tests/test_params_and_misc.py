@@ -37,12 +37,13 @@ def test_params_with_timing_override():
     assert DEFAULT_PARAMS.timing.cpu_issue_ns == 40  # original untouched
 
 
-@pytest.mark.parametrize("value, error", [
-    (2.5, TypeError), (True, TypeError), (-1, ValueError),
-], ids=["float", "bool", "negative"])
-def test_timing_override_rejects_non_int_or_negative(value, error):
-    with pytest.raises(error, match="link_prop_ns"):
-        DEFAULT_PARAMS.with_timing(link_prop_ns=value)
+@pytest.mark.parametrize("field, value, error", [
+    ("link_prop_ns", 2.5, TypeError), ("link_prop_ns", True, TypeError),
+    ("link_prop_ns", -1, ValueError), ("link_bytes_per_us", 0, ValueError),
+], ids=["float", "bool", "negative", "zero-bandwidth"])
+def test_timing_override_rejects_non_int_or_negative(field, value, error):
+    with pytest.raises(error, match=field):
+        DEFAULT_PARAMS.with_timing(**{field: value})
 
 
 def test_params_with_sizing_override():
