@@ -28,6 +28,7 @@ Runs a list of :class:`~repro.exp.spec.ExperimentSpec` across a
 
 from __future__ import annotations
 
+import gc
 import json
 import multiprocessing
 import queue as queue_module
@@ -126,7 +127,12 @@ def shard_assignment(
 
 def _worker_main(shard: Sequence[ExperimentSpec], out_queue: Any) -> None:
     """Run one shard sequentially, reporting each result as it lands
-    (so a later crash does not discard earlier work)."""
+    (so a later crash does not discard earlier work).
+
+    Each experiment's cluster is freed before the next one builds: a
+    simulation is full of reference cycles, and the cyclic collector
+    alone may not reach them until the next large build has grown the
+    worker's peak memory."""
     for spec in shard:
         try:
             result = spec.run(**spec.params)
@@ -134,6 +140,8 @@ def _worker_main(shard: Sequence[ExperimentSpec], out_queue: Any) -> None:
             out_queue.put((spec.exp_id, "error", traceback.format_exc()))
         else:
             out_queue.put((spec.exp_id, "ok", result))
+            del result
+        gc.collect()
 
 
 def _run_sharded(

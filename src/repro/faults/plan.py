@@ -34,6 +34,22 @@ def decision_fraction(seed: int, category: str, site: str, ordinal: int) -> floa
     return int.from_bytes(digest, "big") / float(1 << 64)
 
 
+def _threshold(rate: float) -> int:
+    """The least 64-bit draw ``x`` with ``x / 2**64 >= rate`` (as
+    :func:`decision_fraction` computes it, in floating point), so a
+    draw is below the threshold exactly when its fraction is below
+    ``rate``.  The fraction never falls as ``x`` grows, so bisection
+    finds it."""
+    low, high = 0, 1 << 64
+    while low < high:
+        mid = (low + high) // 2
+        if mid / float(1 << 64) >= rate:
+            high = mid
+        else:
+            low = mid + 1
+    return low
+
+
 #: The categories a packet-level fault can fall into, in decision
 #: precedence order (first matching category wins).
 CATEGORIES = ("drop", "corrupt", "duplicate", "stall")
@@ -147,16 +163,18 @@ class FaultPlan:
     def __init__(self, config: FaultConfig):
         self.config = config
         self._ordinals: Dict[str, int] = {}
-        self._rates = [
-            (category, getattr(config, f"{category}_rate"))
+        # The active (non-zero-rate) categories with their draw
+        # thresholds.  Zero-rate categories draw no randomness, so
+        # skipping them leaves every remaining decision byte-identical
+        # to the unskipped schedule.
+        self._thresholds = [
+            (category, _threshold(getattr(config, f"{category}_rate")))
             for category in CATEGORIES
+            if getattr(config, f"{category}_rate")
         ]
         # Per-site decision state, computed once per site: ``None`` for
-        # filtered-out sites, else [(category, rate, payload prefix)]
-        # for the active (non-zero-rate) categories.  Zero-rate
-        # categories draw no randomness, so skipping them leaves every
-        # remaining decision byte-identical to the unskipped schedule.
-        self._site_state: Dict[str, Optional[List[Tuple[str, float, bytes]]]] = {}
+        # filtered-out sites, else [(category, threshold, hasher)].
+        self._site_state: Dict[str, Optional[List[Tuple[str, int, Any]]]] = {}
 
     def site_matches(self, site: str) -> bool:
         sites = self.config.sites
@@ -164,21 +182,26 @@ class FaultPlan:
             return True
         return any(fragment in site for fragment in sites)
 
-    def _state_for(self, site: str) -> Optional[List[Tuple[str, float, bytes]]]:
+    def _state_for(self, site: str) -> Optional[List[Tuple[str, int, Any]]]:
         if not self.site_matches(site):
             return None
         seed = self.config.seed
         return [
-            (category, rate, f"{seed}|{category}|{site}|".encode())
-            for category, rate in self._rates if rate
+            (category, threshold,
+             hashlib.blake2b(f"{seed}|{category}|{site}|".encode(),
+                             digest_size=8))
+            for category, threshold in self._thresholds
         ]
 
     def decide(self, site: str) -> FaultDecision:
         """Decision for the next packet crossing ``site``.
 
         Decisions are byte-identical to calling
-        :func:`decision_fraction` per category: the cached prefix +
-        ordinal concatenation reproduces its payload exactly.
+        :func:`decision_fraction` per category: each category's hasher
+        has already absorbed the payload's ``seed|category|site|``
+        prefix, so a copy fed the ordinal yields the same digest, and
+        the digest is below the rate's threshold exactly when its
+        fraction is below the rate.
         """
         ordinal = self._ordinals.get(site, 0) + 1
         self._ordinals[site] = ordinal
@@ -193,9 +216,10 @@ class FaultPlan:
         if state is None:
             return _DELIVER
         suffix = b"%d" % ordinal
-        for category, rate, prefix in state:
-            digest = hashlib.blake2b(prefix + suffix, digest_size=8).digest()
-            if int.from_bytes(digest, "big") / float(1 << 64) < rate:
+        for category, threshold, prefixed in state:
+            hasher = prefixed.copy()
+            hasher.update(suffix)
+            if int.from_bytes(hasher.digest(), "big") < threshold:
                 if category == "stall":
                     return FaultDecision(kind="stall",
                                          stall_ns=self.config.stall_ns)

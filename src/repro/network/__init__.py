@@ -20,7 +20,9 @@ Module map — who owns what:
   machines, so a hop is a few posted events, not a process pair.
 - :mod:`repro.network.switch` — the *tree-fabric* switch:
   input-buffered, deterministic table routing, per-(source,
-  destination) in-order forwarding through a shared buffer.
+  destination) in-order forwarding through a shared buffer; and the
+  input stage both switches share.  Switches are callback state
+  machines too: no module in this package spawns a process.
 - :mod:`repro.network.routing` — spanning-tree (up*/down*) route
   computation for tree fabrics: deterministic and deadlock-free on
   any connected topology.

@@ -40,7 +40,7 @@ ring form an open chain (broken at the dateline), class-1 likewise
 (minimal packets never reach the dateline a second time), and DOR
 orders escape dependencies from lower to higher dimensions, so the
 escape channel-dependency graph is acyclic.  Adaptive channels are
-only entered via a non-blocking ``try_put`` (the forwarder checked
+only entered via a non-blocking ``try_put`` (the routing step checked
 occupancy in the same step, so it can never block there), which makes
 the escape network a valid Duato escape path: every blocked packet is
 always one escape hop from progress, and escape drains.
@@ -48,11 +48,13 @@ always one escape hop from progress, and escape drains.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.params import Params
 from repro.sim import Accumulator, BoundedQueue, Simulator
+from repro.network.link import Link
 from repro.network.packet import Packet
+from repro.network.switch import SwitchInput
 from repro.network.topology import TorusTopology
 
 #: Escape channel class used before crossing a ring's dateline.
@@ -123,10 +125,12 @@ class TorusSwitch:
 
     Unlike the tree :class:`~repro.network.switch.Switch` there is no
     shared central buffer or VOQ stage — each output channel is its
-    own bounded queue feeding its own link, so the only waits a
-    forwarder can make are on escape channels and host ejection, which
-    keeps the deadlock argument above airtight.  Wiring protocol
-    (driven by :class:`~repro.network.fabric.Fabric`):
+    own outgoing link, so the only waits a forwarder can make are on
+    escape channels and host ejection, which keeps the deadlock
+    argument above airtight.  Each input port is a
+    :class:`~repro.network.switch.SwitchInput` that hands packets to
+    :meth:`_forward`, a callback state machine like the tree switch's.
+    Wiring protocol (driven by :class:`~repro.network.fabric.Fabric`):
     :meth:`add_input` per incoming link, :meth:`add_channel` per
     outgoing inter-switch channel class, :meth:`add_ejection` per
     attached host.
@@ -147,9 +151,9 @@ class TorusSwitch:
         #: Optional :class:`~repro.faults.FaultInjector`: input ports
         #: are fault sites, exactly as on the tree switch.
         self.injector = injector
-        self._inputs: Dict[object, BoundedQueue] = {}
-        self._channels: Dict[ChannelKey, BoundedQueue] = {}
-        self._ejections: Dict[int, BoundedQueue] = {}
+        self._inputs: Dict[object, SwitchInput] = {}
+        self._channels: Dict[ChannelKey, Link] = {}
+        self._ejections: Dict[int, Link] = {}
         self.packets_routed = 0
         #: Hops taken on an adaptive channel (always 0 under DOR).
         self.adaptive_hops = 0
@@ -179,145 +183,130 @@ class TorusSwitch:
     # -- wiring (fabric-time) ---------------------------------------------
 
     def add_input(self, label: object, from_host: bool = False) -> BoundedQueue:
-        """Create the input FIFO for an incoming link and spawn its
-        forwarder.  ``from_host`` marks an injection port: its
-        forwarder resets each packet's ``vc_wrap`` (host software — and
-        the reliable transport's retransmit window — may hand the
-        fabric a packet object that has travelled before)."""
+        """Create the input FIFO for an incoming link.  ``from_host``
+        marks an injection port, which resets each packet's
+        ``vc_wrap``."""
         if label in self._inputs:
             raise ValueError(
                 f"duplicate input port {label!r} on {self.switch_id!r}")
-        queue = BoundedQueue(
-            self.params.sizing.switch_port_fifo,
-            name=f"sw{self.switch_id}.in.{label}",
-        )
-        self._inputs[label] = queue
-        self.sim.spawn(
-            self._forwarder(queue, from_host),
-            name=f"sw{self.switch_id}.fwd.{label}",
-        )
-        return queue
+        port = self._inputs[label] = SwitchInput(self, label, from_host)
+        return port.queue
 
-    def add_channel(self, dim: int, step: int, cls: int,
-                    link_queue: BoundedQueue) -> None:
-        """Register the outgoing link's source queue as the
-        (``dim``, ``step``, ``cls``) output channel."""
+    def add_channel(self, dim: int, step: int, cls: int, link: Link) -> None:
+        """Register the outgoing link as the (``dim``, ``step``,
+        ``cls``) output channel."""
         key = (dim, step, cls)
         if key in self._channels:
             raise ValueError(
                 f"duplicate channel {key!r} on {self.switch_id!r}")
-        self._channels[key] = link_queue
+        self._channels[key] = link
 
-    def add_ejection(self, node_id: int, link_queue: BoundedQueue) -> None:
-        """Register the outgoing host link's source queue as the
-        ejection port for locally attached ``node_id``."""
+    def add_ejection(self, node_id: int, link: Link) -> None:
+        """Register the outgoing host link as the ejection port for
+        locally attached ``node_id``."""
         if node_id in self._ejections:
             raise ValueError(
                 f"duplicate ejection port {node_id} on {self.switch_id!r}")
-        self._ejections[node_id] = link_queue
+        self._ejections[node_id] = link
 
     # -- datapath -----------------------------------------------------------
 
-    def _forwarder(self, in_queue: BoundedQueue,
-                   from_host: bool) -> Generator[Any, Any, None]:
-        """Drain one input FIFO: route each packet to an ejection port,
-        an adaptive channel (non-blocking), or an escape channel."""
-        route_ns = self.params.timing.switch_route_ns
-        coords = self.coords
-        dims = self.dims
-        adaptive = self.adaptive
-        channels = self._channels
-        host_coords = self._host_coords
-        injector = self.injector
-        label = in_queue.name
-        get = in_queue.get
+    def _forward(self, port: SwitchInput, packet: Packet,
+                 duplicate: bool) -> None:
+        """Route a packet to an ejection port, an adaptive channel
+        (non-blocking), or an escape channel.
+
+        A duplicated packet is cloned *before* the original is
+        dispatched: the two copies route (and accumulate ``vc_wrap``
+        dateline state) independently.  The tree switch can enqueue one
+        object twice because its packets carry no routing state; here
+        that would let one copy's dateline crossing leak into the
+        other's class selection."""
+        self._dispatch(port, packet, packet.replace() if duplicate else None)
+
+    def _dispatch(self, port: SwitchInput, packet: Packet,
+                  spare: Optional[Packet]) -> None:
+        """Place ``packet``, then ``spare`` (a duplicate's clone), then
+        take the port's next packet.  Only an ejection or escape put
+        can wait; the port resumes in :meth:`_sent`."""
         while True:
-            packet: Packet = yield get()
-            if from_host:
-                packet.vc_wrap = 0
-            deliveries = 1
-            if injector is not None:
-                action = injector.action_for(label, packet)
-                if action.kind == "drop":
-                    continue
-                if action.kind == "corrupt":
-                    packet.corrupted = True
-                elif action.kind == "duplicate":
-                    deliveries = 2
-                elif action.kind == "stall":
-                    yield action.stall_ns
-            yield route_ns
-            # A duplicated packet is cloned *before* the original is
-            # dispatched: the two copies route (and accumulate
-            # ``vc_wrap`` dateline state) independently.  The tree
-            # switch can enqueue one object twice because its packets
-            # carry no routing state; here that would let one copy's
-            # dateline crossing leak into the other's class selection.
-            copies = ((packet,) if deliveries == 1
-                      else (packet, packet.replace()))
-            for pkt in copies:
-                dst_sw = host_coords.get(pkt.dst)
-                if dst_sw is None:
-                    raise RuntimeError(
-                        f"switch {self.switch_id!r} has no route to host "
-                        f"{pkt.dst} (packet {pkt!r})"
-                    )
-                if dst_sw == coords:
-                    eject = self._ejections.get(pkt.dst)
-                    if eject is None:
-                        raise RuntimeError(
-                            f"switch {self.switch_id!r} has no ejection "
-                            f"port for host {pkt.dst}"
-                        )
-                    yield eject.put(pkt)
-                    self.packets_routed += 1
-                    continue
-                dirs = minimal_directions(dims, coords, dst_sw)
-                if adaptive:
-                    best: Optional[Tuple[int, int]] = None
-                    best_depth = 0
-                    for dim, step in dirs:
-                        chan = channels[(dim, step, ADP)]
-                        depth = len(chan)
-                        self.queue_depth.add(depth)
-                        if not chan.full and (best is None
-                                              or depth < best_depth):
-                            best = (dim, step)
-                            best_depth = depth
-                    if best is not None:
-                        dim, step = best
-                        if self._crosses_dateline(dim, step):
-                            pkt.vc_wrap |= 1 << dim
-                            self.datelines_crossed += 1
-                        # Checked not-full in this same step (no yield
-                        # since), so the put cannot fail — the adaptive
-                        # class never blocks a forwarder.
-                        accepted = channels[(dim, step, ADP)].try_put(pkt)
-                        assert accepted, "adaptive channel filled mid-step"
-                        self.adaptive_hops += 1
-                        self.packets_routed += 1
-                        continue
-                    self.escape_fallbacks += 1
-                # Escape: DOR — lowest unresolved dimension, dateline
-                # class from the packet's per-dimension wrap bitmask.
-                dim, step = dirs[0]
-                crossing = self._crosses_dateline(dim, step)
-                cls = ESC1 if crossing or (pkt.vc_wrap >> dim) & 1 else ESC0
-                if crossing:
-                    pkt.vc_wrap |= 1 << dim
+            link = self._route(packet)
+            if link is not None:
+                link.put_then(packet, self._sent, (port, spare))
+                return
+            if spare is None:
+                port.listen()
+                return
+            packet, spare = spare, None
+
+    def _route(self, packet: Packet) -> Optional[Link]:
+        """The ejection or escape link ``packet`` must be put on, or
+        ``None`` when an adaptive channel took it."""
+        dst_sw = self._host_coords.get(packet.dst)
+        if dst_sw is None:
+            raise RuntimeError(
+                f"switch {self.switch_id!r} has no route to host "
+                f"{packet.dst} (packet {packet!r})"
+            )
+        if dst_sw == self.coords:
+            eject = self._ejections.get(packet.dst)
+            if eject is None:
+                raise RuntimeError(
+                    f"switch {self.switch_id!r} has no ejection "
+                    f"port for host {packet.dst}"
+                )
+            return eject
+        channels = self._channels
+        dirs = minimal_directions(self.dims, self.coords, dst_sw)
+        if self.adaptive:
+            best: Optional[Tuple[int, int]] = None
+            best_depth = 0
+            for dim, step in dirs:
+                chan = channels[(dim, step, ADP)].src
+                depth = len(chan)
+                self.queue_depth.add(depth)
+                if not chan.full and (best is None or depth < best_depth):
+                    best = (dim, step)
+                    best_depth = depth
+            if best is not None:
+                dim, step = best
+                if self._crosses_dateline(dim, step):
+                    packet.vc_wrap |= 1 << dim
                     self.datelines_crossed += 1
-                chan = channels[(dim, step, cls)]
-                if not adaptive:
-                    self.queue_depth.add(len(chan))
-                self.escape_hops += 1
-                # Blocks while the escape channel is full: the only
-                # inter-switch wait, on the acyclic escape network.
-                yield chan.put(pkt)
+                # Checked not-full in this same step, so the put cannot
+                # fail — the adaptive class never blocks a forwarder.
+                accepted = channels[(dim, step, ADP)].src.try_put(packet)
+                assert accepted, "adaptive channel filled mid-step"
+                self.adaptive_hops += 1
                 self.packets_routed += 1
+                return None
+            self.escape_fallbacks += 1
+        # Escape: DOR — lowest unresolved dimension, dateline class from
+        # the packet's per-dimension wrap bitmask.
+        dim, step = dirs[0]
+        crossing = self._crosses_dateline(dim, step)
+        cls = ESC1 if crossing or (packet.vc_wrap >> dim) & 1 else ESC0
+        if crossing:
+            packet.vc_wrap |= 1 << dim
+            self.datelines_crossed += 1
+        link = channels[(dim, step, cls)]
+        if not self.adaptive:
+            self.queue_depth.add(len(link.src))
+        self.escape_hops += 1
+        # Waits while the escape channel is full: the only inter-switch
+        # wait, on the acyclic escape network.
+        return link
+
+    def _sent(self, port: SwitchInput, spare: Optional[Packet]) -> None:
+        """The ejection or escape channel accepted the packet."""
+        self.packets_routed += 1
+        if spare is None:
+            port.listen()
+        else:
+            self._dispatch(port, spare, None)
 
     def _crosses_dateline(self, dim: int, step: int) -> bool:
         """Whether a hop from here along (``dim``, ``step``) traverses
         that directed ring's dateline (its wraparound edge)."""
         coord = self.coords[dim]
         return coord == self.dims[dim] - 1 if step == 1 else coord == 0
-

@@ -171,13 +171,12 @@ class Fabric:
                 to_host = BoundedQueue(
                     sizing.link_credits, name=f"sw->host{node_id}.buf.{vc}"
                 )
-                switch.add_output(("host", node_id), to_host)
-                self.links.append(
-                    Link(self.sim, timing, to_host, ingress,
-                         name=f"sw->host{node_id}.{vc}",
-                         node=node_id, tracer=self.tracer,
-                         injector=self.injector)
-                )
+                link = Link(self.sim, timing, to_host, ingress,
+                            name=f"sw->host{node_id}.{vc}",
+                            node=node_id, tracer=self.tracer,
+                            injector=self.injector)
+                switch.add_output(("host", node_id), link)
+                self.links.append(link)
                 host_queues[node_id]["egress"][vc] = egress
                 host_queues[node_id]["ingress"][vc] = ingress
             self.ports[node_id] = NetworkPort(
@@ -207,13 +206,12 @@ class Fabric:
         buffer = BoundedQueue(
             sizing.link_credits, name=f"sw{src_id}->sw{dst_id}.buf.{vc}"
         )
-        src.add_output(("switch", dst_id), buffer)
         dst_in = dst.add_input(("switch", src_id))
-        self.links.append(
-            Link(self.sim, timing, buffer, dst_in,
-                 name=f"sw{src_id}->sw{dst_id}.{vc}", tracer=self.tracer,
-                 injector=self.injector)
-        )
+        link = Link(self.sim, timing, buffer, dst_in,
+                    name=f"sw{src_id}->sw{dst_id}.{vc}", tracer=self.tracer,
+                    injector=self.injector)
+        src.add_output(("switch", dst_id), link)
+        self.links.append(link)
 
     def _build_torus(self) -> None:
         """Build the coordinate-routed torus fabric: per plane, one
@@ -270,13 +268,12 @@ class Fabric:
                 to_host = BoundedQueue(
                     sizing.link_credits, name=f"sw->host{node_id}.buf.{vc}"
                 )
-                switch.add_ejection(node_id, to_host)
-                self.links.append(
-                    Link(self.sim, timing, to_host, ingress,
-                         name=f"sw->host{node_id}.{vc}",
-                         node=node_id, tracer=self.tracer,
-                         injector=self.injector)
-                )
+                link = Link(self.sim, timing, to_host, ingress,
+                            name=f"sw->host{node_id}.{vc}",
+                            node=node_id, tracer=self.tracer,
+                            injector=self.injector)
+                switch.add_ejection(node_id, link)
+                self.links.append(link)
                 egress_queues[vc] = egress
                 ingress_queues[vc] = ingress
             self.ports[node_id] = NetworkPort(
@@ -300,15 +297,14 @@ class Fabric:
                                 name=(f"sw{coords}->sw{dst_coords}"
                                       f".{cname}.buf.{vc}"),
                             )
-                            src.add_channel(dim, step, cls, buffer)
                             dst_in = dst.add_input((coords, cname))
-                            self.links.append(
-                                Link(self.sim, timing, buffer, dst_in,
-                                     name=(f"sw{coords}->sw{dst_coords}"
-                                           f".{cname}.{vc}"),
-                                     tracer=self.tracer,
-                                     injector=self.injector)
-                            )
+                            link = Link(self.sim, timing, buffer, dst_in,
+                                        name=(f"sw{coords}->sw{dst_coords}"
+                                              f".{cname}.{vc}"),
+                                        tracer=self.tracer,
+                                        injector=self.injector)
+                            src.add_channel(dim, step, cls, link)
+                            self.links.append(link)
 
     # -- API -------------------------------------------------------------
 

@@ -20,13 +20,14 @@ schedule.  Without one (the default) the link is a lossless wire.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from repro.params import TimingParams
-from repro.sim import BoundedQueue, Simulator, Tracer
+from repro.sim import READY, BoundedQueue, Simulator, Tracer
 from repro.network.packet import Packet
 
 _Slot = Optional[Tuple[int, Packet]]
+_Then = Optional[Tuple[Callable[..., None], Tuple[Any, ...]]]
 
 
 class Link:
@@ -34,7 +35,10 @@ class Link:
     events — serialization start and done, a delay-0 drain of ``src``
     that launches the flight, and arrival — each queued behind all
     already due at its instant, so the link's queue operations, fault
-    decisions and trace records keep their order (DESIGN.md §7)."""
+    decisions and trace records keep their order (DESIGN.md §7).
+    Switches feed it through :meth:`put_then`, which runs a waiting
+    link's serialization start and the switch's next step as one
+    event."""
 
     def __init__(self, sim: Simulator, timing: TimingParams,
                  src: BoundedQueue, dst: BoundedQueue, name: str = "link",
@@ -58,7 +62,27 @@ class Link:
         self._held: _Slot = None
         #: When the latest serialization ends.
         self._due = -1
+        #: The continuation of a :meth:`put_then` in progress.
+        self._then: _Then = None
         sim._post(0, self._drain)
+
+    def put_then(self, packet: Packet, then: Callable[..., None],
+                 args: Tuple[Any, ...] = ()) -> None:
+        """Put ``packet`` on ``src`` and run ``then(*args)`` one delay-0
+        step after ``src`` accepts it, where a process resuming from the
+        put would.  When the link was waiting for the packet, the step
+        that starts serializing it is posted by the same put just
+        before, so one event runs both."""
+        self._then = (then, args)
+        accepted = self.src.put(packet)
+        if self._then is None:
+            return
+        self._then = None
+        if accepted is READY:
+            self.sim._post(0, then, args)
+        else:
+            accepted.add_callback(
+                lambda _value, _exc: self.sim._post(0, then, args))
 
     def _launch(self) -> None:
         self.sim._post(self.timing.link_prop_ns, self._arrive)
@@ -70,12 +94,22 @@ class Link:
         self.src.get().add_callback(self._take)
 
     def _take(self, packet: Packet, _exc: Optional[BaseException]) -> None:
-        self.sim._post(0, self._start, (packet,))
+        then = self._then
+        if then is None:
+            self.sim._post(0, self._start, (packet,))
+        else:
+            self._then = None
+            self.sim._post(0, self._start_then, (packet,) + then)
 
     def _start(self, packet: Packet) -> None:
         ns = self.timing.serialization_ns(packet.size_bytes)
         self._due = self.sim.now + ns
         self.sim._post(ns, self._clocked, ((self.sim.now, packet), ns))
+
+    def _start_then(self, packet: Packet, then: Callable[..., None],
+                    args: Tuple[Any, ...]) -> None:
+        self._start(packet)
+        then(*args)
 
     def _clocked(self, item: Tuple[int, Packet], ns: int) -> None:
         self.busy_ns += ns

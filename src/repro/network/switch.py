@@ -16,25 +16,262 @@ VC-level flow control).  Behaviourally that means:
 - **back-pressure**: when the shared buffer is full, inputs stall,
   which stalls the upstream links (§2.1 "back-pressured flow
   control");
-- **in-order delivery**: each input port is drained by one process
-  and each output queue by one transmitter, so packets sharing a
-  (source, destination) pair — same input, same output — never
-  reorder.
+- **in-order delivery**: each input port forwards one packet at a time
+  into FIFO virtual output queues, each drained in order into its
+  output's FIFO queue, which one transmitter feeds to the outgoing
+  link — so packets sharing a (source, destination) pair (same input,
+  same output) never reorder.
 
 This is the **tree-fabric** switch (``routing="tree"``); torus
 fabrics use the per-class-channel :class:`~repro.network.adaptive.
 TorusSwitch` instead (DESIGN.md §10), which has no shared central
-buffer — backpressure there is per output channel.
+buffer — backpressure there is per output channel.  Both run their
+input ports through :class:`SwitchInput`.
+
+Every stage is a callback state machine that ``_post``\\ s its next
+step, exactly where a process looping over blocking queue operations
+would resume (DESIGN.md §7, "Switches are callback state machines").
+The virtual output queues, output queues and slot pool are plain
+state; only the input FIFOs, which the links fill, are
+:class:`~repro.sim.BoundedQueue`\\ s.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from collections import deque
+from typing import Any, Deque, Dict, Optional, Tuple
 
 from repro.params import Params
 from repro.sim import BoundedQueue, Simulator
+from repro.network.link import Link
 from repro.network.packet import Packet
 from repro.network.routing import NextHop
+
+
+class SwitchInput:
+    """One input port's forwarding stage, shared by both switches.
+
+    It takes packets from the port's FIFO one at a time, passes each
+    through the port's fault site, charges the routing delay and hands
+    it to the switch's ``_forward(port, packet, duplicate)``, which
+    calls :meth:`listen` once the packet is placed.  The port is a fault
+    site when an injector is attached; a lossless packet takes the same
+    steps either way, so the injector cannot change the schedule.
+    """
+
+    __slots__ = ("switch", "sim", "queue", "name", "reset_wrap", "route_ns",
+                 "injector", "voqs")
+
+    def __init__(self, switch: Any, label: object, reset_wrap: bool = False):
+        self.switch = switch
+        self.sim: Simulator = switch.sim
+        self.queue = BoundedQueue(switch.params.sizing.switch_port_fifo,
+                                  name=f"sw{switch.switch_id}.in.{label}")
+        self.name = self.queue.name
+        #: Injection ports of a torus reset each packet's ``vc_wrap``:
+        #: host software (and the reliable transport's retransmit
+        #: window) may hand the fabric a packet that has travelled.
+        self.reset_wrap = reset_wrap
+        self.route_ns: int = switch.params.timing.switch_route_ns
+        self.injector = switch.injector
+        #: The tree switch's virtual output queues at this input.
+        self.voqs: Dict[Output, Voq] = {}
+        # The forwarder starts waiting now, before any packet can come.
+        self.listen()
+
+    def listen(self) -> None:
+        # Fires at once when a packet is waiting, else on the link's put.
+        self.queue.get().add_callback(self._take)
+
+    def _take(self, packet: Packet, _exc: Optional[BaseException]) -> None:
+        self.sim._post(0, self.arrive, (packet,))
+
+    def arrive(self, packet: Packet) -> None:
+        if self.reset_wrap:
+            packet.vc_wrap = 0
+        if self.injector is not None:
+            action = self.injector.action_for(self.name, packet)
+            if action.kind == "drop":
+                self.listen()
+                return
+            if action.kind == "corrupt":
+                packet.corrupted = True
+            elif action.kind == "duplicate":
+                self.sim._post(self.route_ns, self.forward, (packet, True))
+                return
+            elif action.kind == "stall":
+                self.sim._post(action.stall_ns, self.stalled, (packet,))
+                return
+        self.sim._post(self.route_ns, self.forward, (packet, False))
+
+    def stalled(self, packet: Packet) -> None:
+        self.sim._post(self.route_ns, self.forward, (packet, False))
+
+    def forward(self, packet: Packet, duplicate: bool) -> None:
+        self.switch._forward(self, packet, duplicate)
+
+
+class Voq:
+    """A virtual output queue at one input and the pump that moves its
+    packets into the shared buffer, claiming a central slot each.  The
+    input's forwarder is its only putter."""
+
+    __slots__ = ("switch", "sim", "port", "output", "items", "capacity",
+                 "waiting", "blocked")
+
+    def __init__(self, switch: "Switch", port: SwitchInput, output: "Output"):
+        self.switch = switch
+        self.sim = switch.sim
+        self.port = port
+        self.output = output
+        self.items: Deque[Packet] = deque()
+        self.capacity = switch.params.sizing.switch_port_fifo
+        #: The pump waits for the queue to fill.
+        self.waiting = False
+        #: The forwarder's put while the queue is full: (packet, again).
+        self.blocked: Optional[Tuple[Packet, bool]] = None
+        self.sim._post(0, self.pull)
+
+    def put(self, packet: Packet, again: bool) -> None:
+        """The forwarder's put; ``again`` puts a duplicate once more."""
+        if self.waiting:
+            self.waiting = False
+            self.sim._post(0, self._claim_resume, (packet, again))
+        elif len(self.items) < self.capacity:
+            self.items.append(packet)
+            self.sim._post(0, self.resume, (packet, again))
+        else:
+            self.blocked = (packet, again)
+
+    def resume(self, packet: Packet, again: bool) -> None:
+        """The forwarder's step after its put is accepted."""
+        if again:
+            self.put(packet, False)
+        else:
+            self.port.listen()
+
+    def pull(self) -> None:
+        """The pump's get; admits the blocked forwarder."""
+        items = self.items
+        if not items:
+            self.waiting = True
+            return
+        packet = items.popleft()
+        blocked = self.blocked
+        if blocked is None:
+            self.sim._post(0, self.claim, (packet,))
+        else:
+            self.blocked = None
+            items.append(blocked[0])
+            self.sim._post(0, self._resume_claim, blocked + (packet,))
+
+    def claim(self, packet: Packet) -> None:
+        """The pump takes a central buffer slot, or queues for one."""
+        switch = self.switch
+        if switch._free:
+            switch._free -= 1
+            self.sim._post(0, self.enter, (packet,))
+        else:
+            switch.buffer_stalls += 1
+            switch._stalled.append((self, packet))
+
+    def enter(self, packet: Packet) -> None:
+        """The pump holds a slot: count it, then queue at the output."""
+        switch = self.switch
+        in_use = switch.slots - switch._free
+        if in_use > switch.peak_buffer_use:
+            switch.peak_buffer_use = in_use
+        self.output.put(self, packet)
+
+    def routed(self) -> None:
+        """The output accepted the pump's packet."""
+        self.switch.packets_routed += 1
+        self.pull()
+
+    # Sibling steps one event posts back to back run as one event.
+
+    def _claim_resume(self, packet: Packet, again: bool) -> None:
+        self.claim(packet)
+        self.resume(packet, again)
+
+    def _resume_claim(self, admitted: Packet, again: bool,
+                      packet: Packet) -> None:
+        self.resume(admitted, again)
+        self.claim(packet)
+
+
+class Output:
+    """An output's queue in the shared buffer (each packet holds a
+    slot, at most ``quota`` of them) and the transmitter that feeds the
+    outgoing link, returning each slot once the link accepts."""
+
+    __slots__ = ("switch", "sim", "link", "items", "quota", "waiting",
+                 "blocked")
+
+    def __init__(self, switch: "Switch", link: Link):
+        self.switch = switch
+        self.sim = switch.sim
+        self.link = link
+        self.items: Deque[Packet] = deque()
+        self.quota = switch.params.sizing.switch_output_quota
+        #: The transmitter waits for the queue to fill; it starts so,
+        #: before any packet can reach the switch.
+        self.waiting = True
+        #: Pumps whose put waits for room, in arrival order.
+        self.blocked: Deque[Tuple[Voq, Packet]] = deque()
+
+    def put(self, voq: Voq, packet: Packet) -> None:
+        """A pump's put."""
+        if self.waiting:
+            self.waiting = False
+            self.sim._post(0, self._send_routed, (packet, voq))
+        elif len(self.items) < self.quota:
+            self.items.append(packet)
+            self.sim._post(0, voq.routed)
+        else:
+            self.blocked.append((voq, packet))
+
+    def pull(self) -> None:
+        """The transmitter's get; admits the first blocked pump."""
+        items = self.items
+        if not items:
+            self.waiting = True
+            return
+        packet = items.popleft()
+        if self.blocked:
+            voq, admitted = self.blocked.popleft()
+            items.append(admitted)
+            self.sim._post(0, self._routed_send, (voq, packet))
+        else:
+            self.sim._post(0, self.send, (packet,))
+
+    def send(self, packet: Packet) -> None:
+        """Blocks on the link's credits."""
+        self.link.put_then(packet, self.release)
+
+    def release(self) -> None:
+        """Return the slot: to the first stalled pump, else the pool."""
+        switch = self.switch
+        stalled = switch._stalled
+        if stalled:
+            self.sim._post(0, self._enter_pull, stalled.popleft())
+        else:
+            switch._free += 1
+            self.sim._post(0, self.pull)
+
+    # Sibling steps one event posts back to back run as one event.
+
+    def _send_routed(self, packet: Packet, voq: Voq) -> None:
+        self.send(packet)
+        voq.routed()
+
+    def _routed_send(self, voq: Voq, packet: Packet) -> None:
+        voq.routed()
+        self.send(packet)
+
+    def _enter_pull(self, voq: Voq, packet: Packet) -> None:
+        voq.enter(packet)
+        self.pull()
 
 
 class Switch:
@@ -47,7 +284,7 @@ class Switch:
     """
 
     def __init__(self, sim: Simulator, params: Params, switch_id: object,
-                 injector=None):
+                 injector: Optional[Any] = None):
         self.sim = sim
         self.params = params
         self.switch_id = switch_id
@@ -55,17 +292,17 @@ class Switch:
         #: are fault sites (named ``sw{id}.in.{label}``), modelling
         #: errors inside the switch datapath rather than on the wire.
         self.injector = injector
-        self._inputs: Dict[object, BoundedQueue] = {}
-        self._outputs: Dict[NextHop, BoundedQueue] = {}
+        self._inputs: Dict[object, SwitchInput] = {}
+        self._outputs: Dict[NextHop, Output] = {}
         self._routes: Dict[int, NextHop] = {}
-        # Resolved at install_routes time: dst host -> (hop, output
-        # queue), so the forwarder's per-packet work is one dict hit.
-        self._resolved: Dict[int, tuple] = {}
-        # The shared central buffer, as a token pool.
-        slots = params.sizing.switch_buffer_slots
-        self._slots = BoundedQueue(slots, name=f"sw{switch_id}.buf")
-        for _ in range(slots):
-            self._slots.try_put(object())
+        # Resolved at install_routes time: dst host -> output, so the
+        # forwarder's per-packet work is one dict hit.
+        self._resolved: Dict[int, Output] = {}
+        #: The shared central buffer: its size, its free slots, and the
+        #: pumps waiting for one, in arrival order.
+        self.slots = params.sizing.switch_buffer_slots
+        self._free = self.slots
+        self._stalled: Deque[Tuple[Voq, Packet]] = deque()
         self.packets_routed = 0
         self.peak_buffer_use = 0
         #: Times a VOQ pump found the shared central buffer exhausted
@@ -79,136 +316,52 @@ class Switch:
         at it.  Returns the queue."""
         if label in self._inputs:
             raise ValueError(f"duplicate input port {label!r} on {self.switch_id!r}")
-        queue = BoundedQueue(
-            self.params.sizing.switch_port_fifo,
-            name=f"sw{self.switch_id}.in.{label}",
-        )
-        self._inputs[label] = queue
-        self.sim.spawn(self._forwarder(queue),
-                       name=f"sw{self.switch_id}.fwd.{label}")
-        return queue
+        port = self._inputs[label] = SwitchInput(self, label)
+        return port.queue
 
-    def add_output(self, hop: NextHop, link_queue: BoundedQueue) -> None:
-        """Register the source queue of the outgoing link for ``hop``
-        and start its transmitter."""
+    def add_output(self, hop: NextHop, link: Link) -> None:
+        """Register the outgoing link for ``hop``."""
         if hop in self._outputs:
             raise ValueError(f"duplicate output {hop!r} on {self.switch_id!r}")
-        out_queue = BoundedQueue(
-            self.params.sizing.switch_output_quota,
-            name=f"sw{self.switch_id}.out.{hop}",
-        )
-        self._outputs[hop] = out_queue
-        self.sim.spawn(
-            self._transmitter(out_queue, link_queue),
-            name=f"sw{self.switch_id}.tx.{hop}",
-        )
+        self._outputs[hop] = Output(self, link)
 
     def install_routes(self, table: Dict[int, NextHop]) -> None:
         """Install the routing table, resolving every entry to its
-        output queue up front.  Wiring errors (a route to a hop with
-        no output) therefore surface at build time, not mid-traffic."""
+        output up front.  Wiring errors (a route to a hop with no
+        output) therefore surface at build time, not mid-traffic."""
         self._routes = dict(table)
-        # Resolve each *distinct* hop once (a switch has a handful of
-        # hops but, on a large fabric, thousands of destinations), then
-        # fan the shared (hop, queue) pairs out in one comprehension.
-        resolved_hops = {}
         for hop in set(self._routes.values()):
-            out_queue = self._outputs.get(hop)
-            if out_queue is None:
+            if hop not in self._outputs:
                 raise RuntimeError(
                     f"switch {self.switch_id!r} routed to unwired hop {hop!r}"
                 )
-            resolved_hops[hop] = (hop, out_queue)
-        self._resolved = {dst: resolved_hops[hop]
+        self._resolved = {dst: self._outputs[hop]
                           for dst, hop in self._routes.items()}
 
     # -- datapath -----------------------------------------------------------
 
-    def _forwarder(self, in_queue: BoundedQueue):
-        """Input stage: route into a per-(input, output) virtual output
-        queue.  A congested output fills only its own VOQ; packets for
-        other outputs at the same input flow past it — the VC-level
-        flow control of [17], which is what makes the §2.3.5 fast-path
-        /slow-path asymmetry physically possible.
-
-        The input port is a fault site when an injector is attached;
-        a lossless packet yields the same waitables either way, so the
-        injector cannot change the event schedule."""
-        route_ns = self.params.timing.switch_route_ns
-        label = in_queue.name
-        get = in_queue.get
-        injector = self.injector
-        voqs: Dict[NextHop, BoundedQueue] = {}
-        voq_get = voqs.get
-        while True:
-            packet: Packet = yield get()
-            duplicate = False
-            if injector is not None:
-                action = injector.action_for(label, packet)
-                if action.kind == "drop":
-                    continue
-                if action.kind == "corrupt":
-                    packet.corrupted = True
-                elif action.kind == "duplicate":
-                    duplicate = True
-                elif action.kind == "stall":
-                    yield action.stall_ns
-            pair = self._resolved.get(packet.dst)
-            if pair is None:
-                raise RuntimeError(
-                    f"switch {self.switch_id!r} has no route to host {packet.dst} "
-                    f"(packet {packet!r})"
-                )
-            hop, _out = pair
-            yield route_ns
-            voq = voq_get(hop)
-            if voq is None:
-                voq = self._make_voq(label, hop, voqs)
-            if duplicate:
-                yield voq.put(packet)
-            # Blocks only when THIS destination's VOQ is full.
-            yield voq.put(packet)
-
-    def _make_voq(self, label: str, hop: NextHop,
-                  voqs: Dict[NextHop, BoundedQueue]) -> BoundedQueue:
-        """Lazily create a virtual output queue and its pump.  Lazy so
-        the pump-spawn order (and thus the event schedule) depends only
-        on traffic, exactly as it did before route precomputation."""
-        voq = BoundedQueue(
-            self.params.sizing.switch_port_fifo,
-            name=f"{label}.voq.{hop}",
-        )
-        voqs[hop] = voq
-        self.sim.spawn(
-            self._voq_pump(voq, self._outputs[hop]),
-            name=f"{label}.pump.{hop}",
-        )
-        return voq
-
-    def _voq_pump(self, voq: BoundedQueue, out_queue: BoundedQueue):
-        """Move one VOQ's packets into the shared buffer / output
-        queue, claiming central buffer slots."""
-        while True:
-            packet: Packet = yield voq.get()
-            if not len(self._slots):
-                self.buffer_stalls += 1
-            token = yield self._slots.get()
-            in_use = self._slots.capacity - len(self._slots)
-            if in_use > self.peak_buffer_use:
-                self.peak_buffer_use = in_use
-            yield out_queue.put((token, packet))
-            self.packets_routed += 1
-
-    def _transmitter(self, out_queue: BoundedQueue, link_queue: BoundedQueue):
-        """Output stage: feed the outgoing link, releasing the shared
-        buffer slot once the link accepts the packet."""
-        while True:
-            token, packet = yield out_queue.get()
-            yield link_queue.put(packet)  # blocks on link credits
-            yield self._slots.put(token)
+    def _forward(self, port: SwitchInput, packet: Packet,
+                 duplicate: bool) -> None:
+        """Route into a per-(input, output) virtual output queue.  A
+        congested output fills only its own VOQ; packets for other
+        outputs at the same input flow past it — the VC-level flow
+        control of [17], which is what makes the §2.3.5 fast-path
+        /slow-path asymmetry physically possible."""
+        output = self._resolved.get(packet.dst)
+        if output is None:
+            raise RuntimeError(
+                f"switch {self.switch_id!r} has no route to host {packet.dst} "
+                f"(packet {packet!r})"
+            )
+        voq = port.voqs.get(output)
+        if voq is None:
+            # Lazily, so the VOQ set depends only on traffic.
+            voq = port.voqs[output] = Voq(self, port, output)
+        # Waits only when THIS destination's VOQ is full.
+        voq.put(packet, duplicate)
 
     # -- introspection ----------------------------------------------------------
 
     @property
     def buffer_in_use(self) -> int:
-        return self._slots.capacity - len(self._slots)
+        return self.slots - self._free

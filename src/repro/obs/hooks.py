@@ -10,14 +10,17 @@ event, so simulations that do not profile lose next to nothing.
 :class:`EventLoopProfiler` is the stock implementation: it answers
 "where does simulation *wall-clock* time go?" — events executed per
 wall second, peak event-heap depth, and the hottest callbacks by
-invocation count (a CPU interpreter step, a switch forwarder, a
-link's arrival...).  That is the view needed to optimise the simulator
+invocation count, one line per pipeline stage (a CPU interpreter
+step, a HIB service step, a switch pump's slot claim, a link's
+arrival...).  That is the view needed to optimise the simulator
 itself, complementing the :class:`~repro.obs.metrics.MetricsRegistry`,
 which observes the *simulated machine*.
 """
 
 from __future__ import annotations
 
+import functools
+import re
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -48,17 +51,37 @@ class KernelHooks:
         pass
 
 
+#: An innermost parenthesised group in a process name (a switch's
+#: coordinates or a port label), and a node id.
+_GROUP = re.compile(r"\([^()]*\)")
+_DIGITS = re.compile(r"\d+")
+
+
+@functools.lru_cache(maxsize=1024)
+def _stage_name(name: str) -> str:
+    """A process name with node ids, coordinates and port labels
+    removed from each dotted part: ``hib3.retx.5.req`` becomes
+    ``hib.retx.req``, one label for every node's retransmitter."""
+    previous = None
+    while name != previous:
+        previous, name = name, _GROUP.sub("", name)
+    parts = (_DIGITS.sub("", part) for part in name.split("."))
+    return ".".join(part for part in parts if part)
+
+
 def _callback_label(fn: Callable) -> str:
-    """A stable, human-readable identity for an event callback."""
+    """A stable, human-readable identity for an event callback: the
+    qualified name of a callback (``Link._arrive``, ``Voq.claim``), or
+    the stage of a process step (``process:hib.svc``)."""
     name = getattr(fn, "__qualname__", None)
     if name is None:  # pragma: no cover - exotic callables
         return repr(fn)
     self = getattr(fn, "__self__", None)
-    # Bound methods of named simulation objects (processes, queues)
-    # all share a qualname; fold in the object's name when it has one.
+    # Every process step has one qualname; its process's name says
+    # which stage it belongs to.
     obj_name = getattr(self, "name", None)
     if obj_name is not None and name.startswith("Process."):
-        return f"process:{obj_name.split('.')[0].rstrip('0123456789')}"
+        return f"process:{_stage_name(obj_name)}"
     return name
 
 

@@ -209,6 +209,29 @@ class SizingParams:
     #: overflowing ack is dropped and recovered by the peer's timeout.
     ll_control_queue: int = 1024
 
+    #: Queue depths, buffer sizes and divisors: at least 1.
+    _POSITIVE = ("hib_out_fifo", "hib_in_fifo", "switch_port_fifo",
+                 "switch_buffer_slots", "switch_output_quota", "link_credits",
+                 "ll_control_queue", "page_bytes", "word_bytes")
+
+    def __post_init__(self) -> None:
+        # Every field is an int (``counter_cache_entries`` may also be
+        # None), so a fractional depth fails here, naming its field,
+        # instead of being read as the next integer by a queue.
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if value is None and spec.name == "counter_cache_entries":
+                continue
+            if type(value) is not int:
+                raise TypeError(
+                    f"SizingParams.{spec.name} must be an int, "
+                    f"got {value!r}")
+        for name in self._POSITIVE:
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(
+                    f"SizingParams.{name} must be at least 1, got {value!r}")
+
     @property
     def page_words(self) -> int:
         return self.page_bytes // self.word_bytes

@@ -1,7 +1,9 @@
 """The sweep orchestrator: deterministic sharding, byte-identical
 parallel results, and the retry-then-degrade crash protocol."""
 
+import gc
 import os
+import weakref
 
 import pytest
 
@@ -11,6 +13,7 @@ from repro.exp import (
     run_sweep,
     shard_assignment,
 )
+from repro.exp.runner import _worker_main
 
 
 def render_noop(result):
@@ -47,6 +50,25 @@ def check_value_even(result):
 
 def check_always_raises(result):
     raise KeyError("claim reads a missing field")
+
+
+class Holder:
+    """Weak-referenceable, and referenced by a dict it references."""
+
+    def __init__(self):
+        self.node = {"holder": self}
+
+
+def run_leaves_cycle(refs=()):
+    holder = Holder()
+    refs.append(weakref.ref(holder))
+    # Survive the young generations, as a cluster's objects do.
+    gc.collect()
+    return {"left": True}
+
+
+def run_reports_cycle_freed(refs=()):
+    return {"freed": refs[-1]() is None}
 
 
 def make_spec(exp_id, run, params=None, cost=1.0, check=None):
@@ -87,6 +109,22 @@ def test_shard_assignment_spreads_heavy_specs():
     shards = shard_assignment(heavy + light, 3)
     for shard in shards:
         assert sum(1 for s in shard if s.cost == 10.0) == 1
+
+
+def test_worker_frees_each_experiment_before_the_next():
+    """The next spec finds the last one's reference cycles collected."""
+    reported = []
+
+    class Queue:
+        def put(self, item):
+            reported.append(item)
+
+    refs = []
+    _worker_main([make_spec("C0", run_leaves_cycle, {"refs": refs}),
+                  make_spec("C1", run_reports_cycle_freed, {"refs": refs})],
+                 Queue())
+    assert reported == [("C0", "ok", {"left": True}),
+                        ("C1", "ok", {"freed": True})]
 
 
 def test_shard_assignment_rejects_zero_workers():

@@ -9,6 +9,7 @@ from repro.faults import (
     FaultPlan,
     decision_fraction,
 )
+from repro.faults.plan import _threshold
 from repro.network.packet import Packet, PacketKind
 from repro.sim import Simulator, Tracer
 
@@ -132,6 +133,40 @@ def test_config_round_trips_through_dicts():
     assert config.drop_exact == (("hostA", 2),)
     assert config.hib_hangs == ((1, 100, 200),)
     assert FaultConfig.from_dict(config.to_dict()) == config
+
+
+BOUNDARY_RATES = (1.0, 0.9999999999999999, 0.5, 2**-53, 2**-64, 5e-324)
+
+
+@pytest.mark.parametrize("rates", [
+    (0.5, 0.9999999999999999, 1.0, 2**-53),
+    (2**-64, 5e-324, 0.5, 1.0),
+    (1.0, 0.0, 0.0, 0.0),
+], ids=["bulk", "tiny-then-certain", "certain"])
+def test_plan_decides_as_decision_fraction(rates):
+    """Every decision is the first category whose fraction is below its
+    rate, exactly as :func:`decision_fraction` computes it."""
+    for seed in (3, 11):
+        config = FaultConfig(seed=seed, **{
+            f"{category}_rate": rate
+            for category, rate in zip(CATEGORIES, rates)})
+        plan = FaultPlan(config)
+        for site in ("host0->sw.req", "sw0.req.in.('host', 1)"):
+            for ordinal in range(1, 3001):
+                expected = next(
+                    (category for category, rate in zip(CATEGORIES, rates)
+                     if decision_fraction(seed, category, site, ordinal)
+                     < rate), "deliver")
+                assert plan.decide(site).kind == expected, (seed, site, ordinal)
+
+
+@pytest.mark.parametrize("rate", BOUNDARY_RATES)
+def test_threshold_splits_draws_at_the_rate(rate):
+    """The draw threshold sits exactly where the float fraction crosses
+    the rate."""
+    threshold = _threshold(rate)
+    assert (threshold - 1) / float(1 << 64) < rate
+    assert threshold == 1 << 64 or threshold / float(1 << 64) >= rate
 
 
 def test_categories_cover_all_rates():

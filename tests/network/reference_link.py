@@ -60,6 +60,13 @@ class ReferenceLink:
         self._serializer = sim.spawn(self._serialize(), name=f"{name}.ser")
         self._pump = sim.spawn(self._propagate(), name=f"{name}.prop")
 
+    def put_then(self, packet: Packet, then, args=()) -> None:
+        """Put ``packet`` on ``src`` and run ``then(*args)`` one delay-0
+        step after it is accepted, as a process yielding on the put
+        resumes (the switches' entry point into a link)."""
+        self.src.put(packet).add_callback(
+            lambda _value, _exc: self.sim._post(0, then, args))
+
     def _serialize(self):
         serialization_ns = self.timing.serialization_ns
         sim = self.sim

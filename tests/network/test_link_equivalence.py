@@ -23,7 +23,7 @@ the same order relative to every other event.  Two levels check it:
   reference; star, chain and torus (dor, adaptive) fabrics run a
   store/load/atomic/fence program with faults off and on, under both
   kernels, with lane spans on.  Chrome-trace exports must match byte
-  for byte, as must final memory and end time.
+  for byte, as must final memory, end time and switch counters.
 
 ``REPRO_STRESS_ITERS=N`` multiplies the seed counts.
 """
@@ -290,7 +290,18 @@ def run_cluster(fabric: str, faults: bool, kernel: str, seed: int):
     cluster.run(join=contexts)
     memory = [segment.peek(4 * word) for segment in segments
               for word in range(8 * N_NODES)] + [segments[0].peek(0x800)]
-    return canonical_trace_bytes(cluster), memory, cluster.now
+    return (canonical_trace_bytes(cluster), memory, cluster.now,
+            switch_counters(cluster.fabric))
+
+
+def switch_counters(fabric) -> list:
+    """Every switch's counters, in build order."""
+    tree = [(sw.packets_routed, sw.peak_buffer_use, sw.buffer_stalls)
+            for plane in fabric.switches.values() for sw in plane.values()]
+    torus = [(sw.stats, sw.queue_depth.count, sw.queue_depth.total)
+             for plane in fabric.torus_switches.values()
+             for sw in plane.values()]
+    return tree + torus
 
 
 @pytest.mark.parametrize("kernel", ["bucket", "reference"])
@@ -303,5 +314,6 @@ def test_cluster_matches_process_pair_links(fabric, faults, kernel,
         with monkeypatch.context() as patch:
             patch.setattr(fabric_module, "Link", ReferenceLink)
             expected = run_cluster(fabric, faults, kernel, seed)
-        assert got[1:] == expected[1:], f"seed {seed}: memory or end time"
+        assert got[1:] == expected[1:], (
+            f"seed {seed}: memory, end time or switch counters")
         assert got[0] == expected[0], f"seed {seed}: Chrome trace differs"

@@ -97,3 +97,34 @@ def test_stats_includes_kernel_section_only_when_profiling():
         assert "kernel" in cluster.stats()
     plain = Cluster(ClusterConfig(n_nodes=2))
     assert "kernel" not in plain.stats()
+
+
+def _torus_profile(routing: str):
+    config = ClusterConfig(n_nodes=8, topology="torus", routing=routing,
+                           profile_kernel=True)
+    with Cluster(config) as cluster:
+        seg = cluster.alloc_segment(home=0, pages=1, name="d")
+        ctxs = []
+        for node in range(1, 8):
+            proc = cluster.create_process(node=node, name=f"p{node}")
+            base = proc.map(seg)
+
+            def program(p, base=base, node=node):
+                for i in range(3):
+                    yield p.store(base + 4 * node, i)
+                    yield p.load(base + 4 * node)
+                yield p.fence()
+
+            ctxs.append(cluster.start(proc, program))
+        cluster.run(join=ctxs)
+    return cluster.profiler.callback_counts
+
+
+def test_profile_lines_are_stages_not_components():
+    """One line per pipeline stage: no node id, coordinate or port
+    label in any label, and distinct HIB loops stay apart."""
+    for routing in ("tree", "adaptive"):
+        labels = set(_torus_profile(routing))
+        assert not [label for label in labels
+                    if any(ch.isdigit() or ch in "()" for ch in label)]
+        assert {"process:hib.svc", "process:hib.rsp"} <= labels

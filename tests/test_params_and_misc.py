@@ -46,6 +46,26 @@ def test_timing_override_rejects_non_int_or_negative(field, value, error):
         DEFAULT_PARAMS.with_timing(**{field: value})
 
 
+SIZES = ("hib_out_fifo", "hib_in_fifo", "switch_port_fifo",
+         "switch_buffer_slots", "switch_output_quota", "link_credits",
+         "ll_control_queue", "page_bytes", "word_bytes")
+
+
+@pytest.mark.parametrize("value, error", [
+    (0, ValueError), (-1, ValueError), (2.5, TypeError), (True, TypeError),
+], ids=["zero", "negative", "float", "bool"])
+@pytest.mark.parametrize("field", SIZES)
+def test_sizing_override_rejects_non_int_or_below_one(field, value, error):
+    with pytest.raises(error, match=field):
+        DEFAULT_PARAMS.with_sizing(**{field: value})
+
+
+def test_sizing_counter_cache_may_be_unlimited():
+    assert SizingParams(counter_cache_entries=None).counter_cache_entries is None
+    with pytest.raises(TypeError, match="counter_cache_entries"):
+        SizingParams(counter_cache_entries=1.5)
+
+
 def test_params_with_sizing_override():
     params = DEFAULT_PARAMS.with_sizing(contexts=4)
     assert params.sizing.contexts == 4
