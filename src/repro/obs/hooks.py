@@ -9,7 +9,7 @@ event, so simulations that do not profile lose next to nothing.
 
 :class:`EventLoopProfiler` is the stock implementation: it answers
 "where does simulation *wall-clock* time go?" — events executed per
-wall second, peak event-heap depth, and the hottest callbacks by
+wall second, peak queue depth, and the hottest callbacks by
 invocation count, one line per pipeline stage (a CPU interpreter
 step, a HIB service step, a switch pump's slot claim, a link's
 arrival...).  That is the view needed to optimise the simulator
@@ -92,7 +92,11 @@ class EventLoopProfiler(KernelHooks):
         self.track_callbacks = track_callbacks
         self.events_scheduled = 0
         self.events_executed = 0
+        #: Peak of :attr:`_depth`, sampled after each event.
         self.max_heap_depth = 0
+        #: Events scheduled and not yet executed: exact, because every
+        #: queued event runs once.
+        self._depth = 0
         self.runs = 0
         self.wall_seconds = 0.0
         self.callback_counts: Dict[str, int] = {}
@@ -102,20 +106,24 @@ class EventLoopProfiler(KernelHooks):
 
     def on_run_start(self, sim) -> None:
         self.runs += 1
+        depth = self._depth = sim.pending_events
+        if depth > self.max_heap_depth:
+            self.max_heap_depth = depth
         self._run_started = time.perf_counter()
 
     def on_schedule(self, sim, time_ns: int, fn: Callable) -> None:
         self.events_scheduled += 1
-        # Pending events across both queue tiers (the bucket calendar
-        # and the binary heap); pre-bucket kernels expose only _heap.
-        depth = getattr(sim, "pending_events", None)
-        if depth is None:
-            depth = len(sim._heap)
-        if depth > self.max_heap_depth:
-            self.max_heap_depth = depth
+        self._depth += 1
 
     def on_execute(self, sim, time_ns: int, fn: Callable) -> None:
+        # Sampled once an event is done, the depth is the most it
+        # reached while the event ran: what it scheduled is queued, and
+        # it is not.  So both kernels report one peak, however they
+        # batch.
         self.events_executed += 1
+        depth = self._depth = self._depth - 1
+        if depth > self.max_heap_depth:
+            self.max_heap_depth = depth
         if self.track_callbacks:
             label = _callback_label(fn)
             self.callback_counts[label] = self.callback_counts.get(label, 0) + 1

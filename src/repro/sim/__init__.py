@@ -13,6 +13,8 @@ links, switches, the OS model — runs on this kernel.  It provides:
   completes.  Nothing else resumes it: the kernel has no interrupts.
 - :class:`~repro.sim.kernel.Future`: one-shot completion tokens used
   for request/response interactions (e.g. a blocking remote read).
+- :class:`~repro.sim.timers.Timer`: a restartable deadline, the way
+  to call an action off; no queued event can be retracted.
 - :class:`~repro.sim.queues.BoundedQueue`: a FIFO with blocking put
   and get, used to model every back-pressured buffer in the system
   (HIB FIFOs, link credits, switch buffers).
@@ -20,7 +22,6 @@ links, switches, the OS model — runs on this kernel.  It provides:
 
 from repro.sim.kernel import (
     READY,
-    EventHandle,
     Future,
     Process,
     Ready,
@@ -57,7 +58,6 @@ def make_simulator(kernel: str = "bucket") -> Simulator:
 __all__ = [
     "Accumulator",
     "BoundedQueue",
-    "EventHandle",
     "Future",
     "KERNELS",
     "READY",

@@ -31,22 +31,20 @@ Fast-path design (see DESIGN.md, "Kernel internals"):
   (``{time: [entry, ...]}`` plus a min-heap of the *distinct* times):
   the common FIFO-link insert at ``now + link_ns`` costs a dict hit
   and a list append, and N events sharing a timestamp cost one
-  time-heap push instead of N entry-heap pushes.  Cancellable events
-  (:meth:`Simulator.schedule`) and posts beyond
-  :attr:`Simulator.bucket_horizon` fall back to a classic binary heap
-  of ``(time, seq, fn, args)`` tuples.
+  time-heap push instead of N entry-heap pushes.  Posts beyond
+  :attr:`Simulator.bucket_horizon`, entries pushed back by a bounded
+  run and keyed timer expiries (:class:`~repro.sim.timers.Timer`)
+  live in a classic binary heap of ``(time, seq, fn, args)`` tuples.
 - ``seq`` is unique and global across the tiers, so merging a bucket
   with same-time heap entries is a C-speed tuple sort and execution
   order stays the exact ``(time, seq)`` order of a pure heap —
   :mod:`repro.sim.refkernel` is that pure heap, kept as a differential
   reference (``tests/sim/test_kernel_equivalence.py``).
-- Heap events cancel as O(1) tombstones; the heap is compacted in
-  place once tombstones dominate, so cancel-heavy workloads
-  (retransmission timers) cannot grow the heap without bound.  Only
-  heap entries are cancellable, so compaction touches one tier.
-- Internal wakeups go through :meth:`Simulator._post`, which returns
-  no handle and performs no validation — the common ``yield ns`` costs
-  one tuple append, no :class:`Future`, no handle, no closure.
+- Nothing is cancelled, so the queue holds one kind of entry and the
+  run loop tests none (a :class:`~repro.sim.timers.Timer` leaves a
+  superseded expiry to fire as a no-op).  Internal wakeups go through
+  :meth:`Simulator._post`, which performs no validation — the common
+  ``yield ns`` costs one tuple append, no :class:`Future`, no closure.
 - One run loop serves :meth:`Simulator.run` and
   :meth:`Simulator.run_until_done`, with or without bounds or hooks.
   It **batch-dispatches**: it removes the whole run of events sharing
@@ -59,7 +57,6 @@ Fast-path design (see DESIGN.md, "Kernel internals"):
 
 from __future__ import annotations
 
-import heapq
 from heapq import heappop as _heappop, heappush as _heappush
 from typing import (
     Any,
@@ -71,9 +68,9 @@ from typing import (
     Tuple,
 )
 
-#: A heap slot: ``(time, seq, fn, args)`` for fire-and-forget events,
-#: ``(time, seq, None, EventHandle)`` for cancellable ones.
-_HeapEntry = Tuple[int, int, Optional[Callable[..., None]], Any]
+#: A queued event, in every tier: ``fn(*args)`` runs at ``time``, and
+#: the globally unique ``seq`` orders events that share a time.
+_HeapEntry = Tuple[int, int, Callable[..., None], Tuple[Any, ...]]
 
 _WaiterCallback = Callable[[Any, Optional[BaseException]], None]
 
@@ -336,35 +333,6 @@ class Process(Waitable):
         self._complete(value, exception)
 
 
-class EventHandle:
-    """Returned by :meth:`Simulator.schedule`; allows cancellation.
-
-    The handle *is* the scheduled event: the heap slot references it
-    with a ``None`` callback, and the run loop unwraps ``fn``/``args``
-    from the handle at dispatch time.  ``cancel`` is an O(1) tombstone;
-    the simulator compacts the heap when tombstones pile up.
-    """
-
-    __slots__ = ("_sim", "time", "seq", "fn", "args", "cancelled")
-
-    def __init__(self, sim: "Simulator", time: int, seq: int,
-                 fn: Callable[..., None], args: Tuple[Any, ...]):
-        self._sim = sim
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        # Also a no-op after the event has fired: the run loop marks
-        # executed handles cancelled, so a late cancel cannot skew the
-        # simulator's tombstone accounting.
-        if not self.cancelled:
-            self.cancelled = True
-            self._sim._note_cancelled()
-
-
 class Simulator:
     """The event loop.
 
@@ -381,9 +349,6 @@ class Simulator:
     heap drains first.
     """
 
-    #: Tombstone floor below which compaction is never attempted.
-    _COMPACT_MIN = 64
-
     #: Default near-future window (ns) for the bucket tier: a
     #: :meth:`_post` landing within ``now + bucket_horizon`` goes to a
     #: per-timestamp bucket, a farther one to the binary heap (a
@@ -394,7 +359,8 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: int = 0
-        #: Far-future/cancellable tier: a classic binary event heap.
+        #: Far-future tier: a classic binary event heap, which also
+        #: takes pushed-back entries and keyed timer expiries.
         self._heap: List[_HeapEntry] = []
         #: Near-future tier: per-timestamp buckets plus a min-heap of
         #: the distinct bucket times.  Invariant: ``_times`` holds
@@ -410,7 +376,6 @@ class Simulator:
         self._now_list: list = []
         self.bucket_horizon: int = self.DEFAULT_BUCKET_HORIZON
         self._seq = 0
-        self._cancelled = 0
         #: Every spawned, unfinished process.  Nothing reads it: it
         #: keeps a blocked process alive until it finishes, so the
         #: garbage collector never closes a suspended generator in the
@@ -428,41 +393,26 @@ class Simulator:
     # -- scheduling ------------------------------------------------------
 
     def schedule(self, delay: int, fn: Callable[..., None],
-                 *args: Any) -> EventHandle:
-        """Run ``fn(*args)`` after ``delay`` nanoseconds (cancellable).
-
-        ``delay`` must be a non-negative ``int``, as a process's delay
-        command must: nothing is truncated, and a ``bool`` is not a
-        delay.
-
-        Cancellable events always ride the binary heap: cancellation
-        is a tombstone there, and keeping tombstones out of the other
-        tiers keeps compaction to the heap.
-        """
+                 *args: Any) -> None:
+        """Run ``fn(*args)`` after ``delay`` nanoseconds: :meth:`_post`
+        with ``delay`` checked as a process's delay command is (a
+        non-negative ``int``; nothing is truncated, a ``bool`` is not a
+        delay).  No event can be retracted; an action that may be
+        called off is a :class:`~repro.sim.timers.Timer`."""
         if type(delay) is not int:
             raise TypeError(
                 f"schedule delay must be a non-negative int, got {delay!r}")
         if delay < 0:
             raise ValueError("cannot schedule into the past")
-        time = self.now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        handle = EventHandle(self, time, seq, fn, args)
-        _heappush(self._heap, (time, seq, None, handle))
-        if self.hooks is not None:
-            self.hooks.on_schedule(self, time, fn)
-        return handle
+        self._post(delay, fn, args)
 
     def _post(self, delay: int, fn: Callable[..., None],
               args: Tuple[Any, ...] = ()) -> None:
-        """Fast-path schedule: no validation, no handle.
-
-        For internal wakeups whose delay is already known non-negative
-        and which are never cancelled (process resumptions, pipeline
+        """Fast-path schedule, unvalidated: for internal wakeups whose
+        delay is known non-negative (process resumptions, pipeline
         stage advances).  Within the bucket horizon this costs a dict
         hit and a list append; only the first event at a new timestamp
-        pays a (time-heap) push.
-        """
+        pays a (time-heap) push."""
         seq = self._seq
         self._seq = seq + 1
         time = self.now + delay
@@ -488,58 +438,24 @@ class Simulator:
         self._post(0, process._step, (None, None))
         return process
 
-    # -- tombstone accounting ---------------------------------------------
-
-    def _note_cancelled(self) -> None:
-        self._cancelled += 1
-        if (self._cancelled > self._COMPACT_MIN
-                and self._cancelled * 2 >= len(self._heap)):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop tombstoned slots and re-heapify, in place.
-
-        In place because the run loop holds a reference to the heap
-        list; rebinding ``self._heap`` would detach it.  Ordering is
-        unaffected: the heap invariant is rebuilt over the same
-        ``(time, seq, ...)`` tuples.  Bucket entries are never
-        cancellable, so compaction touches only the heap tier.
-        """
-        live = [entry for entry in self._heap
-                if entry[2] is not None or not entry[3].cancelled]
-        self._heap[:] = live
-        heapq.heapify(self._heap)
-        self._cancelled = 0
-
     # -- queue introspection ----------------------------------------------
 
     @property
     def pending_events(self) -> int:
-        """Events waiting in all tiers (heap tombstones included, as
-        they occupy real slots until compaction)."""
+        """Events waiting in all tiers, timer expiries that will fire
+        as no-ops included."""
         return (len(self._heap) + len(self._now_list)
                 + sum(map(len, self._buckets.values())))
 
     # -- batch collection --------------------------------------------------
 
-    def _drain_heap_run(self, time: int) -> Optional[list]:
-        """Pop every heap entry at ``time``, dropping tombstones.
-
-        Returns the seq-ordered live entries, or ``None`` when the run
-        was tombstones throughout.  Live ``EventHandle`` slots stay
-        wrapped: a handle may still be cancelled by an earlier event in
-        the same batch, so the run loop re-checks at fire time.
-        """
+    def _drain_heap_run(self, time: int) -> list:
+        """Pop every heap entry at ``time``, in seq order."""
         heap = self._heap
         out = []
         while heap and heap[0][0] == time:
-            entry = _heappop(heap)
-            if entry[2] is None and entry[3].cancelled:
-                if self._cancelled > 0:
-                    self._cancelled -= 1
-                continue
-            out.append(entry)
-        return out or None
+            out.append(_heappop(heap))
+        return out
 
     def _take_batch(self) -> Optional[Tuple[int, list]]:
         """Remove and return the next same-timestamp run of events.
@@ -560,58 +476,40 @@ class Simulator:
                 batch = now_list.copy()
                 now_list.clear()
                 return time, batch
-            if (heap and heap[0][0] == time
-                    and (not times or times[0] > time)):
-                batch = now_list.copy()
-                now_list.clear()
-                run = self._drain_heap_run(time)
-                if run is None:
-                    return time, batch
-                run += batch
-                run.sort()
-                return time, run
-            # A tier holds an earlier (or equal-time bucket) batch:
-            # flush the immediate tier to the heap — entries keep
-            # their (time, seq), so the generic merge below preserves
-            # the exact total order.  Reached only when ``now`` was
-            # moved without dispatch (an ``until`` bound) or events
-            # were pushed back at ``now``.
+            # Another tier holds an earlier or equal-time batch: flush
+            # the immediate tier to the heap — entries keep their
+            # (time, seq), so the generic merge below preserves the
+            # exact total order.  Reached only when ``now`` was moved
+            # without dispatch (an ``until`` bound), or entries were
+            # pushed back or a timer expiry filed at ``now``.
             self._push_back(now_list)
             now_list.clear()
-        while True:
-            if times:
-                time = times[0]
-                if heap:
-                    heap_time = heap[0][0]
-                    if heap_time < time:
-                        batch = self._drain_heap_run(heap_time)
-                        if batch is None:
-                            continue
-                        return heap_time, batch
-                    if heap_time == time:
-                        _heappop(times)
-                        bucket = self._buckets.pop(time)
-                        run = self._drain_heap_run(time)
-                        if run is None:
-                            return time, bucket
-                        run += bucket
-                        run.sort()
-                        return time, run
-                _heappop(times)
-                return time, self._buckets.pop(time)
+        if times:
+            time = times[0]
             if heap:
-                batch = self._drain_heap_run(heap[0][0])
-                if batch is None:
-                    continue
-                return batch[0][0], batch
-            return None
+                heap_time = heap[0][0]
+                if heap_time < time:
+                    return heap_time, self._drain_heap_run(heap_time)
+                if heap_time == time:
+                    _heappop(times)
+                    run = self._drain_heap_run(time)
+                    run += self._buckets.pop(time)
+                    run.sort()
+                    return time, run
+            _heappop(times)
+            return time, self._buckets.pop(time)
+        if heap:
+            time = heap[0][0]
+            return time, self._drain_heap_run(time)
+        return None
 
     def _push_back(self, entries: Iterable[_HeapEntry]) -> None:
-        """Return not-yet-executed batch entries to the queue.
+        """File entries in the heap tier under their own ``(time, seq)``.
 
         Used when a bound (``until``, ``max_events``, a completed join,
-        an exception) stops a run mid-batch or before a batch.  Entries
-        keep their original ``(time, seq)``, so re-insertion into the
+        an exception) stops a run mid-batch or before a batch, and by
+        :class:`~repro.sim.timers.Timer` to file an expiry under a key
+        it reserved earlier.  Entries keep their ``(time, seq)``, so the
         heap tier — whichever tier they came from — preserves exact
         ordering; the next batch at that timestamp re-merges them.
         """
@@ -685,15 +583,11 @@ class Simulator:
     def _run_loop(self, until: Optional[int], max_events: Optional[int],
                   pending: List[int]) -> int:
         """The batch-dispatch loop behind :meth:`run` and
-        :meth:`run_until_done`; returns the events executed.
-
-        Each pass removes the whole run of events at the next timestamp
-        and fires them back-to-back, amortizing queue traffic and the
-        ``until`` test across the batch.  The loop stops before a batch
-        later than ``until`` (leaving it queued), when the queue
-        drains, after ``max_events`` events, or once ``pending[0]``
-        reaches zero; the last two stop mid-batch, and so does an
-        exception, each pushing the unexecuted tail back.
+        :meth:`run_until_done`; returns the events executed.  It stops
+        before a batch later than ``until`` (leaving it queued), when
+        the queue drains, after ``max_events`` events, or once
+        ``pending[0]`` reaches zero; the last two stop mid-batch, and
+        so does an exception, each pushing the unexecuted tail back.
         """
         heap = self._heap
         times = self._times
@@ -737,15 +631,6 @@ class Simulator:
                 tail = iter(batch)
                 try:
                     for _t, _s, fn, args in tail:
-                        if fn is None:
-                            handle = args
-                            if handle.cancelled:
-                                if self._cancelled > 0:
-                                    self._cancelled -= 1
-                                continue
-                            handle.cancelled = True
-                            fn = handle.fn
-                            args = handle.args
                         fn(*args)
                         executed += 1
                         if hooks is not None:

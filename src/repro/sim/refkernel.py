@@ -120,15 +120,6 @@ class ReferenceSimulator(Simulator):
                 if until is not None and time > until:
                     break
                 _time, _seq, fn, args = _heappop(heap)
-                if fn is None:
-                    handle = args
-                    if handle.cancelled:
-                        if self._cancelled > 0:
-                            self._cancelled -= 1
-                        continue
-                    handle.cancelled = True
-                    fn = handle.fn
-                    args = handle.args
                 self.now = time
                 fn(*args)
                 executed += 1
@@ -170,21 +161,10 @@ class ReferenceSimulator(Simulator):
                 if not heap:
                     raise SimulationDeadlock(
                         [p for p in targets if not p.done])
-                entry = _heappop(heap)
-                time, _seq, fn, args = entry
-                if fn is None:
-                    handle = args
-                    if handle.cancelled:
-                        if self._cancelled > 0:
-                            self._cancelled -= 1
-                        continue
+                time, _seq, fn, args = heap[0]
                 if limit_ns is not None and time > limit_ns:
-                    _heappush(heap, entry)
                     self._raise_run_timeout(targets)
-                if fn is None:
-                    handle.cancelled = True
-                    fn = handle.fn
-                    args = handle.args
+                _heappop(heap)
                 self.now = time
                 fn(*args)
                 executed += 1

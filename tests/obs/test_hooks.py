@@ -1,9 +1,11 @@
 """Kernel hooks and the event-loop profiler: accurate counts, and —
 critically — no effect on the simulated history."""
 
+import pytest
+
 from repro.api import Cluster, ClusterConfig
 from repro.obs import EventLoopProfiler, KernelHooks
-from repro.sim import Simulator
+from repro.sim import KERNELS, Simulator, make_simulator
 
 
 def test_base_hooks_are_no_ops():
@@ -29,12 +31,32 @@ def test_profiler_counts_events_exactly():
     assert profiler.events_scheduled == 3
     assert profiler.events_executed == 3
     assert profiler.runs == 1
-    assert profiler.max_heap_depth >= 1
+    assert profiler.max_heap_depth == 3
     assert profiler.wall_seconds > 0.0
     snap = profiler.snapshot()
     assert snap["events_executed"] == 3
     assert any("tick" in label for label, _ in snap["hottest_callbacks"])
     assert "events/s" in profiler.render()
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_profiler_peak_depth_is_the_same_on_both_kernels(kernel):
+    # Five events at t=10, the first of which posts three more: seven
+    # are queued once it is done, however the kernel batches them.
+    sim = make_simulator(kernel)
+    profiler = EventLoopProfiler()
+    sim.hooks = profiler
+
+    def first():
+        for _ in range(3):
+            sim.schedule(5, lambda: None)
+
+    sim.schedule(10, first)
+    for _ in range(4):
+        sim.schedule(10, lambda: None)
+    sim.run()
+    assert profiler.max_heap_depth == 7
+    assert profiler.events_executed == profiler.events_scheduled == 8
 
 
 def _observed_run(profile: bool):

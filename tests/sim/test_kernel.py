@@ -9,6 +9,7 @@ from repro.sim import (
     Future,
     SimulationDeadlock,
     Simulator,
+    Timer,
     make_simulator,
 )
 
@@ -16,7 +17,7 @@ from repro.sim import (
 def test_schedule_runs_in_time_order():
     sim = Simulator()
     seen = []
-    sim.schedule(30, seen.append, "c")
+    assert sim.schedule(30, seen.append, "c") is None  # no handle
     sim.schedule(10, seen.append, "a")
     sim.schedule(20, seen.append, "b")
     sim.run()
@@ -37,6 +38,8 @@ def test_schedule_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
         sim.schedule(-1, lambda: None)
+    with pytest.raises(ValueError):
+        Timer(sim, lambda: None).start(-1)
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -44,21 +47,14 @@ def test_schedule_negative_delay_rejected():
     "delay", [2.5, True, None], ids=["float", "bool", "None"])
 def test_schedule_rejects_non_int_delay(kernel, delay):
     """A float is not truncated and a bool is not read as 1 ns: both
-    kernels refuse anything but an int, naming the value."""
+    kernels refuse anything but an int, naming the value, whether it
+    is an event's delay or a timer's."""
     sim = make_simulator(kernel)
     with pytest.raises(TypeError, match=re.escape(repr(delay))):
         sim.schedule(delay, lambda: None)
+    with pytest.raises(TypeError, match=re.escape(repr(delay))):
+        Timer(sim, lambda: None).start(delay)
     assert sim.pending_events == 0
-
-
-def test_event_cancellation():
-    sim = Simulator()
-    seen = []
-    handle = sim.schedule(10, seen.append, "cancelled")
-    sim.schedule(10, seen.append, "kept")
-    handle.cancel()
-    sim.run()
-    assert seen == ["kept"]
 
 
 def test_run_until_stops_and_advances_clock():

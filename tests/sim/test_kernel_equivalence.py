@@ -11,7 +11,8 @@ in the tiered kernel's batch collection.
 This file checks that promise two ways:
 
 - **Randomized schedules**: ``N_SCHEDULES`` seeded scripts of
-  post/cancel/timer/process/wakeup operations (including bound
+  post/process/wakeup operations and starts and cancels on a pool of
+  :class:`~repro.sim.Timer` objects (including bound
   ``run(until=…)`` / ``run(max_events=…)`` slices that strand events
   mid-batch, ``until`` bounds below ``now``, and ``run_until_done``
   joins that complete, time out or deadlock) are interpreted against
@@ -27,6 +28,7 @@ This file checks that promise two ways:
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import random
@@ -40,6 +42,7 @@ from repro.sim import (
     ReferenceSimulator,
     SimulationDeadlock,
     Simulator,
+    Timer,
     make_simulator,
 )
 from tests.fixtures.golden_runs import (
@@ -63,6 +66,9 @@ DELAYS = (0, 0, 0, 1, 2, 3, 7, 10, 10, 64, 1000,
 
 #: How far past ``now`` a join may run before it times out.
 JOIN_LIMITS = (50, 500, 5000, 10**9)
+
+#: Timers per script: starts and cancels pick one.
+N_TIMERS = 4
 
 
 # -- schedule scripts -------------------------------------------------------
@@ -91,9 +97,10 @@ def build_script(seed: int):
         if r < 0.30:
             script.append(("post", rng.choice(DELAYS), _children(rng, 2)))
         elif r < 0.45:
-            script.append(("timer", rng.choice(DELAYS)))
+            script.append(("start", rng.randrange(N_TIMERS),
+                           rng.choice(DELAYS)))
         elif r < 0.55:
-            script.append(("cancel", rng.randrange(6)))
+            script.append(("cancel", rng.randrange(N_TIMERS)))
         elif r < 0.72:
             # A process: a run of yields, each a delay or a wait on a
             # future resolved by a separately scheduled timeout.  Now
@@ -127,9 +134,13 @@ class ScriptRunner:
     def __init__(self, sim):
         self.sim = sim
         self.log = []
-        self.handles = []
+        self.timers = [Timer(sim, functools.partial(self._expired, i))
+                       for i in range(N_TIMERS)]
         self.processes = []
         self._tags = iter(range(1 << 30))
+
+    def _expired(self, index):
+        self.log.append((self.sim.now, "timer", index))
 
     def _fire(self, tag, children):
         self.log.append((self.sim.now, tag))
@@ -156,12 +167,10 @@ class ScriptRunner:
             kind = op[0]
             if kind == "post":
                 sim._post(op[1], self._fire, (next(self._tags), op[2]))
-            elif kind == "timer":
-                self.handles.append(
-                    sim.schedule(op[1], self._fire, next(self._tags), ()))
+            elif kind == "start":
+                self.timers[op[1]].start(op[2])
             elif kind == "cancel":
-                if self.handles:
-                    self.handles.pop(op[1] % len(self.handles)).cancel()
+                self.timers[op[1]].cancel()
             elif kind == "spawn":
                 tag = next(self._tags)
                 self.processes.append(
@@ -298,10 +307,13 @@ def test_cancellation_interleaved_with_dispatch():
     for kernel in KERNELS:
         sim = make_simulator(kernel)
         runner = ScriptRunner(sim)
-        handles = [sim.schedule(20, runner._fire, i, ())
-                   for i in range(10)]
-        # An event at t=10 cancels half of the t=20 run before it fires.
-        sim._post(10, lambda: [handles[i].cancel() for i in (1, 3, 5, 7)])
+        timers = [Timer(sim, functools.partial(runner._fire, i, ()))
+                  for i in range(10)]
+        for timer in timers:
+            timer.start(20)
+        # An event at t=10 cancels four of the t=20 timers before they
+        # fire; the other six fire in arm order.
+        sim._post(10, lambda: [timers[i].cancel() for i in (1, 3, 5, 7)])
         sim.run()
         logs[kernel] = _log_bytes(runner.log)
     assert logs["bucket"] == logs["reference"]
