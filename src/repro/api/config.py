@@ -3,20 +3,17 @@
 :class:`ClusterConfig` is the one object that describes a cluster
 build: machine shape (nodes, topology, memory), protocol choice, and
 the observability switches.  It gives
-:class:`~repro.api.cluster.Cluster` construction a single,
-serialisable surface — ``Cluster(ClusterConfig(...))``, the only form
-``Cluster`` accepts — and lets experiment scripts store and replay
-exact configurations (:meth:`ClusterConfig.to_dict` /
-:meth:`ClusterConfig.from_dict` round-trip through plain JSON types).
+:class:`~repro.api.cluster.Cluster` construction a single surface:
+``Cluster(ClusterConfig(...))`` is the only form ``Cluster`` accepts.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Union
 
 from repro.faults.plan import FaultConfig
-from repro.params import PacketSizes, Params, SizingParams, TimingParams
+from repro.params import Params
 
 
 @dataclass
@@ -124,28 +121,3 @@ class ClusterConfig:
         if isinstance(self.faults, FaultConfig):
             return self.faults
         return FaultConfig.from_dict(self.faults)
-
-    # -- serialisation --------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (JSON-safe); ``params`` expands to nested
-        dicts of its timing/sizing/packet fields."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)
-               if f.name not in ("params", "faults")}
-        out["params"] = None if self.params is None else asdict(self.params)
-        fault_config = self.fault_config()
-        out["faults"] = None if fault_config is None else fault_config.to_dict()
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ClusterConfig":
-        data = dict(data)
-        params = data.pop("params", None)
-        if params is not None and not isinstance(params, Params):
-            params = Params(
-                timing=TimingParams(**params["timing"]),
-                sizing=SizingParams(**params["sizing"]),
-                packets=PacketSizes(**params["packets"]),
-                prototype=params["prototype"],
-            )
-        return cls(params=params, **data)

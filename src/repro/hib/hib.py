@@ -10,11 +10,12 @@ or a local shared-memory access.  §2.2.1's asymmetry is structural
 here: ``tc_store`` to a remote window completes once the packet is in
 the outgoing FIFO; ``tc_load`` blocks on a reply future.
 
-**Network servant** (the service loop) — drains the incoming FIFO and
-serves write/read/atomic/copy requests against the local shared-memory
-backend, plus completion packets (read replies, atomic replies, write
-acks) and coherence-protocol packets, which are delegated to the
-attached coherence engine.
+**Network servants** (one loop, spawned once per virtual network) —
+drain the incoming FIFOs: the request servant serves write/read/atomic/
+copy requests against the local shared-memory backend, plus
+coherence-protocol packets, which are delegated to the attached
+coherence engine; the reply servant serves completion packets (read
+replies, atomic replies, write acks).
 
 The coherence engine (see :mod:`repro.coherence`) is a pluggable
 strategy; a bare HIB (``coherence=None``) gives exactly the paper's
@@ -148,8 +149,11 @@ class HIB:
         #: servant loops are the terminal consumers of every packet, so
         #: they release each one back after its handler returns.
         self._pool = getattr(port, "pool", NULL_POOL)
-        #: Request-servant dispatch table, built once (not per packet).
+        #: Both servants' dispatch table, built once (not per packet).
         self._handlers = {
+            PacketKind.READ_REPLY: self._serve_reply,
+            PacketKind.ATOMIC_REPLY: self._serve_reply,
+            PacketKind.WRITE_ACK: self._serve_ack,
             PacketKind.WRITE_REQ: self._serve_write,
             PacketKind.READ_REQ: self._serve_read,
             PacketKind.ATOMIC_REQ: self._serve_atomic,
@@ -161,8 +165,15 @@ class HIB:
             PacketKind.COLL_FADD: self.coll.on_fadd,
             PacketKind.COLL_FADD_REPLY: self.coll.on_fadd_reply,
         }
-        self._service = sim.spawn(self._service_loop(), name=f"hib{node_id}.svc")
-        self._replies = sim.spawn(self._reply_loop(), name=f"hib{node_id}.rsp")
+        timing = params.timing
+        self._service = sim.spawn(
+            self._servant(port.receive, timing.hib_decode_ns,
+                          self._m_req_wait),
+            name=f"hib{node_id}.svc")
+        self._replies = sim.spawn(
+            self._servant(port.receive_reply, 2 * timing.hib_cycle_ns,
+                          self._m_rsp_wait),
+            name=f"hib{node_id}.rsp")
 
     @property
     def transport(self) -> Optional[ReliableTransport]:
@@ -594,25 +605,30 @@ class HIB:
     # Network servant
     # ------------------------------------------------------------------
 
-    def _service_loop(self):
-        """Request-class servant: drains the request virtual network.
+    def _servant(self, receive, service_ns: int, wait_metric: Any):
+        """One network servant, spawned once per plane: ``receive``
+        yields the next packet of its virtual network, ``service_ns``
+        is its per-packet occupancy (the request decode, or the reply
+        latch) and ``wait_metric`` observes each packet's network time.
 
-        The fault gate, trace span, and metrics observation are all
-        resolved once when the loop starts: an uninstrumented HIB pays
-        for none of them per packet.  They only add work, never events,
-        so the event schedule is independent of instrumentation.
+        The request servant serves writes, reads, atomics, copies and
+        coherence/collective packets; the reply servant is the
+        dedicated response latch, where replies resolve futures and
+        acks decrement counters, on a path congested request traffic
+        cannot delay.  The fault gate, trace span, and metrics
+        observation are all resolved once when the loop starts: an
+        uninstrumented HIB pays for none of them per packet.  They only
+        add work, never events, so the event schedule is independent of
+        instrumentation.
         """
-        decode_ns = self.params.timing.hib_decode_ns
         sim = self.sim
-        receive = self.port.receive
         pool = self._pool
         handlers = self._handlers
         stats = self.stats
         faulty = self._injector is not None
         tracer = self.tracer
         span = tracer.span if (tracer.enabled and tracer.lanes) else None
-        observe = (None if self._m_req_wait is NULL_METRIC
-                   else self._m_req_wait.observe)
+        observe = None if wait_metric is NULL_METRIC else wait_metric.observe
         while True:
             packet: Packet = yield receive()
             if faulty:
@@ -624,7 +640,7 @@ class HIB:
             if observe is not None and packet.injected_at is not None:
                 observe(sim.now - packet.injected_at)
             began = sim.now
-            yield decode_ns
+            yield service_ns
             yield from handlers[packet.kind](packet)
             if span is not None:
                 span(
@@ -644,44 +660,6 @@ class HIB:
                     "hib_hang", node=self.node_id, for_ns=stall
                 )
                 yield stall
-
-    def _reply_loop(self):
-        """Reply-class servant: the dedicated response latch.  Replies
-        resolve futures and acks decrement counters — cheap work on a
-        path that congested request traffic cannot delay.  Same
-        resolve-at-start structure as :meth:`_service_loop`."""
-        latch_ns = 2 * self.params.timing.hib_cycle_ns
-        sim = self.sim
-        receive = self.port.receive_reply
-        pool = self._pool
-        stats = self.stats
-        faulty = self._injector is not None
-        tracer = self.tracer
-        span = tracer.span if (tracer.enabled and tracer.lanes) else None
-        observe = (None if self._m_rsp_wait is NULL_METRIC
-                   else self._m_rsp_wait.observe)
-        while True:
-            packet: Packet = yield receive()
-            if faulty:
-                yield from self._faulty_receive_gate()
-                if (self._transport is not None
-                        and not self._transport.admit(packet)):
-                    continue
-            stats["packets_served"] += 1
-            if observe is not None and packet.injected_at is not None:
-                observe(sim.now - packet.injected_at)
-            began = sim.now
-            yield latch_ns
-            if packet.kind is PacketKind.WRITE_ACK:
-                yield from self._serve_ack(packet)
-            else:
-                yield from self._serve_reply(packet)
-            if span is not None:
-                span(
-                    "hib_op", began, node=self.node_id,
-                    kind=packet.kind.name, src=packet.src,
-                )
-            pool.release(packet)
 
     def _serve_write(self, packet: Packet):
         yield from self.backend.write(packet.address, packet.value)

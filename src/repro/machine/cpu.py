@@ -164,7 +164,6 @@ class CPU:
     # -- the interpreter -------------------------------------------------------
 
     def _interpret(self, body, ctx: ProgramContext):
-        timing = self.params.timing
         result: Any = None
         throw: Optional[BaseException] = None
         while True:
@@ -194,39 +193,7 @@ class CPU:
             lanes = tracer is not None and tracer.lanes and tracer.enabled
             began = self.sim.now if lanes else 0
             try:
-                # Inlined dispatch for the common ops — every yield an
-                # operation makes bubbles through each live generator
-                # frame, so Think/Load/Store/PAL skip the _execute
-                # frame entirely.  _execute stays the single source of
-                # truth for cold ops (fences, collectives, op
-                # subclasses, retry-after-fault).
-                cls = type(op)
-                if cls is Think:
-                    ctx.ops_executed += 1
-                    self.ops_executed += 1
-                    yield max(0, op.ns)
-                    result = None
-                elif cls is Load:
-                    ctx.ops_executed += 1
-                    self.ops_executed += 1
-                    ctx.loads += 1
-                    self.loads += 1
-                    yield timing.cpu_issue_ns
-                    result = yield from self._load(op.vaddr, ctx)
-                elif cls is Store:
-                    ctx.ops_executed += 1
-                    self.ops_executed += 1
-                    ctx.stores += 1
-                    self.stores += 1
-                    yield timing.cpu_issue_ns
-                    yield from self._store(op.vaddr, op.value, ctx)
-                    result = None
-                elif cls is PalSequence:
-                    ctx.ops_executed += 1
-                    self.ops_executed += 1
-                    result = yield from self._execute_pal(op, ctx)
-                else:
-                    result = yield from self._execute(op, ctx)
+                result = yield from self._execute(op, ctx)
                 if lanes:
                     tracer.span(
                         "cpu_op", began, node=self.node_id,
@@ -271,6 +238,9 @@ class CPU:
     # -- operation execution ----------------------------------------------------
 
     def _execute(self, op, ctx: ProgramContext):
+        """Count and run one operation: every op a program yields, a
+        faulted op's retry and each op inside a PAL sequence comes
+        through here, so a sequence counts once plus once per op."""
         timing = self.params.timing
         ctx.ops_executed += 1
         self.ops_executed += 1
@@ -304,7 +274,7 @@ class CPU:
             return result
         if isinstance(op, CollectiveFetchAdd):
             yield timing.cpu_issue_ns
-            phys, _pte, tlb_hit = self._translate(op.vaddr, is_write=True)
+            phys, _pte, tlb_hit = self.mmu.translate(op.vaddr, True)
             if not tlb_hit:
                 yield from self._walk_penalty()
             decoded = self.amap.decode(phys)
@@ -337,46 +307,15 @@ class CPU:
         if self._in_pal:
             raise RuntimeError("nested PAL sequences are not allowed")
         self._in_pal = True
-        timing = self.params.timing
         try:
             result = None
             for op in seq.ops:
-                # Same inline dispatch as _interpret: one frame fewer
-                # per yield for the ops PAL sequences are made of.
-                cls = type(op)
-                if cls is Think:
-                    ctx.ops_executed += 1
-                    self.ops_executed += 1
-                    yield max(0, op.ns)
-                    result = None
-                elif cls is Load:
-                    ctx.ops_executed += 1
-                    self.ops_executed += 1
-                    ctx.loads += 1
-                    self.loads += 1
-                    yield timing.cpu_issue_ns
-                    result = yield from self._load(op.vaddr, ctx)
-                elif cls is Store:
-                    ctx.ops_executed += 1
-                    self.ops_executed += 1
-                    ctx.stores += 1
-                    self.stores += 1
-                    yield timing.cpu_issue_ns
-                    yield from self._store(op.vaddr, op.value, ctx)
-                    result = None
-                elif isinstance(op, PalSequence):
-                    raise RuntimeError("nested PAL sequences are not allowed")
-                else:
-                    result = yield from self._execute(op, ctx)
+                result = yield from self._execute(op, ctx)
             return result
         finally:
             self._in_pal = False
 
     # -- physical dispatch ---------------------------------------------------------
-
-    def _translate(self, vaddr: int, is_write: bool):
-        phys, pte, tlb_hit = self.mmu.translate(vaddr, is_write)
-        return phys, pte, tlb_hit
 
     def _load(self, vaddr: int, ctx: ProgramContext):
         timing = self.params.timing

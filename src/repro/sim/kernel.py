@@ -35,16 +35,19 @@ Fast-path design (see DESIGN.md, "Kernel internals"):
   :attr:`Simulator.bucket_horizon`, entries pushed back by a bounded
   run and keyed timer expiries (:class:`~repro.sim.timers.Timer`)
   live in a classic binary heap of ``(time, seq, fn, args)`` tuples.
-- ``seq`` is unique and global across the tiers, so merging a bucket
-  with same-time heap entries is a C-speed tuple sort and execution
-  order stays the exact ``(time, seq)`` order of a pure heap —
-  :mod:`repro.sim.refkernel` is that pure heap, kept as a differential
-  reference (``tests/sim/test_kernel_equivalence.py``).
+- ``seq`` is unique and global across the tiers, so merging tiers at
+  one timestamp keeps the exact ``(time, seq)`` order of a pure heap
+  — :mod:`repro.sim.refkernel` is that pure heap, kept as a
+  differential reference (``tests/sim/test_kernel_equivalence.py``).
+- One method files an event: :meth:`Simulator._post`, unvalidated,
+  for every wake-up (a process's start, its ``yield ns`` and done
+  tokens, a completed waitable's waiters) and, after checking the
+  delay, for :meth:`Simulator.schedule`.  :meth:`Simulator._push_back`
+  refiles an entry under a key taken earlier.  Nothing else touches
+  a tier, so a kernel that overrides those two owns its queue.
 - Nothing is cancelled, so the queue holds one kind of entry and the
   run loop tests none (a :class:`~repro.sim.timers.Timer` leaves a
-  superseded expiry to fire as a no-op).  Internal wakeups go through
-  :meth:`Simulator._post`, which performs no validation — the common
-  ``yield ns`` costs one tuple append, no :class:`Future`, no closure.
+  superseded expiry to fire as a no-op).
 - One run loop serves :meth:`Simulator.run` and
   :meth:`Simulator.run_until_done`, with or without bounds or hooks.
   It **batch-dispatches**: it removes the whole run of events sharing
@@ -73,6 +76,20 @@ from typing import (
 _HeapEntry = Tuple[int, int, Callable[..., None], Tuple[Any, ...]]
 
 _WaiterCallback = Callable[[Any, Optional[BaseException]], None]
+
+
+def check_run_bounds(name: str, bound: Optional[int],
+                     max_events: Optional[int] = None) -> None:
+    """Check a run's bounds, for both kernels, as :meth:`Simulator.schedule`
+    checks a delay: the time bound ``name`` (``until`` or ``limit_ns``)
+    is ``None`` or an ``int`` (a ``bool`` is not), so the clock stays an
+    ``int``, and ``max_events`` is ``None`` or a non-negative ``int``."""
+    if bound is not None and type(bound) is not int:
+        raise TypeError(f"{name} must be None or an int, got {bound!r}")
+    if max_events is not None and type(max_events) is not int:
+        raise TypeError(f"max_events must be None or an int, got {max_events!r}")
+    if max_events is not None and max_events < 0:
+        raise ValueError(f"max_events must be non-negative, got {max_events!r}")
 
 
 class SimulationDeadlock(RuntimeError):
@@ -137,6 +154,9 @@ class Waitable:
             self._callbacks.append(fn)
 
     def _complete(self, value: Any, exception: Optional[BaseException]) -> None:
+        """Complete once and wake every waiter: a waiting process
+        through its simulator's :meth:`Simulator._post` at delay 0, a
+        plain callback by calling it at once."""
         if self._done:
             raise RuntimeError("waitable completed twice")
         self._done = True
@@ -147,16 +167,7 @@ class Waitable:
             self._callbacks = None
             for cb in callbacks:
                 if type(cb) is Process:
-                    # Inlined wakeup — completion is the hot resumption
-                    # trigger: post the waiter's next step at ``now``
-                    # (the immediate tier).
-                    sim = cb.sim
-                    seq = sim._seq
-                    sim._seq = seq + 1
-                    sim._now_list.append(
-                        (sim.now, seq, cb._step, (value, exception)))
-                    if sim.hooks is not None:
-                        sim.hooks.on_schedule(sim, sim.now, cb._step)
+                    cb.sim._post(0, cb._step, (value, exception))
                 else:
                     cb(value, exception)
 
@@ -166,32 +177,14 @@ class Future(Waitable):
 
     Created by a responder (e.g. the HIB, for a blocking read) and
     yielded on by the requester.  Resolve with :meth:`set_result` or
-    :meth:`set_exception`.
+    :meth:`set_exception`; both complete through
+    :meth:`Waitable._complete`.
     """
 
     __slots__ = ()
 
     def set_result(self, value: Any = None) -> None:
-        # Inlined _complete (single-waiter completions are the hot
-        # path of every queue handoff and blocking read).
-        if self._done:
-            raise RuntimeError("waitable completed twice")
-        self._done = True
-        self._value = value
-        callbacks = self._callbacks
-        if callbacks is not None:
-            self._callbacks = None
-            for cb in callbacks:
-                if type(cb) is Process:
-                    sim = cb.sim
-                    seq = sim._seq
-                    sim._seq = seq + 1
-                    sim._now_list.append(
-                        (sim.now, seq, cb._step, (value, None)))
-                    if sim.hooks is not None:
-                        sim.hooks.on_schedule(sim, sim.now, cb._step)
-                else:
-                    cb(value, None)
+        self._complete(value, None)
 
     def set_exception(self, exception: BaseException) -> None:
         self._complete(None, exception)
@@ -272,37 +265,13 @@ class Process(Waitable):
             self._finish(None, err)
             return
         if type(command) is int and command >= 0:
-            # Inlined _post: ``yield ns`` is the single hottest command.
-            sim = self.sim
-            seq = sim._seq
-            sim._seq = seq + 1
-            time = sim.now + command
-            entry = (time, seq, self._step, (None, None))
-            if command == 0:
-                sim._now_list.append(entry)
-            elif command <= sim.bucket_horizon:
-                bucket = sim._buckets.get(time)
-                if bucket is None:
-                    sim._buckets[time] = [entry]
-                    _heappush(sim._times, time)
-                else:
-                    bucket.append(entry)
-            else:
-                _heappush(sim._heap, entry)
-            if sim.hooks is not None:
-                sim.hooks.on_schedule(sim, time, self._step)
+            self.sim._post(command, self._step, (None, None))
         elif isinstance(command, Waitable):
             if command._done:
                 # Done token (e.g. READY): resume at ``now`` without
                 # registering as a waiter.
-                sim = self.sim
-                seq = sim._seq
-                sim._seq = seq + 1
-                sim._now_list.append(
-                    (sim.now, seq, self._step,
-                     (command._value, command._exception)))
-                if sim.hooks is not None:
-                    sim.hooks.on_schedule(sim, sim.now, self._step)
+                self.sim._post(0, self._step,
+                               (command._value, command._exception))
             else:
                 callbacks = command._callbacks
                 if callbacks is None:
@@ -449,59 +418,29 @@ class Simulator:
 
     # -- batch collection --------------------------------------------------
 
-    def _drain_heap_run(self, time: int) -> list:
-        """Pop every heap entry at ``time``, in seq order."""
-        heap = self._heap
-        out = []
-        while heap and heap[0][0] == time:
-            out.append(_heappop(heap))
-        return out
-
     def _take_batch(self) -> Optional[Tuple[int, list]]:
-        """Remove and return the next same-timestamp run of events.
-
-        Returns ``(time, batch)`` with ``batch`` seq-ordered, or
-        ``None`` when nothing is pending.  When a timestamp has events
-        in more than one tier the runs are merged with a tuple sort:
-        ``seq`` is unique, so the sort is a pure C merge and the result
-        is the exact order a single heap would have produced.
-        """
-        times = self._times
+        """The run loop's fallback for the batches its two inlined
+        shapes do not take: file the immediate tier, and a bucket no
+        later than the heap's head, in the heap (entries keep their
+        ``(time, seq)``), then remove the heap's earliest run and return
+        it as ``(time, batch)``, or ``None`` when nothing is pending.  A
+        bucket lies *before* the heap's head only after
+        ``run(until=..., max_events=...)`` moved ``now`` past it."""
         heap = self._heap
         now_list = self._now_list
         if now_list:
-            time = self.now
-            if ((not heap or heap[0][0] > time)
-                    and (not times or times[0] > time)):
-                batch = now_list.copy()
-                now_list.clear()
-                return time, batch
-            # Another tier holds an earlier or equal-time batch: flush
-            # the immediate tier to the heap — entries keep their
-            # (time, seq), so the generic merge below preserves the
-            # exact total order.  Reached only when ``now`` was moved
-            # without dispatch (an ``until`` bound), or entries were
-            # pushed back or a timer expiry filed at ``now``.
             self._push_back(now_list)
             now_list.clear()
-        if times:
-            time = times[0]
-            if heap:
-                heap_time = heap[0][0]
-                if heap_time < time:
-                    return heap_time, self._drain_heap_run(heap_time)
-                if heap_time == time:
-                    _heappop(times)
-                    run = self._drain_heap_run(time)
-                    run += self._buckets.pop(time)
-                    run.sort()
-                    return time, run
-            _heappop(times)
-            return time, self._buckets.pop(time)
-        if heap:
-            time = heap[0][0]
-            return time, self._drain_heap_run(time)
-        return None
+        times = self._times
+        if times and (not heap or times[0] <= heap[0][0]):
+            self._push_back(self._buckets.pop(_heappop(times)))
+        if not heap:
+            return None
+        time = heap[0][0]
+        batch: List[_HeapEntry] = []
+        while heap and heap[0][0] == time:
+            batch.append(_heappop(heap))
+        return time, batch
 
     def _push_back(self, entries: Iterable[_HeapEntry]) -> None:
         """File entries in the heap tier under their own ``(time, seq)``.
@@ -528,7 +467,9 @@ class Simulator:
 
         Returns the number of events executed.  With ``until``, events
         at times ``<= until`` run and ``now`` advances to ``until``.
+        Both bounds are checked by :func:`check_run_bounds`.
         """
+        check_run_bounds("until", until, max_events)
         executed = self._run_loop(until, max_events, [1])
         if until is not None and self.now < until:
             if self._now_list:
@@ -552,6 +493,7 @@ class Simulator:
         exactly at the event that completes the last process (no
         further events run, ``now`` stays at that event's time).
         """
+        check_run_bounds("limit_ns", limit_ns)
         targets = list(processes)
         # Count outstanding completions with a cell updated by the
         # waitables themselves, so the run loop's stop test is one

@@ -19,19 +19,15 @@ batch collection — which is precisely what
 ``tests/sim/test_kernel_equivalence.py`` exploits: the same workload is
 run under both and the dispatch sequences must match byte for byte.
 
-Two implementation notes:
+Every producer files an event through :meth:`Simulator._post` or
+:meth:`Simulator._push_back`, and this class overrides ``_post`` to
+push onto the heap, so nothing ever writes the production kernel's
+immediate or bucket tier here: the heap is the whole queue.
 
-- The hot resumption paths fused into ``Process``/``Future`` append
-  delay-0 events straight onto ``sim._now_list`` and bucket-horizon
-  events into ``sim._buckets``.  The reference loop funnels both into
-  the heap before every pop (``bucket_horizon`` is set to ``-1`` so the
-  bucket branch never triggers; the ``_now_list`` appends are drained by
-  :meth:`_flush_tiers`).  Entries keep their ``(time, seq)``, so the
-  heap reproduces the exact total order.
-- No batch collection happens anywhere: this file must stay a
-  pop-one-dispatch-one loop.  Do not "optimise" it to share code with
-  the production kernel — its value is being independent of the code it
-  checks.
+No batch collection happens anywhere: this file must stay a
+pop-one-dispatch-one loop.  Do not "optimise" it to share code with
+the production kernel — its value is being independent of the code it
+checks.
 """
 
 from __future__ import annotations
@@ -39,7 +35,12 @@ from __future__ import annotations
 from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
-from repro.sim.kernel import Process, SimulationDeadlock, Simulator
+from repro.sim.kernel import (
+    Process,
+    SimulationDeadlock,
+    Simulator,
+    check_run_bounds,
+)
 
 
 class ReferenceSimulator(Simulator):
@@ -47,22 +48,9 @@ class ReferenceSimulator(Simulator):
 
     API-identical to :class:`Simulator`; selected through
     ``ClusterConfig(kernel="reference")`` or
-    :func:`repro.sim.make_simulator`.
+    :func:`repro.sim.make_simulator`.  It has no bucket tier, so the
+    fabric's install-time widening of the bucket window is inert here.
     """
-
-    # Disable the bucket tier for every producer that tests
-    # ``delay <= bucket_horizon`` (including the fused fast paths
-    # inlined into Process._step): -1 rejects all delays, so
-    # positive-delay posts go straight to the heap.  Writes (the base
-    # __init__, Fabric's install-time widening) are swallowed — the
-    # reference kernel has no bucket tier to tune.
-    @property
-    def bucket_horizon(self) -> int:
-        return -1
-
-    @bucket_horizon.setter
-    def bucket_horizon(self, value: int) -> None:
-        pass
 
     # -- scheduling -------------------------------------------------------
 
@@ -75,28 +63,6 @@ class ReferenceSimulator(Simulator):
         if self.hooks is not None:
             self.hooks.on_schedule(self, time, fn)
 
-    # -- queue maintenance ------------------------------------------------
-
-    def _flush_tiers(self) -> None:
-        """Funnel entries the fused producer paths left in the
-        immediate/bucket tiers into the heap.
-
-        Entries keep their original ``(time, seq)`` keys, so the heap
-        order equals the order a single-heap producer would have built.
-        """
-        now_list = self._now_list
-        heap = self._heap
-        if now_list:
-            for entry in now_list:
-                _heappush(heap, entry)
-            now_list.clear()
-        times = self._times
-        if times:
-            buckets = self._buckets
-            while times:
-                for entry in buckets.pop(_heappop(times)):
-                    _heappush(heap, entry)
-
     # -- execution --------------------------------------------------------
 
     def run(
@@ -104,6 +70,7 @@ class ReferenceSimulator(Simulator):
         until: Optional[int] = None,
         max_events: Optional[int] = None,
     ) -> int:
+        check_run_bounds("until", until, max_events)
         hooks = self.hooks
         heap = self._heap
         executed = 0
@@ -111,7 +78,6 @@ class ReferenceSimulator(Simulator):
             hooks.on_run_start(self)
         try:
             while True:
-                self._flush_tiers()
                 if not heap:
                     break
                 if max_events is not None and executed >= max_events:
@@ -138,6 +104,7 @@ class ReferenceSimulator(Simulator):
     def run_until_done(
         self, processes: Iterable[Process], limit_ns: Optional[int] = None
     ) -> None:
+        check_run_bounds("limit_ns", limit_ns)
         targets = list(processes)
         pending = [0]
 
@@ -157,7 +124,6 @@ class ReferenceSimulator(Simulator):
             hooks.on_run_start(self)
         try:
             while pending[0]:
-                self._flush_tiers()
                 if not heap:
                     raise SimulationDeadlock(
                         [p for p in targets if not p.done])

@@ -1,13 +1,13 @@
 """ClusterConfig and the Cluster construction surface: config
-round-trips, the single ``Cluster(ClusterConfig(...))`` form, context
-management, and the stats/run facades."""
+defaults and validation, the single ``Cluster(ClusterConfig(...))``
+form, context management, and the stats/run facades."""
 
 import warnings
 
 import pytest
 
 from repro.api import Cluster, ClusterConfig
-from repro.params import DEFAULT_PARAMS, Params
+from repro.params import DEFAULT_PARAMS
 
 
 # -- the config object ----------------------------------------------------
@@ -24,23 +24,6 @@ def test_config_rejects_empty_cluster():
         ClusterConfig(n_nodes=0)
 
 
-def test_config_round_trips_through_plain_data():
-    config = ClusterConfig(
-        n_nodes=4, protocol="telegraphos", topology="chain",
-        params=Params(prototype=2), trace=False, cache_entries=8,
-        dram_bytes=1 << 20, replication_threshold=5,
-        metrics=False, trace_lanes=True, profile_kernel=True,
-    )
-    data = config.to_dict()
-    assert data["params"]["prototype"] == 2  # JSON-safe nesting
-    assert ClusterConfig.from_dict(data) == config
-
-
-def test_config_round_trip_preserves_none_params():
-    config = ClusterConfig(n_nodes=3)
-    assert ClusterConfig.from_dict(config.to_dict()) == config
-
-
 def test_config_timing_override_reaches_every_link():
     """The T2 grid's axis path: a ``with_timing`` override in the
     config is the propagation delay each link waits."""
@@ -54,11 +37,7 @@ def test_config_timing_override_reaches_every_link():
         == {DEFAULT_PARAMS.timing.link_prop_ns}
 
 
-def test_config_collectives_round_trips():
-    config = ClusterConfig(n_nodes=4, collectives="nic")
-    data = config.to_dict()
-    assert data["collectives"] == "nic"
-    assert ClusterConfig.from_dict(data) == config
+def test_config_collectives_default_to_host():
     assert ClusterConfig().collectives == "host"
 
 

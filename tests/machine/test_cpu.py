@@ -146,11 +146,14 @@ def test_fault_handler_can_fix_and_retry():
     sim, cpu, amap, dram, _ = make_cpu()
     space = local_space(amap, pages=1)
     vaddr = amap.page_bytes + 4  # vpage 1, unmapped
+    unmapped_load = 2 * amap.page_bytes  # vpage 2, unmapped
     fixed = []
 
     def handler(ctx, fault):
         yield 1000  # OS fault-handling time
-        space.map_page(1, PageTableEntry(amap.dram(amap.page_bytes)))
+        vpage = fault.vaddr // amap.page_bytes
+        space.map_page(
+            vpage, PageTableEntry(amap.dram(vpage * amap.page_bytes)))
         fixed.append(fault.vaddr)
         return "retry"
 
@@ -160,10 +163,14 @@ def test_fault_handler_can_fix_and_retry():
     def prog():
         yield Store(vaddr, 5)
         got.append((yield Load(vaddr)))
+        got.append((yield Load(unmapped_load)))
 
-    run_program(sim, cpu, space, prog())
-    assert fixed == [vaddr]
-    assert got == [5]
+    ctx = run_program(sim, cpu, space, prog())
+    assert fixed == [vaddr, unmapped_load]
+    assert got == [5, 0]
+    # A retried op counts again: the store and the last load twice.
+    for counts in (ctx, cpu):
+        assert (counts.ops_executed, counts.stores, counts.loads) == (5, 2, 3)
 
 
 def test_fault_handler_kill_throws_into_program():
@@ -326,3 +333,14 @@ def test_program_stats_counted():
     assert ctx.stores == 1
     assert ctx.loads == 1
     assert ctx.ops_executed == 3
+
+    # A PAL sequence counts as one op, plus each op inside it.
+    sim, cpu, amap, _, _ = make_cpu()
+
+    def pal_prog():
+        yield Think(5)
+        yield PalSequence([Store(0, 1), Load(0), Think(5)])
+
+    ctx = run_program(sim, cpu, local_space(amap), pal_prog())
+    for counts in (ctx, cpu):
+        assert (counts.ops_executed, counts.stores, counts.loads) == (5, 1, 1)

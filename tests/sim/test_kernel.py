@@ -57,6 +57,40 @@ def test_schedule_rejects_non_int_delay(kernel, delay):
     assert sim.pending_events == 0
 
 
+def _five_events(kernel):
+    sim = make_simulator(kernel)
+    for _ in range(5):
+        sim.schedule(1, lambda: None)
+    return sim
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("bound", [2.5, True], ids=["float", "bool"])
+def test_run_rejects_non_int_bounds(kernel, bound):
+    """A run's bounds are checked as a delay is: ``until`` and
+    ``limit_ns`` are ``None`` or an int, so no bound makes the clock a
+    float, and ``max_events`` is ``None`` or an int that both kernels
+    read alike.  A refused run executes nothing."""
+    sim = _five_events(kernel)
+    with pytest.raises(TypeError, match=re.escape(repr(bound))):
+        sim.run(until=bound)
+    with pytest.raises(TypeError, match=re.escape(repr(bound))):
+        sim.run(max_events=bound)
+    with pytest.raises(TypeError, match=re.escape(repr(bound))):
+        sim.run_until_done([], limit_ns=bound)
+    assert (sim.now, sim.events_executed, sim.pending_events) == (0, 0, 5)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_run_rejects_negative_max_events(kernel):
+    sim = _five_events(kernel)
+    with pytest.raises(ValueError, match="-1"):
+        sim.run(max_events=-1)
+    assert (sim.events_executed, sim.pending_events) == (0, 5)
+    assert sim.run(max_events=0) == 0
+    assert sim.run(max_events=2) == 2
+
+
 def test_run_until_stops_and_advances_clock():
     sim = Simulator()
     seen = []

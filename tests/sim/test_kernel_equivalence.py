@@ -24,6 +24,10 @@ This file checks that promise two ways:
   retry run, a coherence/hotspot run, the 8-node NIC-collectives run)
   are executed under ``kernel="bucket"`` and ``kernel="reference"``
   and their canonical Chrome-trace exports must be byte-identical.
+
+The oracle stays independent of the code it checks: after every event
+of a faulty star-cluster run under ``kernel="reference"``, the tiered
+kernel's immediate and bucket tiers are empty.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import random
 
 import pytest
 
+import repro.api.cluster as cluster_module
 from repro.obs import KernelHooks
 from repro.sim import (
     KERNELS,
@@ -51,6 +56,7 @@ from tests.fixtures.golden_runs import (
     collectives_run,
     retry_run,
 )
+from tests.network.test_link_equivalence import run_cluster
 
 STRESS_ITERS = max(1, int(os.environ.get("REPRO_STRESS_ITERS", "1")))
 
@@ -79,8 +85,8 @@ N_TIMERS = 4
 # the same operation stream and any log divergence is the kernel's.
 
 def _children(rng: random.Random, depth: int):
-    """Events posted from inside an event callback (the fused delay-0
-    producer paths), nested up to ``depth``."""
+    """Events posted from inside an event callback, nested up to
+    ``depth``."""
     if depth <= 0 or rng.random() < 0.6:
         return ()
     return tuple(
@@ -263,6 +269,26 @@ def test_mid_batch_bound_preserves_order():
     assert json.loads(logs["bucket"])[0] == [10, 0]
 
 
+def test_bucket_behind_a_moved_clock_runs_first():
+    # run(until=, max_events=) can stop at a batch boundary short of
+    # ``until`` and still move ``now`` to it, leaving buckets at and
+    # behind the clock; a delay-0 post then sorts after both, in the
+    # tiered kernel's fallback as in the pure heap.
+    logs = {}
+    for kernel in KERNELS:
+        sim = make_simulator(kernel)
+        runner = ScriptRunner(sim)
+        for tag, delay in enumerate((10, 50, 100)):
+            sim._post(delay, runner._fire, (tag, ()))
+        assert sim.run(until=100, max_events=1) == 1
+        assert sim.now == 100
+        sim._post(0, runner._fire, (3, ()))
+        sim.run()
+        logs[kernel] = _log_bytes(runner.log)
+    assert logs["bucket"] == logs["reference"]
+    assert [tag for _, tag in json.loads(logs["bucket"])] == [0, 1, 2, 3]
+
+
 @pytest.mark.parametrize("hooked", [False, True], ids=["plain", "hooked"])
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_join_timeout_runs_nothing_past_the_limit(kernel, hooked):
@@ -336,12 +362,40 @@ def test_cluster_traces_identical_across_kernels(build):
     )
 
 
-def test_reference_kernel_is_selectable_and_distinct():
+class _TierWatch(KernelHooks):
+    """Counts the events after which a kernel's immediate or bucket
+    tier holds anything."""
+
+    def __init__(self):
+        self.events = 0
+        self.dirty = 0
+
+    def on_execute(self, sim, time_ns, fn):
+        self.events += 1
+        if sim._now_list or sim._buckets or sim._times:
+            self.dirty += 1
+
+
+def test_reference_kernel_is_selectable_and_distinct(monkeypatch):
     sim = make_simulator("reference")
     assert isinstance(sim, ReferenceSimulator)
     assert isinstance(sim, Simulator)
-    # The bucket tier stays disabled even after install-time widening.
-    sim.bucket_horizon = 1 << 20
-    assert sim.bucket_horizon == -1
     with pytest.raises(ValueError):
         make_simulator("fibonacci")
+    # Its queue is its heap alone: every producer files through the
+    # overridden _post or through _push_back, so a whole faulty
+    # cluster run never leaves an event in the tiered kernel's tiers.
+    watch = _TierWatch()
+
+    def watched_simulator(kernel):
+        sim = make_simulator(kernel)
+        assert isinstance(sim, ReferenceSimulator)
+        sim.hooks = watch
+        return sim
+
+    monkeypatch.setattr(cluster_module, "make_simulator", watched_simulator)
+    run_cluster("star", faults=True, kernel="reference", seed=0)
+    assert watch.events > 0
+    assert watch.dirty == 0, (
+        f"the immediate or bucket tier held events after {watch.dirty} "
+        f"of {watch.events} events")
