@@ -20,10 +20,11 @@ schedule.  Without one (the default) the link is a lossless wire.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Optional, Tuple
 
 from repro.params import TimingParams
-from repro.sim import READY, BoundedQueue, Simulator, Tracer
+from repro.sim import BoundedQueue, Simulator, Tracer
 from repro.network.packet import Packet
 
 _Slot = Optional[Tuple[int, Packet]]
@@ -74,15 +75,13 @@ class Link:
         that starts serializing it is posted by the same put just
         before, so one event runs both."""
         self._then = (then, args)
-        accepted = self.src.put(packet)
-        if self._then is None:
-            return
-        self._then = None
-        if accepted is READY:
+        if not self.src.try_put(packet):
+            # Full: ``then`` is posted by the get that admits the packet.
+            self._then = None
+            self.src.put_then(packet, partial(self.sim._post, 0, then, args))
+        elif self._then is not None:
+            self._then = None
             self.sim._post(0, then, args)
-        else:
-            accepted.add_callback(
-                lambda _value, _exc: self.sim._post(0, then, args))
 
     def _launch(self) -> None:
         self.sim._post(self.timing.link_prop_ns, self._arrive)
@@ -90,10 +89,10 @@ class Link:
     def _drain(self, launch: bool = False) -> None:
         if launch:
             self._launch()
-        # Fires at once when a packet is waiting, else on the put.
-        self.src.get().add_callback(self._take)
+        # Takes at once when a packet is waiting, else on the put.
+        self.src.get_then(self._take)
 
-    def _take(self, packet: Packet, _exc: Optional[BaseException]) -> None:
+    def _take(self, packet: Packet) -> None:
         then = self._then
         if then is None:
             self.sim._post(0, self._start, (packet,))
@@ -134,9 +133,9 @@ class Link:
                 # A flag: the sender's retransmit window holds this object.
                 packet.corrupted = True
             elif action.kind == "duplicate":
-                self.dst.put(packet).add_callback(
-                    lambda _value, _exc: self.sim._post(
-                        0, self._deliver, (packet,)))
+                deliver = partial(self.sim._post, 0, self._deliver, (packet,))
+                if self.dst.put_then(packet, deliver):
+                    deliver()
                 return
             elif action.kind == "stall":
                 self.sim._post(action.stall_ns, self._deliver, (packet,))
@@ -145,9 +144,10 @@ class Link:
 
     def _deliver(self, packet: Packet) -> None:
         # Waits while the downstream buffer is full: back-pressure.
-        self.dst.put(packet).add_callback(self._delivered)
+        if self.dst.put_then(packet, self._delivered):
+            self._delivered()
 
-    def _delivered(self, _value: Any, _exc: Optional[BaseException]) -> None:
+    def _delivered(self) -> None:
         item = self._flight
         assert item is not None
         self.packets_carried += 1

@@ -80,10 +80,10 @@ class SwitchInput:
         self.listen()
 
     def listen(self) -> None:
-        # Fires at once when a packet is waiting, else on the link's put.
-        self.queue.get().add_callback(self._take)
+        # Takes at once when a packet is waiting, else on the link's put.
+        self.queue.get_then(self._take)
 
-    def _take(self, packet: Packet, _exc: Optional[BaseException]) -> None:
+    def _take(self, packet: Packet) -> None:
         self.sim._post(0, self.arrive, (packet,))
 
     def arrive(self, packet: Packet) -> None:

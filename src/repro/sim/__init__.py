@@ -17,7 +17,9 @@ links, switches, the OS model — runs on this kernel.  It provides:
   to call an action off; no queued event can be retracted.
 - :class:`~repro.sim.queues.BoundedQueue`: a FIFO with blocking put
   and get, used to model every back-pressured buffer in the system
-  (HIB FIFOs, link credits, switch buffers).
+  (HIB FIFOs, link credits, switch buffers).  Processes yield on its
+  ``put`` and ``get``; callback state machines (links, switch inputs)
+  use ``put_then`` and ``get_then``, which make no waitable.
 """
 
 from repro.sim.kernel import (

@@ -423,9 +423,7 @@ class Simulator:
         shapes do not take: file the immediate tier, and a bucket no
         later than the heap's head, in the heap (entries keep their
         ``(time, seq)``), then remove the heap's earliest run and return
-        it as ``(time, batch)``, or ``None`` when nothing is pending.  A
-        bucket lies *before* the heap's head only after
-        ``run(until=..., max_events=...)`` moved ``now`` past it."""
+        it as ``(time, batch)``, or ``None`` when nothing is pending."""
         heap = self._heap
         now_list = self._now_list
         if now_list:
@@ -466,18 +464,16 @@ class Simulator:
         """Run events until the heap drains (or a bound is hit).
 
         Returns the number of events executed.  With ``until``, events
-        at times ``<= until`` run and ``now`` advances to ``until``.
-        Both bounds are checked by :func:`check_run_bounds`.
+        at times ``<= until`` run and ``now`` advances to ``until``
+        unless ``max_events`` stopped the run with one of them still
+        queued: the clock never passes a pending event.  Both bounds
+        are checked by :func:`check_run_bounds`.
         """
         check_run_bounds("until", until, max_events)
         executed = self._run_loop(until, max_events, [1])
-        if until is not None and self.now < until:
-            if self._now_list:
-                # Keep the immediate tier's all-at-``now`` invariant:
-                # entries stranded by a bound move to the heap before
-                # ``now`` jumps past them.
-                self._push_back(self._now_list)
-                self._now_list.clear()
+        if (until is not None and self.now < until and not self._now_list
+                and not (self._times and self._times[0] <= until)
+                and not (self._heap and self._heap[0][0] <= until)):
             self.now = until
         return executed
 

@@ -3,9 +3,14 @@
 Every back-pressured buffer in the Telegraphos model is one of these:
 the HIB outgoing/incoming FIFOs, link credit buffers, switch input
 queues.  Back-pressure — the paper's switches use "back-pressured flow
-control" (§2.1) — falls out naturally: a producer that ``yield``\\ s
-``queue.put(item)`` does not resume until the item has been accepted,
-and items are only accepted when there is buffer space.
+control" (§2.1) — falls out naturally: a putter does not continue until
+its item has been accepted, and items are only accepted when there is
+buffer space.
+
+Processes ``yield`` on ``put`` and ``get``.  The fabric's callback
+state machines call ``put_then`` and ``get_then``, whose continuations
+run inside the put or get that completes them, where a waitable's plain
+callback would: a hop through a link or switch input makes no waitable.
 
 The queue preserves FIFO order both for items and for blocked putters/
 getters, which is what makes per-link in-order delivery provable.
@@ -13,8 +18,7 @@ getters, which is what makes per-link in-order delivery provable.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque
+from typing import Any, Callable, List
 
 from repro.sim.kernel import READY, Future, Ready, Waitable
 
@@ -22,28 +26,30 @@ from repro.sim.kernel import READY, Future, Ready, Waitable
 class BoundedQueue:
     """A FIFO with capacity and blocking semantics.
 
-    ``put(item)`` and ``get()`` return :class:`Future`\\ s to be
-    yielded on by simulation processes::
+    ``put(item)`` and ``get()`` return waitables for processes::
 
         yield queue.put(packet)      # blocks while the queue is full
         packet = yield queue.get()   # blocks while the queue is empty
 
-    ``try_put`` is the non-blocking put, for hardware models that
-    must never stall on a full buffer.
+    ``put_then`` and ``get_then`` are the same operations for
+    callbacks; ``try_put`` never blocks, for hardware models that must
+    never stall on a full buffer.
+
+    One list holds the waiters: getters ``fn(item)`` while the queue is
+    empty, blocked putters ``(then, item)`` while it is full, never
+    both (capacity is at least 1).  A waiting process is its
+    :class:`Future`'s ``set_result``.
     """
+
+    __slots__ = ("capacity", "name", "_items", "_waiters")
 
     def __init__(self, capacity: int, name: str = "queue"):
         if capacity < 1:
             raise ValueError("queue capacity must be >= 1")
         self.capacity = capacity
         self.name = name
-        self._items: Deque[Any] = deque()
-        # Blocked putters hold (future, item) until space opens up.
-        self._putters: Deque[tuple] = deque()
-        self._getters: Deque[Future] = deque()
-        # Occupancy statistics (sampled at each state change).
-        self.max_occupancy = 0
-        self.total_puts = 0
+        self._items: List[Any] = []
+        self._waiters: List[Any] = []
 
     def __len__(self) -> int:
         return len(self._items)
@@ -56,72 +62,65 @@ class BoundedQueue:
     def empty(self) -> bool:
         return not self._items
 
-    # -- blocking interface ------------------------------------------------
+    # -- non-blocking and callback interface ---------------------------------
+
+    def try_put(self, item: Any) -> bool:
+        """Accept ``item`` if there is room, handing it to the oldest
+        waiting getter when one waits; returns whether it was accepted."""
+        items = self._items
+        if len(items) >= self.capacity:
+            return False
+        if items or not self._waiters:
+            items.append(item)
+        else:
+            self._waiters.pop(0)(item)
+        return True
+
+    def put_then(self, item: Any, then: Callable[[], Any]) -> bool:
+        """Put ``item``: ``True`` when it is accepted now, else ``False``
+        and ``then()`` runs inside the get that admits it."""
+        if self.try_put(item):
+            return True
+        self._waiters.append((then, item))
+        return False
+
+    def get_then(self, fn: Callable[[Any], Any]) -> None:
+        """Take the oldest item and call ``fn(item)``: now, once the
+        oldest blocked putter is admitted, or inside the put that
+        brings an item."""
+        if self._items:
+            fn(self._take())
+        else:
+            self._waiters.append(fn)
+
+    # -- process interface ---------------------------------------------------
 
     def put(self, item: Any) -> Waitable:
         """Enqueue ``item``; the returned waitable resolves once it is
         accepted — the shared done-token when accepted immediately."""
-        if self._getters and not self._items:
-            # Hand the item straight to the oldest waiting getter.
-            getter = self._getters.popleft()
-            self.total_puts += 1
-            getter.set_result(item)
-            return READY
-        if len(self._items) < self.capacity:
-            # _account_put inlined (put is on the per-packet hot path).
-            self._items.append(item)
-            self.total_puts += 1
-            occupancy = len(self._items)
-            if occupancy > self.max_occupancy:
-                self.max_occupancy = occupancy
+        if self.try_put(item):
             return READY
         future = Future()
-        self._putters.append((future, item))
+        self._waiters.append((future.set_result, item))
         return future
 
     def get(self) -> Waitable:
         """Dequeue the oldest item; the returned waitable resolves with
         it — an already-done token when an item was waiting."""
         if self._items:
-            item = self._items.popleft()
-            if self._putters:
-                self._admit_blocked_putter()
-            return Ready(item)
+            return Ready(self._take())
         future = Future()
-        self._getters.append(future)
+        self._waiters.append(future.set_result)
         return future
 
-    # -- non-blocking interface ---------------------------------------------
-
-    def try_put(self, item: Any) -> bool:
-        """Enqueue if space is available; returns success."""
-        if self._getters and not self._items:
-            getter = self._getters.popleft()
-            self._account_put()
-            getter.set_result(item)
-            return True
-        if self.full:
-            return False
-        self._items.append(item)
-        self._account_put()
-        return True
-
-    # -- internals ------------------------------------------------------------
-
-    def _admit_blocked_putter(self) -> None:
-        if self._putters and not self.full:
-            future, item = self._putters.popleft()
-            if self._getters and not self._items:
-                getter = self._getters.popleft()
-                self._account_put()
-                getter.set_result(item)
-            else:
-                self._items.append(item)
-                self._account_put()
-            future.set_result(None)
-
-    def _account_put(self) -> None:
-        self.total_puts += 1
-        occupancy = len(self._items)
-        if occupancy > self.max_occupancy:
-            self.max_occupancy = occupancy
+    def _take(self) -> Any:
+        """Remove and return the oldest item.  The oldest blocked
+        putter's item takes its place, and its continuation runs before
+        the getter's."""
+        items = self._items
+        item = items.pop(0)
+        if self._waiters:
+            then, admitted = self._waiters.pop(0)
+            items.append(admitted)
+            then()
+        return item

@@ -97,7 +97,8 @@ class ReferenceSimulator(Simulator):
             if hooks is not None:
                 hooks.on_run_end(self, executed)
             self.events_executed += executed
-        if until is not None and self.now < until:
+        if (until is not None and self.now < until
+                and not (heap and heap[0][0] <= until)):
             self.now = until
         return executed
 

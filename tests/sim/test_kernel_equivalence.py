@@ -269,24 +269,31 @@ def test_mid_batch_bound_preserves_order():
     assert json.loads(logs["bucket"])[0] == [10, 0]
 
 
-def test_bucket_behind_a_moved_clock_runs_first():
-    # run(until=, max_events=) can stop at a batch boundary short of
-    # ``until`` and still move ``now`` to it, leaving buckets at and
-    # behind the clock; a delay-0 post then sorts after both, in the
-    # tiered kernel's fallback as in the pure heap.
+def test_bounded_run_keeps_the_clock_behind_pending_events():
+    # run(until=, max_events=) that stops with events at or before
+    # ``until`` still queued leaves ``now`` at the last event it ran, so
+    # a delay-0 post lands there and the clock never goes backwards.
+    # Once nothing at or before ``until`` is queued, ``now`` moves to it.
     logs = {}
     for kernel in KERNELS:
         sim = make_simulator(kernel)
         runner = ScriptRunner(sim)
-        for tag, delay in enumerate((10, 50, 100)):
+        for tag, delay in enumerate((10, 50, 100, 300)):
             sim._post(delay, runner._fire, (tag, ()))
         assert sim.run(until=100, max_events=1) == 1
-        assert sim.now == 100
-        sim._post(0, runner._fire, (3, ()))
+        assert sim.now == 10
+        sim._post(0, runner._fire, (4, ()))
+        assert sim.run(until=200, max_events=2) == 2
+        assert sim.now == 50
+        assert sim.run(until=200, max_events=2) == 1
+        assert sim.now == 200
         sim.run()
         logs[kernel] = _log_bytes(runner.log)
     assert logs["bucket"] == logs["reference"]
-    assert [tag for _, tag in json.loads(logs["bucket"])] == [0, 1, 2, 3]
+    log = json.loads(logs["bucket"])
+    assert log == [[10, 0], [10, 4], [50, 1], [100, 2], [300, 3]]
+    times = [time for time, _ in log]
+    assert times == sorted(times)
 
 
 @pytest.mark.parametrize("hooked", [False, True], ids=["plain", "hooked"])

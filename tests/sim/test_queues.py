@@ -133,12 +133,3 @@ def test_blocked_putters_drain_in_order():
     assert consumer_proc.value == ["p0", "p1", "p2"]
     assert accepted == ["p0", "p1", "p2"]
 
-
-def test_occupancy_statistics():
-    q = BoundedQueue(8)
-    for i in range(5):
-        q.try_put(i)
-    q.get()
-    q.try_put(5)
-    assert q.total_puts == 6
-    assert q.max_occupancy == 5
