@@ -132,16 +132,24 @@ def _worker_main(shard: Sequence[ExperimentSpec], out_queue: Any) -> None:
     Each experiment's cluster is freed before the next one builds: a
     simulation is full of reference cycles, and the cyclic collector
     alone may not reach them until the next large build has grown the
-    worker's peak memory."""
-    for spec in shard:
-        try:
-            result = spec.run(**spec.params)
-        except BaseException:
-            out_queue.put((spec.exp_id, "error", traceback.format_exc()))
-        else:
-            out_queue.put((spec.exp_id, "ok", result))
-            del result
-        gc.collect()
+    worker's peak memory.  The heap the worker starts with (the
+    imported modules, the shard) is frozen first, so those full
+    collections walk only what the experiments made; it is unfrozen on
+    the way out, so an in-process call leaves the collector as it
+    found it."""
+    gc.freeze()
+    try:
+        for spec in shard:
+            try:
+                result = spec.run(**spec.params)
+            except BaseException:
+                out_queue.put((spec.exp_id, "error", traceback.format_exc()))
+            else:
+                out_queue.put((spec.exp_id, "ok", result))
+                del result
+            gc.collect()
+    finally:
+        gc.unfreeze()
 
 
 def _run_sharded(

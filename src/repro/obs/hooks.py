@@ -2,7 +2,8 @@
 
 The :class:`~repro.sim.Simulator` accepts one :class:`KernelHooks`
 object (``sim.hooks``) whose callbacks fire on event scheduling and
-execution and around each :meth:`~repro.sim.Simulator.run` and
+execution, on each move of the clock, and around each
+:meth:`~repro.sim.Simulator.run` and
 :meth:`~repro.sim.Simulator.run_until_done` call.  The default is
 ``None`` — the kernel's run loop pays one ``is not None`` test per
 event, so simulations that do not profile lose next to nothing.
@@ -31,17 +32,22 @@ class KernelHooks:
     The kernel invokes, in order: :meth:`on_run_start` when a
     :meth:`~repro.sim.Simulator.run` or
     :meth:`~repro.sim.Simulator.run_until_done` call begins,
-    :meth:`on_schedule` for every event queued, :meth:`on_execute` for
-    every event executed, and :meth:`on_run_end` when the call returns
-    or raises.  One call is one run however many events it executes,
-    so a ``Cluster.run(join=...)`` is two runs: the join and the drain
-    after it.
+    :meth:`on_schedule` for every event queued, :meth:`on_advance`
+    just before ``sim.now`` moves from ``old_ns`` to a later ``new_ns``
+    (before any event there runs; ``run(until=)``'s final move too),
+    :meth:`on_execute` for every event executed, and :meth:`on_run_end`
+    when the call returns or raises.  One call is one run however many
+    events it executes, so a ``Cluster.run(join=...)`` is two runs: the
+    join and the drain after it.
     """
 
     def on_run_start(self, sim) -> None:
         pass
 
     def on_schedule(self, sim, time_ns: int, fn: Callable) -> None:
+        pass
+
+    def on_advance(self, sim, old_ns: int, new_ns: int) -> None:
         pass
 
     def on_execute(self, sim, time_ns: int, fn: Callable) -> None:

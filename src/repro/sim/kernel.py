@@ -25,37 +25,37 @@ CPU preemption is modelled between operations by the machine model
 
 Fast-path design (see DESIGN.md, "Kernel internals"):
 
-- Pending events live in a **three-tier queue**.  Delay-0 posts go
-  to the immediate tier, a plain list of events at exactly ``now``.
-  The near-future tier is a calendar of per-timestamp buckets
-  (``{time: [entry, ...]}`` plus a min-heap of the *distinct* times):
-  the common FIFO-link insert at ``now + link_ns`` costs a dict hit
-  and a list append, and N events sharing a timestamp cost one
-  time-heap push instead of N entry-heap pushes.  Posts beyond
-  :attr:`Simulator.bucket_horizon`, entries pushed back by a bounded
-  run and keyed timer expiries (:class:`~repro.sim.timers.Timer`)
-  live in a classic binary heap of ``(time, seq, fn, args)`` tuples.
-- ``seq`` is unique and global across the tiers, so merging tiers at
-  one timestamp keeps the exact ``(time, seq)`` order of a pure heap
-  — :mod:`repro.sim.refkernel` is that pure heap, kept as a
+- Every queued event at time ``now`` is in one list, the **current
+  instant's list** (``_now_list``), in ``seq`` order; a delay-0 post
+  appends to it.  Later events wait in a calendar of per-timestamp
+  buckets (``{time: [entry, ...]}`` plus a min-heap of the *distinct*
+  times): the common FIFO-link insert at ``now + link_ns`` costs a
+  dict hit and a list append, and N events sharing a timestamp cost
+  one time-heap push instead of N entry-heap pushes.  Posts beyond
+  :attr:`Simulator.bucket_horizon` and keyed timer expiries
+  (:class:`~repro.sim.timers.Timer`) live in a classic binary heap of
+  ``(time, seq, fn, args)`` tuples.
+- ``seq`` is unique and global, so merging a heap run with the bucket
+  of its time keeps the exact ``(time, seq)`` order of a pure heap —
+  :mod:`repro.sim.refkernel` is that pure heap, kept as a
   differential reference (``tests/sim/test_kernel_equivalence.py``).
 - One method files an event: :meth:`Simulator._post`, unvalidated,
   for every wake-up (a process's start, its ``yield ns`` and done
   tokens, a completed waitable's waiters) and, after checking the
   delay, for :meth:`Simulator.schedule`.  :meth:`Simulator._push_back`
-  refiles an entry under a key taken earlier.  Nothing else touches
-  a tier, so a kernel that overrides those two owns its queue.
+  files a timer expiry under a key taken earlier.  Nothing else touches
+  the queue, so a kernel that overrides those two owns it.
 - Nothing is cancelled, so the queue holds one kind of entry and the
   run loop tests none (a :class:`~repro.sim.timers.Timer` leaves a
   superseded expiry to fire as a no-op).
 - One run loop serves :meth:`Simulator.run` and
   :meth:`Simulator.run_until_done`, with or without bounds or hooks.
-  It **batch-dispatches**: it removes the whole run of events sharing
-  the next timestamp in one pass and fires them back-to-back,
-  amortizing queue traffic, ``now`` updates, and the ``until`` test
-  across the batch.  Events posted *during* a batch at the same
-  instant (delay-0 wakeups) form the next batch; their ``seq`` is
-  necessarily higher, so ordering is unchanged.
+  Each pass drains the current instant's list **in place**: an event
+  posted at delay 0 during the pass is appended to the list the
+  loop's ``for`` is walking, so it runs in the same pass, after every
+  event posted before it.  When the list is empty, the next bucket,
+  or the next heap run merged with its time's bucket, becomes the
+  list.
 """
 
 from __future__ import annotations
@@ -328,21 +328,19 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: int = 0
-        #: Far-future tier: a classic binary event heap, which also
-        #: takes pushed-back entries and keyed timer expiries.
-        self._heap: List[_HeapEntry] = []
+        #: The current instant's list: every queued event at ``now``, in
+        #: ``seq`` order.  The run loop drains it in place and, once it
+        #: is empty, rebinds it to the next instant's bucket or heap run.
+        self._now_list: list = []
         #: Near-future tier: per-timestamp buckets plus a min-heap of
         #: the distinct bucket times.  Invariant: ``_times`` holds
         #: exactly the keys of ``_buckets``, each once.
         self._buckets: dict = {}
         self._times: List[int] = []
-        #: Immediate tier: events posted with delay 0 land at exactly
-        #: ``now`` and are drained before either other tier, skipping
-        #: the bucket dict and the time-heap entirely.  Invariant: all
-        #: entries are at time ``now`` (enforced by flushing to the
-        #: heap whenever the loop would move ``now`` past them).
-        #: Never rebound — the run loop holds a direct reference.
-        self._now_list: list = []
+        #: Far-future tier: a classic binary event heap, which also
+        #: takes keyed timer expiries.  The buckets and the heap hold
+        #: only events later than ``now``.
+        self._heap: List[_HeapEntry] = []
         self.bucket_horizon: int = self.DEFAULT_BUCKET_HORIZON
         self._seq = 0
         #: Every spawned, unfinished process.  Nothing reads it: it
@@ -411,48 +409,40 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Events waiting in all tiers, timer expiries that will fire
-        as no-ops included."""
+        """Events waiting in the queue, timer expiries that will fire as
+        no-ops included.  Exact between runs and when a run starts (where
+        :class:`~repro.obs.EventLoopProfiler` reads it); while a run
+        drains an instant, the events it already ran there still count."""
         return (len(self._heap) + len(self._now_list)
                 + sum(map(len, self._buckets.values())))
 
-    # -- batch collection --------------------------------------------------
+    def _push_back(self, entry: _HeapEntry) -> None:
+        """File a :class:`~repro.sim.timers.Timer` expiry under the
+        ``(time, seq)`` key it reserved.  A key at ``now`` comes only
+        from ``Timer.start(0)``, whose ``seq`` is the newest, so it joins
+        the end of the instant's list; a later one goes to the heap, the
+        one tier whose order does not rest on filing order."""
+        if entry[0] == self.now:
+            now_list = self._now_list
+            assert not now_list or now_list[-1][1] < entry[1], (
+                "an entry keyed at now must carry the newest seq")
+            now_list.append(entry)
+        else:
+            _heappush(self._heap, entry)
 
-    def _take_batch(self) -> Optional[Tuple[int, list]]:
-        """The run loop's fallback for the batches its two inlined
-        shapes do not take: file the immediate tier, and a bucket no
-        later than the heap's head, in the heap (entries keep their
-        ``(time, seq)``), then remove the heap's earliest run and return
-        it as ``(time, batch)``, or ``None`` when nothing is pending."""
+    def _take_heap_run(self, time: int) -> list:
+        """Remove the heap's earliest run, at ``time``, and the bucket at
+        ``time`` if there is one, as one list in ``seq`` order (``seq``
+        is unique, so the sort never compares callbacks)."""
         heap = self._heap
-        now_list = self._now_list
-        if now_list:
-            self._push_back(now_list)
-            now_list.clear()
-        times = self._times
-        if times and (not heap or times[0] <= heap[0][0]):
-            self._push_back(self._buckets.pop(_heappop(times)))
-        if not heap:
-            return None
-        time = heap[0][0]
-        batch: List[_HeapEntry] = []
+        entries = [_heappop(heap)]
         while heap and heap[0][0] == time:
-            batch.append(_heappop(heap))
-        return time, batch
-
-    def _push_back(self, entries: Iterable[_HeapEntry]) -> None:
-        """File entries in the heap tier under their own ``(time, seq)``.
-
-        Used when a bound (``until``, ``max_events``, a completed join,
-        an exception) stops a run mid-batch or before a batch, and by
-        :class:`~repro.sim.timers.Timer` to file an expiry under a key
-        it reserved earlier.  Entries keep their ``(time, seq)``, so the
-        heap tier — whichever tier they came from — preserves exact
-        ordering; the next batch at that timestamp re-merges them.
-        """
-        heap = self._heap
-        for entry in entries:
-            _heappush(heap, entry)
+            entries.append(_heappop(heap))
+        if self._times and self._times[0] == time:
+            _heappop(self._times)
+            entries += self._buckets.pop(time)
+            entries.sort()
+        return entries
 
     # -- execution ---------------------------------------------------------
 
@@ -461,7 +451,7 @@ class Simulator:
         until: Optional[int] = None,
         max_events: Optional[int] = None,
     ) -> int:
-        """Run events until the heap drains (or a bound is hit).
+        """Run events until the queue drains (or a bound is hit).
 
         Returns the number of events executed.  With ``until``, events
         at times ``<= until`` run and ``now`` advances to ``until``
@@ -474,6 +464,8 @@ class Simulator:
         if (until is not None and self.now < until and not self._now_list
                 and not (self._times and self._times[0] <= until)
                 and not (self._heap and self._heap[0][0] <= until)):
+            if self.hooks is not None:
+                self.hooks.on_advance(self, self.now, until)
             self.now = until
         return executed
 
@@ -520,55 +512,53 @@ class Simulator:
 
     def _run_loop(self, until: Optional[int], max_events: Optional[int],
                   pending: List[int]) -> int:
-        """The batch-dispatch loop behind :meth:`run` and
-        :meth:`run_until_done`; returns the events executed.  It stops
-        before a batch later than ``until`` (leaving it queued), when
-        the queue drains, after ``max_events`` events, or once
-        ``pending[0]`` reaches zero; the last two stop mid-batch, and
-        so does an exception, each pushing the unexecuted tail back.
+        """The loop behind :meth:`run` and :meth:`run_until_done`;
+        returns the events executed.  Each pass drains the current
+        instant's list in place, delay-0 posts made during it included,
+        then takes the next instant as the list.  It stops before an
+        instant later than ``until`` (left queued), when the queue
+        drains, after ``max_events`` events, or once ``pending[0]``
+        reaches zero; the last two, and an exception, leave the rest of
+        the instant in the list at ``now`` for the next run.
         """
         heap = self._heap
         times = self._times
         buckets = self._buckets
         now_list = self._now_list
-        take = self._take_batch
         failures = self._failures
         strict = self.strict_failures
         hooks = self.hooks
         stop_at = -1 if max_events is None else max_events
-        # Local mirror of self.now; dispatched fns never move ``now``.
-        now = self.now
         executed = 0
         if hooks is not None:
             hooks.on_run_start(self)
         try:
             while pending[0] and executed != stop_at:
-                # Inline the two common batch shapes before falling
-                # back to _take_batch: the immediate tier alone at
-                # ``now``, then a bucket no heap entry reaches.  Neither
-                # needs a tier merge, and inlining them saves a call
-                # per batch where batches average one or two events.
-                if (now_list and (not heap or heap[0][0] > now)
-                        and (not times or times[0] > now)):
-                    time = now
-                    batch = now_list.copy()
-                    now_list.clear()
-                elif (times and not now_list
-                        and (not heap or times[0] < heap[0][0])):
-                    time = _heappop(times)
-                    batch = buckets.pop(time)
-                else:
-                    item = take()
-                    if item is None:
+                if not now_list:
+                    if times and (not heap or times[0] < heap[0][0]):
+                        time = times[0]
+                        if until is not None and time > until:
+                            break
+                        _heappop(times)
+                        now_list = buckets.pop(time)
+                    elif heap:
+                        time = heap[0][0]
+                        if until is not None and time > until:
+                            break
+                        now_list = self._take_heap_run(time)
+                    else:
                         break
-                    time, batch = item
-                if until is not None and time > until:
-                    self._push_back(batch)
+                    self._now_list = now_list
+                    if hooks is not None:
+                        hooks.on_advance(self, self.now, time)
+                    self.now = time
+                elif until is not None and self.now > until:
                     break
-                self.now = now = time
-                tail = iter(batch)
+                # Entries consumed: deleted once per pass, whatever ends it.
+                i = 0
                 try:
-                    for _t, _s, fn, args in tail:
+                    for time, _seq, fn, args in now_list:
+                        i += 1
                         fn(*args)
                         executed += 1
                         if hooks is not None:
@@ -576,11 +566,9 @@ class Simulator:
                         if failures and strict:
                             self._raise_failure()
                         if executed == stop_at or not pending[0]:
-                            self._push_back(tail)
                             break
-                except BaseException:
-                    self._push_back(tail)
-                    raise
+                finally:
+                    del now_list[:i]
         finally:
             if hooks is not None:
                 hooks.on_run_end(self, executed)

@@ -8,23 +8,24 @@ event popped and dispatched per loop iteration, every bound
 (``until``, ``max_events``, ``limit_ns``, deadlock) checked per event.
 Its :meth:`~ReferenceSimulator.run` and
 :meth:`~ReferenceSimulator.run_until_done` are separate loops, each
-calling the kernel hooks once around the call and once per event, as
-the tiered kernel's single loop does; a join raises ``TimeoutError``
-before dispatching any event later than ``limit_ns``.
+calling the kernel hooks once around the call, once per event and
+once per move of the clock, as the tiered kernel's single loop does;
+a join raises ``TimeoutError`` before dispatching any event later than
+``limit_ns``.
 
 Because both kernels share :class:`~repro.sim.kernel.Process`,
 :class:`~repro.sim.kernel.Future` and the ``(time, seq)`` total order,
 any ordering divergence between them is a bug in the tiered kernel's
-batch collection — which is precisely what
+instant collection — which is precisely what
 ``tests/sim/test_kernel_equivalence.py`` exploits: the same workload is
 run under both and the dispatch sequences must match byte for byte.
 
 Every producer files an event through :meth:`Simulator._post` or
-:meth:`Simulator._push_back`, and this class overrides ``_post`` to
-push onto the heap, so nothing ever writes the production kernel's
-immediate or bucket tier here: the heap is the whole queue.
+:meth:`Simulator._push_back`, and this class overrides both to push
+onto the heap, so nothing ever writes the production kernel's instant
+list or bucket tier here: the heap is the whole queue.
 
-No batch collection happens anywhere: this file must stay a
+No instant collection happens anywhere: this file must stay a
 pop-one-dispatch-one loop.  Do not "optimise" it to share code with
 the production kernel — its value is being independent of the code it
 checks.
@@ -39,6 +40,7 @@ from repro.sim.kernel import (
     Process,
     SimulationDeadlock,
     Simulator,
+    _HeapEntry,
     check_run_bounds,
 )
 
@@ -63,6 +65,9 @@ class ReferenceSimulator(Simulator):
         if self.hooks is not None:
             self.hooks.on_schedule(self, time, fn)
 
+    def _push_back(self, entry: _HeapEntry) -> None:
+        _heappush(self._heap, entry)
+
     # -- execution --------------------------------------------------------
 
     def run(
@@ -86,6 +91,8 @@ class ReferenceSimulator(Simulator):
                 if until is not None and time > until:
                     break
                 _time, _seq, fn, args = _heappop(heap)
+                if hooks is not None and time != self.now:
+                    hooks.on_advance(self, self.now, time)
                 self.now = time
                 fn(*args)
                 executed += 1
@@ -99,6 +106,8 @@ class ReferenceSimulator(Simulator):
             self.events_executed += executed
         if (until is not None and self.now < until
                 and not (heap and heap[0][0] <= until)):
+            if hooks is not None:
+                hooks.on_advance(self, self.now, until)
             self.now = until
         return executed
 
@@ -132,6 +141,8 @@ class ReferenceSimulator(Simulator):
                 if limit_ns is not None and time > limit_ns:
                     self._raise_run_timeout(targets)
                 _heappop(heap)
+                if hooks is not None and time != self.now:
+                    hooks.on_advance(self, self.now, time)
                 self.now = time
                 fn(*args)
                 executed += 1

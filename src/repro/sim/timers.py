@@ -87,7 +87,7 @@ class Timer:
     def _file(self, time: int, seq: int) -> None:
         self._live = (time, seq)
         sim = self.sim
-        sim._push_back(((time, seq, self._fire, (seq,)),))
+        sim._push_back((time, seq, self._fire, (seq,)))
         if sim.hooks is not None:
             sim.hooks.on_schedule(sim, time, self._fire)
 

@@ -71,6 +71,10 @@ def run_reports_cycle_freed(refs=()):
     return {"freed": refs[-1]() is None}
 
 
+def run_reports_freeze_count():
+    return {"frozen": gc.get_freeze_count() > 0}
+
+
 def make_spec(exp_id, run, params=None, cost=1.0, check=None):
     return ExperimentSpec(
         exp_id=exp_id,
@@ -111,20 +115,37 @@ def test_shard_assignment_spreads_heavy_specs():
         assert sum(1 for s in shard if s.cost == 10.0) == 1
 
 
+class ListQueue:
+    """The worker's out queue, in-process."""
+
+    def __init__(self):
+        self.reported = []
+
+    def put(self, item):
+        self.reported.append(item)
+
+
 def test_worker_frees_each_experiment_before_the_next():
     """The next spec finds the last one's reference cycles collected."""
-    reported = []
-
-    class Queue:
-        def put(self, item):
-            reported.append(item)
-
+    queue = ListQueue()
     refs = []
     _worker_main([make_spec("C0", run_leaves_cycle, {"refs": refs}),
                   make_spec("C1", run_reports_cycle_freed, {"refs": refs})],
-                 Queue())
-    assert reported == [("C0", "ok", {"left": True}),
-                        ("C1", "ok", {"freed": True})]
+                 queue)
+    assert queue.reported == [("C0", "ok", {"left": True}),
+                              ("C1", "ok", {"freed": True})]
+
+
+def test_worker_leaves_no_frozen_heap_behind():
+    """The worker freezes the heap it starts with and unfreezes it on
+    the way out, also when a spec fails."""
+    frozen = gc.get_freeze_count()
+    queue = ListQueue()
+    _worker_main([make_spec("F0", run_reports_freeze_count),
+                  make_spec("F1", run_always_raises)], queue)
+    assert gc.get_freeze_count() == frozen
+    assert queue.reported[0] == ("F0", "ok", {"frozen": True})
+    assert queue.reported[1][:2] == ("F1", "error")
 
 
 def test_shard_assignment_rejects_zero_workers():

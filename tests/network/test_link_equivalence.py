@@ -123,24 +123,29 @@ class ScriptedInjector:
 
 
 class InstantEnds(KernelHooks):
-    """Samples ``snap()`` after the last event of every instant."""
+    """Samples ``snap()`` once at the end of every instant that ran an
+    event: when the clock leaves it, and at :meth:`flush`."""
 
     def __init__(self, snap):
         self.snap = snap
         self.samples: list = []
+        #: The time of the last event run, until the clock leaves it.
         self._time = None
-        self._last = None
 
     def on_execute(self, sim, time_ns, fn) -> None:
-        if self._time is not None and time_ns != self._time:
-            self.samples.append((self._time,) + self._last)
         self._time = time_ns
-        self._last = self.snap()
+
+    def on_advance(self, sim, old_ns, new_ns) -> None:
+        self._sample()
 
     def flush(self) -> list:
-        if self._time is not None:
-            self.samples.append((self._time,) + self._last)
+        self._sample()
         return self.samples
+
+    def _sample(self) -> None:
+        if self._time is not None:
+            self.samples.append((self._time,) + self.snap())
+            self._time = None
 
 
 def run_link(link_class, scenario: Scenario, kernel: str):

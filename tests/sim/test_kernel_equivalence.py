@@ -1,25 +1,31 @@
 """Differential equivalence: tiered kernel vs the pure-heap oracle.
 
-The production kernel (:class:`repro.sim.Simulator`) dispatches events
-from three tiers — an immediate list, calendar buckets, a binary heap —
-merged per timestamp and fired in batches.  The reference kernel
-(:class:`repro.sim.ReferenceSimulator`) is the pre-rewrite discipline:
-one heap, one event per loop iteration.  Both promise the *identical*
-``(time, seq)`` dispatch order, so any observable divergence is a bug
-in the tiered kernel's batch collection.
+The production kernel (:class:`repro.sim.Simulator`) keeps every event
+due at ``now`` in one list, the current instant's list, which its run
+loop drains in place; later events wait in calendar buckets or a
+binary heap until their instant becomes the list.  The reference
+kernel (:class:`repro.sim.ReferenceSimulator`) is the pre-rewrite
+discipline: one heap, one event per loop iteration.  Both promise the
+*identical* ``(time, seq)`` dispatch order, so any observable
+divergence is a bug in the tiered kernel's instant collection.
 
 This file checks that promise two ways:
 
 - **Randomized schedules**: ``N_SCHEDULES`` seeded scripts of
   post/process/wakeup operations and starts and cancels on a pool of
-  :class:`~repro.sim.Timer` objects (including bound
-  ``run(until=…)`` / ``run(max_events=…)`` slices that strand events
-  mid-batch, ``until`` bounds below ``now``, and ``run_until_done``
-  joins that complete, time out or deadlock) are interpreted against
-  both kernels; the full dispatch logs must serialize to identical
-  bytes.  Each script also runs a third time on the tiered kernel with
-  no-op :class:`~repro.obs.KernelHooks` attached, which must not change
-  its log.  ``REPRO_STRESS_ITERS=N`` multiplies the schedule count.
+  :class:`~repro.sim.Timer` objects, made between runs and from inside
+  events, where a ``start(0)`` lands between the delay-0 posts of its
+  instant (including bound ``run(until=…)`` / ``run(max_events=…)``
+  slices that stop mid-instant, ``until`` bounds below ``now``, and
+  ``run_until_done`` joins that complete, time out or deadlock) are
+  interpreted against both kernels; the full dispatch logs must
+  serialize to identical bytes.  Each script also runs on both kernels
+  with :class:`~repro.obs.KernelHooks` attached that check every clock
+  move is announced, which must change neither log, and the moves
+  must agree.  Two mutants of the tiered kernel show the scripts can
+  tell: a ``Timer`` expiry keyed at ``now`` filed in the heap, and a
+  heap run dispatched before its time's bucket without ordering by
+  ``seq``.  ``REPRO_STRESS_ITERS=N`` multiplies the schedule count.
 - **Cross-kernel cluster pins**: full-cluster workloads (the golden
   retry run, a coherence/hotspot run, the 8-node NIC-collectives run)
   are executed under ``kernel="bucket"`` and ``kernel="reference"``
@@ -27,7 +33,7 @@ This file checks that promise two ways:
 
 The oracle stays independent of the code it checks: after every event
 of a faulty star-cluster run under ``kernel="reference"``, the tiered
-kernel's immediate and bucket tiers are empty.
+kernel's instant list and bucket tier are empty.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ import functools
 import json
 import os
 import random
+from heapq import heappop, heappush
 
 import pytest
 
@@ -63,8 +70,8 @@ STRESS_ITERS = max(1, int(os.environ.get("REPRO_STRESS_ITERS", "1")))
 #: Randomized schedules per test run (the acceptance floor is 1000).
 N_SCHEDULES = 1000 * STRESS_ITERS
 
-#: Delay palette: immediate tier (0), bucket tier (small), heap tier
-#: (beyond the default horizon), plus awkward in-between values.
+#: Delay palette: the instant's list (0), bucket tier (small), heap
+#: tier (beyond the default horizon), plus awkward in-between values.
 DELAYS = (0, 0, 0, 1, 2, 3, 7, 10, 10, 64, 1000,
           Simulator.DEFAULT_BUCKET_HORIZON,
           Simulator.DEFAULT_BUCKET_HORIZON + 1,
@@ -85,14 +92,23 @@ N_TIMERS = 4
 # the same operation stream and any log divergence is the kernel's.
 
 def _children(rng: random.Random, depth: int):
-    """Events posted from inside an event callback, nested up to
-    ``depth``."""
+    """What an event callback does, in order: posts (their events'
+    own children nested up to ``depth``) and timer starts and
+    cancels."""
     if depth <= 0 or rng.random() < 0.6:
         return ()
-    return tuple(
-        (rng.choice(DELAYS), _children(rng, depth - 1))
-        for _ in range(rng.randrange(1, 3))
-    )
+    children = []
+    for _ in range(rng.randrange(1, 4)):
+        r = rng.random()
+        if r < 0.6:
+            children.append(("post", rng.choice(DELAYS),
+                             _children(rng, depth - 1)))
+        elif r < 0.85:
+            children.append(("start", rng.randrange(N_TIMERS),
+                             rng.choice(DELAYS)))
+        else:
+            children.append(("cancel", rng.randrange(N_TIMERS)))
+    return tuple(children)
 
 
 def build_script(seed: int):
@@ -150,9 +166,15 @@ class ScriptRunner:
 
     def _fire(self, tag, children):
         self.log.append((self.sim.now, tag))
-        for delay, grandchildren in children:
-            self.sim._post(delay, self._fire,
-                           (next(self._tags), grandchildren))
+        for child in children:
+            kind = child[0]
+            if kind == "post":
+                self.sim._post(child[1], self._fire,
+                               (next(self._tags), child[2]))
+            elif kind == "start":
+                self.timers[child[1]].start(child[2])
+            else:
+                self.timers[child[1]].cancel()
 
     def _process(self, tag, steps):
         for kind, delay in steps:
@@ -221,10 +243,48 @@ def _log_bytes(log) -> bytes:
     return json.dumps(log, separators=(",", ":")).encode()
 
 
-def _hooked_simulator():
-    sim = Simulator()
-    sim.hooks = KernelHooks()
-    return sim
+class ClockWatch(KernelHooks):
+    """Logs every move of the clock, checking that each is announced by
+    ``on_advance`` from the time last seen, before any event at the new
+    time runs."""
+
+    def __init__(self):
+        self.now = 0
+        self.moves = []
+
+    def on_run_start(self, sim):
+        assert sim.now == self.now, "the clock moved unannounced"
+
+    def on_advance(self, sim, old_ns, new_ns):
+        assert sim.now == old_ns == self.now < new_ns, (sim.now, old_ns,
+                                                         new_ns)
+        self.now = new_ns
+        self.moves.append((old_ns, new_ns))
+
+    def on_execute(self, sim, time_ns, fn):
+        assert sim.now == time_ns == self.now, (sim.now, time_ns)
+
+
+def _watched_log(kernel, script):
+    """The script's log with a :class:`ClockWatch` attached, and the
+    clock moves it saw."""
+    sim = make_simulator(kernel)
+    watch = sim.hooks = ClockWatch()
+    log = ScriptRunner(sim).execute(script)
+    assert sim.now == watch.now, "the clock moved unannounced"
+    return _log_bytes(log), watch.moves
+
+
+def _first_divergent_seed():
+    """The first seed whose log differs between the two kernels, or
+    ``None``."""
+    for seed in range(N_SCHEDULES):
+        script = build_script(seed)
+        logs = {_log_bytes(ScriptRunner(make_simulator(kernel)).execute(script))
+                for kernel in KERNELS}
+        if len(logs) > 1:
+            return seed
+    return None
 
 
 def test_randomized_schedules_dispatch_identically():
@@ -238,8 +298,9 @@ def test_randomized_schedules_dispatch_identically():
                 ScriptRunner(make_simulator(kernel)).execute(script))
         if logs["bucket"] != logs["reference"]:
             divergent.append(seed)
-        hooked = _log_bytes(ScriptRunner(_hooked_simulator()).execute(script))
-        if hooked != logs["bucket"]:
+        watched = [_watched_log(kernel, script) for kernel in KERNELS]
+        if (watched[0] != watched[1]
+                or watched[0][0] != logs["bucket"]):
             hook_divergent.append(seed)
     assert not divergent, (
         f"{len(divergent)}/{N_SCHEDULES} schedules diverged between "
@@ -247,15 +308,48 @@ def test_randomized_schedules_dispatch_identically():
         "ScriptRunner(make_simulator(k)).execute(build_script(seed))"
     )
     assert not hook_divergent, (
-        f"{len(hook_divergent)}/{N_SCHEDULES} schedules changed when no-op "
-        f"hooks were attached; first failing seeds: {hook_divergent[:10]}"
+        f"{len(hook_divergent)}/{N_SCHEDULES} schedules changed their log "
+        "when hooks were attached, or moved the clock differently on the "
+        f"two kernels; first failing seeds: {hook_divergent[:10]}"
     )
 
 
+def push_back_to_heap(self, entry):
+    """Mutant: a timer expiry keyed at ``now`` goes to the heap, so it
+    runs after the delay-0 posts made after its ``start(0)``."""
+    heappush(self._heap, entry)
+
+
+def heap_run_before_bucket(self, time):
+    """Mutant: a heap run runs before its time's bucket, unmerged."""
+    heap = self._heap
+    entries = [heappop(heap)]
+    while heap and heap[0][0] == time:
+        entries.append(heappop(heap))
+    if self._times and self._times[0] == time:
+        heappop(self._times)
+        entries += self._buckets.pop(time)
+    return entries
+
+
+@pytest.mark.parametrize("method, mutant", [
+    ("_push_back", push_back_to_heap),
+    ("_take_heap_run", heap_run_before_bucket),
+], ids=["now-keyed-expiry-in-heap", "heap-run-before-bucket"])
+def test_randomized_schedules_catch_kernel_mutants(method, mutant,
+                                                   monkeypatch):
+    # The reference kernel overrides _push_back and never takes a heap
+    # run, so only the tiered kernel changes.
+    monkeypatch.setattr(Simulator, method, mutant)
+    assert _first_divergent_seed() is not None, (
+        f"no randomized schedule tells the {mutant.__name__} mutant apart")
+
+
 def test_mid_batch_bound_preserves_order():
-    # max_events bounds land mid-batch by construction: 7 events share
-    # one timestamp, the run is sliced one event at a time, and the
-    # pushback/re-merge path must keep seq order on both kernels.
+    # max_events bounds land mid-instant by construction: 7 events
+    # share one timestamp, the run is sliced one event at a time, and
+    # the rest of the instant, left queued at ``now``, must keep seq
+    # order on both kernels.
     logs = {}
     for kernel in KERNELS:
         sim = make_simulator(kernel)
@@ -296,6 +390,38 @@ def test_bounded_run_keeps_the_clock_behind_pending_events():
     assert times == sorted(times)
 
 
+def _boom(runner):
+    runner.log.append((runner.sim.now, "boom"))
+    raise KeyError("boom")
+
+
+def test_exception_mid_instant_leaves_the_rest_queued():
+    # Five events at t=10; the second posts a delay-0 child and the
+    # third raises out of the run.  The raising event is consumed and
+    # not counted, and the next run continues the instant in seq order.
+    logs = {}
+    for kernel in KERNELS:
+        sim = make_simulator(kernel)
+        runner = ScriptRunner(sim)
+        for tag in range(100, 105):
+            if tag == 102:
+                sim._post(10, _boom, (runner,))
+            else:
+                children = (("post", 0, ()),) if tag == 101 else ()
+                sim._post(10, runner._fire, (tag, children))
+        with pytest.raises(KeyError):
+            sim.run()
+        runner.log.append(("raised", sim.now, sim.events_executed,
+                           sim.pending_events))
+        sim.run()
+        runner.log.append(("final", sim.now, sim.events_executed))
+        logs[kernel] = _log_bytes(runner.log)
+    assert logs["bucket"] == logs["reference"]
+    assert json.loads(logs["bucket"]) == [
+        [10, 100], [10, 101], [10, "boom"], ["raised", 10, 2, 3],
+        [10, 103], [10, 104], [10, 0], ["final", 10, 5]]
+
+
 @pytest.mark.parametrize("hooked", [False, True], ids=["plain", "hooked"])
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_join_timeout_runs_nothing_past_the_limit(kernel, hooked):
@@ -323,9 +449,9 @@ def test_until_bound_strands_and_resumes_identically():
     for kernel in KERNELS:
         sim = make_simulator(kernel)
         runner = ScriptRunner(sim)
-        # Immediate events posted *by* an event at t=5, observed across
+        # Delay-0 events posted *by* an event at t=5, observed across
         # an until=5 boundary, then drained.
-        sim._post(5, runner._fire, (0, ((0, ()), (0, ()))))
+        sim._post(5, runner._fire, (0, (("post", 0, ()), ("post", 0, ()))))
         sim.run(until=5)
         sim.run(until=5)
         sim._post(0, runner._fire, (99, ()))
@@ -370,7 +496,7 @@ def test_cluster_traces_identical_across_kernels(build):
 
 
 class _TierWatch(KernelHooks):
-    """Counts the events after which a kernel's immediate or bucket
+    """Counts the events after which a kernel's instant list or bucket
     tier holds anything."""
 
     def __init__(self):
@@ -390,8 +516,8 @@ def test_reference_kernel_is_selectable_and_distinct(monkeypatch):
     with pytest.raises(ValueError):
         make_simulator("fibonacci")
     # Its queue is its heap alone: every producer files through the
-    # overridden _post or through _push_back, so a whole faulty
-    # cluster run never leaves an event in the tiered kernel's tiers.
+    # overridden _post or _push_back, so a whole faulty cluster run
+    # never leaves an event in the tiered kernel's list or buckets.
     watch = _TierWatch()
 
     def watched_simulator(kernel):
@@ -404,5 +530,5 @@ def test_reference_kernel_is_selectable_and_distinct(monkeypatch):
     run_cluster("star", faults=True, kernel="reference", seed=0)
     assert watch.events > 0
     assert watch.dirty == 0, (
-        f"the immediate or bucket tier held events after {watch.dirty} "
+        f"the instant list or bucket tier held events after {watch.dirty} "
         f"of {watch.events} events")

@@ -48,7 +48,7 @@ CLUSTER_SEEDS = list(range(2 * STRESS_ITERS))
 
 N_TIMERS = 3
 
-#: Fresh delays: the immediate tier (0), the bucket tier, the heap.
+#: Fresh delays: the instant's list (0), the bucket tier, the heap.
 DELAYS = (0, 0, 1, 2, 3, 10, 10, 64,
           Simulator.DEFAULT_BUCKET_HORIZON,
           Simulator.DEFAULT_BUCKET_HORIZON + 1,
