@@ -233,7 +233,7 @@ class Cluster:
     ) -> None:
         """Advance the simulation.
 
-        ``run()`` drains the event heap; ``run(until=t)`` advances to
+        ``run()`` drains the event queue; ``run(until=t)`` advances to
         ``t``.  ``run(join=contexts)`` runs until every given program
         context (or process) completes, then drains in-flight traffic
         for up to ``drain_ns`` (bounded so perpetual background

@@ -47,10 +47,11 @@ class ClusterConfig:
       barrier over remote atomics — the classic path, default) or
       ``"nic"`` (HIB-resident combining tree + multicast release).
     - ``kernel`` — event-loop implementation
-      (see :func:`repro.sim.make_simulator`): ``"bucket"`` (the tiered
-      production kernel, default) or ``"reference"`` (the pure-heap
-      per-event oracle used for differential kernel testing).  Both
-      dispatch events in the identical ``(time, seq)`` order.
+      (see :func:`repro.sim.make_simulator`): ``"bucket"`` (the
+      production calendar kernel, default) or ``"reference"`` (the
+      pure-heap per-event oracle used for differential kernel
+      testing).  Both dispatch events in the identical ``(time, seq)``
+      order.
 
     Observability:
 

@@ -120,22 +120,6 @@ class Fabric:
             self._build()
         else:
             self._build_torus()
-        # Widen the kernel's near-future bucket window (see
-        # Simulator.DEFAULT_BUCKET_HORIZON) to cover the slowest
-        # single-packet traversal: store-and-forward charges
-        # serialization + propagation + routing per hop, and a route
-        # visits each switch at most once.  Purely a throughput hint —
-        # the horizon never affects dispatch order — so the bound is
-        # deliberately loose and capped to keep the bucket dict small
-        # on very large fabrics.
-        timing = params.timing
-        per_hop = (timing.serialization_ns(params.packets.atomic_request)
-                   + timing.link_prop_ns + timing.switch_route_ns)
-        traversal = ((len(topology.switch_ids) + 2) * per_hop
-                     + timing.hib_decode_ns + timing.hib_inject_ns
-                     + timing.hib_mem_read_ns)
-        sim.bucket_horizon = min(
-            max(sim.bucket_horizon, traversal), 1 << 22)
 
     def _build(self) -> None:
         sizing = self.params.sizing

@@ -50,7 +50,7 @@ class RoundRobinScheduler:
             if not self._running:
                 return
             if not self.cpu.programs:
-                # All programs finished: stop ticking so the event heap
+                # All programs finished: stop ticking so the event queue
                 # can drain.  (Create a fresh scheduler for a new
                 # program phase.)
                 self._running = False

@@ -24,7 +24,6 @@ The default values reproduce the paper's Table 1 configuration
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -39,9 +38,6 @@ class TimingParams:
     #: load/store reaching the pin interface; includes write-buffer
     #: drain for uncached stores).  ~6 CPU cycles.
     cpu_issue_ns: int = 40
-    #: Generic local "think" cost per simulated instruction (loop
-    #: overhead etc.).
-    cpu_op_ns: int = 20
 
     # --- Main memory and memory bus (documented, typical 1995 parts) ---
     #: Main-memory (DRAM) word access as seen from the memory bus.
@@ -87,9 +83,6 @@ class TimingParams:
     hib_inject_ns: int = 480
     #: Atomic-operation unit: read-modify-write on MPM plus ALU pass.
     hib_atomic_extra_ns: int = 320
-    #: Page-access-counter read-modify-write (runs in parallel with the
-    #: access itself in hardware; only its *extra* serial cost counts).
-    hib_counter_rmw_ns: int = 0
     #: Pending-write-counter cache (CAM) lookup+update (§2.3.3: "two
     #: memory accesses and one increment"); CAM is SRAM-speed.
     counter_cache_rmw_ns: int = 160
@@ -166,8 +159,6 @@ class SizingParams:
 
     #: Page size in bytes (DEC OSF/1 on Alpha: 8 KB pages).
     page_bytes: int = 8192
-    #: Word size in bytes (the HIB datapath is 32-bit).
-    word_bytes: int = 4
     #: HIB outgoing FIFO, in packets.  Deep enough to absorb the
     #: §3.2 100-write burst (the "Telegraphos queueing" effect).
     hib_out_fifo: int = 128
@@ -194,9 +185,6 @@ class SizingParams:
     page_counter_bits: int = 16
     #: MPM (multiprocessor memory) on the HIB (Table 1: 16 MBytes).
     mpm_bytes: int = 16 * 1024 * 1024
-    #: Pending-write counter cache entries (§2.3.4 suggests 16–32;
-    #: ``None`` = unlimited, i.e. Telegraphos I without the cache).
-    counter_cache_entries: Optional[int] = 32
     #: Telegraphos contexts available on the HIB (Tg II, §2.2.4).
     contexts: int = 16
     #: Maximum outstanding remote reads (§2.3.5 footnote: "no more
@@ -212,16 +200,14 @@ class SizingParams:
     #: Queue depths, buffer sizes and divisors: at least 1.
     _POSITIVE = ("hib_out_fifo", "hib_in_fifo", "switch_port_fifo",
                  "switch_buffer_slots", "switch_output_quota", "link_credits",
-                 "ll_control_queue", "page_bytes", "word_bytes")
+                 "ll_control_queue", "page_bytes")
 
     def __post_init__(self) -> None:
-        # Every field is an int (``counter_cache_entries`` may also be
-        # None), so a fractional depth fails here, naming its field,
-        # instead of being read as the next integer by a queue.
+        # Every field is an int, so a fractional depth fails here,
+        # naming its field, instead of being read as the next integer
+        # by a queue.
         for spec in fields(self):
             value = getattr(self, spec.name)
-            if value is None and spec.name == "counter_cache_entries":
-                continue
             if type(value) is not int:
                 raise TypeError(
                     f"SizingParams.{spec.name} must be an int, "
@@ -231,10 +217,6 @@ class SizingParams:
             if value < 1:
                 raise ValueError(
                     f"SizingParams.{name} must be at least 1, got {value!r}")
-
-    @property
-    def page_words(self) -> int:
-        return self.page_bytes // self.word_bytes
 
 
 @dataclass(frozen=True)

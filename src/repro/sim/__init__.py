@@ -43,11 +43,11 @@ KERNELS = ("bucket", "reference")
 def make_simulator(kernel: str = "bucket") -> Simulator:
     """Build an event-loop kernel by name.
 
-    ``"bucket"`` is the production tiered kernel (immediate list +
-    calendar buckets + binary heap); ``"reference"`` is the pure-heap
-    per-event oracle used for differential testing.  Both expose the
-    identical :class:`Simulator` API and the identical ``(time, seq)``
-    dispatch order.
+    ``"bucket"`` is the production kernel (the current instant's list
+    plus per-timestamp buckets for every later event); ``"reference"``
+    is the pure-heap per-event oracle used for differential testing.
+    Both expose the identical :class:`Simulator` API and the identical
+    ``(time, seq)`` dispatch order.
     """
     if kernel == "bucket":
         return Simulator()

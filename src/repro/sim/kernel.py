@@ -1,8 +1,8 @@
 """The discrete-event simulation kernel.
 
-Time is an integer number of **nanoseconds**.  The kernel is a classic
-event-heap design: callbacks are scheduled at absolute times and run in
-(time, insertion-order) order, so simulations are fully deterministic.
+Time is an integer number of **nanoseconds**.  Callbacks are
+scheduled at absolute times and run in (time, insertion-order) order,
+so simulations are fully deterministic.
 
 Processes are Python generators.  A process yields one of two
 commands:
@@ -27,17 +27,16 @@ Fast-path design (see DESIGN.md, "Kernel internals"):
 
 - Every queued event at time ``now`` is in one list, the **current
   instant's list** (``_now_list``), in ``seq`` order; a delay-0 post
-  appends to it.  Later events wait in a calendar of per-timestamp
-  buckets (``{time: [entry, ...]}`` plus a min-heap of the *distinct*
-  times): the common FIFO-link insert at ``now + link_ns`` costs a
-  dict hit and a list append, and N events sharing a timestamp cost
-  one time-heap push instead of N entry-heap pushes.  Posts beyond
-  :attr:`Simulator.bucket_horizon` and keyed timer expiries
-  (:class:`~repro.sim.timers.Timer`) live in a classic binary heap of
-  ``(time, seq, fn, args)`` tuples.
-- ``seq`` is unique and global, so merging a heap run with the bucket
-  of its time keeps the exact ``(time, seq)`` order of a pure heap —
-  :mod:`repro.sim.refkernel` is that pure heap, kept as a
+  appends to it.  Every later event waits in a calendar of
+  per-timestamp buckets (``{time: [entry, ...]}`` plus a min-heap of
+  the *distinct* times), each bucket in ``seq`` order: the common
+  FIFO-link insert at ``now + link_ns`` costs a dict hit and a list
+  append, and N events sharing a timestamp cost one time-heap push.
+- ``seq`` is unique and global, so a post, which takes the newest
+  ``seq``, appends to its bucket in order, and a keyed timer expiry
+  (:class:`~repro.sim.timers.Timer`) is inserted into its bucket by
+  ``bisect``: the kernel keeps the exact ``(time, seq)`` order of a
+  pure heap — :mod:`repro.sim.refkernel` is that pure heap, kept as a
   differential reference (``tests/sim/test_kernel_equivalence.py``).
 - One method files an event: :meth:`Simulator._post`, unvalidated,
   for every wake-up (a process's start, its ``yield ns`` and done
@@ -53,14 +52,14 @@ Fast-path design (see DESIGN.md, "Kernel internals"):
   Each pass drains the current instant's list **in place**: an event
   posted at delay 0 during the pass is appended to the list the
   loop's ``for`` is walking, so it runs in the same pass, after every
-  event posted before it.  When the list is empty, the next bucket,
-  or the next heap run merged with its time's bucket, becomes the
-  list.
+  event posted before it.  When the list is empty, the earliest
+  bucket becomes the list.
 """
 
 from __future__ import annotations
 
-from heapq import heappop as _heappop, heappush as _heappush
+from bisect import insort
+from heapq import heappop, heappush
 from typing import (
     Any,
     Callable,
@@ -71,9 +70,9 @@ from typing import (
     Tuple,
 )
 
-#: A queued event, in every tier: ``fn(*args)`` runs at ``time``, and
-#: the globally unique ``seq`` orders events that share a time.
-_HeapEntry = Tuple[int, int, Callable[..., None], Tuple[Any, ...]]
+#: A queued event: ``fn(*args)`` runs at ``time``, and the globally
+#: unique ``seq`` orders events that share a time.
+_Entry = Tuple[int, int, Callable[..., None], Tuple[Any, ...]]
 
 _WaiterCallback = Callable[[Any, Optional[BaseException]], None]
 
@@ -93,7 +92,7 @@ def check_run_bounds(name: str, bound: Optional[int],
 
 
 class SimulationDeadlock(RuntimeError):
-    """Raised by :meth:`Simulator.run_until_done` when the event heap
+    """Raised by :meth:`Simulator.run_until_done` when the event queue
     drains while a process it waits for is still blocked.
 
     This is how lost-acknowledgement and buffer-cycle bugs surface in
@@ -312,36 +311,24 @@ class Simulator:
         sim.run()
         assert proc.done
 
-    ``run`` drains the event heap (optionally bounded by ``until`` in
+    ``run`` drains the event queue (optionally bounded by ``until`` in
     nanoseconds or ``max_events``); :meth:`run_until_done` runs until
     given processes finish, raising :class:`SimulationDeadlock` if the
-    heap drains first.
+    queue drains first.
     """
-
-    #: Default near-future window (ns) for the bucket tier: a
-    #: :meth:`_post` landing within ``now + bucket_horizon`` goes to a
-    #: per-timestamp bucket, a farther one to the binary heap (a
-    #: far-future time rarely repeats, so a bucket would buy nothing).
-    #: Fabric wiring widens this at install time to cover the slowest
-    #: single-packet traversal (see :class:`repro.network.Fabric`).
-    DEFAULT_BUCKET_HORIZON = 1 << 14
 
     def __init__(self) -> None:
         self.now: int = 0
         #: The current instant's list: every queued event at ``now``, in
         #: ``seq`` order.  The run loop drains it in place and, once it
-        #: is empty, rebinds it to the next instant's bucket or heap run.
+        #: is empty, rebinds it to the next instant's bucket.
         self._now_list: list = []
-        #: Near-future tier: per-timestamp buckets plus a min-heap of
-        #: the distinct bucket times.  Invariant: ``_times`` holds
-        #: exactly the keys of ``_buckets``, each once.
+        #: Every later event: per-timestamp buckets, each in ``seq``
+        #: order, plus a min-heap of the distinct bucket times.
+        #: Invariant: ``_times`` holds exactly the keys of ``_buckets``,
+        #: each once, and every key is later than ``now``.
         self._buckets: dict = {}
         self._times: List[int] = []
-        #: Far-future tier: a classic binary event heap, which also
-        #: takes keyed timer expiries.  The buckets and the heap hold
-        #: only events later than ``now``.
-        self._heap: List[_HeapEntry] = []
-        self.bucket_horizon: int = self.DEFAULT_BUCKET_HORIZON
         self._seq = 0
         #: Every spawned, unfinished process.  Nothing reads it: it
         #: keeps a blocked process alive until it finishes, so the
@@ -377,23 +364,22 @@ class Simulator:
               args: Tuple[Any, ...] = ()) -> None:
         """Fast-path schedule, unvalidated: for internal wakeups whose
         delay is known non-negative (process resumptions, pipeline
-        stage advances).  Within the bucket horizon this costs a dict
-        hit and a list append; only the first event at a new timestamp
-        pays a (time-heap) push."""
+        stage advances).  The entry takes the newest ``seq``, so it
+        appends to the instant's list or its time's bucket in order:
+        a dict hit and a list append, and only the first event at a
+        new timestamp pays a (time-heap) push."""
         seq = self._seq
         self._seq = seq + 1
         time = self.now + delay
         if delay == 0:
             self._now_list.append((time, seq, fn, args))
-        elif delay <= self.bucket_horizon:
+        else:
             bucket = self._buckets.get(time)
             if bucket is None:
                 self._buckets[time] = [(time, seq, fn, args)]
-                _heappush(self._times, time)
+                heappush(self._times, time)
             else:
                 bucket.append((time, seq, fn, args))
-        else:
-            _heappush(self._heap, (time, seq, fn, args))
         if self.hooks is not None:
             self.hooks.on_schedule(self, time, fn)
 
@@ -413,36 +399,28 @@ class Simulator:
         no-ops included.  Exact between runs and when a run starts (where
         :class:`~repro.obs.EventLoopProfiler` reads it); while a run
         drains an instant, the events it already ran there still count."""
-        return (len(self._heap) + len(self._now_list)
-                + sum(map(len, self._buckets.values())))
+        return len(self._now_list) + sum(map(len, self._buckets.values()))
 
-    def _push_back(self, entry: _HeapEntry) -> None:
+    def _push_back(self, entry: _Entry) -> None:
         """File a :class:`~repro.sim.timers.Timer` expiry under the
         ``(time, seq)`` key it reserved.  A key at ``now`` comes only
         from ``Timer.start(0)``, whose ``seq`` is the newest, so it joins
-        the end of the instant's list; a later one goes to the heap, the
-        one tier whose order does not rest on filing order."""
-        if entry[0] == self.now:
+        the end of the instant's list; a later one is inserted into its
+        time's bucket in ``seq`` order (``seq`` is unique, so the
+        insert never compares callbacks)."""
+        time = entry[0]
+        if time == self.now:
             now_list = self._now_list
             assert not now_list or now_list[-1][1] < entry[1], (
                 "an entry keyed at now must carry the newest seq")
             now_list.append(entry)
+            return
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            self._buckets[time] = [entry]
+            heappush(self._times, time)
         else:
-            _heappush(self._heap, entry)
-
-    def _take_heap_run(self, time: int) -> list:
-        """Remove the heap's earliest run, at ``time``, and the bucket at
-        ``time`` if there is one, as one list in ``seq`` order (``seq``
-        is unique, so the sort never compares callbacks)."""
-        heap = self._heap
-        entries = [_heappop(heap)]
-        while heap and heap[0][0] == time:
-            entries.append(_heappop(heap))
-        if self._times and self._times[0] == time:
-            _heappop(self._times)
-            entries += self._buckets.pop(time)
-            entries.sort()
-        return entries
+            insort(bucket, entry)
 
     # -- execution ---------------------------------------------------------
 
@@ -462,8 +440,7 @@ class Simulator:
         check_run_bounds("until", until, max_events)
         executed = self._run_loop(until, max_events, [1])
         if (until is not None and self.now < until and not self._now_list
-                and not (self._times and self._times[0] <= until)
-                and not (self._heap and self._heap[0][0] <= until)):
+                and not (self._times and self._times[0] <= until)):
             if self.hooks is not None:
                 self.hooks.on_advance(self, self.now, until)
             self.now = until
@@ -499,7 +476,7 @@ class Simulator:
 
         self._run_loop(limit_ns, None, pending)
         if pending[0]:
-            if self._heap or self._buckets or self._now_list:
+            if self._buckets or self._now_list:
                 # The loop stopped at the limit with events queued.
                 self._raise_run_timeout(targets)
             raise SimulationDeadlock([p for p in targets if not p.done])
@@ -521,7 +498,6 @@ class Simulator:
         reaches zero; the last two, and an exception, leave the rest of
         the instant in the list at ``now`` for the next run.
         """
-        heap = self._heap
         times = self._times
         buckets = self._buckets
         now_list = self._now_list
@@ -535,20 +511,13 @@ class Simulator:
         try:
             while pending[0] and executed != stop_at:
                 if not now_list:
-                    if times and (not heap or times[0] < heap[0][0]):
-                        time = times[0]
-                        if until is not None and time > until:
-                            break
-                        _heappop(times)
-                        now_list = buckets.pop(time)
-                    elif heap:
-                        time = heap[0][0]
-                        if until is not None and time > until:
-                            break
-                        now_list = self._take_heap_run(time)
-                    else:
+                    if not times:
                         break
-                    self._now_list = now_list
+                    time = times[0]
+                    if until is not None and time > until:
+                        break
+                    heappop(times)
+                    now_list = self._now_list = buckets.pop(time)
                     if hooks is not None:
                         hooks.on_advance(self, self.now, time)
                     self.now = time

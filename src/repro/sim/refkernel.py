@@ -1,29 +1,29 @@
 """The reference kernel: a pure binary-heap event loop.
 
 :class:`ReferenceSimulator` is the differential-testing oracle for the
-tiered production kernel (:class:`~repro.sim.kernel.Simulator`).  It
-keeps the exact queue discipline the repository shipped before the
+calendar-queue production kernel (:class:`~repro.sim.kernel.Simulator`).
+It keeps the exact queue discipline the repository shipped before the
 calendar-queue rewrite: one binary heap ordered by ``(time, seq)``, one
 event popped and dispatched per loop iteration, every bound
 (``until``, ``max_events``, ``limit_ns``, deadlock) checked per event.
 Its :meth:`~ReferenceSimulator.run` and
 :meth:`~ReferenceSimulator.run_until_done` are separate loops, each
 calling the kernel hooks once around the call, once per event and
-once per move of the clock, as the tiered kernel's single loop does;
+once per move of the clock, as the production kernel's single loop does;
 a join raises ``TimeoutError`` before dispatching any event later than
 ``limit_ns``.
 
 Because both kernels share :class:`~repro.sim.kernel.Process`,
 :class:`~repro.sim.kernel.Future` and the ``(time, seq)`` total order,
-any ordering divergence between them is a bug in the tiered kernel's
-instant collection — which is precisely what
+any ordering divergence between them is a bug in the production
+kernel's buckets or instant list — which is precisely what
 ``tests/sim/test_kernel_equivalence.py`` exploits: the same workload is
 run under both and the dispatch sequences must match byte for byte.
 
 Every producer files an event through :meth:`Simulator._post` or
 :meth:`Simulator._push_back`, and this class overrides both to push
 onto the heap, so nothing ever writes the production kernel's instant
-list or bucket tier here: the heap is the whole queue.
+list or buckets here: the heap is the whole queue.
 
 No instant collection happens anywhere: this file must stay a
 pop-one-dispatch-one loop.  Do not "optimise" it to share code with
@@ -40,7 +40,7 @@ from repro.sim.kernel import (
     Process,
     SimulationDeadlock,
     Simulator,
-    _HeapEntry,
+    _Entry,
     check_run_bounds,
 )
 
@@ -50,9 +50,17 @@ class ReferenceSimulator(Simulator):
 
     API-identical to :class:`Simulator`; selected through
     ``ClusterConfig(kernel="reference")`` or
-    :func:`repro.sim.make_simulator`.  It has no bucket tier, so the
-    fabric's install-time widening of the bucket window is inert here.
+    :func:`repro.sim.make_simulator`.
     """
+
+    def __init__(self) -> None:
+        super().__init__()
+        #: The whole queue: one binary heap of ``(time, seq, fn, args)``.
+        self._heap: List[_Entry] = []
+
+    @property
+    def pending_events(self) -> int:
+        return len(self._heap)
 
     # -- scheduling -------------------------------------------------------
 
@@ -65,7 +73,7 @@ class ReferenceSimulator(Simulator):
         if self.hooks is not None:
             self.hooks.on_schedule(self, time, fn)
 
-    def _push_back(self, entry: _HeapEntry) -> None:
+    def _push_back(self, entry: _Entry) -> None:
         _heappush(self._heap, entry)
 
     # -- execution --------------------------------------------------------

@@ -23,13 +23,17 @@ the same order relative to every other event.  Two levels check it:
   reference; star, chain and torus (dor, adaptive) fabrics run a
   store/load/atomic/fence program with faults off and on, under both
   kernels, with lane spans on.  Chrome-trace exports must match byte
-  for byte, as must final memory, end time and switch counters.
+  for byte, as must final memory, end time and switch counters.  The
+  run as built is made once per configuration and seed
+  (``subject_run``) and shared with the switch, queue and timer
+  harnesses.
 
 ``REPRO_STRESS_ITERS=N`` multiplies the seed counts.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 
@@ -299,6 +303,16 @@ def run_cluster(fabric: str, faults: bool, kernel: str, seed: int):
             switch_counters(cluster.fabric))
 
 
+@functools.lru_cache(maxsize=None)
+def subject_run(fabric: str, faults: bool, kernel: str, seed: int):
+    """:func:`run_cluster` on the cluster as built, run once per argument
+    set and shared by the link, switch, queue and timer harnesses, which
+    compare it with their oracles.  Call it only where nothing is
+    patched, so no run made under a patch (an oracle or a mutant) is
+    cached; and never mutate the result, which every caller shares."""
+    return run_cluster(fabric, faults, kernel, seed)
+
+
 def switch_counters(fabric) -> list:
     """Every switch's counters, in build order."""
     tree = [(sw.packets_routed, sw.peak_buffer_use, sw.buffer_stalls)
@@ -315,7 +329,7 @@ def switch_counters(fabric) -> list:
 def test_cluster_matches_process_pair_links(fabric, faults, kernel,
                                             monkeypatch):
     for seed in CLUSTER_SEEDS:
-        got = run_cluster(fabric, faults, kernel, seed)
+        got = subject_run(fabric, faults, kernel, seed)
         with monkeypatch.context() as patch:
             patch.setattr(fabric_module, "Link", ReferenceLink)
             expected = run_cluster(fabric, faults, kernel, seed)

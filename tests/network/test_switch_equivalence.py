@@ -66,6 +66,7 @@ from tests.network.test_link_equivalence import (
     InstantEnds,
     first_difference,
     run_cluster,
+    subject_run,
     switch_counters,
 )
 
@@ -408,7 +409,7 @@ def process_switches(patch):
 @pytest.mark.parametrize("fabric", sorted(FABRICS))
 def test_cluster_matches_process_switches(fabric, faults, kernel, monkeypatch):
     for seed in CLUSTER_SEEDS:
-        got = run_cluster(fabric, faults, kernel, seed)
+        got = subject_run(fabric, faults, kernel, seed)
         with process_switches(monkeypatch):
             expected = run_cluster(fabric, faults, kernel, seed)
         assert got[1:] == expected[1:], (

@@ -1,13 +1,14 @@
-"""Differential equivalence: tiered kernel vs the pure-heap oracle.
+"""Differential equivalence: calendar kernel vs the pure-heap oracle.
 
 The production kernel (:class:`repro.sim.Simulator`) keeps every event
 due at ``now`` in one list, the current instant's list, which its run
-loop drains in place; later events wait in calendar buckets or a
-binary heap until their instant becomes the list.  The reference
+loop drains in place; later events wait in per-timestamp buckets, each
+in ``seq`` order, until their instant becomes the list.  The reference
 kernel (:class:`repro.sim.ReferenceSimulator`) is the pre-rewrite
 discipline: one heap, one event per loop iteration.  Both promise the
 *identical* ``(time, seq)`` dispatch order, so any observable
-divergence is a bug in the tiered kernel's instant collection.
+divergence is a bug in the production kernel's buckets or instant
+list.
 
 This file checks that promise two ways:
 
@@ -22,18 +23,20 @@ This file checks that promise two ways:
   serialize to identical bytes.  Each script also runs on both kernels
   with :class:`~repro.obs.KernelHooks` attached that check every clock
   move is announced, which must change neither log, and the moves
-  must agree.  Two mutants of the tiered kernel show the scripts can
-  tell: a ``Timer`` expiry keyed at ``now`` filed in the heap, and a
-  heap run dispatched before its time's bucket without ordering by
-  ``seq``.  ``REPRO_STRESS_ITERS=N`` multiplies the schedule count.
+  must agree.  Two mutants of the production kernel show the scripts
+  can tell: a ``Timer`` expiry keyed at ``now`` filed in a bucket, and
+  a later keyed expiry appended to its bucket instead of inserted in
+  ``seq`` order; a directed scenario pins the second, which few
+  scripts reach.  ``REPRO_STRESS_ITERS=N`` multiplies the schedule
+  count.
 - **Cross-kernel cluster pins**: full-cluster workloads (the golden
   retry run, a coherence/hotspot run, the 8-node NIC-collectives run)
   are executed under ``kernel="bucket"`` and ``kernel="reference"``
   and their canonical Chrome-trace exports must be byte-identical.
 
 The oracle stays independent of the code it checks: after every event
-of a faulty star-cluster run under ``kernel="reference"``, the tiered
-kernel's instant list and bucket tier are empty.
+of a faulty star-cluster run under ``kernel="reference"``, the
+production kernel's instant list and buckets are empty.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ import functools
 import json
 import os
 import random
-from heapq import heappop, heappush
+from bisect import insort
+from heapq import heappush
 
 import pytest
 
@@ -70,12 +74,10 @@ STRESS_ITERS = max(1, int(os.environ.get("REPRO_STRESS_ITERS", "1")))
 #: Randomized schedules per test run (the acceptance floor is 1000).
 N_SCHEDULES = 1000 * STRESS_ITERS
 
-#: Delay palette: the instant's list (0), bucket tier (small), heap
-#: tier (beyond the default horizon), plus awkward in-between values.
+#: Delay palette: the instant's list (0), near and far buckets, plus
+#: awkward in-between values.
 DELAYS = (0, 0, 0, 1, 2, 3, 7, 10, 10, 64, 1000,
-          Simulator.DEFAULT_BUCKET_HORIZON,
-          Simulator.DEFAULT_BUCKET_HORIZON + 1,
-          1 << 20)
+          1 << 14, (1 << 14) + 1, 1 << 20)
 
 #: How far past ``now`` a join may run before it times out.
 JOIN_LIMITS = (50, 500, 5000, 10**9)
@@ -314,35 +316,68 @@ def test_randomized_schedules_dispatch_identically():
     )
 
 
-def push_back_to_heap(self, entry):
-    """Mutant: a timer expiry keyed at ``now`` goes to the heap, so it
+def _file_in_bucket(sim, entry, insert):
+    bucket = sim._buckets.get(entry[0])
+    if bucket is None:
+        sim._buckets[entry[0]] = [entry]
+        heappush(sim._times, entry[0])
+    else:
+        insert(bucket, entry)
+
+
+def now_keyed_expiry_in_bucket(self, entry):
+    """Mutant: a timer expiry keyed at ``now`` goes to a bucket, so it
     runs after the delay-0 posts made after its ``start(0)``."""
-    heappush(self._heap, entry)
+    _file_in_bucket(self, entry, insort)
 
 
-def heap_run_before_bucket(self, time):
-    """Mutant: a heap run runs before its time's bucket, unmerged."""
-    heap = self._heap
-    entries = [heappop(heap)]
-    while heap and heap[0][0] == time:
-        entries.append(heappop(heap))
-    if self._times and self._times[0] == time:
-        heappop(self._times)
-        entries += self._buckets.pop(time)
-    return entries
+def later_expiry_appended(self, entry):
+    """Mutant: a later timer expiry is appended to its time's bucket,
+    after posts with newer seqs, instead of inserted in seq order."""
+    if entry[0] == self.now:
+        self._now_list.append(entry)
+    else:
+        _file_in_bucket(self, entry, list.append)
 
 
-@pytest.mark.parametrize("method, mutant", [
-    ("_push_back", push_back_to_heap),
-    ("_take_heap_run", heap_run_before_bucket),
-], ids=["now-keyed-expiry-in-heap", "heap-run-before-bucket"])
-def test_randomized_schedules_catch_kernel_mutants(method, mutant,
-                                                   monkeypatch):
-    # The reference kernel overrides _push_back and never takes a heap
-    # run, so only the tiered kernel changes.
-    monkeypatch.setattr(Simulator, method, mutant)
+def sorted_insert_log(kernel):
+    """A timer expiry re-filed between two posts to one time.  At t=0 a
+    timer starts for t=50 and Y is posted for t=100; at t=20 the timer
+    restarts for t=100, a later deadline that reserves a seq and files
+    nothing; at t=30 Z is posted for t=100.  The expiry at t=50 fires
+    early and re-files itself under the reserved key, between Y's and
+    Z's."""
+    sim = make_simulator(kernel)
+    runner = ScriptRunner(sim)
+    timer = runner.timers[0]
+    timer.start(50)
+    sim._post(100, runner._fire, ("Y", ()))
+    sim._post(20, timer.start, (80,))
+    sim._post(30, sim._post, (70, runner._fire, ("Z", ())))
+    sim.run()
+    return runner.log
+
+
+SORTED_INSERT_LOG = [(100, "Y"), (100, "timer", 0), (100, "Z")]
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_later_expiry_sorts_between_posts_to_its_time(kernel):
+    assert sorted_insert_log(kernel) == SORTED_INSERT_LOG
+
+
+@pytest.mark.parametrize("mutant", [
+    now_keyed_expiry_in_bucket, later_expiry_appended,
+], ids=["now-keyed-expiry-in-bucket", "later-appended"])
+def test_randomized_schedules_catch_kernel_mutants(mutant, monkeypatch):
+    # The reference kernel overrides _push_back, so only the
+    # production kernel changes.
+    monkeypatch.setattr(Simulator, "_push_back", mutant)
     assert _first_divergent_seed() is not None, (
         f"no randomized schedule tells the {mutant.__name__} mutant apart")
+    if mutant is later_expiry_appended:
+        # Few scripts reach it; the directed scenario always does.
+        assert sorted_insert_log("bucket") != SORTED_INSERT_LOG
 
 
 def test_mid_batch_bound_preserves_order():
@@ -491,13 +526,13 @@ def test_cluster_traces_identical_across_kernels(build):
     }
     assert traces["bucket"] == traces["reference"], (
         f"{build.__name__} produced different Chrome traces under the "
-        "tiered and reference kernels"
+        "production and reference kernels"
     )
 
 
 class _TierWatch(KernelHooks):
-    """Counts the events after which a kernel's instant list or bucket
-    tier holds anything."""
+    """Counts the events after which a kernel's instant list or buckets
+    hold anything."""
 
     def __init__(self):
         self.events = 0
@@ -517,7 +552,7 @@ def test_reference_kernel_is_selectable_and_distinct(monkeypatch):
         make_simulator("fibonacci")
     # Its queue is its heap alone: every producer files through the
     # overridden _post or _push_back, so a whole faulty cluster run
-    # never leaves an event in the tiered kernel's list or buckets.
+    # never leaves an event in the production kernel's list or buckets.
     watch = _TierWatch()
 
     def watched_simulator(kernel):
@@ -530,5 +565,5 @@ def test_reference_kernel_is_selectable_and_distinct(monkeypatch):
     run_cluster("star", faults=True, kernel="reference", seed=0)
     assert watch.events > 0
     assert watch.dirty == 0, (
-        f"the instant list or bucket tier held events after {watch.dirty} "
+        f"the instant list or buckets held events after {watch.dirty} "
         f"of {watch.events} events")

@@ -51,7 +51,11 @@ from repro.sim import BoundedQueue, Simulator
 from tests.network.reference_link import ReferenceLink
 from tests.network.reference_switch import ReferenceSwitch
 from tests.network.reference_torus import ReferenceTorusSwitch
-from tests.network.test_link_equivalence import FABRICS, run_cluster
+from tests.network.test_link_equivalence import (
+    FABRICS,
+    run_cluster,
+    subject_run,
+)
 from tests.sim.reference_queue import ReferenceQueue
 
 STRESS_ITERS = max(1, int(os.environ.get("REPRO_STRESS_ITERS", "1")))
@@ -333,7 +337,7 @@ def _no_production_queue(self, *args, **kwargs):
 @pytest.mark.parametrize("fabric", sorted(FABRICS))
 def test_cluster_matches_the_old_network(fabric, faults, monkeypatch):
     for seed in CLUSTER_SEEDS:
-        got = run_cluster(fabric, faults, "bucket", seed)
+        got = subject_run(fabric, faults, "bucket", seed)
         with monkeypatch.context() as patch:
             for module in QUEUE_MODULES:
                 patch.setattr(module, "BoundedQueue", ReferenceQueue)

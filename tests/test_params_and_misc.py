@@ -6,7 +6,6 @@ from repro.params import (
     DEFAULT_PARAMS,
     PacketSizes,
     Params,
-    SizingParams,
     TimingParams,
 )
 
@@ -48,7 +47,7 @@ def test_timing_override_rejects_non_int_or_negative(field, value, error):
 
 SIZES = ("hib_out_fifo", "hib_in_fifo", "switch_port_fifo",
          "switch_buffer_slots", "switch_output_quota", "link_credits",
-         "ll_control_queue", "page_bytes", "word_bytes")
+         "ll_control_queue", "page_bytes")
 
 
 @pytest.mark.parametrize("value, error", [
@@ -60,20 +59,21 @@ def test_sizing_override_rejects_non_int_or_below_one(field, value, error):
         DEFAULT_PARAMS.with_sizing(**{field: value})
 
 
-def test_sizing_counter_cache_may_be_unlimited():
-    assert SizingParams(counter_cache_entries=None).counter_cache_entries is None
-    with pytest.raises(TypeError, match="counter_cache_entries"):
-        SizingParams(counter_cache_entries=1.5)
+@pytest.mark.parametrize("override, field", [
+    ("with_timing", "cpu_op_ns"), ("with_timing", "hib_counter_rmw_ns"),
+    ("with_sizing", "word_bytes"), ("with_sizing", "counter_cache_entries"),
+    ("with_sizing", "page_words"),
+])
+def test_override_of_a_deleted_field_is_rejected(override, field):
+    # Nothing read these; an override must fail, not do nothing.
+    with pytest.raises(TypeError, match=field):
+        getattr(DEFAULT_PARAMS, override)(**{field: 8})
 
 
 def test_params_with_sizing_override():
     params = DEFAULT_PARAMS.with_sizing(contexts=4)
     assert params.sizing.contexts == 4
     assert params.timing is DEFAULT_PARAMS.timing
-
-
-def test_sizing_page_words():
-    assert SizingParams().page_words == 2048
 
 
 def test_params_frozen():
