@@ -46,18 +46,22 @@ from repro.os.replication import AlarmReplicationPolicy
 from repro.params import DEFAULT_PARAMS, Params
 from repro.sim import Simulator, Tracer, make_simulator
 
+#: Main memory per workstation (4 MiB); Telegraphos II reserves up to
+#: half of it for shared data.
+DRAM_BYTES = 4 << 20
+
 
 class Workstation:
     """One fully assembled node."""
 
     def __init__(self, sim: Simulator, params: Params, node_id: int,
                  amap: AddressMap, fabric: Fabric, tracer: Tracer,
-                 dram_bytes: int, metrics: Optional[MetricsRegistry] = None,
+                 metrics: Optional[MetricsRegistry] = None,
                  injector: Optional[FaultInjector] = None):
         timing = params.timing
         self.node_id = node_id
         self.amap = amap
-        self.dram = WordMemory(dram_bytes, name=f"dram{node_id}")
+        self.dram = WordMemory(DRAM_BYTES, name=f"dram{node_id}")
         self.membus = Bus(sim, f"membus{node_id}", timing.membus_arb_ns)
         self.tc_bus = Bus(sim, f"tc{node_id}", 0)
         self.interrupts = InterruptController(sim, timing, node_id)
@@ -66,10 +70,10 @@ class Workstation:
         else:
             # Telegraphos II: shared data in a reserved main-memory
             # segment, HIB access via the memory bus.
-            shared_bytes = min(params.sizing.mpm_bytes, dram_bytes // 2)
+            shared_bytes = min(params.sizing.mpm_bytes, DRAM_BYTES // 2)
             self.backend = DramBackend(
                 timing, self.dram, self.membus,
-                base_offset=dram_bytes - shared_bytes,
+                base_offset=DRAM_BYTES - shared_bytes,
                 size_bytes=shared_bytes,
             )
         self.hib = HIB(
@@ -123,7 +127,7 @@ class Cluster:
         self.directory = SharingDirectory(self.params.sizing.page_bytes)
         self.nodes: List[Workstation] = [
             Workstation(self.sim, self.params, n, self.amap, self.fabric,
-                        self.tracer, config.dram_bytes, metrics=self.metrics,
+                        self.tracer, metrics=self.metrics,
                         injector=self.injector)
             for n in range(config.n_nodes)
         ]

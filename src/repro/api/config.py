@@ -1,7 +1,7 @@
 """Cluster configuration.
 
 :class:`ClusterConfig` is the one object that describes a cluster
-build: machine shape (nodes, topology, memory), protocol choice, and
+build: machine shape (nodes, topology, routing), protocol choice, and
 the observability switches.  It gives
 :class:`~repro.api.cluster.Cluster` construction a single surface:
 ``Cluster(ClusterConfig(...))`` is the only form ``Cluster`` accepts.
@@ -35,11 +35,10 @@ class ClusterConfig:
       switch coordinates and therefore require a torus topology
       (``topology="torus"`` or ``"torus3d"``); see
       :mod:`repro.network.adaptive` and DESIGN.md §10.
-    - ``params`` — timing/sizing/packet parameters
+    - ``params`` — timing and sizing parameters
       (``None`` = :data:`~repro.params.DEFAULT_PARAMS`).
     - ``cache_entries`` — counter-cache entries per node
       (``None`` models Telegraphos I's uncached counters).
-    - ``dram_bytes`` — per-node main memory.
     - ``replication_threshold`` — enable the §2.2.6 alarm-driven
       replication policy at this access count (``None`` = off).
     - ``collectives`` — the backend of every collective group
@@ -84,7 +83,6 @@ class ClusterConfig:
     params: Optional[Params] = None
     trace: bool = True
     cache_entries: Optional[int] = 32
-    dram_bytes: int = 1 << 22
     replication_threshold: Optional[int] = None
     metrics: bool = True
     trace_lanes: bool = False

@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.coherence.directory import PageGroup, SharingDirectory
+from repro.network.packet import PacketKind
 from repro.sim import Tracer
 
 
@@ -120,16 +121,14 @@ class CoherenceEngine:
                          value, origin, kind="home")
         return group
 
-    def _send_update(self, hib, dst: int, group: PageGroup, in_page: int,
+    def _update_copy(self, hib, dst: int, group: PageGroup, in_page: int,
                      value: int, origin: int, meta: Optional[dict] = None):
         self.stats["updates_sent"] += 1
-        yield from hib.send_update(
-            dst=dst,
-            home=group.home,
-            offset=group.home_offset(in_page),
-            value=value,
-            origin=origin,
-            meta={"gpage": group.gpage, "in_page": in_page, **(meta or {})},
+        yield from hib.send(
+            PacketKind.UPDATE, dst, address=group.home_offset(in_page),
+            value=value, origin=origin,
+            meta={"home": group.home, "gpage": group.gpage,
+                  "in_page": in_page, **(meta or {})},
         )
 
     @staticmethod

@@ -13,6 +13,7 @@ different nodes, and "the pages may end up with different values"
 from __future__ import annotations
 
 from repro.coherence.base import CoherenceEngine
+from repro.network.packet import PacketKind
 
 
 class EagerUpdateEngine(CoherenceEngine):
@@ -28,7 +29,7 @@ class EagerUpdateEngine(CoherenceEngine):
             if node == self.node_id:
                 continue
             hib.outstanding.increment()
-            yield from self._send_update(
+            yield from self._update_copy(
                 hib, node, group, in_page, value, origin=self.node_id
             )
 
@@ -42,7 +43,7 @@ class EagerUpdateEngine(CoherenceEngine):
         for node in group.copy_holders:
             if node == self.node_id:
                 continue
-            yield from self._send_update(
+            yield from self._update_copy(
                 hib, node, group, in_page, value, origin=origin,
                 meta={"no_ack": True},
             )
@@ -63,15 +64,7 @@ class EagerUpdateEngine(CoherenceEngine):
     def _ack_origin(self, hib, packet):
         """Updates complete (for FENCE accounting) when applied at the
         destination copy."""
-        from repro.network.packet import Packet, PacketKind
-
         if packet.origin == self.node_id:
             hib.outstanding.decrement()
             return
-        ack = Packet(
-            PacketKind.WRITE_ACK,
-            src=self.node_id,
-            dst=packet.origin,
-            size_bytes=hib.params.packets.ack,
-        )
-        yield from hib.send_packet(ack)
+        yield from hib.send(PacketKind.WRITE_ACK, packet.origin)

@@ -118,14 +118,9 @@ class GalacticaEngine(CoherenceEngine):
                    repair=False, completion=True):
         dst = self._next_in_ring(group, self.node_id)
         self.stats["updates_sent"] += 1
-        packet = Packet(
-            PacketKind.RING_UPDATE,
-            src=self.node_id,
-            dst=dst,
-            size_bytes=hib.params.packets.update,
-            address=group.home_offset(in_page),
-            value=value,
-            origin=origin,
+        yield from hib.send(
+            PacketKind.RING_UPDATE, dst, address=group.home_offset(in_page),
+            value=value, origin=origin,
             meta={
                 "home": group.home,
                 "gpage": group.gpage,
@@ -134,18 +129,10 @@ class GalacticaEngine(CoherenceEngine):
                 "completion": completion,
             },
         )
-        yield from hib.send_packet(packet)
 
     def _forward(self, hib, group, in_page, packet: Packet):
         dst = self._next_in_ring(group, self.node_id)
-        forwarded = Packet(
-            PacketKind.RING_UPDATE,
-            src=self.node_id,
-            dst=dst,
-            size_bytes=packet.size_bytes,
-            address=packet.address,
-            value=packet.value,
-            origin=packet.origin,
-            meta=dict(packet.meta),
+        yield from hib.send(
+            PacketKind.RING_UPDATE, dst, address=packet.address,
+            value=packet.value, origin=packet.origin, meta=dict(packet.meta),
         )
-        yield from hib.send_packet(forwarded)

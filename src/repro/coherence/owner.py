@@ -54,7 +54,7 @@ class OwnerUpdateEngine(CoherenceEngine):
         if self.apply_local:
             yield from self._local_apply_before_forward(hib, group, in_page, value)
         hib.outstanding.increment()
-        yield from self._send_update(
+        yield from self._update_copy(
             hib, group.home, group, in_page, value, origin=self.node_id,
             meta={"to_owner": True},
         )
@@ -117,7 +117,7 @@ class OwnerUpdateEngine(CoherenceEngine):
                 continue
             if skip_origin and node == origin:
                 continue
-            yield from self._send_update(
+            yield from self._update_copy(
                 hib, node, group, in_page, value, origin=origin,
                 meta={"completion": completion},
             )

@@ -28,7 +28,7 @@ sum of the deltas merged before it — so every caller observes exactly
 the value it would have seen under some serial interleaving, and all
 returned values are distinct.
 
-All collective packets are sent through :meth:`HIB._send`, so under
+All collective packets are sent through :meth:`HIB.send`, so under
 fault injection they traverse the reliable transport like any other
 traffic; an abandoned collective packet fails the group's pending
 waiters with :class:`~repro.faults.NodeUnreachableError` (see
@@ -281,17 +281,11 @@ class CollectiveUnit:
             return
         self.stats["joins_sent"] += 1
         yield timing.hib_inject_ns
-        packet = self.hib._pool.acquire(
-            PacketKind.COLL_JOIN,
-            src=self.hib.node_id,
-            dst=group.parent_node,
-            size_bytes=self.hib.params.packets.coll_join,
-            value=round_.value,
+        yield from self.hib.send(
+            PacketKind.COLL_JOIN, group.parent_node, value=round_.value,
             meta={"gid": group.spec.gid, "gen": gen, "op": round_.op,
                   "count": group.subtree},
-            injected_at=self.hib.sim.now,
         )
-        yield from self.hib._send(packet)
 
     def _release(self, group: _GroupState, gen: int, value: Optional[int]):
         spec = group.spec
@@ -310,16 +304,9 @@ class CollectiveUnit:
         for target in targets:
             self.stats["releases_sent"] += 1
             yield self.hib.params.timing.hib_inject_ns
-            packet = self.hib._pool.acquire(
-                PacketKind.COLL_RELEASE,
-                src=self.hib.node_id,
-                dst=target,
-                size_bytes=self.hib.params.packets.coll_release,
-                value=value,
-                meta={"gid": spec.gid, "gen": gen},
-                injected_at=self.hib.sim.now,
-            )
-            yield from self.hib._send(packet)
+            yield from self.hib.send(PacketKind.COLL_RELEASE, target,
+                                     value=value,
+                                     meta={"gid": spec.gid, "gen": gen})
 
     # -- servant handlers ------------------------------------------------
 
@@ -410,17 +397,11 @@ class CollectiveUnit:
         group.pending_windows[window.win] = window
         self.stats["fadds_forwarded"] += 1
         yield self.hib.params.timing.hib_inject_ns
-        packet = self.hib._pool.acquire(
-            PacketKind.COLL_FADD,
-            src=self.hib.node_id,
-            dst=group.parent_node,
-            size_bytes=self.hib.params.packets.coll_fadd,
-            address=offset,
+        yield from self.hib.send(
+            PacketKind.COLL_FADD, group.parent_node, address=offset,
             meta={"gid": group.spec.gid, "win": window.win, "home": home,
                   "offset": offset, "delta": window.total},
-            injected_at=self.hib.sim.now,
         )
-        yield from self.hib._send(packet)
 
     def _apply_fadd(self, home: int, offset: int, total: int):
         """Root application: one RMW at the home word for the whole
@@ -445,16 +426,10 @@ class CollectiveUnit:
                 waiter.set_result(base + prefix)
                 continue
             yield self.hib.params.timing.hib_inject_ns
-            packet = self.hib._pool.acquire(
-                PacketKind.COLL_FADD_REPLY,
-                src=self.hib.node_id,
-                dst=child,
-                size_bytes=self.hib.params.packets.coll_fadd_reply,
-                value=base + prefix,
+            yield from self.hib.send(
+                PacketKind.COLL_FADD_REPLY, child, value=base + prefix,
                 meta={"gid": group.spec.gid, "win": child_win},
-                injected_at=self.hib.sim.now,
             )
-            yield from self.hib._send(packet)
         window.entries = []
 
     # -- fault degradation ----------------------------------------------

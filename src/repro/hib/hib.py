@@ -17,6 +17,11 @@ coherence-protocol packets, which are delegated to the attached
 coherence engine; the reply servant serves completion packets (read
 replies, atomic replies, write acks).
 
+**One way out** — :meth:`HIB.send` emits every packet that leaves the
+HIB, for the HIB itself, its collective unit and the coherence
+engines: a packet of the fabric's pool, sent on the raw port or through
+the reliable transport.
+
 The coherence engine (see :mod:`repro.coherence`) is a pluggable
 strategy; a bare HIB (``coherence=None``) gives exactly the paper's
 base mechanisms: remote read/write/copy/atomics, page-access counters,
@@ -46,7 +51,7 @@ from repro.machine.addresses import AddressMap, Region
 from repro.machine.bus import Bus
 from repro.machine.interrupts import InterruptController
 from repro.network.fabric import NetworkPort
-from repro.network.packet import NULL_POOL, Packet, PacketKind
+from repro.network.packet import Packet, PacketKind
 from repro.obs.metrics import NULL_METRIC, NULL_REGISTRY
 from repro.params import Params
 from repro.sim import BoundedQueue, Future, Simulator, Tracer
@@ -145,10 +150,11 @@ class HIB:
         #: report counts and the second finds the id gone.
         self._open_writes: Optional[Set[int]] = (
             None if self._transport is None else set())
-        #: The fabric's packet pool (inert under fault injection): the
-        #: servant loops are the terminal consumers of every packet, so
-        #: they release each one back after its handler returns.
-        self._pool = getattr(port, "pool", NULL_POOL)
+        #: The fabric's packet pool (it keeps nothing under fault
+        #: injection): :meth:`send` takes every outgoing packet from it,
+        #: and the servant loops, the terminal consumers of every
+        #: packet, release each one back after its handler returns.
+        self._pool = port.pool
         #: Both servants' dispatch table, built once (not per packet).
         self._handlers = {
             PacketKind.READ_REPLY: self._serve_reply,
@@ -268,15 +274,40 @@ class HIB:
     # Outgoing operations
     # ------------------------------------------------------------------
 
-    def _send(self, packet: Packet):
-        """Every outgoing packet funnels through here: the raw port on
-        a lossless fabric, the reliable transport under fault
-        injection.  Blocks (like the port) while the egress FIFO is
-        full — the §3.2 queueing either way."""
+    def send(self, kind: PacketKind, dst: int,
+             address: Optional[int] = None, value: Optional[int] = None,
+             op_id: Optional[int] = None, origin: Optional[int] = None,
+             meta: Optional[Dict[str, Any]] = None):
+        """Send a ``kind`` packet to ``dst``: the one way a packet leaves
+        this HIB, for the HIB itself, its collective unit and the
+        coherence engines.  The packet comes from the fabric's pool,
+        stamped with this node, its kind's wire size and ``sim.now``,
+        and goes out on the raw port on a lossless fabric or through
+        the reliable transport under fault injection.  Blocks (like the
+        port) while the egress FIFO is full — the §3.2 queueing either
+        way."""
+        packet = self._pool.acquire(
+            kind, self.node_id, dst, address=address, value=value,
+            op_id=op_id, origin=origin, meta=meta,
+            injected_at=self.sim.now,
+        )
         if self._transport is None:
             yield self.port.send(packet)
         else:
             yield from self._transport.send(packet)
+
+    def _request(self, kind: PacketKind, home: int, offset: int,
+                 meta: Optional[Dict[str, Any]] = None):
+        """Send a READ_REQ or ATOMIC_REQ to ``home`` under a fresh op
+        id and block until its reply resolves the pending future;
+        returns the reply's value."""
+        op_id = next(self._op_ids)
+        future = Future()
+        self._pending[op_id] = future
+        yield from self.send(kind, home, address=offset, op_id=op_id,
+                             origin=self.node_id, meta=meta)
+        value = yield future
+        return value
 
     def abandon_packet(self, packet: Packet, peer: int) -> bool:
         """Unwind the completion bookkeeping of a packet the reliable
@@ -312,69 +343,20 @@ class HIB:
         self.stats["remote_writes"] += 1
         self.page_counters.on_access((home, self.amap.page_of(offset)), "write")
         self.outstanding.increment()
-        packet = self._pool.acquire(
-            PacketKind.WRITE_REQ,
-            src=self.node_id,
-            dst=home,
-            size_bytes=self.params.packets.write_request,
-            address=offset,
-            value=value,
+        # Blocks while the outgoing FIFO is full — the §3.2 queueing.
+        yield from self.send(
+            PacketKind.WRITE_REQ, home, address=offset, value=value,
             op_id=None if self._open_writes is None else self._open_write(),
             origin=self.node_id,
-            injected_at=self.sim.now,
         )
-        # Blocks while the outgoing FIFO is full — the §3.2 queueing.
-        yield from self._send(packet)
 
     def _blocking_remote_read(self, home: int, offset: int):
         self.stats["remote_reads"] += 1
         self.page_counters.on_access((home, self.amap.page_of(offset)), "read")
         token = yield self._read_tokens.get()
-        op_id = next(self._op_ids)
-        future = Future()
-        self._pending[op_id] = future
-        packet = self._pool.acquire(
-            PacketKind.READ_REQ,
-            src=self.node_id,
-            dst=home,
-            size_bytes=self.params.packets.read_request,
-            address=offset,
-            op_id=op_id,
-            origin=self.node_id,
-            injected_at=self.sim.now,
-        )
-        yield from self._send(packet)
-        value = yield future
+        value = yield from self._request(PacketKind.READ_REQ, home, offset)
         yield self._read_tokens.put(token)
         return value
-
-    def send_update(
-        self,
-        dst: int,
-        home: int,
-        offset: int,
-        value: int,
-        origin: int,
-        meta: Optional[dict] = None,
-    ):
-        """Coherence-engine helper: inject an UPDATE packet."""
-        packet = self._pool.acquire(
-            PacketKind.UPDATE,
-            src=self.node_id,
-            dst=dst,
-            size_bytes=self.params.packets.update,
-            address=offset,
-            value=value,
-            origin=origin,
-            meta={"home": home, **(meta or {})},
-            injected_at=self.sim.now,
-        )
-        yield from self._send(packet)
-
-    def send_packet(self, packet: Packet):
-        """Coherence-engine helper: inject an arbitrary packet."""
-        packet.injected_at = self.sim.now
-        yield from self._send(packet)
 
     # ------------------------------------------------------------------
     # Register file
@@ -524,22 +506,9 @@ class HIB:
 
         The shared remote-atomic path of the special-operation unit and
         the collective engine's root fetch-and-add application."""
-        op_id = next(self._op_ids)
-        future = Future()
-        self._pending[op_id] = future
-        packet = self._pool.acquire(
-            PacketKind.ATOMIC_REQ,
-            src=self.node_id,
-            dst=home,
-            size_bytes=self.params.packets.atomic_request,
-            address=offset,
-            op_id=op_id,
-            origin=self.node_id,
-            meta={"atomic": atomic, "op0": op0, "op1": op1},
-            injected_at=self.sim.now,
-        )
-        yield from self._send(packet)
-        result = yield future
+        result = yield from self._request(
+            PacketKind.ATOMIC_REQ, home, offset,
+            meta={"atomic": atomic, "op0": op0, "op1": op1})
         return result
 
     def _execute_copy(self, addresses, operands):
@@ -558,18 +527,12 @@ class HIB:
             (src_home, self.amap.page_of(src_offset)), "read"
         )
         self.outstanding.increment()
-        packet = self._pool.acquire(
-            PacketKind.COPY_REQ,
-            src=self.node_id,
-            dst=src_home,
-            size_bytes=self.params.packets.copy_request,
-            address=src_offset,
+        yield from self.send(
+            PacketKind.COPY_REQ, src_home, address=src_offset,
             op_id=None if self._open_writes is None else self._open_write(),
             origin=self.node_id,
             meta={"dst_node": dst_home, "dst_offset": dst_offset},
-            injected_at=self.sim.now,
         )
-        yield from self._send(packet)
         return 0
 
     def _after_home_atomic(self, offset: int, new: int, old: int):
@@ -683,30 +646,14 @@ class HIB:
                 self.outstanding.decrement()
             return
         self.stats["acks_sent"] += 1
-        ack = self._pool.acquire(
-            PacketKind.WRITE_ACK,
-            src=self.node_id,
-            dst=target,
-            size_bytes=self.params.packets.ack,
-            op_id=packet.op_id,
-            injected_at=self.sim.now,
-        )
-        yield from self._send(ack)
+        yield from self.send(PacketKind.WRITE_ACK, target, op_id=packet.op_id)
 
     def _serve_read(self, packet: Packet):
         value = yield from self.backend.read(packet.address)
         yield self.params.timing.hib_inject_ns
-        reply = self._pool.acquire(
-            PacketKind.READ_REPLY,
-            src=self.node_id,
-            dst=packet.src,
-            size_bytes=self.params.packets.read_reply,
-            address=packet.address,
-            value=value,
-            op_id=packet.op_id,
-            injected_at=self.sim.now,
-        )
-        yield from self._send(reply)
+        yield from self.send(PacketKind.READ_REPLY, packet.src,
+                             address=packet.address, value=value,
+                             op_id=packet.op_id)
 
     def _serve_atomic(self, packet: Packet):
         yield self.params.timing.hib_atomic_extra_ns
@@ -717,17 +664,9 @@ class HIB:
             ),
         )
         yield self.params.timing.hib_inject_ns
-        reply = self._pool.acquire(
-            PacketKind.ATOMIC_REPLY,
-            src=self.node_id,
-            dst=packet.src,
-            size_bytes=self.params.packets.atomic_reply,
-            address=packet.address,
-            value=result,
-            op_id=packet.op_id,
-            injected_at=self.sim.now,
-        )
-        yield from self._send(reply)
+        yield from self.send(PacketKind.ATOMIC_REPLY, packet.src,
+                             address=packet.address, value=result,
+                             op_id=packet.op_id)
         yield from self._after_home_atomic(packet.address, new, old)
 
     def _serve_copy(self, packet: Packet):
@@ -739,18 +678,11 @@ class HIB:
             yield from self._ack(packet)
             return
         yield self.params.timing.hib_inject_ns
-        write = self._pool.acquire(
-            PacketKind.WRITE_REQ,
-            src=self.node_id,
-            dst=dst_node,
-            size_bytes=self.params.packets.write_request,
-            address=dst_offset,
-            value=value,
+        yield from self.send(
+            PacketKind.WRITE_REQ, dst_node, address=dst_offset, value=value,
             op_id=packet.op_id,  # the copy's id, for its issuer's count
             origin=packet.origin,  # the copy's issuer gets the ack
-            injected_at=self.sim.now,
         )
-        yield from self._send(write)
 
     def _serve_reply(self, packet: Packet):
         future = self._pending.pop(packet.op_id, None)

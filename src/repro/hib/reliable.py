@@ -346,12 +346,9 @@ class ReliableTransport:
 
     def _queue_control(self, kind: PacketKind, dst: int, plane: str,
                        seq: int) -> None:
-        control = Packet(
-            kind, src=self.node_id, dst=dst,
-            size_bytes=self.params.packets.ll_control,
-            meta={"plane": plane, "seq": seq},
-            injected_at=self.sim.now,
-        )
+        control = Packet(kind, self.node_id, dst,
+                         meta={"plane": plane, "seq": seq},
+                         injected_at=self.sim.now)
         if not self._ctrl.try_put(control):
             # Recovered by the peer's retransmission timeout.
             self._m_acks_dropped.inc()

@@ -29,7 +29,7 @@ from repro.params import Params
 from repro.sim import BoundedQueue, Simulator
 from repro.network.adaptive import ADP, CHANNEL_NAMES, ESC0, ESC1, TorusSwitch
 from repro.network.link import Link
-from repro.network.packet import NULL_POOL, Packet, PacketPool
+from repro.network.packet import Packet, PacketPool
 from repro.network.routing import compute_routes
 from repro.network.switch import Switch
 from repro.network.topology import Topology, TorusTopology
@@ -45,14 +45,14 @@ class NetworkPort:
     """A host's attachment point: egress/ingress FIFOs per VC.
 
     Also carries the fabric's :class:`~repro.network.packet.PacketPool`
-    (an inert one under fault injection), so HIBs acquire and release
-    packets without knowing how the fabric was built.
+    (one that keeps nothing under fault injection), so HIBs acquire and
+    release packets without knowing how the fabric was built.
     """
 
     def __init__(self, node_id: int,
                  egress: Dict[str, BoundedQueue],
                  ingress: Dict[str, BoundedQueue],
-                 pool: PacketPool = NULL_POOL):
+                 pool: PacketPool):
         self.node_id = node_id
         self.pool = pool
         # Plane queues resolved once; the per-send work is one
@@ -107,8 +107,9 @@ class Fabric:
         self.injector = injector
         #: Packet recycling is only safe on a lossless fabric: fault
         #: duplication and retransmit windows create second references
-        #: that outlive the receiver's service loop (see DESIGN.md).
-        self.pool: PacketPool = PacketPool() if injector is None else NULL_POOL
+        #: that outlive the receiver's service loop, so a faulty fabric's
+        #: pool keeps no released packet (see DESIGN.md).
+        self.pool = PacketPool() if injector is None else PacketPool(max_free=0)
         #: switches[vc][switch_id] — tree-routed fabrics only.
         self.switches: Dict[str, Dict[object, Switch]] = {vc: {} for vc in VCS}
         #: torus_switches[vc][coords] — dor/adaptive fabrics only.
@@ -122,8 +123,6 @@ class Fabric:
             self._build_torus()
 
     def _build(self) -> None:
-        sizing = self.params.sizing
-        timing = self.params.timing
         topo = self.topology
 
         for vc in VCS:
@@ -134,41 +133,16 @@ class Fabric:
                 )
 
         # Host attachments per VC.
-        host_queues: Dict[int, Dict[str, Dict[str, BoundedQueue]]] = {}
         for node_id in topo.hosts:
-            host_queues[node_id] = {"egress": {}, "ingress": {}}
+            egress: Dict[str, BoundedQueue] = {}
+            ingress: Dict[str, BoundedQueue] = {}
             for vc in VCS:
                 switch = self.switches[vc][topo.host_attachment[node_id]]
-                egress = BoundedQueue(
-                    sizing.hib_out_fifo, name=f"hib{node_id}.out.{vc}"
-                )
-                ingress = BoundedQueue(
-                    sizing.hib_in_fifo, name=f"hib{node_id}.in.{vc}"
-                )
-                switch_in = switch.add_input(("host", node_id))
-                self.links.append(
-                    Link(self.sim, timing, egress, switch_in,
-                         name=f"host{node_id}->sw.{vc}",
-                         node=node_id, tracer=self.tracer,
-                         injector=self.injector)
-                )
-                to_host = BoundedQueue(
-                    sizing.link_credits, name=f"sw->host{node_id}.buf.{vc}"
-                )
-                link = Link(self.sim, timing, to_host, ingress,
-                            name=f"sw->host{node_id}.{vc}",
-                            node=node_id, tracer=self.tracer,
-                            injector=self.injector)
+                link = self._attach_host(node_id, vc, egress, ingress,
+                                         switch.add_input(("host", node_id)))
                 switch.add_output(("host", node_id), link)
-                self.links.append(link)
-                host_queues[node_id]["egress"][vc] = egress
-                host_queues[node_id]["ingress"][vc] = ingress
-            self.ports[node_id] = NetworkPort(
-                node_id,
-                host_queues[node_id]["egress"],
-                host_queues[node_id]["ingress"],
-                pool=self.pool,
-            )
+            self.ports[node_id] = NetworkPort(node_id, egress, ingress,
+                                              self.pool)
 
         # Inter-switch cables (both directions, both VCs).
         for a, b in sorted(topo.switch_edges, key=repr):
@@ -181,6 +155,41 @@ class Fabric:
         for vc in VCS:
             for switch_id, table in tables.items():
                 self.switches[vc][switch_id].install_routes(table)
+
+    def _attach_host(self, node_id: int, vc: str,
+                     egress: Dict[str, BoundedQueue],
+                     ingress: Dict[str, BoundedQueue],
+                     switch_in: BoundedQueue) -> Link:
+        """Build host ``node_id``'s attachment on plane ``vc``: its HIB
+        FIFOs (stored in ``egress``/``ingress``), the link from the HIB
+        into ``switch_in``, and the switch-side buffer and link back to
+        the host.  Returns that last link, for the caller to register
+        with the switch.  The queues post nothing, so only the links
+        (each posts its first ``_drain``) and the switch's own wiring
+        calls fix the event order."""
+        sizing = self.params.sizing
+        timing = self.params.timing
+        egress[vc] = BoundedQueue(
+            sizing.hib_out_fifo, name=f"hib{node_id}.out.{vc}"
+        )
+        ingress[vc] = BoundedQueue(
+            sizing.hib_in_fifo, name=f"hib{node_id}.in.{vc}"
+        )
+        self.links.append(
+            Link(self.sim, timing, egress[vc], switch_in,
+                 name=f"host{node_id}->sw.{vc}",
+                 node=node_id, tracer=self.tracer,
+                 injector=self.injector)
+        )
+        to_host = BoundedQueue(
+            sizing.link_credits, name=f"sw->host{node_id}.buf.{vc}"
+        )
+        link = Link(self.sim, timing, to_host, ingress[vc],
+                    name=f"sw->host{node_id}.{vc}",
+                    node=node_id, tracer=self.tracer,
+                    injector=self.injector)
+        self.links.append(link)
+        return link
 
     def _wire_switch_pair(self, vc: str, src_id: object, dst_id: object) -> None:
         sizing = self.params.sizing
@@ -202,8 +211,8 @@ class Fabric:
         :class:`~repro.network.adaptive.TorusSwitch` per coordinate and
         one link per (directed edge, channel class).  DOR fabrics wire
         the two escape classes; adaptive fabrics add the adaptive
-        class.  Host attachment (FIFO depths, link names) matches the
-        tree build, so HIBs cannot tell the fabrics apart."""
+        class.  Hosts attach through the tree build's
+        :meth:`_attach_host`, so HIBs cannot tell the fabrics apart."""
         sizing = self.params.sizing
         timing = self.params.timing
         topo = self.topology
@@ -229,40 +238,18 @@ class Fabric:
                     host_coords, adaptive, injector=self.injector,
                 )
 
-        # Host attachments per VC (same queues/names as the tree build).
+        # Host attachments per VC.
         for node_id in topo.hosts:
-            egress_queues: Dict[str, BoundedQueue] = {}
-            ingress_queues: Dict[str, BoundedQueue] = {}
+            egress: Dict[str, BoundedQueue] = {}
+            ingress: Dict[str, BoundedQueue] = {}
             for vc in VCS:
                 switch = self.torus_switches[vc][topo.host_attachment[node_id]]
-                egress = BoundedQueue(
-                    sizing.hib_out_fifo, name=f"hib{node_id}.out.{vc}"
-                )
-                ingress = BoundedQueue(
-                    sizing.hib_in_fifo, name=f"hib{node_id}.in.{vc}"
-                )
-                switch_in = switch.add_input(("host", node_id),
-                                             from_host=True)
-                self.links.append(
-                    Link(self.sim, timing, egress, switch_in,
-                         name=f"host{node_id}->sw.{vc}",
-                         node=node_id, tracer=self.tracer,
-                         injector=self.injector)
-                )
-                to_host = BoundedQueue(
-                    sizing.link_credits, name=f"sw->host{node_id}.buf.{vc}"
-                )
-                link = Link(self.sim, timing, to_host, ingress,
-                            name=f"sw->host{node_id}.{vc}",
-                            node=node_id, tracer=self.tracer,
-                            injector=self.injector)
+                link = self._attach_host(
+                    node_id, vc, egress, ingress,
+                    switch.add_input(("host", node_id), from_host=True))
                 switch.add_ejection(node_id, link)
-                self.links.append(link)
-                egress_queues[vc] = egress
-                ingress_queues[vc] = ingress
-            self.ports[node_id] = NetworkPort(
-                node_id, egress_queues, ingress_queues, pool=self.pool,
-            )
+            self.ports[node_id] = NetworkPort(node_id, egress, ingress,
+                                              self.pool)
 
         # Inter-switch channels: every directed edge, every class.
         for vc in VCS:

@@ -34,14 +34,19 @@ mirroring §2.2 of the paper:
   protocol deadlock, and keeping them on one plane preserves the
   combining tree's FIFO ordering per parent/child link.
 
-Packets carry their wire size so links can charge serialization time.
+Each kind has one wire format, so :class:`PacketKind` carries its wire
+size (``PacketKind.WRITE_REQ.size_bytes``), derived in one table below
+from a 6-byte header and 4-byte addresses and words; links charge
+serialization time on it.
 
 ``Packet`` is a ``__slots__`` class (not a dataclass): a packet is the
 unit object of every fabric hot path, so it pays for neither an
 instance ``__dict__`` nor a per-packet empty ``meta`` dict (the shared
 immutable :data:`_EMPTY_META` stands in until a producer supplies
-one).  :class:`PacketPool` recycles packet objects on lossless fabrics
-— see the ownership rules in its docstring and DESIGN.md.
+one).  ``Packet.__init__`` is the one constructor body: a
+:class:`PacketPool` runs it on every object it hands out, new or
+recycled, so a recycled packet cannot differ from a fresh one.  See the
+ownership rules in :class:`PacketPool`'s docstring and DESIGN.md.
 """
 
 from __future__ import annotations
@@ -68,6 +73,9 @@ class PacketKind(enum.Enum):
     COLL_FADD = "coll_fadd"
     COLL_FADD_REPLY = "coll_fadd_reply"
 
+    #: Bytes on the wire, from :data:`_WIRE_BYTES` (set below).
+    size_bytes: int
+
     @property
     def is_reply(self) -> bool:
         """Reply-class packets travel on the response virtual network
@@ -91,14 +99,48 @@ class PacketKind(enum.Enum):
         return self._is_collective
 
 
-# Membership is fixed at class-definition time; precomputing it onto
-# each member turns the per-packet plane test into one attribute load.
+#: Wire size per kind, in bytes.  Header = route + type + sequence
+#: (6 B); addresses and data words are 4 B each on the 32-bit HIB
+#: datapath.  A 14-byte write packet at 20 B/µs serializes in 0.70 µs,
+#: the paper's sustained write rate (§3.2).
+_HEADER, _ADDRESS, _WORD = 6, 4, 4
+_WIRE_BYTES = {
+    "WRITE_REQ": _HEADER + _ADDRESS + _WORD,
+    "READ_REQ": _HEADER + _ADDRESS,
+    "READ_REPLY": _HEADER + _WORD,
+    # Opcode folded into the header; address + up to two operands
+    # (compare-and-swap carries both comparand and new value).
+    "ATOMIC_REQ": _HEADER + _ADDRESS + 2 * _WORD,
+    "ATOMIC_REPLY": _HEADER + _WORD,
+    # Source and destination addresses (§2.2.4).
+    "COPY_REQ": _HEADER + 2 * _ADDRESS,
+    # Reflected write / multicast update: address + value + origin; a
+    # Galactica ring update carries the same fields.
+    "UPDATE": _HEADER + _ADDRESS + _WORD + 2,
+    "RING_UPDATE": _HEADER + _ADDRESS + _WORD + 2,
+    "WRITE_ACK": _HEADER,
+    # Link-level ack/nack: plane tag + cumulative seq.
+    "LL_ACK": _HEADER + _WORD,
+    "LL_NACK": _HEADER + _WORD,
+    # Combined arrival, and release/result: group/generation tag + value.
+    "COLL_JOIN": _HEADER + 2 * _WORD,
+    "COLL_RELEASE": _HEADER + 2 * _WORD,
+    # Combined fetch&add: group/window tag + address + delta.
+    "COLL_FADD": _HEADER + _ADDRESS + 2 * _WORD,
+    # Base-value distribution: group/window tag + value.
+    "COLL_FADD_REPLY": _HEADER + 2 * _WORD,
+}
+
+# Membership and size are fixed at class-definition time; precomputing
+# them onto each member turns the per-packet plane test into one
+# attribute load.
 for _kind in PacketKind:
     _kind._is_ll_control = _kind.name in ("LL_ACK", "LL_NACK")
     _kind._is_reply = _kind.name in (
         "READ_REPLY", "ATOMIC_REPLY", "WRITE_ACK", "LL_ACK", "LL_NACK",
     )
     _kind._is_collective = _kind.name.startswith("COLL_")
+    _kind.size_bytes = _WIRE_BYTES[_kind.name]
 del _kind
 
 
@@ -126,6 +168,7 @@ class Packet:
 
     Notable fields beyond the addressing tuple:
 
+    - ``size_bytes`` — bytes on the wire; defaults to the kind's.
     - ``meta`` — free-form extras (atomic opcode/operands, copy
       destination...); defaults to the shared immutable empty dict.
     - ``pid`` — unique id (debugging, tracing).
@@ -151,18 +194,18 @@ class Packet:
         kind: PacketKind,
         src: int,
         dst: int,
-        size_bytes: int,
+        size_bytes: Optional[int] = None,
         address: Optional[int] = None,
         value: Optional[int] = None,
         op_id: Optional[int] = None,
         origin: Optional[int] = None,
         meta: Optional[Dict[str, Any]] = None,
-        pid: Optional[int] = None,
         injected_at: Optional[int] = None,
         seq: Optional[int] = None,
-        corrupted: bool = False,
     ):
-        if size_bytes <= 0:
+        if size_bytes is None:
+            size_bytes = kind.size_bytes
+        elif size_bytes <= 0:
             raise ValueError("packet size must be positive")
         if src == dst:
             raise ValueError(
@@ -178,15 +221,11 @@ class Packet:
         self.op_id = op_id
         self.origin = origin
         self.meta = _EMPTY_META if meta is None else meta
-        self.pid = next(_packet_ids) if pid is None else pid
+        self.pid = next(_packet_ids)
         self.injected_at = injected_at
         self.seq = seq
-        self.corrupted = corrupted
+        self.corrupted = False
         self.vc_wrap = 0
-
-    def reply_to(self) -> int:
-        """Node a reply to this packet should go to."""
-        return self.src
 
     def replace(self, **changes: Any) -> "Packet":
         """A field-for-field copy with ``changes`` applied (including
@@ -209,7 +248,7 @@ class Packet:
 
 
 class PacketPool:
-    """Recycles :class:`Packet` objects on a lossless fabric.
+    """Recycles :class:`Packet` objects.
 
     Ownership rules (see DESIGN.md, "Packet pooling"):
 
@@ -219,17 +258,18 @@ class PacketPool:
     - The HIB servant/reply loops are the terminal consumers: they
       release the packet after its handler returns.  Handlers must not
       stash the packet object — anything needed later is copied out
-      (every coherence engine forwards a *fresh* packet).
-    - ``acquire`` re-stamps the recycled object with a fresh ``pid``
-      from the same global counter a new packet would use, so pid
-      streams — and therefore traces — are identical with and without
-      pooling.
-    - Pooling is wired **only when no fault injector is attached**:
-      fault duplication and the reliable transport's retransmit window
-      both create second references that outlive the service loop.
+      (every coherence engine sends a *fresh* packet).
+    - ``acquire`` runs ``Packet.__init__`` on a recycled object, so it
+      resets every slot a fresh packet would set and takes a fresh
+      ``pid`` from the same global counter: pid streams — and
+      therefore traces — are identical with and without recycling.
+    - A faulty fabric builds its pool with ``max_free=0``: fault
+      duplication and the reliable transport's retransmit window both
+      create second references that outlive the service loop, so it
+      keeps no released packet and every ``acquire`` builds a fresh one.
 
-    The free list is bounded; overflow packets are simply dropped for
-    the garbage collector.
+    The free list is bounded by ``max_free``; overflow packets are
+    simply dropped for the garbage collector.
     """
 
     __slots__ = ("_free", "max_free", "acquired", "recycled")
@@ -245,7 +285,6 @@ class PacketPool:
         kind: PacketKind,
         src: int,
         dst: int,
-        size_bytes: int,
         address: Optional[int] = None,
         value: Optional[int] = None,
         op_id: Optional[int] = None,
@@ -253,35 +292,17 @@ class PacketPool:
         meta: Optional[Dict[str, Any]] = None,
         injected_at: Optional[int] = None,
     ) -> Packet:
+        """A ``kind`` packet of the kind's wire size, recycled when the
+        free list has one, else new."""
         free = self._free
-        if not free:
+        if free:
+            packet = free.pop()
+            self.recycled += 1
+        else:
+            packet = Packet.__new__(Packet)
             self.acquired += 1
-            return Packet(kind, src, dst, size_bytes, address=address,
-                          value=value, op_id=op_id, origin=origin,
-                          meta=meta, injected_at=injected_at)
-        if size_bytes <= 0:
-            raise ValueError("packet size must be positive")
-        if src == dst:
-            raise ValueError(
-                f"packet {kind} sent from node {src} to itself; "
-                "local operations must not enter the fabric"
-            )
-        packet = free.pop()
-        self.recycled += 1
-        packet.kind = kind
-        packet.src = src
-        packet.dst = dst
-        packet.size_bytes = size_bytes
-        packet.address = address
-        packet.value = value
-        packet.op_id = op_id
-        packet.origin = origin
-        packet.meta = _EMPTY_META if meta is None else meta
-        packet.pid = next(_packet_ids)
-        packet.injected_at = injected_at
-        packet.seq = None
-        packet.corrupted = False
-        packet.vc_wrap = 0
+        Packet.__init__(packet, kind, src, dst, None, address, value, op_id,
+                        origin, meta, injected_at)
         return packet
 
     def release(self, packet: Packet) -> None:
@@ -289,23 +310,3 @@ class PacketPool:
         if len(free) < self.max_free:
             packet.meta = _EMPTY_META  # drop payload references early
             free.append(packet)
-
-
-class _NullPacketPool(PacketPool):
-    """Pay-for-use stand-in when pooling is unsafe (fault injection):
-    ``acquire`` constructs a fresh packet, ``release`` drops it."""
-
-    __slots__ = ()
-
-    def acquire(self, kind, src, dst, size_bytes, address=None, value=None,
-                op_id=None, origin=None, meta=None, injected_at=None):
-        return Packet(kind, src, dst, size_bytes, address=address,
-                      value=value, op_id=op_id, origin=origin,
-                      meta=meta, injected_at=injected_at)
-
-    def release(self, packet: Packet) -> None:
-        return None
-
-
-#: Shared inert pool for faulty fabrics and tests.
-NULL_POOL = _NullPacketPool(max_free=0)

@@ -16,6 +16,10 @@ provenance.  Three classes of numbers:
 3. **Derived** — computed from the above (e.g. packet serialization
    time = size / link bandwidth).
 
+Packet wire sizes are not parameters: each packet kind has one wire
+format, so its size lives on
+:class:`~repro.network.packet.PacketKind` (``size_bytes``).
+
 The default values reproduce the paper's Table 1 configuration
 (Telegraphos I) and its §3.2 measurements; see
 ``repro.exp.experiments.t2_latency.check`` for the check.
@@ -220,87 +224,11 @@ class SizingParams:
 
 
 @dataclass(frozen=True)
-class PacketSizes:
-    """Wire sizes per packet kind, in bytes.
-
-    Header = route + type + sequence (6 B); addresses and data words
-    are 4 B each on the 32-bit HIB datapath.  A 14-byte write packet at
-    20 B/µs serializes in 0.70 µs — the paper's sustained write rate.
-    """
-
-    header: int = 6
-    address: int = 4
-    word: int = 4
-
-    @property
-    def write_request(self) -> int:
-        return self.header + self.address + self.word  # 14 B
-
-    @property
-    def read_request(self) -> int:
-        return self.header + self.address  # 10 B
-
-    @property
-    def read_reply(self) -> int:
-        return self.header + self.word  # 10 B
-
-    @property
-    def atomic_request(self) -> int:
-        # opcode folded into header; address + up to two operands
-        # (compare-and-swap carries both comparand and new value).
-        return self.header + self.address + 2 * self.word
-
-    @property
-    def atomic_reply(self) -> int:
-        return self.header + self.word
-
-    @property
-    def copy_request(self) -> int:
-        # Source and destination addresses (§2.2.4).
-        return self.header + 2 * self.address
-
-    @property
-    def update(self) -> int:
-        # Reflected-write / multicast update: address + value + origin.
-        return self.header + self.address + self.word + 2
-
-    @property
-    def ack(self) -> int:
-        return self.header
-
-    @property
-    def ll_control(self) -> int:
-        # Link-level ack/nack: header + plane tag + cumulative seq.
-        return self.header + self.word
-
-    @property
-    def coll_join(self) -> int:
-        # Combined arrival: group/generation tag + combined value.
-        return self.header + 2 * self.word
-
-    @property
-    def coll_release(self) -> int:
-        # Release/result broadcast: group/generation tag + value.
-        return self.header + 2 * self.word
-
-    @property
-    def coll_fadd(self) -> int:
-        # Combined fetch&add: group/window tag + address + delta.
-        return self.header + self.address + 2 * self.word
-
-    @property
-    def coll_fadd_reply(self) -> int:
-        # Base-value distribution: group/window tag + value.
-        return self.header + 2 * self.word
-
-
-@dataclass(frozen=True)
 class Params:
     """Aggregate configuration object passed around the whole system."""
 
     timing: TimingParams = field(default_factory=TimingParams)
     sizing: SizingParams = field(default_factory=SizingParams)
-    packets: PacketSizes = field(default_factory=PacketSizes)
     #: 1 = Telegraphos I (shared data in HIB MPM; special ops launched
     #: via special mode + PAL code); 2 = Telegraphos II (shared data in
     #: main memory; contexts + shadow addressing + keys).

@@ -22,14 +22,7 @@ def build(topo):
 
 
 def write_packet(src, dst, seq):
-    return Packet(
-        PacketKind.WRITE_REQ,
-        src,
-        dst,
-        DEFAULT_PARAMS.packets.write_request,
-        address=seq,
-        value=seq,
-    )
+    return Packet(PacketKind.WRITE_REQ, src, dst, address=seq, value=seq)
 
 
 def drain(sim, fabric, node, out, count):

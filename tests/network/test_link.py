@@ -139,11 +139,6 @@ def test_packet_validation():
         Packet(PacketKind.WRITE_REQ, 0, 1, 0)
 
 
-def test_packet_reply_to():
-    pkt = make_packet(src=3, dst=7)
-    assert pkt.reply_to() == 3
-
-
 def test_packet_ids_unique():
     a, b = make_packet(), make_packet()
     assert a.pid != b.pid

@@ -8,10 +8,7 @@ from repro.sim import Simulator
 
 
 def write_packet(src, dst, seq=0):
-    return Packet(
-        PacketKind.WRITE_REQ, src, dst,
-        DEFAULT_PARAMS.packets.write_request, address=seq,
-    )
+    return Packet(PacketKind.WRITE_REQ, src, dst, address=seq)
 
 
 def test_no_head_of_line_blocking():
@@ -80,10 +77,7 @@ def test_replies_travel_response_plane():
 
     def send_reply():
         yield 5_000  # after the flood has clogged the request plane
-        reply = Packet(
-            PacketKind.READ_REPLY, 0, 1,
-            DEFAULT_PARAMS.packets.read_reply, value=7,
-        )
+        reply = Packet(PacketKind.READ_REPLY, 0, 1, value=7)
         yield fabric.port(0).send(reply)
 
     def reply_drain():

@@ -135,14 +135,7 @@ def test_dor_route_length_between_hosts():
 
 
 def _write_packet(src, dst, seq):
-    return Packet(
-        PacketKind.WRITE_REQ,
-        src,
-        dst,
-        DEFAULT_PARAMS.packets.write_request,
-        address=seq,
-        value=seq,
-    )
+    return Packet(PacketKind.WRITE_REQ, src, dst, address=seq, value=seq)
 
 
 def _all_to_all(kernel, routing, n_each=3):

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.network.packet import PacketKind
 from repro.params import (
     DEFAULT_PARAMS,
-    PacketSizes,
     Params,
     TimingParams,
 )
@@ -16,18 +16,21 @@ def test_serialization_scales_with_bandwidth():
     assert timing.serialization_ns(14) == 700
 
 
+#: Every kind's wire size: a 6-byte header plus 4-byte addresses and
+#: words (an update adds a 2-byte origin).
+WIRE_BYTES = {
+    "WRITE_REQ": 14, "READ_REQ": 10, "READ_REPLY": 10, "ATOMIC_REQ": 18,
+    "ATOMIC_REPLY": 10, "COPY_REQ": 14, "UPDATE": 16, "WRITE_ACK": 6,
+    "RING_UPDATE": 16, "LL_ACK": 10, "LL_NACK": 10, "COLL_JOIN": 14,
+    "COLL_RELEASE": 14, "COLL_FADD": 18, "COLL_FADD_REPLY": 14,
+}
+
+
 def test_packet_sizes_consistent_with_calibration():
-    sizes = PacketSizes()
+    assert {kind.name: kind.size_bytes for kind in PacketKind} == WIRE_BYTES
     # The 14-byte write packet is what pins sustained writes to 0.70 us.
-    assert sizes.write_request == 14
-    assert DEFAULT_PARAMS.timing.serialization_ns(sizes.write_request) == 700
-    assert sizes.read_request == 10
-    assert sizes.read_reply == 10
-    assert sizes.atomic_request == 18
-    assert sizes.atomic_reply == 10
-    assert sizes.copy_request == 14
-    assert sizes.update == 16
-    assert sizes.ack == 6
+    write = PacketKind.WRITE_REQ.size_bytes
+    assert DEFAULT_PARAMS.timing.serialization_ns(write) == 700
 
 
 def test_params_with_timing_override():
