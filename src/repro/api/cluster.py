@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.api.config import ClusterConfig
 from repro.coherence import CoherenceChecker, SharingDirectory, make_engine
-from repro.faults import FaultInjector
+from repro.faults import CATEGORIES, FaultInjector
 from repro.hib import HIB
 from repro.hib.backend import DramBackend, MpmBackend
 from repro.machine import (
@@ -115,8 +115,7 @@ class Cluster:
         fault_config = config.fault_config()
         #: The cluster-wide fault injector (``None`` = lossless fabric).
         self.injector: Optional[FaultInjector] = (
-            FaultInjector(self.sim, fault_config, tracer=self.tracer,
-                          metrics=self.metrics)
+            FaultInjector(self.sim, fault_config, tracer=self.tracer)
             if fault_config is not None else None
         )
         self.fabric = Fabric(
@@ -308,11 +307,20 @@ class Cluster:
         """Wire callback gauges over every layer's native counters.
 
         Pull-based: nothing here costs anything until
-        :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` runs.
+        :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` runs.  Each
+        count has one owner, the layer that observes it; the registry
+        only reads it.
         """
         m = self.metrics
         if not m.enabled:
             return
+        injector = self.injector
+        if injector is not None:
+            for kind in CATEGORIES:
+                m.gauge_fn(f"faults.{kind}s",
+                           lambda c=injector.counts, k=kind: c[k])
+            m.gauge_fn("faults.node_failures",
+                       lambda i=injector: len(i.node_failures))
         for station in self.nodes:
             nid = station.node_id
             hib, cpu = station.hib, station.cpu
@@ -328,6 +336,18 @@ class Cluster:
                        lambda o=out: o.max_outstanding, node=nid)
             m.gauge_fn("hib.ops_issued",
                        lambda o=out: o.total_issued, node=nid)
+            transport = hib.transport
+            if transport is not None:
+                # Per node: the sum over its per-peer delivery logs.
+                for key in ("retransmits", "timeouts", "nacks_received"):
+                    m.gauge_fn(f"hib.{key}",
+                               lambda d=transport.destinations, k=key: sum(
+                                   getattr(log, k) for log in d.values()),
+                               node=nid)
+                for key in transport.stats:
+                    m.gauge_fn(f"hib.{key}",
+                               lambda s=transport.stats, k=key: s[k],
+                               node=nid)
             for label, bus in (("membus", station.membus),
                                ("tc", station.tc_bus)):
                 m.gauge_fn("bus.transactions",

@@ -43,7 +43,6 @@ class CounterCache:
         self.stalls = 0
         self.stall_ns = 0
         self.max_used = 0
-        self.increments = 0
         # Hit = the key was already resident (no allocation needed);
         # miss = a first-touch increment had to allocate an entry.
         self.hits = 0
@@ -51,6 +50,11 @@ class CounterCache:
 
     def value(self, key: Key) -> int:
         return self._counters.get(key, 0)
+
+    @property
+    def increments(self) -> int:
+        """Every increment is a hit or a miss."""
+        return self.hits + self.misses
 
     @property
     def used(self) -> int:
@@ -63,7 +67,6 @@ class CounterCache:
     def increment(self, key: Key, sim=None):
         """Generator: bump the counter, stalling while the cache is
         full and the key is not already resident."""
-        self.increments += 1
         if key in self._counters:
             self.hits += 1
         else:

@@ -170,8 +170,7 @@ def run_fabric_point(routing: str, traffic: str, n_nodes: int = 24,
 
     faults = None
     if traffic == "fault_soak":
-        faults = {"seed": 11, "drop_rate": 0.002,
-                  "duplicate_rate": 0.001, "reliability": True}
+        faults = {"seed": 11, "drop_rate": 0.002, "duplicate_rate": 0.001}
     elif traffic != "hotspot":
         raise ValueError(f"unknown traffic pattern {traffic!r}")
     cluster = Cluster(ClusterConfig(n_nodes=n_nodes, topology="torus",

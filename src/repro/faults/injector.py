@@ -5,7 +5,9 @@ One injector per cluster.  Links and switch input ports call
 :meth:`FaultInjector.action_for` once per packet traversal; the HIB
 servant loops call :meth:`hang_remaining`; the reliable transport
 reports unrecoverable peers through :meth:`record_failure`.  Every
-fault is counted (metrics registry) and traced (``fault_drop``,
+fault is counted once, in :attr:`FaultInjector.counts` (unrecoverable
+peers in :attr:`FaultInjector.node_failures`), which the cluster's
+metrics registry reads as ``faults.*``, and traced (``fault_drop``,
 ``fault_corrupt``, ``fault_duplicate``, ``fault_stall`` events), so a
 Chrome-trace export shows injected faults inline with the retries they
 provoke.
@@ -18,7 +20,6 @@ from typing import Any, Dict, List, Optional
 
 from repro.faults.plan import FaultConfig, FaultDecision, FaultPlan
 from repro.network.packet import Packet
-from repro.obs.metrics import NULL_REGISTRY
 
 
 class NodeUnreachableError(RuntimeError):
@@ -67,20 +68,15 @@ class NodeFailure:
 class FaultInjector:
     """Applies the plan to packets and tracks everything it did."""
 
-    def __init__(self, sim, config: FaultConfig, tracer=None, metrics=None):
+    def __init__(self, sim, config: FaultConfig, tracer=None):
         self.sim = sim
         self.config = config
         self.plan = FaultPlan(config)
         self.tracer = tracer
-        self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.node_failures: List[NodeFailure] = []
         self.counts: Dict[str, int] = {
             "drop": 0, "corrupt": 0, "duplicate": 0, "stall": 0,
             "forced_drop": 0,
-        }
-        self._m = {
-            kind: self.metrics.counter(f"faults.{kind}s")
-            for kind in ("drop", "corrupt", "duplicate", "stall")
         }
 
     # -- packet-level faults (called by links and switch ports) ---------
@@ -91,7 +87,6 @@ class FaultInjector:
             self.counts[decision.kind] += 1
             if decision.forced:
                 self.counts["forced_drop"] += 1
-            self._m[decision.kind].inc()
             if self.tracer is not None:
                 # No packet.pid here: pids come from a process-global
                 # counter, and fault traces must compare equal across
@@ -112,7 +107,6 @@ class FaultInjector:
 
     def record_failure(self, failure: NodeFailure) -> None:
         self.node_failures.append(failure)
-        self.metrics.counter("faults.node_failures").inc()
         if self.tracer is not None:
             self.tracer.record(
                 "node_failure", node=failure.reporter, peer=failure.peer,

@@ -19,7 +19,7 @@ first time two links race.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional, Tuple
 
 
@@ -83,15 +83,6 @@ class FaultConfig:
     #: Transient HIB hangs: ``(node, at_ns, for_ns)`` windows during
     #: which that node's servant loops stop draining their FIFOs.
     hib_hangs: Tuple[Tuple[int, int, int], ...] = ()
-    #: Run the sequence/ack/retry protocol (repro.hib.reliable).  Off
-    #: means raw injected faults with no tolerance — useful to show the
-    #: checker catching the resulting incoherence.
-    reliability: bool = True
-
-    _KNOWN = (
-        "seed", "drop_rate", "corrupt_rate", "duplicate_rate", "stall_rate",
-        "stall_ns", "sites", "drop_exact", "hib_hangs", "reliability",
-    )
 
     def __post_init__(self) -> None:
         for rate_name in ("drop_rate", "corrupt_rate", "duplicate_rate",
@@ -104,11 +95,12 @@ class FaultConfig:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultConfig":
-        unknown = set(data) - set(cls._KNOWN)
+        known = [f.name for f in fields(cls)]
+        unknown = set(data) - set(known)
         if unknown:
             raise ValueError(
                 f"unknown fault config key(s) {sorted(unknown)}; "
-                f"known: {list(cls._KNOWN)}"
+                f"known: {known}"
             )
         data = dict(data)
         if data.get("sites") is not None:
@@ -136,7 +128,6 @@ class FaultConfig:
             "sites": None if self.sites is None else list(self.sites),
             "drop_exact": [list(e) for e in self.drop_exact],
             "hib_hangs": [list(e) for e in self.hib_hangs],
-            "reliability": self.reliability,
         }
 
 

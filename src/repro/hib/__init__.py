@@ -15,6 +15,8 @@ hardware, every shared-memory operation the paper lists:
 - counters of outstanding remote operations and the FENCE /
   MEMORY_BARRIER (§2.2, §2.3.5) — :mod:`repro.hib.outstanding`;
 - eager-update multicast (§2.2.7) — :mod:`repro.hib.multicast`;
+- the retry protocol a faulty fabric runs, with its per-peer delivery
+  logs (an extension beyond the paper) — :mod:`repro.hib.reliable`;
 - the Table 1 hardware cost model — :mod:`repro.hib.gatecount`.
 """
 
@@ -22,13 +24,10 @@ from repro.hib.atomic import AtomicOp
 from repro.hib.gatecount import GateCountModel
 from repro.hib.hib import HIB
 from repro.hib.multicast import MulticastTable
-from repro.hib.outstanding import (
-    DestinationLog,
-    OutstandingOps,
-    OutstandingUnderflowError,
-)
+from repro.hib.outstanding import OutstandingOps, OutstandingUnderflowError
 from repro.hib.page_counters import PageAccessCounters
 from repro.hib.registers import Reg
+from repro.hib.reliable import DestinationLog
 from repro.hib.special import (
     LaunchError,
     SpecialOpcode,

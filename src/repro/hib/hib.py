@@ -52,9 +52,9 @@ from repro.machine.bus import Bus
 from repro.machine.interrupts import InterruptController
 from repro.network.fabric import NetworkPort
 from repro.network.packet import Packet, PacketKind
-from repro.obs.metrics import NULL_METRIC, NULL_REGISTRY
+from repro.obs.metrics import MetricsRegistry
 from repro.params import Params
-from repro.sim import BoundedQueue, Future, Simulator, Tracer
+from repro.sim import Accumulator, Future, Simulator, Tracer
 
 
 class HIB:
@@ -71,7 +71,7 @@ class HIB:
         backend: Any,
         interrupts: Optional[InterruptController] = None,
         tracer: Optional[Tracer] = None,
-        metrics: Any = None,
+        metrics: Optional[MetricsRegistry] = None,
         injector: Any = None,
     ):
         self.sim = sim
@@ -103,13 +103,6 @@ class HIB:
         self._op_ids = itertools.count(1)
         #: Page selected by the §2.2.6 counter-window registers.
         self._counter_select = [0, 0]
-        # §2.3.5 footnote: "no more than one outstanding read
-        # operation" — a token pool sized by params.
-        self._read_tokens = BoundedQueue(
-            max(1, sizing.max_outstanding_reads), name=f"hib{node_id}.rdtok"
-        )
-        for _ in range(max(1, sizing.max_outstanding_reads)):
-            self._read_tokens.try_put(object())
 
         # Statistics.
         self.stats = {
@@ -122,26 +115,22 @@ class HIB:
             "acks_sent": 0,
             "acks_received": 0,
         }
-        # Push-style instruments (no-ops under a disabled registry):
-        # network time of every packet this HIB served, request
-        # injection to servant pickup.
-        self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self._m_req_wait = self.metrics.histogram(
-            "hib.request_wait_ns", node=node_id
-        )
-        self._m_rsp_wait = self.metrics.histogram(
-            "hib.reply_wait_ns", node=node_id
-        )
+        self.metrics = (metrics if metrics is not None
+                        else MetricsRegistry(enabled=False))
+        # The network time of every packet this HIB serves, injection
+        # to servant pickup, per plane (``None`` when metrics are off).
+        req_wait = self.metrics.distribution("hib.request_wait_ns",
+                                             node=node_id)
+        rsp_wait = self.metrics.distribution("hib.reply_wait_ns",
+                                             node=node_id)
         #: Optional :class:`~repro.faults.FaultInjector` shared with
         #: the fabric; drives transient HIB hangs in the servant loops.
         self._injector = injector
         #: The retry/timeout protocol (:mod:`repro.hib.reliable`).
-        #: Only built under fault injection; ``None`` keeps every send
-        #: and receive on the paper's raw lossless path.
+        #: Built exactly when faults are injected; ``None`` keeps every
+        #: send and receive on the paper's raw lossless path.
         self._transport: Optional[ReliableTransport] = (
-            ReliableTransport(self, injector)
-            if injector is not None and injector.config.reliability
-            else None
+            None if injector is None else ReliableTransport(self, injector)
         )
         #: Op ids of this node's writes and copies whose completion is
         #: not yet counted, kept only under the reliable transport.
@@ -173,12 +162,11 @@ class HIB:
         }
         timing = params.timing
         self._service = sim.spawn(
-            self._servant(port.receive, timing.hib_decode_ns,
-                          self._m_req_wait),
+            self._servant(port.receive, timing.hib_decode_ns, req_wait),
             name=f"hib{node_id}.svc")
         self._replies = sim.spawn(
             self._servant(port.receive_reply, 2 * timing.hib_cycle_ns,
-                          self._m_rsp_wait),
+                          rsp_wait),
             name=f"hib{node_id}.rsp")
 
     @property
@@ -351,11 +339,12 @@ class HIB:
         )
 
     def _blocking_remote_read(self, home: int, offset: int):
+        """§2.3.5 footnote: "no more than one outstanding read
+        operation".  The load blocks the CPU, which runs one operation
+        at a time, so a node never has two reads in flight."""
         self.stats["remote_reads"] += 1
         self.page_counters.on_access((home, self.amap.page_of(offset)), "read")
-        token = yield self._read_tokens.get()
         value = yield from self._request(PacketKind.READ_REQ, home, offset)
-        yield self._read_tokens.put(token)
         return value
 
     # ------------------------------------------------------------------
@@ -568,11 +557,13 @@ class HIB:
     # Network servant
     # ------------------------------------------------------------------
 
-    def _servant(self, receive, service_ns: int, wait_metric: Any):
+    def _servant(self, receive, service_ns: int,
+                 wait: Optional[Accumulator]):
         """One network servant, spawned once per plane: ``receive``
         yields the next packet of its virtual network, ``service_ns``
         is its per-packet occupancy (the request decode, or the reply
-        latch) and ``wait_metric`` observes each packet's network time.
+        latch) and ``wait`` (``None`` when metrics are off) takes each
+        packet's network time.
 
         The request servant serves writes, reads, atomics, copies and
         coherence/collective packets; the reply servant is the
@@ -588,16 +579,15 @@ class HIB:
         pool = self._pool
         handlers = self._handlers
         stats = self.stats
-        faulty = self._injector is not None
+        transport = self._transport
         tracer = self.tracer
         span = tracer.span if (tracer.enabled and tracer.lanes) else None
-        observe = None if wait_metric is NULL_METRIC else wait_metric.observe
+        observe = None if wait is None else wait.add
         while True:
             packet: Packet = yield receive()
-            if faulty:
+            if transport is not None:
                 yield from self._faulty_receive_gate()
-                if (self._transport is not None
-                        and not self._transport.admit(packet)):
+                if not transport.admit(packet):
                     continue
             stats["packets_served"] += 1
             if observe is not None and packet.injected_at is not None:
@@ -616,13 +606,10 @@ class HIB:
         """Transient HIB hangs (fault injection): a hung board stops
         draining its FIFOs, so back-pressure builds behind it exactly
         as it would behind a wedged real board."""
-        if self._injector is not None:
-            stall = self._injector.hang_remaining(self.node_id, self.sim.now)
-            if stall:
-                self.tracer.record(
-                    "hib_hang", node=self.node_id, for_ns=stall
-                )
-                yield stall
+        stall = self._injector.hang_remaining(self.node_id, self.sim.now)
+        if stall:
+            self.tracer.record("hib_hang", node=self.node_id, for_ns=stall)
+            yield stall
 
     def _serve_write(self, packet: Packet):
         yield from self.backend.write(packet.address, packet.value)

@@ -15,10 +15,10 @@ arrives.  A FENCE is a future that resolves when the counter reaches
 zero.
 
 Under fault injection (:mod:`repro.faults`) the completion machinery
-is also the recovery machinery: the reliable transport keeps
-per-destination delivery state here (:class:`DestinationLog` — acks,
-nacks, retransmissions, timeouts per peer), so "who still owes this
-node a completion" is answerable at any instant, and an underflow —
+is also the recovery machinery: a write the reliable transport gives
+up on is taken off the count (:meth:`~repro.hib.hib.HIB.abandon_packet`)
+so FENCE still resolves; the transport keeps its per-peer delivery
+logs itself (:class:`~repro.hib.reliable.DestinationLog`).  An underflow —
 one completion counted twice, exactly what a duplicated ack would
 cause without sequence-number dedup — raises
 :class:`OutstandingUnderflowError` instead of silently going negative.
@@ -26,34 +26,13 @@ cause without sequence-number dedup — raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from repro.sim import Future
 
 
 class OutstandingUnderflowError(RuntimeError):
     """A completion was counted that was never issued (double ack)."""
-
-
-@dataclass
-class DestinationLog:
-    """Per-peer delivery accounting for the retry protocol."""
-
-    sent: int = 0
-    acked: int = 0
-    nacks_received: int = 0
-    retransmits: int = 0
-    timeouts: int = 0
-
-    def to_dict(self) -> Dict[str, int]:
-        return {
-            "sent": self.sent,
-            "acked": self.acked,
-            "nacks_received": self.nacks_received,
-            "retransmits": self.retransmits,
-            "timeouts": self.timeouts,
-        }
 
 
 class OutstandingOps:
@@ -66,9 +45,6 @@ class OutstandingOps:
         # Statistics.
         self.total_issued = 0
         self.max_outstanding = 0
-        #: Per-destination ack/nack log, populated only by the
-        #: reliable transport (empty on a fault-free fabric).
-        self.destinations: Dict[int, DestinationLog] = {}
 
     @property
     def count(self) -> int:
@@ -106,15 +82,3 @@ class OutstandingOps:
         else:
             self._fences.append(future)
         return future
-
-    # -- per-destination delivery log (reliable transport) -------------
-
-    def destination(self, dst: int) -> DestinationLog:
-        log = self.destinations.get(dst)
-        if log is None:
-            log = self.destinations[dst] = DestinationLog()
-        return log
-
-    def destinations_snapshot(self) -> Dict[int, Dict[str, int]]:
-        return {dst: log.to_dict()
-                for dst, log in sorted(self.destinations.items())}

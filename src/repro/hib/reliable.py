@@ -32,13 +32,22 @@ packet is cumulatively acknowledged with an ``LL_ACK`` control packet;
 control packets are themselves unsequenced — their loss is recovered
 by the peer's timeout, which breaks the ack-of-ack regress.
 
-With faults off the transport is never constructed and every code path
-in this module is dead: the fabric behaves bit-identically to the
-lossless model.
+**Counts** — the transport is the only writer of its counts: per peer,
+a :class:`DestinationLog` (sent, acked, NACKs received, retransmits,
+timeouts), and in :attr:`ReliableTransport.stats` the receiver and
+control-path counts (NACKs sent, discarded duplicates and corrupt
+packets, dropped link-level acks).  The cluster's metrics registry
+reads both; ``hib.retransmits``, ``hib.timeouts`` and
+``hib.nacks_received`` are sums over the logs.
+
+A faulty fabric always runs the transport on every HIB; with faults
+off it is never constructed and every code path in this module is
+dead: the fabric behaves bit-identically to the lossless model.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Deque, Dict, Optional, Tuple
 
 import collections
@@ -55,15 +64,37 @@ def plane_of(packet: Packet) -> str:
     return "rsp" if packet.kind.is_reply else "req"
 
 
+@dataclass
+class DestinationLog:
+    """Per-peer delivery accounting for the retry protocol."""
+
+    sent: int = 0
+    acked: int = 0
+    nacks_received: int = 0
+    retransmits: int = 0
+    timeouts: int = 0
+
+    def to_dict(self) -> Dict[str, int]:
+        return {
+            "sent": self.sent,
+            "acked": self.acked,
+            "nacks_received": self.nacks_received,
+            "retransmits": self.retransmits,
+            "timeouts": self.timeouts,
+        }
+
+
 class _Channel:
     """Sender-side state for one (destination, plane) pair."""
 
-    __slots__ = ("dst", "plane", "next_seq", "unacked", "timer", "retries",
-                 "retransmitting", "waiters", "dead")
+    __slots__ = ("dst", "plane", "log", "next_seq", "unacked", "timer",
+                 "retries", "retransmitting", "waiters", "dead")
 
-    def __init__(self, dst: int, plane: str):
+    def __init__(self, dst: int, plane: str, log: DestinationLog):
         self.dst = dst
         self.plane = plane
+        #: The peer's log, shared by its two planes' channels.
+        self.log = log
         self.next_seq = 0
         self.unacked: Deque[Packet] = collections.deque()
         self.timer: Optional[Timer] = None
@@ -88,8 +119,16 @@ class ReliableTransport:
         self.node_id = hib.node_id
         self.injector = injector
         self.tracer = hib.tracer
-        self.outstanding = hib.outstanding
 
+        #: Per-peer delivery accounting, one log per destination.
+        self.destinations: Dict[int, DestinationLog] = {}
+        #: Receiver and control-path counts.
+        self.stats = {
+            "nacks_sent": 0,
+            "duplicates_discarded": 0,
+            "corrupt_discarded": 0,
+            "ll_acks_dropped": 0,
+        }
         self._channels: Dict[ChannelKey, _Channel] = {}
         #: Receiver state: next expected seq per (source, plane).
         self._expected: Dict[ChannelKey, int] = {}
@@ -104,23 +143,9 @@ class ReliableTransport:
             self._control_loop(), name=f"hib{self.node_id}.llctrl"
         )
 
-        metrics = hib.metrics
-        timing = self.params.timing
-        self._m_retransmits = metrics.counter("hib.retransmits",
-                                              node=self.node_id)
-        self._m_timeouts = metrics.counter("hib.timeouts", node=self.node_id)
-        self._m_nacks_sent = metrics.counter("hib.nacks_sent",
-                                             node=self.node_id)
-        self._m_nacks_received = metrics.counter("hib.nacks_received",
-                                                 node=self.node_id)
-        self._m_duplicates = metrics.counter("hib.duplicates_discarded",
-                                             node=self.node_id)
-        self._m_corrupt = metrics.counter("hib.corrupt_discarded",
-                                          node=self.node_id)
-        self._m_acks_dropped = metrics.counter("hib.ll_acks_dropped",
-                                               node=self.node_id)
-        base = timing.retry_backoff_ns
-        self._m_backoff = metrics.histogram(
+        base = self.params.timing.retry_backoff_ns
+        #: Every backoff taken (``None`` when metrics are off).
+        self._backoffs = hib.metrics.distribution(
             "hib.backoff_ns", node=self.node_id,
             buckets=tuple(base << k for k in range(6)),
         )
@@ -133,7 +158,10 @@ class ReliableTransport:
         key = (dst, plane)
         channel = self._channels.get(key)
         if channel is None:
-            channel = self._channels[key] = _Channel(dst, plane)
+            log = self.destinations.get(dst)
+            if log is None:
+                log = self.destinations[dst] = DestinationLog()
+            channel = self._channels[key] = _Channel(dst, plane, log)
             channel.timer = Timer(
                 self.sim, lambda ch=channel: self._on_timeout(ch),
                 name=f"hib{self.node_id}.rto.{dst}.{plane}",
@@ -157,7 +185,7 @@ class ReliableTransport:
         packet.seq = channel.next_seq
         channel.next_seq += 1
         channel.unacked.append(packet)
-        self.outstanding.destination(channel.dst).sent += 1
+        channel.log.sent += 1
         if not channel.timer.armed:
             channel.timer.start(self._timeout_ns(channel))
         yield self.port.send(packet)
@@ -174,7 +202,7 @@ class ReliableTransport:
 
     def _on_ack(self, channel: _Channel, upto: int) -> None:
         progressed = False
-        log = self.outstanding.destination(channel.dst)
+        log = channel.log
         while channel.unacked and channel.unacked[0].seq <= upto:
             channel.unacked.popleft()
             log.acked += 1
@@ -188,8 +216,7 @@ class ReliableTransport:
             channel.timer.cancel()
 
     def _on_nack(self, channel: _Channel, expected: int) -> None:
-        self._m_nacks_received.inc()
-        self.outstanding.destination(channel.dst).nacks_received += 1
+        channel.log.nacks_received += 1
         # Everything below the requested seq was delivered.
         self._on_ack(channel, expected - 1)
         self._recover(channel, reason="nack")
@@ -197,8 +224,7 @@ class ReliableTransport:
     def _on_timeout(self, channel: _Channel) -> None:
         if not channel.unacked or channel.dead or channel.retransmitting:
             return
-        self._m_timeouts.inc()
-        self.outstanding.destination(channel.dst).timeouts += 1
+        channel.log.timeouts += 1
         self.tracer.record(
             "retry_timeout", node=self.node_id, dst=channel.dst,
             plane=channel.plane, pending=len(channel.unacked),
@@ -214,7 +240,8 @@ class ReliableTransport:
             self._declare_dead(channel.dst, channel.retries - 1)
             return
         backoff = self._backoff_ns(channel)
-        self._m_backoff.observe(backoff)
+        if self._backoffs is not None:
+            self._backoffs.add(backoff)
         self.tracer.record(
             "retransmit", node=self.node_id, dst=channel.dst,
             plane=channel.plane, reason=reason, retry=channel.retries,
@@ -230,14 +257,13 @@ class ReliableTransport:
 
     def _retransmit(self, channel: _Channel, backoff: int):
         yield backoff
-        log = self.outstanding.destination(channel.dst)
+        log = channel.log
         # Snapshot: acks arriving during a send can shrink the window.
         for packet in tuple(channel.unacked):
             if channel.dead:
                 break
             clone = packet.replace(corrupted=False,
                                    injected_at=self.sim.now)
-            self._m_retransmits.inc()
             log.retransmits += 1
             yield self.port.send(clone)
         channel.retransmitting = False
@@ -288,23 +314,19 @@ class ReliableTransport:
         Runs synchronously in the servant loop, before any simulated
         decode time; control sends are queued on the control pump.
         """
-        if packet.kind.is_ll_control:
-            if not packet.corrupted:
-                self._handle_control(packet)
-            else:
-                self._m_corrupt.inc()
+        if packet.corrupted:
+            # Checksum failure: indistinguishable from loss.  A lost
+            # ack or nack is recovered by this node's own timeout.
+            self.stats["corrupt_discarded"] += 1
+            if not packet.kind.is_ll_control:
+                key = (packet.src, plane_of(packet))
+                self._nack_once(key, packet, self._expected.get(key, 0))
             return False
-        if packet.seq is None:
-            # Unsequenced traffic (e.g. a peer without the retry
-            # protocol): deliver as-is.
-            return not packet.corrupted
+        if packet.kind.is_ll_control:
+            self._handle_control(packet)
+            return False
         key = (packet.src, plane_of(packet))
         expected = self._expected.get(key, 0)
-        if packet.corrupted:
-            # Checksum failure: indistinguishable from loss.
-            self._m_corrupt.inc()
-            self._nack_once(key, packet, expected)
-            return False
         if packet.seq == expected:
             self._expected[key] = expected + 1
             self._last_nacked[key] = None
@@ -314,7 +336,7 @@ class ReliableTransport:
         if packet.seq < expected:
             # Duplicate (injected, or a retransmission that crossed the
             # ack): discard, but re-ack — the ack may have been lost.
-            self._m_duplicates.inc()
+            self.stats["duplicates_discarded"] += 1
             self._queue_control(PacketKind.LL_ACK, packet.src, key[1],
                                expected - 1)
             return False
@@ -327,7 +349,7 @@ class ReliableTransport:
         if self._last_nacked.get(key) == expected:
             return
         self._last_nacked[key] = expected
-        self._m_nacks_sent.inc()
+        self.stats["nacks_sent"] += 1
         self.tracer.record(
             "nack", node=self.node_id, src=packet.src, plane=key[1],
             expected=expected, got=packet.seq,
@@ -351,7 +373,7 @@ class ReliableTransport:
                          injected_at=self.sim.now)
         if not self._ctrl.try_put(control):
             # Recovered by the peer's retransmission timeout.
-            self._m_acks_dropped.inc()
+            self.stats["ll_acks_dropped"] += 1
 
     def _control_loop(self):
         while True:
@@ -364,7 +386,8 @@ class ReliableTransport:
 
     def snapshot(self) -> Dict[str, object]:
         return {
-            "destinations": self.outstanding.destinations_snapshot(),
+            "destinations": {dst: log.to_dict() for dst, log
+                             in sorted(self.destinations.items())},
             "dead_peers": self.dead_peers(),
             "windows": {
                 f"{dst}.{plane}": len(ch.unacked)
@@ -373,4 +396,5 @@ class ReliableTransport:
         }
 
 
-__all__ = ["ReliableTransport", "NodeUnreachableError", "plane_of"]
+__all__ = ["DestinationLog", "ReliableTransport", "NodeUnreachableError",
+           "plane_of"]

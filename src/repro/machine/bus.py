@@ -45,7 +45,6 @@ class Bus:
         # held, and the total time masters spent queued for it.
         self.arb_waits = 0
         self.wait_ns = 0
-        self.max_waiters = 0
 
     # -- explicit interface --------------------------------------------
 
@@ -59,8 +58,6 @@ class Bus:
         else:
             self.arb_waits += 1
             self._waiters.append((future, self.sim.now))
-            if len(self._waiters) > self.max_waiters:
-                self.max_waiters = len(self._waiters)
         return future
 
     def release(self) -> None:

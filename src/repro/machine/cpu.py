@@ -65,10 +65,6 @@ class ProgramContext:
         self.context_id = next(self._ids)
         self.wake: Optional[Future] = None
         self.process: Optional[Process] = None
-        # Per-program statistics.
-        self.ops_executed = 0
-        self.loads = 0
-        self.stores = 0
 
 
 class CPU:
@@ -98,8 +94,7 @@ class CPU:
         #: Optional :class:`~repro.sim.Tracer` for ``cpu_op`` lane
         #: spans (recorded only when ``tracer.lanes`` is set).
         self.tracer = tracer
-        # Node-lifetime counters (per-program counts live on the
-        # ProgramContext; these survive program exit).
+        # Node-lifetime counters, over every program this CPU runs.
         self.ops_executed = 0
         self.loads = 0
         self.stores = 0
@@ -242,19 +237,16 @@ class CPU:
         faulted op's retry and each op inside a PAL sequence comes
         through here, so a sequence counts once plus once per op."""
         timing = self.params.timing
-        ctx.ops_executed += 1
         self.ops_executed += 1
         if isinstance(op, Think):
             yield max(0, op.ns)
             return None
         if isinstance(op, Load):
-            ctx.loads += 1
             self.loads += 1
             yield timing.cpu_issue_ns
             value = yield from self._load(op.vaddr, ctx)
             return value
         if isinstance(op, Store):
-            ctx.stores += 1
             self.stores += 1
             yield timing.cpu_issue_ns
             yield from self._store(op.vaddr, op.value, ctx)

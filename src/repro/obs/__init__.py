@@ -5,10 +5,12 @@ The paper motivates hardware page-access counters as the substrate for
 this package is that tooling layer for the whole reproduction:
 
 - :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of named,
-  tagged counters/gauges/histograms, one per cluster, fed by every
-  layer of the stack (fabric links and switches, HIBs, buses,
-  coherence engines, CPUs).  Disabled registries hand out shared
-  no-op instruments, so observability is strictly pay-for-use.
+  tagged series, one per cluster, that reads the counters every layer
+  of the stack keeps itself (fabric links and switches, HIBs and their
+  reliable transports, the fault injector, buses, coherence engines,
+  CPUs) at snapshot time; distributions (wait times, backoffs) are the
+  only series it is fed.  A disabled registry registers nothing and
+  hands out no distribution, so observability is strictly pay-for-use.
 - :mod:`repro.obs.hooks` — :class:`KernelHooks` callbacks on the
   simulation kernel and the :class:`EventLoopProfiler` built on them
   (events/sec, heap depth, hottest callbacks).
@@ -22,24 +24,12 @@ Entry points: ``Cluster(...).stats()`` for a snapshot,
 
 from repro.obs.chrome_trace import chrome_trace, export_chrome_trace
 from repro.obs.hooks import EventLoopProfiler, KernelHooks
-from repro.obs.metrics import (
-    NULL_METRIC,
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
-    "Counter",
     "EventLoopProfiler",
-    "Gauge",
-    "Histogram",
     "KernelHooks",
     "MetricsRegistry",
-    "NULL_METRIC",
-    "NULL_REGISTRY",
     "chrome_trace",
     "export_chrome_trace",
 ]

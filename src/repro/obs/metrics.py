@@ -6,27 +6,22 @@ in the same lineage (APEnet+, arXiv:1102.3796) ship a register file of
 hardware performance counters for exactly this reason.  This module is
 the software analogue for the whole simulated cluster: one
 :class:`MetricsRegistry` per :class:`~repro.api.cluster.Cluster`, with
-every instrument addressable by a hierarchical name
+every series addressable by a hierarchical name
 (``"hib.remote_writes"``, ``"net.link.packets"``) plus identifying
 tags (``node=0``, ``link="host0->sw.req"``).
 
-Three push-style instruments:
+The registry owns no counts.  Each layer keeps its own plain counters
+(link packet counts, bus busy time, the injector's fault tallies, the
+transport's per-peer logs), and :meth:`MetricsRegistry.gauge_fn`
+registers a callback that reads one of them at
+:meth:`MetricsRegistry.snapshot` time, so steady-state simulation pays
+nothing for it.  The one series the registry feeds is a
+:meth:`~MetricsRegistry.distribution`: an
+:class:`~repro.sim.Accumulator` the caller adds samples to (latencies,
+backoffs), summarised at snapshot time.
 
-- :class:`Counter` — monotonically increasing event count;
-- :class:`Gauge` — a sampled level (also tracks its peak);
-- :class:`Histogram` — a distribution, backed by
-  :class:`~repro.sim.Accumulator` (count/mean/percentiles).
-
-plus **callback gauges** (:meth:`MetricsRegistry.gauge_fn`): most of
-the simulation already keeps cheap integer counters on its components
-(link packet counts, bus busy time, outstanding-op peaks); a callback
-gauge reads such a value lazily at :meth:`MetricsRegistry.snapshot`
-time, so steady-state simulation pays nothing for them at all.
-
-**Pay-for-use**: a disabled registry hands out a shared
-:data:`NULL_METRIC` whose mutators are no-ops, registers no callbacks,
-and snapshots to an empty dict — instrumented code needs no ``if``
-guards and costs one no-op method call at most.
+**Pay-for-use**: a disabled registry registers nothing, hands out no
+distribution (``None``), and snapshots to an empty dict.
 """
 
 from __future__ import annotations
@@ -35,199 +30,70 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim import Accumulator
 
-#: A (name, sorted-tags) identity for one instrument.
-MetricKey = Tuple[str, Tuple[Tuple[str, Any], ...]]
-
 
 def _tag_label(tags: Dict[str, Any]) -> str:
     """Deterministic rendering of a tag set: ``"link=a,node=0"``."""
     return ",".join(f"{k}={v}" for k, v in sorted(tags.items()))
 
 
-class Counter:
-    """A monotonically increasing count of events."""
-
-    __slots__ = ("name", "tags", "value")
-
-    kind = "counter"
-
-    def __init__(self, name: str, tags: Dict[str, Any]):
-        self.name = name
-        self.tags = tags
-        self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        self.value += n
-
-    def snapshot_value(self) -> int:
-        return self.value
-
-
-class Gauge:
-    """A sampled level (queue depth, table occupancy, ...)."""
-
-    __slots__ = ("name", "tags", "value", "peak")
-
-    kind = "gauge"
-
-    def __init__(self, name: str, tags: Dict[str, Any]):
-        self.name = name
-        self.tags = tags
-        self.value = 0
-        self.peak = 0
-
-    def set(self, value) -> None:
-        self.value = value
-        if value > self.peak:
-            self.peak = value
-
-    def add(self, delta) -> None:
-        self.set(self.value + delta)
-
-    def snapshot_value(self) -> Dict[str, Any]:
-        return {"value": self.value, "peak": self.peak}
-
-
-class Histogram:
-    """A distribution of scalar samples (latencies, sizes).
-
-    An optional ``buckets`` sequence of upper bounds adds a cumulative
-    bucket breakdown to the snapshot (``{"<=5000": 3, ..., "inf": 7}``)
-    — used where the *shape* of the distribution is the point, e.g. the
-    retransmission backoff histogram of :mod:`repro.hib.reliable`.
-    """
-
-    __slots__ = ("name", "tags", "acc", "buckets")
-
-    kind = "histogram"
-
-    def __init__(self, name: str, tags: Dict[str, Any],
-                 buckets: Optional[Sequence[float]] = None):
-        self.name = name
-        self.tags = tags
-        self.acc = Accumulator(name)
-        self.buckets = tuple(sorted(buckets)) if buckets else None
-
-    def observe(self, value: float) -> None:
-        self.acc.add(value)
-
-    def snapshot_value(self) -> Dict[str, Any]:
-        if not self.acc.count:
-            return {"count": 0}
-        out: Dict[str, Any] = self.acc.summary()
-        if self.buckets is not None:
-            samples = self.acc.samples
-            out["buckets"] = {
-                f"<={bound:g}": sum(1 for s in samples if s <= bound)
-                for bound in self.buckets
-            }
-            out["buckets"]["inf"] = len(samples)
-        return out
-
-
-class _NullMetric:
-    """Shared stand-in handed out by a disabled registry: every
-    mutator is a no-op, so instrumented code never branches."""
-
-    __slots__ = ()
-
-    kind = "null"
-    value = 0
-    peak = 0
-
-    def inc(self, n: int = 1) -> None:
-        pass
-
-    def set(self, value) -> None:
-        pass
-
-    def add(self, delta) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def snapshot_value(self) -> int:
-        return 0
-
-
-#: The shared no-op instrument (see :class:`_NullMetric`).
-NULL_METRIC = _NullMetric()
+def _summary(acc: Accumulator,
+             buckets: Optional[Tuple[float, ...]]) -> Dict[str, Any]:
+    """A distribution's snapshot: ``{"count": 0}`` when empty, else the
+    :meth:`~repro.sim.Accumulator.summary` plus, with ``buckets``, a
+    cumulative breakdown (``{"<=5000": 3, ..., "inf": 7}``)."""
+    if not acc.count:
+        return {"count": 0}
+    out: Dict[str, Any] = acc.summary()
+    if buckets is not None:
+        samples = acc.samples
+        out["buckets"] = {
+            f"<={bound:g}": sum(1 for s in samples if s <= bound)
+            for bound in buckets
+        }
+        out["buckets"]["inf"] = len(samples)
+    return out
 
 
 class MetricsRegistry:
-    """Named, tagged instruments for one cluster.
-
-    The same ``(name, tags)`` pair always resolves to the same
-    instrument, so independent call sites may share a counter.
-    """
+    """Named, tagged series for one cluster, read at snapshot time."""
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self._metrics: Dict[MetricKey, Any] = {}
-        #: Lazily-evaluated gauges: (name, tags, callable).
-        self._callbacks: List[Tuple[str, Dict[str, Any], Callable[[], Any]]] = []
-
-    # -- instrument factories -------------------------------------------
-
-    def _get(self, cls, name: str, tags: Dict[str, Any], **extra: Any):
-        if not self.enabled:
-            return NULL_METRIC
-        key = (name, tuple(sorted(tags.items())))
-        metric = self._metrics.get(key)
-        if metric is None:
-            metric = cls(name, tags, **extra)
-            self._metrics[key] = metric
-        elif not isinstance(metric, cls):
-            raise TypeError(
-                f"metric {name!r} {tags!r} already registered as "
-                f"{metric.kind}, not {cls.kind}"
-            )
-        return metric
-
-    def counter(self, name: str, **tags: Any) -> Counter:
-        return self._get(Counter, name, tags)
-
-    def gauge(self, name: str, **tags: Any) -> Gauge:
-        return self._get(Gauge, name, tags)
-
-    def histogram(self, name: str,
-                  buckets: Optional[Sequence[float]] = None,
-                  **tags: Any) -> Histogram:
-        return self._get(Histogram, name, tags, buckets=buckets)
+        #: Every series in registration order: (name, tags, reader).
+        self._series: List[Tuple[str, Dict[str, Any], Callable[[], Any]]] = []
 
     def gauge_fn(self, name: str, fn: Callable[[], Any], **tags: Any) -> None:
         """Register a callback gauge: ``fn()`` is evaluated only at
         snapshot time (zero steady-state cost)."""
-        if not self.enabled:
-            return
-        self._callbacks.append((name, tags, fn))
+        if self.enabled:
+            self._series.append((name, tags, fn))
 
-    # -- export ---------------------------------------------------------
+    def distribution(self, name: str,
+                     buckets: Optional[Sequence[float]] = None,
+                     **tags: Any) -> Optional[Accumulator]:
+        """Register a distribution and return the
+        :class:`~repro.sim.Accumulator` to feed it, or ``None`` when
+        the registry is disabled.  ``buckets`` (upper bounds) adds a
+        cumulative bucket breakdown where the *shape* is the point,
+        e.g. the retransmission backoff of :mod:`repro.hib.reliable`."""
+        if not self.enabled:
+            return None
+        acc = Accumulator(name)
+        bounds = tuple(sorted(buckets)) if buckets else None
+        self._series.append((name, tags, lambda: _summary(acc, bounds)))
+        return acc
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
-        """``{metric name: {tag label: value}}``, deterministic order.
+        """``{metric name: {tag label: value}}``, names sorted, each
+        name's tag sets in registration order.
 
-        Counter/callback values are plain numbers; gauges snapshot to
-        ``{"value", "peak"}``; histograms to an
-        :meth:`~repro.sim.Accumulator.summary` dict.
+        Callback values are whatever the callback returns; a
+        distribution snapshots to a summary dict (see :func:`_summary`).
         """
         out: Dict[str, Dict[str, Any]] = {}
-        for (name, _), metric in sorted(
-            self._metrics.items(), key=lambda kv: kv[0]
-        ):
-            out.setdefault(name, {})[_tag_label(metric.tags)] = (
-                metric.snapshot_value()
-            )
-        for name, tags, fn in self._callbacks:
+        for name, tags, fn in self._series:
             out.setdefault(name, {})[_tag_label(tags)] = fn()
         return {name: out[name] for name in sorted(out)}
 
     def __len__(self) -> int:
-        return len(self._metrics) + len(self._callbacks)
-
-
-#: A permanently-disabled registry, the default wired into components
-#: whose owner supplied none — every instrument it hands out is
-#: :data:`NULL_METRIC`.
-NULL_REGISTRY = MetricsRegistry(enabled=False)
+        return len(self._series)

@@ -191,9 +191,6 @@ class SizingParams:
     mpm_bytes: int = 16 * 1024 * 1024
     #: Telegraphos contexts available on the HIB (Tg II, §2.2.4).
     contexts: int = 16
-    #: Maximum outstanding remote reads (§2.3.5 footnote: "no more
-    #: than one outstanding read operation").
-    max_outstanding_reads: int = 1
     #: Consecutive retransmissions of one window before the peer is
     #: declared unreachable (a structured NodeFailure report).
     retry_limit: int = 10

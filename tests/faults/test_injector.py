@@ -114,6 +114,11 @@ def test_hang_remaining_window():
 def test_from_dict_rejects_unknown_keys():
     with pytest.raises(ValueError, match="drop_rat"):
         FaultConfig.from_dict({"seed": 1, "drop_rat": 0.1})
+    # The known keys are the dataclass's fields, in order; a faulty
+    # fabric always runs the reliable transport, so no key turns it off.
+    with pytest.raises(ValueError, match=r"\['reliability'\]; known: "
+                       r"\['seed', 'drop_rate', .*, 'hib_hangs'\]$"):
+        FaultConfig.from_dict({"reliability": False})
 
 
 def test_rates_validated():

@@ -1,10 +1,20 @@
-"""Edge-path tests for the HIB: third-party copies, read-token
-limiting, reply bookkeeping, stats."""
+"""Edge-path tests for the HIB: third-party copies, the one
+outstanding read, reply bookkeeping, stats."""
 
 
 from repro.hib import Reg, SpecialOpcode
 from repro.machine import Fence, Load, PalSequence, Store
+from repro.os.scheduler import RoundRobinScheduler
 
+
+class PeakDict(dict):
+    """A dict that remembers the most entries it ever held."""
+
+    peak = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.peak = max(self.peak, len(self))
 
 
 def test_copy_between_two_remote_nodes(rig):
@@ -57,22 +67,32 @@ def test_copy_local_to_local(rig):
 
 def test_single_outstanding_read_token(rig):
     """§2.3.5 footnote: 'there can be no more than one outstanding
-    read operation' — reads are blocking so the token pool is never
-    contended by one program, but the pool must refill (N sequential
-    reads complete)."""
+    read operation'.  A load blocks the CPU until its reply, so even
+    two programs time-sliced on one CPU, both streaming remote loads,
+    never have two READ_REQs pending at once."""
     hib = rig.node(0).hib
-    space = rig.space(0)
-    base = rig.map_remote(space, vpage=0, home=1)
-    got = []
+    hib._pending = PeakDict()
+    for word in range(8):
+        rig.node(1).backend.poke(4 * word, 100 + word)
+    scheduler = RoundRobinScheduler(rig.sim, rig.params.timing,
+                                    rig.node(0).cpu, quantum_ns=3_000)
+    got = {0: [], 1: []}
 
-    def prog():
-        for i in range(4):
-            got.append((yield Load(base + 4 * i)))
+    def prog(tag, base):
+        for i in range(8):
+            got[tag].append((yield Load(base + 4 * i)))
 
-    ctx = rig.run_on(0, prog(), space)
-    rig.run_all(ctx)
-    assert got == [0, 0, 0, 0]
-    assert len(hib._read_tokens) == 1  # the token came back each time
+    ctxs = []
+    for tag in (0, 1):
+        space = rig.space(0)
+        base = rig.map_remote(space, vpage=0, home=1)
+        ctxs.append(rig.run_on(0, prog(tag, base), space))
+    rig.run_all(*ctxs)
+    assert got == {tag: [100 + i for i in range(8)] for tag in (0, 1)}
+    assert scheduler.switches > 0  # the streams did interleave
+    assert hib.stats["remote_reads"] == 16
+    assert hib._pending.peak == 1
+    assert not hib._pending
 
 
 def test_unknown_reply_op_id_is_fatal(rig):

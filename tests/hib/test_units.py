@@ -6,6 +6,7 @@ import pytest
 
 from repro.hib import (
     AtomicOp,
+    DestinationLog,
     LaunchError,
     MulticastTable,
     OutstandingOps,
@@ -56,16 +57,12 @@ def test_outstanding_underflow_on_bulk_decrement():
 
 
 def test_destination_log_accounting():
-    ops = OutstandingOps(0)
-    log = ops.destination(2)
-    assert ops.destination(2) is log  # one log per peer
+    log = DestinationLog()
     log.sent += 3
     log.acked += 2
     log.timeouts += 1
-    assert ops.destinations_snapshot() == {
-        2: {"sent": 3, "acked": 2, "nacks_received": 0,
-            "retransmits": 0, "timeouts": 1},
-    }
+    assert log.to_dict() == {"sent": 3, "acked": 2, "nacks_received": 0,
+                             "retransmits": 0, "timeouts": 1}
 
 
 def test_fence_immediate_when_quiescent():

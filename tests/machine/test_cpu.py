@@ -169,8 +169,7 @@ def test_fault_handler_can_fix_and_retry():
     assert fixed == [vaddr, unmapped_load]
     assert got == [5, 0]
     # A retried op counts again: the store and the last load twice.
-    for counts in (ctx, cpu):
-        assert (counts.ops_executed, counts.stores, counts.loads) == (5, 2, 3)
+    assert (cpu.ops_executed, cpu.stores, cpu.loads) == (5, 2, 3)
 
 
 def test_fault_handler_kill_throws_into_program():
@@ -329,10 +328,8 @@ def test_program_stats_counted():
         yield Load(0)
         yield Think(5)
 
-    ctx = run_program(sim, cpu, local_space(amap), prog())
-    assert ctx.stores == 1
-    assert ctx.loads == 1
-    assert ctx.ops_executed == 3
+    run_program(sim, cpu, local_space(amap), prog())
+    assert (cpu.ops_executed, cpu.stores, cpu.loads) == (3, 1, 1)
 
     # A PAL sequence counts as one op, plus each op inside it.
     sim, cpu, amap, _, _ = make_cpu()
@@ -341,6 +338,5 @@ def test_program_stats_counted():
         yield Think(5)
         yield PalSequence([Store(0, 1), Load(0), Think(5)])
 
-    ctx = run_program(sim, cpu, local_space(amap), pal_prog())
-    for counts in (ctx, cpu):
-        assert (counts.ops_executed, counts.stores, counts.loads) == (5, 1, 1)
+    run_program(sim, cpu, local_space(amap), pal_prog())
+    assert (cpu.ops_executed, cpu.stores, cpu.loads) == (5, 1, 1)

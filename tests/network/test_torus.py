@@ -232,8 +232,7 @@ def test_fault_soak_terminates_with_exact_counter(routing):
 
     cluster = Cluster(ClusterConfig(
         n_nodes=8, topology="torus", routing=routing,
-        faults={"seed": 7, "drop_rate": 0.004, "duplicate_rate": 0.002,
-                "reliability": True},
+        faults={"seed": 7, "drop_rate": 0.004, "duplicate_rate": 0.002},
     ))
     result = run_hotspot_counter(cluster, increments_per_node=4)
     assert result.final_value == result.expected_value

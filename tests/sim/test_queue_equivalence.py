@@ -40,7 +40,6 @@ import random
 
 import pytest
 
-import repro.hib.hib as hib_module
 import repro.hib.reliable as reliable_module
 import repro.machine.interrupts as interrupts_module
 import repro.network.fabric as fabric_module
@@ -324,7 +323,7 @@ def test_scripts_tell_the_mutants_apart(mutant):
 
 #: Every module that builds a queue in ``run_cluster``'s cluster, the
 #: process link's and switches' included.
-QUEUE_MODULES = (fabric_module, hib_module, reliable_module,
+QUEUE_MODULES = (fabric_module, reliable_module,
                   interrupts_module, reference_link_module,
                   reference_switch_module, reference_torus_module)
 

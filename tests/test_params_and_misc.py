@@ -65,10 +65,10 @@ def test_sizing_override_rejects_non_int_or_below_one(field, value, error):
 @pytest.mark.parametrize("override, field", [
     ("with_timing", "cpu_op_ns"), ("with_timing", "hib_counter_rmw_ns"),
     ("with_sizing", "word_bytes"), ("with_sizing", "counter_cache_entries"),
-    ("with_sizing", "page_words"),
+    ("with_sizing", "page_words"), ("with_sizing", "max_outstanding_reads"),
 ])
 def test_override_of_a_deleted_field_is_rejected(override, field):
-    # Nothing read these; an override must fail, not do nothing.
+    # These fields are gone; an override must fail, not do nothing.
     with pytest.raises(TypeError, match=field):
         getattr(DEFAULT_PARAMS, override)(**{field: 8})
 
