@@ -92,7 +92,9 @@ class ClusterReport:
     def switch_table(self) -> Table:
         """Tree fabrics report shared-buffer pressure; torus fabrics
         (``routing="dor"``/``"adaptive"``) report routing-decision
-        counters and the queue depths the adaptive router saw."""
+        counters and the queue depths the adaptive router saw.  Rows
+        follow the fabric's build order: plane, then switch id in
+        numeric order."""
         fabric = self.cluster.fabric
         if any(plane for plane in fabric.torus_switches.values()):
             table = Table(
@@ -100,15 +102,13 @@ class ClusterReport:
                  "escape", "datelines", "queue depth (mean/p99)"],
                 title="Switches",
             )
-            for vc, plane in sorted(fabric.torus_switches.items()):
-                for switch_id, switch in sorted(
-                        plane.items(), key=lambda kv: repr(kv[0])):
-                    depths = switch.queue_depth
-                    depth_cell = (
-                        f"{depths.summary()['mean']:.2f}/"
-                        f"{depths.summary()['p99']:.0f}"
-                        if depths.count else "-"
-                    )
+            for vc, plane in fabric.torus_switches.items():
+                for switch_id, switch in plane.items():
+                    depth_cell = "-"
+                    if switch.queue_depth.count:
+                        depths = switch.queue_depth.summary()
+                        depth_cell = (f"{depths['mean']:.2f}/"
+                                      f"{depths['p99']:.0f}")
                     table.add_row(str(switch_id), vc,
                                   switch.packets_routed,
                                   switch.adaptive_hops,
@@ -120,8 +120,8 @@ class ClusterReport:
             ["switch", "plane", "packets routed", "peak buffer"],
             title="Switches",
         )
-        for vc, plane in sorted(fabric.switches.items()):
-            for switch_id, switch in sorted(plane.items(), key=lambda kv: repr(kv[0])):
+        for vc, plane in fabric.switches.items():
+            for switch_id, switch in plane.items():
                 table.add_row(str(switch_id), vc, switch.packets_routed,
                               switch.peak_buffer_use)
         return table

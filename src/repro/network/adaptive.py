@@ -4,8 +4,8 @@ The tree-based up*/down* path (:mod:`repro.network.routing` +
 :mod:`repro.network.switch`) is deadlock-free because a spanning tree
 has no cycles — but it also leaves every non-tree cable idle.  A torus
 (:class:`~repro.network.topology.TorusTopology`) is all cycles, so the
-:class:`TorusSwitch` here routes on switch *coordinates* instead of
-tables, in one of two modes:
+:class:`TorusSwitch` here derives its routes from switch *coordinates*
+instead of a spanning tree, in one of two modes:
 
 - **Dimension-order routing (DOR)** — resolve the offset to the
   destination one dimension at a time, lowest dimension first, taking
@@ -44,6 +44,14 @@ only entered via a non-blocking ``try_put`` (the routing step checked
 occupancy in the same step, so it can never block there), which makes
 the escape network a valid Duato escape path: every blocked packet is
 always one escape hop from progress, and escape drains.
+
+Route table (DESIGN.md §10): a switch resolves each destination host
+once, on the first packet to it, into either its ejection link or a
+route shared by every destination with the same profitable directions
+(at most 3^D - 1 per switch): the adaptive candidates in dimension
+order and the DOR escape channel pair, each with its dateline bit and
+whether the hop crosses it.  Per hop, routing then reads only the
+candidate queues' length and capacity and the packet's ``vc_wrap``.
 """
 
 from __future__ import annotations
@@ -51,7 +59,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.params import Params
-from repro.sim import Accumulator, BoundedQueue, Simulator
+from repro.sim import BoundedQueue, Simulator, Tally
 from repro.network.link import Link
 from repro.network.packet import Packet
 from repro.network.switch import SwitchInput
@@ -69,6 +77,11 @@ CHANNEL_NAMES = ("esc0", "esc1", "adp")
 
 #: A directed output channel: (dimension, step, class).
 ChannelKey = Tuple[int, int, int]
+
+#: A route table entry: ``(ejection link,)``, or ``(candidates, esc0
+#: link, esc1 link, dateline bit, crossing)`` where each adaptive
+#: candidate is ``(queue, dateline bit, crossing)``.
+RouteEntry = Tuple[Any, ...]
 
 
 def minimal_directions(
@@ -154,6 +167,10 @@ class TorusSwitch:
         self._inputs: Dict[object, SwitchInput] = {}
         self._channels: Dict[ChannelKey, Link] = {}
         self._ejections: Dict[int, Link] = {}
+        #: dst host -> route entry, filled on its first packet.
+        self._table: Dict[int, RouteEntry] = {}
+        #: Profitable directions -> the route entry they share.
+        self._routes: Dict[Tuple[Tuple[int, int], ...], RouteEntry] = {}
         self.packets_routed = 0
         #: Hops taken on an adaptive channel (always 0 under DOR).
         self.adaptive_hops = 0
@@ -166,8 +183,10 @@ class TorusSwitch:
         self.escape_fallbacks = 0
         #: Channel queue depths observed at routing decisions — every
         #: profitable adaptive candidate (adaptive mode) or the chosen
-        #: escape channel (DOR mode).
-        self.queue_depth = Accumulator(f"sw{switch_id}.queue_depth")
+        #: escape channel (DOR mode).  A channel holds at most
+        #: ``link_credits`` packets.
+        self.queue_depth = Tally(params.sizing.link_credits + 1,
+                                 f"sw{switch_id}.queue_depth")
 
     @property
     def stats(self) -> Dict[str, int]:
@@ -241,41 +260,36 @@ class TorusSwitch:
 
     def _route(self, packet: Packet) -> Optional[Link]:
         """The ejection or escape link ``packet`` must be put on, or
-        ``None`` when an adaptive channel took it."""
-        dst_sw = self._host_coords.get(packet.dst)
-        if dst_sw is None:
-            raise RuntimeError(
-                f"switch {self.switch_id!r} has no route to host "
-                f"{packet.dst} (packet {packet!r})"
-            )
-        if dst_sw == self.coords:
-            eject = self._ejections.get(packet.dst)
-            if eject is None:
-                raise RuntimeError(
-                    f"switch {self.switch_id!r} has no ejection "
-                    f"port for host {packet.dst}"
-                )
-            return eject
-        channels = self._channels
-        dirs = minimal_directions(self.dims, self.coords, dst_sw)
+        ``None`` when an adaptive channel took it.  Reads the table
+        entry for ``packet.dst`` (see :meth:`_fill`), the candidate
+        queues' ``len()`` and ``capacity`` and the packet's
+        ``vc_wrap``."""
+        route = self._table.get(packet.dst)
+        if route is None:
+            route = self._fill(packet)
+        if len(route) == 1:
+            return route[0]
+        candidates, esc0, esc1, bit, crossing = route
+        depths = self.queue_depth.counts
         if self.adaptive:
-            best: Optional[Tuple[int, int]] = None
+            best = None
             best_depth = 0
-            for dim, step in dirs:
-                chan = channels[(dim, step, ADP)].src
-                depth = len(chan)
-                self.queue_depth.add(depth)
-                if not chan.full and (best is None or depth < best_depth):
-                    best = (dim, step)
+            for candidate in candidates:
+                queue = candidate[0]
+                depth = len(queue)
+                depths[depth] += 1
+                if depth < queue.capacity and (best is None
+                                               or depth < best_depth):
+                    best = candidate
                     best_depth = depth
             if best is not None:
-                dim, step = best
-                if self._crosses_dateline(dim, step):
-                    packet.vc_wrap |= 1 << dim
+                queue, best_bit, best_crossing = best
+                if best_crossing:
+                    packet.vc_wrap |= best_bit
                     self.datelines_crossed += 1
                 # Checked not-full in this same step, so the put cannot
                 # fail — the adaptive class never blocks a forwarder.
-                accepted = channels[(dim, step, ADP)].src.try_put(packet)
+                accepted = queue.try_put(packet)
                 assert accepted, "adaptive channel filled mid-step"
                 self.adaptive_hops += 1
                 self.packets_routed += 1
@@ -283,19 +297,60 @@ class TorusSwitch:
             self.escape_fallbacks += 1
         # Escape: DOR — lowest unresolved dimension, dateline class from
         # the packet's per-dimension wrap bitmask.
-        dim, step = dirs[0]
-        crossing = self._crosses_dateline(dim, step)
-        cls = ESC1 if crossing or (packet.vc_wrap >> dim) & 1 else ESC0
         if crossing:
-            packet.vc_wrap |= 1 << dim
+            packet.vc_wrap |= bit
             self.datelines_crossed += 1
-        link = channels[(dim, step, cls)]
+            link = esc1
+        else:
+            link = esc1 if packet.vc_wrap & bit else esc0
         if not self.adaptive:
-            self.queue_depth.add(len(link.src))
+            depths[len(link.src)] += 1
         self.escape_hops += 1
         # Waits while the escape channel is full: the only inter-switch
         # wait, on the acyclic escape network.
         return link
+
+    def _fill(self, packet: Packet) -> RouteEntry:
+        """Record the route table entry for ``packet.dst``: its ejection
+        link when it is attached here, else the route shared by every
+        destination with the same profitable directions, built on first
+        use."""
+        dst = packet.dst
+        dst_sw = self._host_coords.get(dst)
+        if dst_sw is None:
+            raise RuntimeError(
+                f"switch {self.switch_id!r} has no route to host "
+                f"{dst} (packet {packet!r})"
+            )
+        if dst_sw == self.coords:
+            eject = self._ejections.get(dst)
+            if eject is None:
+                raise RuntimeError(
+                    f"switch {self.switch_id!r} has no ejection "
+                    f"port for host {dst}"
+                )
+            entry: RouteEntry = (eject,)
+        else:
+            dirs = tuple(minimal_directions(self.dims, self.coords, dst_sw))
+            if dirs not in self._routes:
+                self._routes[dirs] = self._build_route(dirs)
+            entry = self._routes[dirs]
+        self._table[dst] = entry
+        return entry
+
+    def _build_route(self, dirs: Tuple[Tuple[int, int], ...]) -> RouteEntry:
+        """The route along profitable directions ``dirs``: the adaptive
+        candidates in dimension order (adaptive mode only), then the
+        DOR escape pair for the first of them."""
+        channels = self._channels
+        candidates = tuple(
+            (channels[(dim, step, ADP)].src, 1 << dim,
+             self._crosses_dateline(dim, step))
+            for dim, step in dirs) if self.adaptive else ()
+        dim, step = dirs[0]
+        return (candidates, channels[(dim, step, ESC0)],
+                channels[(dim, step, ESC1)], 1 << dim,
+                self._crosses_dateline(dim, step))
 
     def _sent(self, port: SwitchInput, spare: Optional[Packet]) -> None:
         """The ejection or escape channel accepted the packet."""

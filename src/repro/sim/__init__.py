@@ -34,7 +34,7 @@ from repro.sim.kernel import (
 from repro.sim.queues import BoundedQueue
 from repro.sim.refkernel import ReferenceSimulator
 from repro.sim.timers import Timer
-from repro.sim.trace import Accumulator, Tracer
+from repro.sim.trace import Accumulator, Tally, Tracer
 
 #: Selectable kernel implementations (``ClusterConfig.kernel``).
 KERNELS = ("bucket", "reference")
@@ -69,6 +69,7 @@ __all__ = [
     "SimulationDeadlock",
     "Simulator",
     "make_simulator",
+    "Tally",
     "Timer",
     "Tracer",
     "Waitable",

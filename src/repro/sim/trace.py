@@ -4,7 +4,8 @@ A :class:`Tracer` records typed events (category + fields) with their
 simulation timestamps; experiments and the memory-model checker read
 them back.  An :class:`Accumulator` collects scalar samples and reports
 summary statistics — it is the backbone of every latency measurement in
-the experiment specs.
+the experiment specs.  A :class:`Tally` reports the same statistics for
+small non-negative integer samples from one count per value.
 """
 
 from __future__ import annotations
@@ -86,7 +87,9 @@ class Accumulator:
     """Streaming scalar statistics (count/mean/min/max/stddev/percentiles).
 
     Samples are kept (they are needed for percentiles), so use one
-    accumulator per metric, not per packet field.
+    accumulator per metric, not per packet field.  For samples that are
+    small non-negative integers (queue depths), a :class:`Tally` reports
+    the same statistics in constant memory.
     """
 
     def __init__(self, name: str = "metric"):
@@ -159,3 +162,60 @@ class Accumulator:
             "p50": self.percentile(50),
             "p99": self.percentile(99),
         }
+
+
+class Tally:
+    """Samples drawn from ``0 .. size - 1``, kept as one count per value.
+
+    Memory stays constant however many samples arrive.  ``count``,
+    ``total`` and ``maximum`` read the counts; ``mean`` and
+    :meth:`summary` are the :class:`Accumulator`'s, over the expanded
+    samples, so both report the same values with the same types.  A
+    hot path may increment ``counts[value]`` in place, skipping
+    :meth:`add`'s range check.
+    """
+
+    __slots__ = ("name", "counts")
+
+    def __init__(self, size: int, name: str = "tally"):
+        self.name = name
+        #: ``counts[v]``: how many samples equalled ``v``.
+        self.counts = [0] * size
+
+    def add(self, value: int) -> None:
+        if not 0 <= value < len(self.counts):
+            raise ValueError(
+                f"tally {self.name!r} takes 0..{len(self.counts) - 1}, "
+                f"got {value!r}")
+        self.counts[value] += 1
+
+    @property
+    def count(self) -> int:
+        return sum(self.counts)
+
+    @property
+    def total(self) -> float:
+        # An Accumulator sums float samples; an empty one totals int 0.
+        return sum(float(value * n) for value, n in enumerate(self.counts)
+                   if n)
+
+    @property
+    def maximum(self) -> float:
+        for value in range(len(self.counts) - 1, -1, -1):
+            if self.counts[value]:
+                return float(value)
+        raise ValueError(f"no samples in tally {self.name!r}")
+
+    @property
+    def mean(self) -> float:
+        return self._expanded().mean
+
+    def summary(self) -> Dict[str, float]:
+        return self._expanded().summary()
+
+    def _expanded(self) -> Accumulator:
+        """An :class:`Accumulator` holding the samples, in value order."""
+        accumulator = Accumulator(self.name)
+        for value, n in enumerate(self.counts):
+            accumulator.samples += [float(value)] * n
+        return accumulator

@@ -1,5 +1,9 @@
 """Tests for the cluster report and remaining measure helpers."""
 
+import itertools
+
+import pytest
+
 from repro.analysis import ClusterReport, run_to_completion
 from repro.api import Cluster, ClusterConfig
 
@@ -69,3 +73,20 @@ def test_run_to_completion_returns_makespan():
     makespan = run_to_completion(cluster, [ctx])
     assert makespan > 0
     assert seg.peek(0) == 1
+
+
+@pytest.mark.parametrize("nodes, topology, routing, switch_ids", [
+    (24, "chain", "tree", list(range(12))),
+    (200, "torus", "dor", list(itertools.product(range(10), repeat=2))),
+    (242, "torus", "adaptive", list(itertools.product(range(11), repeat=2))),
+], ids=["chain-12", "torus-10x10", "torus-11x11"])
+def test_switch_table_lists_switches_in_numeric_order(nodes, topology,
+                                                      routing, switch_ids):
+    """Not string order, which puts switch 10 before 2 and (0, 10)
+    before (0, 2)."""
+    cluster = Cluster(ClusterConfig(n_nodes=nodes, topology=topology,
+                                    routing=routing))
+    rows = ClusterReport(cluster).switch_table().rows
+    assert [row[:2] for row in rows] == [
+        [str(switch_id), plane] for plane in ("req", "rsp")
+        for switch_id in switch_ids]

@@ -20,7 +20,7 @@ from repro.network.adaptive import ADP, ESC0, ESC1, ChannelKey, minimal_directio
 from repro.network.packet import Packet
 from repro.network.topology import TorusTopology
 from repro.params import Params
-from repro.sim import Accumulator, BoundedQueue, Simulator
+from repro.sim import BoundedQueue, Simulator, Tally
 
 
 class ReferenceTorusSwitch:
@@ -68,7 +68,8 @@ class ReferenceTorusSwitch:
         #: Channel queue depths observed at routing decisions — every
         #: profitable adaptive candidate (adaptive mode) or the chosen
         #: escape channel (DOR mode).
-        self.queue_depth = Accumulator(f"sw{switch_id}.queue_depth")
+        self.queue_depth = Tally(params.sizing.link_credits + 1,
+                                 f"sw{switch_id}.queue_depth")
 
     @property
     def stats(self) -> Dict[str, int]:

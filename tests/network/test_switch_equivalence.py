@@ -21,7 +21,9 @@ can separate) may share an event.  Three levels check it:
 - **A small torus**, DOR and adaptive, with one link credit, so the
   adaptive choice reads channel depths that move within an instant:
   the same producers and consumers on both planes of a 3x3 fabric,
-  sampling every link's queues and every switch's counters.
+  sampling every link's queues and every switch's counters and
+  queue-depth tally (one count per depth, so the depths recorded within
+  an instant are compared as a multiset).
 - **Whole clusters.**  ``run_cluster`` from ``test_link_equivalence``
   with ``repro.network.fabric.Switch`` and ``TorusSwitch`` swapped for
   the oracles: star, chain, dor and adaptive fabrics, faults off and
@@ -353,11 +355,11 @@ def run_torus(switch_class, sc: TorusScenario, routing: str, kernel: str):
     switches = [sw for plane in fabric.torus_switches.values()
                 for sw in plane.values()]
     counters = attrgetter("packets_routed", "adaptive_hops", "escape_hops",
-                          "datelines_crossed", "escape_fallbacks",
-                          "queue_depth.count")
+                          "datelines_crossed", "escape_fallbacks")
 
     def snap():
-        return tuple(map(len, items)), tuple(map(counters, switches))
+        return (tuple(map(len, items)), tuple(map(counters, switches)),
+                tuple(tuple(sw.queue_depth.counts) for sw in switches))
 
     ports = [fabric.port(host) for host in range(9)]
     senders = [(ports[host].send, sc.scripts[host]) for host in range(9)]
@@ -366,7 +368,7 @@ def run_torus(switch_class, sc: TorusScenario, routing: str, kernel: str):
     log, probe, ends, end = drive(sim, log, senders,
                                   list(zip(getters, sc.paces)),
                                   snap, sc.tick, injector)
-    return log, probe, ends, (end, [sw.queue_depth.samples for sw in switches])
+    return log, probe, ends, (end, [sw.queue_depth.counts for sw in switches])
 
 
 @pytest.mark.parametrize("faults", [False, True], ids=["lossless", "faults"])

@@ -6,7 +6,9 @@ Four layers of coverage, mirroring the design doc's claims:
   attachment, and the ``by_name`` auto-sizing used by ``--topology
   torus``;
 - **DOR golden cases** — the coordinate-path oracle on a 4×4 torus,
-  including the wraparound shortcut and the tie-break toward ``+``;
+  including the wraparound shortcut and the tie-break toward ``+``,
+  and real packets on idle fabrics crossing exactly the oracle's hops
+  on the channel classes its datelines name;
 - **kernel determinism** — the adaptive router's queue-depth choices
   are a pure function of the schedule, so both simulator kernels
   must produce byte-identical protocol traces;
@@ -16,6 +18,7 @@ Four layers of coverage, mirroring the design doc's claims:
 
 import pytest
 
+import repro.network.adaptive as adaptive_module
 from repro.network import Fabric, Packet, PacketKind
 from repro.network import topology as T
 from repro.network.adaptive import (
@@ -127,6 +130,79 @@ def test_dor_route_length_between_hosts():
         dor_route_length(topo, 0, h) for h in topo.hosts
     ]
     assert max(lengths) == 5  # 4 hops + the source switch
+
+
+def _expected_hops(dims, src, dst, adaptive):
+    """Link names of the inter-switch hops ``dor_path`` names, on the
+    request plane: adaptive channels, or escape class 0 before a
+    dimension's dateline and class 1 from the hop that crosses it."""
+    path = dor_path(dims, src, dst)
+    names = []
+    wrapped = set()
+    for here, there in zip(path, path[1:]):
+        dim = next(d for d in range(len(dims)) if here[d] != there[d])
+        step = 1 if there[dim] == (here[dim] + 1) % dims[dim] else -1
+        if here[dim] == (dims[dim] - 1 if step == 1 else 0):
+            wrapped.add(dim)
+        cls = "adp" if adaptive else ("esc1" if dim in wrapped else "esc0")
+        names.append(f"sw{here}->sw{there}.{cls}.req")
+    return names
+
+
+def _check_follows_dor(topo, routing):
+    """Send one packet per ordered host pair through an idle fabric,
+    one at a time, and check from the links' ``packets_carried`` that
+    it crossed exactly the hops :func:`_expected_hops` names."""
+    sim = make_simulator("bucket")
+    fabric = Fabric(sim, DEFAULT_PARAMS, topo, routing=routing)
+    links = fabric.links
+    where = topo.host_attachment
+    for src in topo.hosts:
+        for dst in topo.hosts:
+            if src == dst:
+                continue
+            before = [link.packets_carried for link in links]
+            fabric.port(src).send(_write_packet(src, dst, 0))
+            sim.run()
+            crossed = sorted(link.name for link, count in zip(links, before)
+                             if link.packets_carried != count)
+            expected = sorted(
+                [f"host{src}->sw.req", f"sw->host{dst}.req"]
+                + _expected_hops(topo.dims, where[src], where[dst],
+                                 routing == "adaptive"))
+            assert crossed == expected, f"host {src} -> host {dst}"
+            assert all(link.packets_carried - count <= 1
+                       for link, count in zip(links, before))
+            assert fabric.port(dst).receive().value.src == src
+
+
+@pytest.mark.parametrize("routing", ["dor", "adaptive"])
+@pytest.mark.parametrize("topo", [
+    T.torus2d(4, 4, hosts_per_switch=1),
+    T.torus3d(3, 3, 3, hosts_per_switch=1),
+], ids=["4x4", "3x3x3"])
+def test_fabric_follows_dor_path(topo, routing):
+    """An idle fabric takes ``dor_path``'s hops: DOR by construction,
+    adaptive because idle ties resolve in dimension order (DESIGN.md
+    §10).  The even 4-rings cover the tie toward ``+``."""
+    _check_follows_dor(topo, routing)
+
+
+@pytest.mark.parametrize("routing", ["dor", "adaptive"])
+def test_fabric_hop_check_catches_ties_toward_minus(routing, monkeypatch):
+    """A router that breaks the half-way tie toward -1 leaves
+    ``dor_path`` on the 4x4 torus."""
+    def minus_ties(dims, src, dst):
+        out = []
+        for dim, size in enumerate(dims):
+            delta = (dst[dim] - src[dim]) % size
+            if delta:
+                out.append((dim, 1 if delta * 2 < size else -1))
+        return out
+
+    monkeypatch.setattr(adaptive_module, "minimal_directions", minus_ties)
+    with pytest.raises(AssertionError):
+        _check_follows_dor(T.torus2d(4, 4, hosts_per_switch=1), routing)
 
 
 # ---------------------------------------------------------------------------

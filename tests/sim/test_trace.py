@@ -1,8 +1,12 @@
 """Unit tests for tracing and statistics."""
 
-import pytest
+import json
 
-from repro.sim import Accumulator, Simulator, Tracer
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from repro.sim import Accumulator, Simulator, Tally, Tracer
 
 
 def make_tracer(enabled=True):
@@ -92,3 +96,32 @@ def test_accumulator_summary_keys():
     acc.add(5.0)
     summary = acc.summary()
     assert set(summary) == {"count", "mean", "min", "max", "p50", "p99"}
+
+
+@given(st.lists(st.integers(min_value=0, max_value=8)))
+@example([])
+def test_tally_reads_like_an_accumulator(samples):
+    """Same values and types (equal JSON) from one count per value."""
+    tally = Tally(9, "depth")
+    acc = Accumulator("depth")
+    for value in samples:
+        tally.add(value)
+        acc.add(value)
+    assert json.dumps([tally.count, tally.total]) == \
+        json.dumps([acc.count, acc.total])
+    if samples:
+        assert json.dumps([tally.maximum, tally.mean, tally.summary()]) == \
+            json.dumps([acc.maximum, acc.mean, acc.summary()])
+    else:
+        for read in (lambda t: t.maximum, lambda t: t.mean,
+                     lambda t: t.summary()):
+            with pytest.raises(ValueError):
+                read(tally)
+
+
+@pytest.mark.parametrize("value", [-1, 9, 40])
+def test_tally_rejects_values_outside_its_range(value):
+    tally = Tally(9, "depth")
+    with pytest.raises(ValueError, match=f"got {value}$"):
+        tally.add(value)
+    assert tally.count == 0
