@@ -35,11 +35,12 @@ The module is also the home of the point-to-point primitives
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional, Sequence
 
 from repro.api.shmem import Proc, Segment
 from repro.hib.collectives import CollectiveGroupSpec
-from repro.machine.ops import CollectiveCall, CollectiveFetchAdd
+from repro.machine.ops import CollectiveCall
 
 #: Reduction names accepted by :meth:`Collective.all_reduce`.
 REDUCTIONS = ("sum", "min", "max")
@@ -282,7 +283,7 @@ class NicCollective(Collective):
         return result
 
     def fetch_add(self, vaddr: int, delta: int = 1):
-        value = yield CollectiveFetchAdd(self.gid, vaddr, delta)
+        value = yield CollectiveCall(self.gid, "fadd", delta, vaddr)
         return value
 
 
@@ -298,12 +299,15 @@ class CollectiveGroup:
     def __init__(self, cluster, name: str, nodes: Sequence[int],
                  radix: int = 2, release: str = "tree",
                  combine_window_ns: int = 400):
+        # Every option is checked here, on both backends, before
+        # anything is allocated; the NIC backend then fills in its gid
+        # and release page.
+        spec = CollectiveGroupSpec(
+            gid=0, members=tuple(nodes), radix=radix, release=release,
+            combine_window_ns=combine_window_ns,
+        )
         backend = cluster.config.collectives
-        members = tuple(nodes)
-        if len(set(members)) != len(members):
-            raise ValueError("collective group members must be distinct")
-        if not members:
-            raise ValueError("a collective group needs at least one member")
+        members = spec.members
         self.cluster = cluster
         self.name = name
         self.members = members
@@ -318,25 +322,19 @@ class CollectiveGroup:
             )
         else:
             self.gid = cluster._next_collective_gid()
-            release_page = None
             if release == "multicast":
                 # The root's release rides its §2.2.7 multicast
                 # directory: one local page mapped out to every other
                 # member names the fan-out set.
                 root = cluster.node(members[0])
-                release_page = root.vm.alloc_backend_pages(1)
+                self._release_page = root.vm.alloc_backend_pages(1)
                 for member in members[1:]:
-                    root.hib.multicast.map_out(release_page, member,
-                                              release_page)
-                self._release_page = release_page
-            spec = CollectiveGroupSpec(
-                gid=self.gid, members=members, radix=radix,
-                release=release, combine_window_ns=combine_window_ns,
-                release_page=release_page,
-            )
-            self.spec = spec
+                    root.hib.multicast.map_out(self._release_page, member,
+                                              self._release_page)
+            self.spec = dataclasses.replace(
+                spec, gid=self.gid, release_page=self._release_page)
             for member in members:
-                cluster.node(member).hib.coll.register_group(spec)
+                cluster.node(member).hib.coll.register_group(self.spec)
 
     def join(self, proc: Proc) -> Collective:
         """This process's handle on the group (the process must run on

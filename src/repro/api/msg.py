@@ -26,37 +26,26 @@ from typing import List, Optional
 from repro.api.shmem import Proc
 
 
-class Channel:
-    """A one-way channel from ``sender`` to ``receiver``.
-
-    Layout: the *data segment* (homed at the receiver) holds
-    ``capacity`` slots of ``slot_words`` words each: word 0 is the
-    sequence stamp, word 1 the payload length, the rest payload.  The
-    *credit segment* (homed at the sender) holds the consumed counter.
-    """
+class _Ring:
+    """The slot geometry both channels share: ``capacity`` slots of
+    ``slot_words`` words each; word 0 is the sequence stamp, word 1 the
+    payload length, the rest payload.  Its endpoints, a
+    :class:`RingSender` and :class:`RingReceiver` per receiver, learn
+    where the ring and its credit words live from :meth:`_bind_sender`
+    and :meth:`_bind_receiver`."""
 
     SEQ = 0
     LEN = 4
     PAYLOAD = 8
 
-    def __init__(self, cluster, sender_node: int, receiver_node: int,
-                 name: str, capacity: int = 16, slot_words: int = 16,
-                 poll_ns: int = 2000):
+    def __init__(self, cluster, capacity: int, slot_words: int,
+                 poll_ns: int):
         if capacity < 1 or slot_words < 3:
             raise ValueError("capacity >= 1 and slot_words >= 3 required")
         self.cluster = cluster
         self.capacity = capacity
         self.slot_words = slot_words
         self.poll_ns = poll_ns
-        slot_bytes = slot_words * 4
-        pages = (capacity * slot_bytes + cluster.amap.page_bytes - 1) \
-            // cluster.amap.page_bytes
-        self.data_seg = cluster.alloc_segment(
-            receiver_node, pages, f"{name}.data"
-        )
-        self.credit_seg = cluster.alloc_segment(sender_node, 1, f"{name}.credit")
-        self.sender = ChannelSender(self, sender_node)
-        self.receiver = ChannelReceiver(self, receiver_node)
 
     def slot_offset(self, index: int) -> int:
         return (index % self.capacity) * self.slot_words * 4
@@ -66,97 +55,39 @@ class Channel:
         return self.slot_words - 2
 
 
-class ChannelSender:
-    """Sender endpoint; bind to a process with :meth:`bind`."""
+class Channel(_Ring):
+    """A one-way channel from ``sender`` to ``receiver``.
 
-    def __init__(self, channel: Channel, node_id: int):
-        self.channel = channel
-        self.node_id = node_id
-        self.proc: Optional[Proc] = None
-        self._data_base = 0
-        self._credit_base = 0
-        self._sent = 0
-        self.messages_sent = 0
+    The *data segment* (homed at the receiver) holds the ring; the
+    *credit segment* (homed at the sender) holds the consumed counter.
+    """
 
-    def bind(self, proc: Proc) -> None:
-        if proc.node_id != self.node_id:
-            raise ValueError("sender process must run on the sender node")
-        self.proc = proc
-        self._data_base = proc.map(self.channel.data_seg)      # remote window
-        self._credit_base = proc.map(self.channel.credit_seg)  # local backend
+    def __init__(self, cluster, sender_node: int, receiver_node: int,
+                 name: str, capacity: int = 16, slot_words: int = 16,
+                 poll_ns: int = 2000):
+        super().__init__(cluster, capacity, slot_words, poll_ns)
+        slot_bytes = slot_words * 4
+        pages = (capacity * slot_bytes + cluster.amap.page_bytes - 1) \
+            // cluster.amap.page_bytes
+        self.data_seg = cluster.alloc_segment(
+            receiver_node, pages, f"{name}.data"
+        )
+        self.credit_seg = cluster.alloc_segment(sender_node, 1, f"{name}.credit")
+        self.sender = RingSender(self, sender_node)
+        self.receiver = RingReceiver(self, receiver_node)
 
-    def send(self, payload: List[int]):
-        """Generator: write one message (blocks while the ring is full)."""
-        channel = self.channel
-        proc = self.proc
-        if proc is None:
-            raise RuntimeError("sender not bound to a process")
-        if len(payload) > channel.max_payload_words:
-            raise ValueError(
-                f"payload of {len(payload)} words exceeds slot capacity "
-                f"{channel.max_payload_words}"
-            )
-        # Flow control: wait for a free slot (poll the local credit).
-        while True:
-            consumed = yield proc.load(self._credit_base)
-            if self._sent - consumed < channel.capacity:
-                break
-            yield proc.think(channel.poll_ns)
-        slot = self._data_base + channel.slot_offset(self._sent)
-        for i, word in enumerate(payload):
-            yield proc.store(slot + Channel.PAYLOAD + 4 * i, word)
-        yield proc.store(slot + Channel.LEN, len(payload))
-        # The safe flag pattern: data completes before the stamp.
-        yield proc.fence()
-        yield proc.store(slot + Channel.SEQ, self._sent + 1)
-        self._sent += 1
-        self.messages_sent += 1
+    def _bind_sender(self, proc: Proc):
+        ring = proc.map(self.data_seg)        # remote window
+        credit = proc.map(self.credit_seg)    # local backend
+        return ring, [credit]
+
+    def _bind_receiver(self, proc: Proc):
+        ring = proc.map(self.data_seg)        # local backend
+        credit = proc.map(self.credit_seg)    # remote window
+        return ring, credit
 
 
-class ChannelReceiver:
-    """Receiver endpoint; bind to a process with :meth:`bind`."""
-
-    def __init__(self, channel: Channel, node_id: int):
-        self.channel = channel
-        self.node_id = node_id
-        self.proc: Optional[Proc] = None
-        self._data_base = 0
-        self._credit_base = 0
-        self._received = 0
-        self.messages_received = 0
-
-    def bind(self, proc: Proc) -> None:
-        if proc.node_id != self.node_id:
-            raise ValueError("receiver process must run on the receiver node")
-        self.proc = proc
-        self._data_base = proc.map(self.channel.data_seg)      # local backend
-        self._credit_base = proc.map(self.channel.credit_seg)  # remote window
-
-    def recv(self):
-        """Generator: receive the next message; returns its payload."""
-        channel = self.channel
-        proc = self.proc
-        if proc is None:
-            raise RuntimeError("receiver not bound to a process")
-        slot = self._data_base + channel.slot_offset(self._received)
-        expected = self._received + 1
-        while True:
-            stamp = yield proc.load(slot + Channel.SEQ)
-            if stamp == expected:
-                break
-            yield proc.think(channel.poll_ns)
-        length = yield proc.load(slot + Channel.LEN)
-        payload = []
-        for i in range(length):
-            payload.append((yield proc.load(slot + Channel.PAYLOAD + 4 * i)))
-        self._received += 1
-        self.messages_received += 1
-        # Return the credit with a single remote write.
-        yield proc.store(self._credit_base, self._received)
-        return payload
-
-
-class BroadcastChannel:
+class BroadcastChannel(_Ring):
     """One sender, many receivers, over the hardware multicast.
 
     The ring buffer lives in a page *homed at the sender*; the driver
@@ -168,23 +99,14 @@ class BroadcastChannel:
     receiver before reusing a slot.
     """
 
-    SEQ = 0
-    LEN = 4
-    PAYLOAD = 8
-
     def __init__(self, cluster, sender_node: int, receiver_nodes,
                  name: str, capacity: int = 8, slot_words: int = 16,
                  poll_ns: int = 2000):
-        if capacity < 1 or slot_words < 3:
-            raise ValueError("capacity >= 1 and slot_words >= 3 required")
+        super().__init__(cluster, capacity, slot_words, poll_ns)
         if not receiver_nodes:
             raise ValueError("need at least one receiver")
         if sender_node in receiver_nodes:
             raise ValueError("the sender cannot also be a receiver")
-        self.cluster = cluster
-        self.capacity = capacity
-        self.slot_words = slot_words
-        self.poll_ns = poll_ns
         self.sender_node = sender_node
         self.receiver_nodes = list(receiver_nodes)
         page_bytes = cluster.amap.page_bytes
@@ -207,104 +129,111 @@ class BroadcastChannel:
                 local_page=self.ring_seg.gpage, node=node,
                 remote_page=seg.gpage,
             )
-        self.sender = BroadcastSender(self)
+        self.sender = RingSender(self, sender_node)
         self.receivers = {
-            node: BroadcastReceiver(self, node) for node in self.receiver_nodes
+            node: RingReceiver(self, node) for node in self.receiver_nodes
         }
 
-    def slot_offset(self, index: int) -> int:
-        return (index % self.capacity) * self.slot_words * 4
+    def _bind_sender(self, proc: Proc):
+        ring = proc.map(self.ring_seg)        # local page, mapped out
+        credits = proc.map(self.credit_seg)   # local page
+        return ring, [credits + 4 * i for i in range(len(self.receiver_nodes))]
 
-    @property
-    def max_payload_words(self) -> int:
-        return self.slot_words - 2
+    def _bind_receiver(self, proc: Proc):
+        ring = proc.map(self.landing[proc.node_id])
+        credits = proc.map(self.credit_seg)   # remote window
+        return ring, credits + 4 * self.receiver_nodes.index(proc.node_id)
 
 
-class BroadcastSender:
-    def __init__(self, channel: BroadcastChannel):
+class RingSender:
+    """A channel's sender endpoint; bind to a process with :meth:`bind`."""
+
+    def __init__(self, channel: _Ring, node_id: int):
         self.channel = channel
+        self.node_id = node_id
         self.proc: Optional[Proc] = None
         self._ring_base = 0
-        self._credit_base = 0
+        self._credits: List[int] = []
         self._sent = 0
         self.messages_sent = 0
 
     def bind(self, proc: Proc) -> None:
-        if proc.node_id != self.channel.sender_node:
+        if proc.node_id != self.node_id:
             raise ValueError("sender process must run on the sender node")
         self.proc = proc
-        self._ring_base = proc.map(self.channel.ring_seg)      # local page
-        self._credit_base = proc.map(self.channel.credit_seg)  # local page
+        self._ring_base, self._credits = self.channel._bind_sender(proc)
 
     def send(self, payload: List[int]):
-        """Generator: one message to every receiver, via local writes
-        that the multicast table fans out."""
+        """Generator: write one message (blocks while the ring is full)."""
         channel = self.channel
         proc = self.proc
         if proc is None:
             raise RuntimeError("sender not bound to a process")
         if len(payload) > channel.max_payload_words:
-            raise ValueError("payload exceeds slot capacity")
-        # Wait for the slowest receiver to free the slot.
+            raise ValueError(
+                f"payload of {len(payload)} words exceeds slot capacity "
+                f"{channel.max_payload_words}"
+            )
+        # Flow control: poll the local credit words until the slowest
+        # receiver has freed the slot.
         while True:
-            slowest = None
-            for i, _node in enumerate(channel.receiver_nodes):
-                consumed = yield proc.load(self._credit_base + 4 * i)
-                slowest = consumed if slowest is None else min(slowest, consumed)
-            if self._sent - slowest < channel.capacity:
+            consumed = []
+            for credit in self._credits:
+                consumed.append((yield proc.load(credit)))
+            if self._sent - min(consumed) < channel.capacity:
                 break
             yield proc.think(channel.poll_ns)
         slot = self._ring_base + channel.slot_offset(self._sent)
         for i, word in enumerate(payload):
-            yield proc.store(slot + BroadcastChannel.PAYLOAD + 4 * i, word)
-        yield proc.store(slot + BroadcastChannel.LEN, len(payload))
-        # Data before stamp (§2.3.5): the fence covers the multicast
-        # copies of the payload words.
+            yield proc.store(slot + _Ring.PAYLOAD + 4 * i, word)
+        yield proc.store(slot + _Ring.LEN, len(payload))
+        # The safe flag pattern (§2.3.5): data completes before the
+        # stamp; on a broadcast ring the fence also covers the
+        # multicast copies of the payload words.
         yield proc.fence()
-        yield proc.store(slot + BroadcastChannel.SEQ, self._sent + 1)
+        yield proc.store(slot + _Ring.SEQ, self._sent + 1)
         self._sent += 1
         self.messages_sent += 1
 
 
-class BroadcastReceiver:
-    def __init__(self, channel: BroadcastChannel, node_id: int):
+class RingReceiver:
+    """A channel's receiver endpoint; bind to a process with :meth:`bind`."""
+
+    def __init__(self, channel: _Ring, node_id: int):
         self.channel = channel
         self.node_id = node_id
         self.proc: Optional[Proc] = None
-        self._landing_base = 0
-        self._credit_vaddr = 0
+        self._ring_base = 0
+        self._credit = 0
         self._received = 0
         self.messages_received = 0
 
     def bind(self, proc: Proc) -> None:
         if proc.node_id != self.node_id:
-            raise ValueError("receiver process must run on its node")
+            raise ValueError("receiver process must run on the receiver node")
         self.proc = proc
-        self._landing_base = proc.map(self.channel.landing[self.node_id])
-        credit_base = proc.map(self.channel.credit_seg)  # remote window
-        index = self.channel.receiver_nodes.index(self.node_id)
-        self._credit_vaddr = credit_base + 4 * index
+        self._ring_base, self._credit = self.channel._bind_receiver(proc)
 
     def recv(self):
-        """Generator: next broadcast message; returns its payload."""
+        """Generator: receive the next message (polling the local ring);
+        returns its payload."""
         channel = self.channel
         proc = self.proc
         if proc is None:
             raise RuntimeError("receiver not bound to a process")
-        slot = self._landing_base + channel.slot_offset(self._received)
+        slot = self._ring_base + channel.slot_offset(self._received)
         expected = self._received + 1
         while True:
-            stamp = yield proc.load(slot + BroadcastChannel.SEQ)
+            stamp = yield proc.load(slot + _Ring.SEQ)
             if stamp == expected:
                 break
             yield proc.think(channel.poll_ns)
-        length = yield proc.load(slot + BroadcastChannel.LEN)
+        length = yield proc.load(slot + _Ring.LEN)
         payload = []
         for i in range(length):
-            payload.append(
-                (yield proc.load(slot + BroadcastChannel.PAYLOAD + 4 * i))
-            )
+            payload.append((yield proc.load(slot + _Ring.PAYLOAD + 4 * i)))
         self._received += 1
         self.messages_received += 1
-        yield proc.store(self._credit_vaddr, self._received)
+        # Return the credit with a single remote write.
+        yield proc.store(self._credit, self._received)
         return payload

@@ -61,10 +61,12 @@ class CounterProtocolEngine(OwnerUpdateEngine):
     # Rules 2 and 3: filter reflections instead of blindly applying.
     def _handle_reflection(self, hib, group, in_page, packet):
         key = (group.home, group.gpage, in_page)
-        if packet.origin == self.node_id:
-            if packet.meta.get("completion", True):
-                hib.outstanding.decrement()
-            # Rule 2: my own write coming back — ignore, decrement.
+        if packet.origin == self.node_id and packet.meta.get("completion", True):
+            # Rule 2: my own counted write coming back — ignore,
+            # decrement.  The reflection of a direct write I made
+            # through the remote window completes nothing and was never
+            # counted, so it is any other write (Rule 3, or applied).
+            hib.outstanding.decrement()
             yield from self.counters.decrement(key)
             self.stats["updates_ignored"] += 1
             self._record(group, in_page, packet.value,

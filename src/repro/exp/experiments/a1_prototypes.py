@@ -139,12 +139,13 @@ def check(result: Dict[str, Any]) -> List[str]:
     write_gain = tg1["write_us"] / tg2["write_us"]
     atomic_ratio = tg2["atomic_us"] / tg1["atomic_us"]
     return unmet(
-        # §2.2.1's "faster access to shared data": Tg II's local shared
-        # reads skip the TurboChannel entirely...
+        # §2.2.1's "faster access to shared data": both prototypes
+        # cross the TurboChannel to the HIB, but Tg II's HIB reads
+        # main memory over the memory bus, not the slower MPM...
         (read_gain > 2,
          f"Tg II reads local shared data only {read_gain:.2f}× faster "
          "than Tg I"),
-        # ...while its writes still cross it (the HIB must see them).
+        # ...while its writes, latched by the HIB, gain far less.
         (read_gain > 1.4 * write_gain,
          f"Tg II's read gain {read_gain:.2f}× is not 1.4× its write gain "
          f"{write_gain:.2f}×"),

@@ -21,12 +21,13 @@ result.
 **Fetch-and-add combining** — the Ultracomputer idea on the HIB: each
 HIB holds a short *combining window* per (home, offset); concurrent
 increments arriving within the window (local or from children) merge
-into one combined ``COLL_FADD``.  The root applies the total with a
-single read-modify-write at the home word and distributes base values
-back down (``COLL_FADD_REPLY``), assigning each contributor the prefix
-sum of the deltas merged before it — so every caller observes exactly
-the value it would have seen under some serial interleaving, and all
-returned values are distinct.
+into one combined ``COLL_FADD``.  The root applies the total as one
+home atomic (:meth:`HIB.home_atomic`, the special-operation unit's
+path, so replicas of the word are updated like after any atomic) and
+distributes base values back down (``COLL_FADD_REPLY``), assigning
+each contributor the prefix sum of the deltas merged before it — so
+every caller observes exactly the value it would have seen under some
+serial interleaving, and all returned values are distinct.
 
 All collective packets are sent through :meth:`HIB.send`, so under
 fault injection they traverse the reliable transport like any other
@@ -73,10 +74,6 @@ class CollectiveTree:
     """k-ary tree geometry over member ranks, rooted at rank 0."""
 
     def __init__(self, n: int, radix: int = 2):
-        if n < 1:
-            raise ValueError("a collective tree needs at least one member")
-        if radix < 1:
-            raise ValueError("tree radix must be >= 1")
         self.n = n
         self.radix = radix
 
@@ -107,7 +104,9 @@ class CollectiveTree:
 
 @dataclass(frozen=True)
 class CollectiveGroupSpec:
-    """Registration record shared by every member HIB of one group."""
+    """Registration record shared by every member HIB of one group;
+    it checks every group option, on both backends, before anything
+    is allocated for the group."""
 
     gid: int
     members: Tuple[int, ...]
@@ -124,8 +123,12 @@ class CollectiveGroupSpec:
     release_page: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if not self.members:
+            raise ValueError("a collective group needs at least one member")
         if len(set(self.members)) != len(self.members):
             raise ValueError("collective group members must be distinct")
+        if self.radix < 1:
+            raise ValueError("tree radix must be >= 1")
         if self.release not in ("tree", "multicast"):
             raise ValueError(f"unknown release mode {self.release!r}")
         if self.combine_window_ns < 0:
@@ -404,19 +407,12 @@ class CollectiveUnit:
         )
 
     def _apply_fadd(self, home: int, offset: int, total: int):
-        """Root application: one RMW at the home word for the whole
-        combined total; returns the base (pre-add) value."""
+        """Root application: one home atomic for the whole combined
+        total; returns the base (pre-add) value."""
         self.stats["fadds_applied"] += 1
-        if home == self.hib.node_id:
-            yield self.hib.params.timing.hib_atomic_extra_ns
-            result, _old, _new = yield from self.hib.backend.rmw(
-                offset, lambda old: (old, old + total)
-            )
-            return result
-        value = yield from self.hib.issue_atomic(
-            home, offset, AtomicOp.FETCH_AND_ADD, total
-        )
-        return value
+        base = yield from self.hib.home_atomic(
+            home, offset, AtomicOp.FETCH_AND_ADD, total)
+        return base
 
     def _distribute(self, group: _GroupState, window: _FaddWindow, base: int):
         """Hand each merged contributor ``base + prefix``: the value it

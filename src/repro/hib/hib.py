@@ -237,26 +237,24 @@ class HIB:
         )
         yield self.outstanding.fence()
 
-    def tc_collective(self, gid: int, op: str, value: Optional[int]):
-        """A collective arrival (barrier / reduction / broadcast) that
-        reached the TurboChannel.  One TC transaction hands the
-        contribution to the HIB's combine unit; the processor then
-        blocks on the release, like a blocked remote read."""
+    def tc_collective(self, gid: int, op: str, value: Optional[int],
+                      phys: Optional[int] = None):
+        """A collective call that reached the TurboChannel: a barrier,
+        reduction or broadcast arrival, or (``op="fadd"``) a combining
+        fetch-and-add of ``value`` at the shared word ``phys``.  One TC
+        transaction hands it to the HIB's collective unit; the
+        processor then blocks on the result, like a blocked remote
+        read."""
         timing = self.params.timing
         yield from self.tc_bus.transact(timing.tc_arb_ns + timing.tc_data_ns)
         yield timing.tc_sync_ns
-        result = yield from self.coll.contribute(gid, op, value)
+        if op == "fadd":
+            home, offset = self._decode_shared_target(phys)
+            result = yield from self.coll.fetch_add(gid, home, offset, value)
+        else:
+            result = yield from self.coll.contribute(gid, op, value)
         yield from self.tc_bus.transact(timing.tc_data_ns)
         return result
-
-    def tc_coll_fetch_add(self, gid: int, home: int, offset: int, delta: int):
-        """A combining fetch-and-add that reached the TurboChannel."""
-        timing = self.params.timing
-        yield from self.tc_bus.transact(timing.tc_arb_ns + timing.tc_data_ns)
-        yield timing.tc_sync_ns
-        value = yield from self.coll.fetch_add(gid, home, offset, delta)
-        yield from self.tc_bus.transact(timing.tc_data_ns)
-        return value
 
     # ------------------------------------------------------------------
     # Outgoing operations
@@ -476,28 +474,34 @@ class HIB:
             raise LaunchError(f"{opcode.name} must be launched as a blocking read")
         home, offset = self._decode_shared_target(addresses[0])
         self.stats["atomics"] += 1
-        op0 = operands[0]
-        op1 = operands[1] if len(operands) > 1 else 0
-        if home == self.node_id:
-            yield self.params.timing.hib_atomic_extra_ns
-            result, old, new = yield from self.backend.rmw(
-                offset, lambda old: apply_atomic(atomic, old, op0, op1)
-            )
-            yield from self._after_home_atomic(offset, new, old)
-            return result
-        self.page_counters.on_access((home, self.amap.page_of(offset)), "write")
-        result = yield from self.issue_atomic(home, offset, atomic, op0, op1)
+        if home != self.node_id:
+            self.page_counters.on_access((home, self.amap.page_of(offset)),
+                                         "write")
+        result = yield from self.home_atomic(
+            home, offset, atomic, operands[0],
+            operands[1] if len(operands) > 1 else 0)
         return result
 
-    def issue_atomic(self, home: int, offset: int, atomic: AtomicOp,
-                     op0: int, op1: int = 0):
-        """Send an ATOMIC_REQ to ``home`` and block for its reply.
+    def home_atomic(self, home: int, offset: int, atomic: AtomicOp,
+                    op0: int, op1: int = 0):
+        """Apply ``atomic`` to the word at ``offset`` of ``home``'s
+        shared memory and return its result: the one home-atomic path,
+        for the special-operation unit and the collective unit's root.
 
-        The shared remote-atomic path of the special-operation unit and
-        the collective engine's root fetch-and-add application."""
-        result = yield from self._request(
-            PacketKind.ATOMIC_REQ, home, offset,
-            meta={"atomic": atomic, "op0": op0, "op1": op1})
+        At a local home the atomic unit does the read-modify-write and
+        the coherence engine propagates the new value; a remote home
+        gets one ATOMIC_REQ, served by :meth:`_serve_atomic` there
+        (§2.2.3: every atomic runs at the home HIB)."""
+        if home != self.node_id:
+            result = yield from self._request(
+                PacketKind.ATOMIC_REQ, home, offset,
+                meta={"atomic": atomic, "op0": op0, "op1": op1})
+            return result
+        yield self.params.timing.hib_atomic_extra_ns
+        result, old, new = yield from self.backend.rmw(
+            offset, lambda old: apply_atomic(atomic, old, op0, op1)
+        )
+        yield from self._after_home_atomic(offset, new, old)
         return result
 
     def _execute_copy(self, addresses, operands):

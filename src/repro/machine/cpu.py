@@ -19,7 +19,8 @@ arguments rest on:
 The CPU does not know about the HIB specifically: anything outside
 local DRAM is handed to an ``io_device`` implementing the small
 TurboChannel-slave protocol (``tc_store`` / ``tc_load`` / ``tc_fence``
-/ ``tc_collective`` / ``tc_coll_fetch_add`` generator methods).
+/ ``tc_collective`` generator methods).  The CPU translates addresses;
+the device decodes which physical regions are shared memory.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from repro.machine.memory import WordMemory
 from repro.machine.mmu import MMU, AddressSpace, PageFault
 from repro.machine.ops import (
     CollectiveCall,
-    CollectiveFetchAdd,
     Fence,
     Load,
     PalSequence,
@@ -260,31 +260,16 @@ class CPU:
             return None
         if isinstance(op, CollectiveCall):
             yield timing.cpu_issue_ns
+            phys = None
+            if op.vaddr is not None:
+                phys, _pte, tlb_hit = self.mmu.translate(op.vaddr, True)
+                if not tlb_hit:
+                    yield from self._walk_penalty()
             began = self.sim.now
-            result = yield from self.io.tc_collective(op.group, op.op, op.value)
+            result = yield from self.io.tc_collective(
+                op.group, op.op, op.value, phys)
             self.io_stall_ns += self.sim.now - began
             return result
-        if isinstance(op, CollectiveFetchAdd):
-            yield timing.cpu_issue_ns
-            phys, _pte, tlb_hit = self.mmu.translate(op.vaddr, True)
-            if not tlb_hit:
-                yield from self._walk_penalty()
-            decoded = self.amap.decode(phys)
-            if decoded.region is Region.REMOTE:
-                home = decoded.node
-            elif decoded.region is Region.MPM:
-                home = self.node_id
-            else:
-                raise TypeError(
-                    f"CollectiveFetchAdd target {op.vaddr:#x} is not "
-                    "shared memory (must decode to an MPM/remote window)"
-                )
-            began = self.sim.now
-            value = yield from self.io.tc_coll_fetch_add(
-                op.group, home, decoded.offset, op.delta
-            )
-            self.io_stall_ns += self.sim.now - began
-            return value
         if isinstance(op, PalSequence):
             return (yield from self._execute_pal(op, ctx))
         raise TypeError(f"program {ctx.name!r} yielded unknown op {op!r}")
@@ -337,10 +322,6 @@ class CPU:
                 self.cache.touch_write(decoded.offset)
             yield from self.membus.transact(timing.mem_write_ns)
             self.dram.store_word(decoded.offset, value)
-            if pte.mirror_base is not None:
-                # Telegraphos II: make the store visible to the HIB.
-                mirror = pte.mirror_base + self.amap.page_offset(vaddr)
-                yield from self.io.tc_store(mirror, value)
             return
         yield from self.io.tc_store(phys, value)
 

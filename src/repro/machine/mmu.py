@@ -11,6 +11,10 @@ An :class:`AddressSpace` is one process's page table.  Translation is
 page-granular: a virtual page maps to a physical page *base* anywhere
 in the :class:`~repro.machine.addresses.AddressMap` layout — local
 DRAM, the MPM, a remote window, a HIB register page, or a shadow page.
+Local shared data is mapped through the MPM region on both
+prototypes, so every access to it crosses the TurboChannel to the HIB;
+Telegraphos II's shared-memory backend then reaches main memory over
+the memory bus.
 """
 
 from __future__ import annotations
@@ -50,13 +54,6 @@ class PageTableEntry:
     #: identity (home_node, home_page) for shared pages, None for
     #: private memory.
     shared_id: Optional[tuple] = None
-    #: Telegraphos II main-memory mapping (§2.2.1): when shared data
-    #: lives in DRAM, processor *stores* must also be made visible to
-    #: the HIB.  If set, a store to this page is mirrored over the
-    #: TurboChannel to ``mirror_base + page_offset`` (an MPM-region
-    #: alias the HIB interprets); loads go straight to DRAM — the
-    #: "faster access to shared data" the paper credits to Tg II.
-    mirror_base: Optional[int] = None
 
 
 class AddressSpace:

@@ -13,7 +13,7 @@ this package is that tooling layer for the whole reproduction:
   hands out no distribution, so observability is strictly pay-for-use.
 - :mod:`repro.obs.hooks` — :class:`KernelHooks` callbacks on the
   simulation kernel and the :class:`EventLoopProfiler` built on them
-  (events/sec, heap depth, hottest callbacks).
+  (events/sec, queue depth, hottest callbacks).
 - :mod:`repro.obs.chrome_trace` — Chrome trace-event JSON export
   (``chrome://tracing`` / Perfetto) rendering per-node CPU/HIB/link
   activity lanes from :class:`~repro.sim.Tracer` events.

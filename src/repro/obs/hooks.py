@@ -99,7 +99,7 @@ class EventLoopProfiler(KernelHooks):
         self.events_scheduled = 0
         self.events_executed = 0
         #: Peak of :attr:`_depth`, sampled after each event.
-        self.max_heap_depth = 0
+        self.max_queue_depth = 0
         #: Events scheduled and not yet executed: exact, because every
         #: queued event runs once.
         self._depth = 0
@@ -113,8 +113,8 @@ class EventLoopProfiler(KernelHooks):
     def on_run_start(self, sim) -> None:
         self.runs += 1
         depth = self._depth = sim.pending_events
-        if depth > self.max_heap_depth:
-            self.max_heap_depth = depth
+        if depth > self.max_queue_depth:
+            self.max_queue_depth = depth
         self._run_started = time.perf_counter()
 
     def on_schedule(self, sim, time_ns: int, fn: Callable) -> None:
@@ -128,8 +128,8 @@ class EventLoopProfiler(KernelHooks):
         # batch.
         self.events_executed += 1
         depth = self._depth = self._depth - 1
-        if depth > self.max_heap_depth:
-            self.max_heap_depth = depth
+        if depth > self.max_queue_depth:
+            self.max_queue_depth = depth
         if self.track_callbacks:
             label = _callback_label(fn)
             self.callback_counts[label] = self.callback_counts.get(label, 0) + 1
@@ -156,7 +156,7 @@ class EventLoopProfiler(KernelHooks):
         return {
             "events_scheduled": self.events_scheduled,
             "events_executed": self.events_executed,
-            "max_heap_depth": self.max_heap_depth,
+            "max_queue_depth": self.max_queue_depth,
             "runs": self.runs,
             "wall_seconds": self.wall_seconds,
             "events_per_second": self.events_per_second,
@@ -168,7 +168,7 @@ class EventLoopProfiler(KernelHooks):
             "Event-loop profile",
             f"  events executed : {self.events_executed}"
             f" (scheduled {self.events_scheduled})",
-            f"  peak heap depth : {self.max_heap_depth}",
+            f"  peak queue depth: {self.max_queue_depth}",
             f"  wall time       : {self.wall_seconds * 1000.0:.1f} ms"
             f" over {self.runs} run(s)",
             f"  throughput      : {self.events_per_second:,.0f} events/s",

@@ -6,6 +6,7 @@ policed."""
 import pytest
 
 from repro.api import Cluster, ClusterConfig
+from repro.hib import LaunchError
 
 N = 4
 
@@ -148,6 +149,28 @@ def test_subset_group_ranks_follow_member_order():
     assert collective.n_parties == 2
 
 
+@pytest.mark.parametrize("backend", ["host", "nic"])
+def test_fetch_add_at_a_local_home_updates_the_replicas(backend):
+    """Members 0-2 fetch-and-add a word homed at node 0, which is also
+    the NIC tree's root, while node 3 holds a replica: every home
+    atomic, a combined one included, reaches the replica."""
+    cluster = make_cluster(backend, protocol="telegraphos")
+    group = cluster.collective_group("g", nodes=[0, 1, 2])
+    seg = cluster.alloc_segment(home=0, pages=1, name="hot")
+    cluster.create_process(node=3, name="r").map(seg, mode="replica")
+
+    def body(p, c, rank):
+        vaddr = p.map(seg)
+        for _ in range(3):
+            yield from c.fetch_add(vaddr)
+
+    run_all(cluster, group, body)
+    replica = cluster.directory.group(0, seg.gpage).placement[3]
+    page = cluster.amap.page_bytes
+    assert seg.peek(0) == 9
+    assert cluster.node(3).backend.peek(replica * page) == 9
+
+
 # -- NIC backend specifics ------------------------------------------------
 
 
@@ -186,6 +209,25 @@ def test_nic_combining_merges_concurrent_fetch_adds():
     combined = sum(
         cluster.node(n).hib.coll.stats["combine_hits"] for n in range(N))
     assert combined > 0
+
+
+def test_nic_fetch_add_on_private_memory_fails_in_the_hib():
+    """Only the HIB decodes which physical regions are shared memory;
+    a combining fetch-and-add on a private page fails its program."""
+    cluster = make_cluster("nic")
+    group = cluster.collective_group("g", nodes=[0])
+    proc = cluster.create_process(node=0, name="p")
+    collective = group.join(proc)
+    vaddr = proc.map_private()
+
+    def body(p):
+        yield from collective.fetch_add(vaddr)
+
+    ctx = proc.start(body)
+    cluster.sim.strict_failures = False
+    cluster.sim.run()
+    assert isinstance(ctx.process.exception, LaunchError)
+    assert "not shared memory" in str(ctx.process.exception)
 
 
 def test_nic_group_close_unregisters_and_unmaps():
@@ -227,6 +269,26 @@ def test_bogus_backend_and_member_lists_rejected():
         cluster.collective_group("h", nodes=[0, 0, 1])
     with pytest.raises(ValueError, match="at least one"):
         cluster.collective_group("i", nodes=[])
+
+
+@pytest.mark.parametrize("backend", ["host", "nic"])
+@pytest.mark.parametrize("options,match", [
+    ({"release": "bogus"}, "release mode"),
+    ({"radix": 0}, "radix"),
+    ({"combine_window_ns": -5}, "window"),
+    ({"release": "multicast", "radix": 0}, "radix"),
+])
+def test_group_options_rejected_before_any_allocation(backend, options,
+                                                      match):
+    cluster = make_cluster(backend)
+    root = cluster.node(0)
+    with pytest.raises(ValueError, match=match):
+        cluster.collective_group("g", **options)
+    # Nothing was allocated: no multicast entry, no shared page, no gid.
+    assert root.hib.multicast.entries_used == 0
+    assert cluster.alloc_segment(home=0, pages=1, name="probe").gpage == 0
+    group = cluster.collective_group("g")
+    assert group.gid == (1 if backend == "nic" else None)
 
 
 def test_backend_defaults_to_config_and_overrides():

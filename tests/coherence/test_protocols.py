@@ -7,6 +7,7 @@ counter protocol is correct; Galactica converges but shows "1,2,1".
 
 import pytest
 
+from repro.api import Cluster, ClusterConfig
 from repro.machine import Fence, Load, Store, Think
 
 from tests.coherence.conftest import CoherenceRig
@@ -242,6 +243,33 @@ def test_direct_remote_write_to_owned_page_reflects(crig):
     assert crig2.node(0).backend.peek(0xC) == 55
     for node, local_page in REPLICAS.items():
         assert crig2.node(node).backend.peek(local_page * page + 0xC) == 55
+
+
+@pytest.mark.parametrize("protocol", [
+    "eager", "owner-stale", "owner-local", "telegraphos", "galactica"])
+def test_replica_holders_direct_write_reaches_every_copy(protocol):
+    """A process on a replica-holding node writes the home page through
+    its remote window: the home propagates the direct write to every
+    copy, the writer's own included, and nothing stays outstanding."""
+    cluster = Cluster(ClusterConfig(n_nodes=3, protocol=protocol))
+    seg = cluster.alloc_segment(home=0, pages=1, name="s")
+    for node in (1, 2):
+        cluster.create_process(node=node, name=f"r{node}").map(
+            seg, mode="replica")
+    writer = cluster.create_process(node=2, name="w")
+    base = writer.map(seg, mode="remote")
+
+    def program(p):
+        yield p.store(base + 8, 42)
+        yield p.fence()
+
+    cluster.run(join=[writer.start(program)])
+    group = cluster.directory.group(0, seg.gpage)
+    page = cluster.amap.page_bytes
+    copies = {node: cluster.node(node).backend.peek(local * page + 8)
+              for node, local in group.placement.items()}
+    assert copies == {0: 42, 1: 42, 2: 42}
+    cluster.assert_quiescent()
 
 
 # ---------------------------------------------------------------------------

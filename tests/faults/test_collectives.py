@@ -20,6 +20,7 @@ from collections import defaultdict
 
 from repro.api import Cluster, ClusterConfig
 from repro.faults.injector import NodeUnreachableError
+from repro.params import DEFAULT_PARAMS
 from repro.sim import SimulationDeadlock
 
 import pytest
@@ -115,6 +116,35 @@ def test_collective_rounds_are_safe_and_terminate(name, rates, release, seed):
                 f"round {r} never completed on a recovered fabric {tag}")
     OBSERVED["faults"] += sum(
         cluster.stats()["faults"]["injected"].values())
+
+
+def test_abandoned_join_fails_the_blocked_member():
+    """Node 3 alone arrives; every COLL_JOIN it sends its parent, node
+    1, is dropped.  Once the retries are spent its transport declares
+    node 1 dead and abandons the join, and the collective unit fails
+    the blocked barrier (``HIB.abandon_packet`` ->
+    ``CollectiveUnit.abandon``): a structured error, not a hang."""
+    cluster = Cluster(ClusterConfig(
+        n_nodes=4, collectives="nic", trace=False,
+        params=DEFAULT_PARAMS.with_sizing(retry_limit=2),
+        faults={"seed": 1, "drop_rate": 1.0, "sites": ["host3->sw.req"]},
+    ))
+    group = cluster.collective_group("g")
+    proc = cluster.create_process(node=3, name="late")
+    collective = group.join(proc)
+    errors = []
+
+    def body(p):
+        try:
+            yield from collective.barrier()
+        except NodeUnreachableError as err:
+            errors.append(err)
+
+    cluster.run(join=[proc.start(body)])
+    assert [(err.node, err.peer) for err in errors] == [(3, 1)]
+    assert [(f.reporter, f.peer, f.lost_packets, f.unrecovered)
+            for f in cluster.injector.node_failures] == [
+        (3, 1, {"COLL_JOIN": 1}, 0)]
 
 
 def test_zz_soak_injected_faults():

@@ -10,8 +10,9 @@ byte-for-byte under ``tests/fixtures/``:
   spans on, exercising the coherence engine, UPDATE fan-out, and the
   cpu/hib/link duration lanes of the exporter.
 - **collectives** — an X1-style 8-node NIC-barrier run (combining
-  tree + multicast release), pinned under the calendar-queue kernel;
-  its release fan-outs produce the densest same-timestamp batches.
+  tree, released back down the tree: the default ``release="tree"``),
+  pinned under the calendar-queue kernel; its release fan-outs produce
+  the densest same-timestamp batches.
 
 The retry/coherence fixtures were produced by the pre-refactor kernel
 (commit 531526b), so ``test_golden_traces.py`` proves the fast-path
@@ -86,9 +87,10 @@ def coherence_run(kernel: str = "bucket") -> Cluster:
 
 def collectives_run(kernel: str = "bucket") -> Cluster:
     """An X1-style 8-node NIC-collectives run: staggered arrivals into
-    three barrier rounds over the HIB combining tree + multicast
-    release (the calendar-queue kernel's densest same-timestamp
-    batches come from exactly this release fan-out)."""
+    three barrier rounds over the HIB combining tree, each released
+    back down the tree (the default ``release="tree"``; the
+    calendar-queue kernel's densest same-timestamp batches come from
+    exactly this release fan-out)."""
     n = 8
     cluster = Cluster(ClusterConfig(n_nodes=n, collectives="nic",
                                     kernel=kernel))

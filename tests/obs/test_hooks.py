@@ -31,7 +31,7 @@ def test_profiler_counts_events_exactly():
     assert profiler.events_scheduled == 3
     assert profiler.events_executed == 3
     assert profiler.runs == 1
-    assert profiler.max_heap_depth == 3
+    assert profiler.max_queue_depth == 3
     assert profiler.wall_seconds > 0.0
     snap = profiler.snapshot()
     assert snap["events_executed"] == 3
@@ -55,7 +55,7 @@ def test_profiler_peak_depth_is_the_same_on_both_kernels(kernel):
     for _ in range(4):
         sim.schedule(10, lambda: None)
     sim.run()
-    assert profiler.max_heap_depth == 7
+    assert profiler.max_queue_depth == 7
     assert profiler.events_executed == profiler.events_scheduled == 8
 
 
