@@ -44,7 +44,7 @@ from repro.obs import EventLoopProfiler, MetricsRegistry
 from repro.os import NodeOS, TelegraphosDriver, VirtualMemoryManager
 from repro.os.replication import AlarmReplicationPolicy
 from repro.params import DEFAULT_PARAMS, Params
-from repro.sim import Simulator, Tracer, make_simulator
+from repro.sim import Simulator, Tracer, collector_paused, make_simulator
 
 #: Main memory per workstation (4 MiB); Telegraphos II reserves up to
 #: half of it for shared data.
@@ -99,59 +99,60 @@ class Cluster:
                 f"Cluster takes one ClusterConfig, got {config!r}; "
                 "build it as Cluster(ClusterConfig(n_nodes=...))"
             )
-        self.config = config
-        self.params = config.params or DEFAULT_PARAMS
-        self.protocol = config.protocol
-        self.sim = make_simulator(config.kernel)
-        self.metrics = MetricsRegistry(enabled=config.metrics)
-        self.profiler: Optional[EventLoopProfiler] = None
-        if config.profile_kernel:
-            self.profiler = EventLoopProfiler()
-            self.sim.hooks = self.profiler
-        self.amap = AddressMap(page_bytes=self.params.sizing.page_bytes)
-        self.tracer = Tracer(clock=lambda: self.sim.now,
-                             enabled=config.trace,
-                             lanes=config.trace_lanes)
-        fault_config = config.fault_config()
-        #: The cluster-wide fault injector (``None`` = lossless fabric).
-        self.injector: Optional[FaultInjector] = (
-            FaultInjector(self.sim, fault_config, tracer=self.tracer)
-            if fault_config is not None else None
-        )
-        self.fabric = Fabric(
-            self.sim, self.params, by_name(config.topology, config.n_nodes),
-            tracer=self.tracer, injector=self.injector,
-            routing=config.routing,
-        )
-        self.directory = SharingDirectory(self.params.sizing.page_bytes)
-        self.nodes: List[Workstation] = [
-            Workstation(self.sim, self.params, n, self.amap, self.fabric,
-                        self.tracer, metrics=self.metrics,
-                        injector=self.injector)
-            for n in range(config.n_nodes)
-        ]
-        self.engines = {}
-        for node in self.nodes:
-            engine = make_engine(
-                config.protocol, node.node_id, self.directory,
-                tracer=self.tracer,
-                cache_entries=config.cache_entries,
-                rmw_ns=self.params.timing.counter_cache_rmw_ns,
+        with collector_paused():
+            self.config = config
+            self.params = config.params or DEFAULT_PARAMS
+            self.protocol = config.protocol
+            self.sim = make_simulator(config.kernel)
+            self.metrics = MetricsRegistry(enabled=config.metrics)
+            self.profiler: Optional[EventLoopProfiler] = None
+            if config.profile_kernel:
+                self.profiler = EventLoopProfiler()
+                self.sim.hooks = self.profiler
+            self.amap = AddressMap(page_bytes=self.params.sizing.page_bytes)
+            self.tracer = Tracer(clock=lambda: self.sim.now,
+                                 enabled=config.trace,
+                                 lanes=config.trace_lanes)
+            fault_config = config.fault_config()
+            #: The cluster-wide fault injector (``None`` = lossless fabric).
+            self.injector: Optional[FaultInjector] = (
+                FaultInjector(self.sim, fault_config, tracer=self.tracer)
+                if fault_config is not None else None
             )
-            node.hib.coherence = engine
-            self.engines[node.node_id] = engine
-        if config.replication_threshold is not None:
-            backends = {n.node_id: n.backend for n in self.nodes}
+            self.fabric = Fabric(
+                self.sim, self.params, by_name(config.topology, config.n_nodes),
+                tracer=self.tracer, injector=self.injector,
+                routing=config.routing,
+            )
+            self.directory = SharingDirectory(self.params.sizing.page_bytes)
+            self.nodes: List[Workstation] = [
+                Workstation(self.sim, self.params, n, self.amap, self.fabric,
+                            self.tracer, metrics=self.metrics,
+                            injector=self.injector)
+                for n in range(config.n_nodes)
+            ]
+            self.engines = {}
             for node in self.nodes:
-                node.replication = AlarmReplicationPolicy(
-                    node.os, node.vm, self.directory, self.params,
-                    remote_backends=backends,
-                    threshold=config.replication_threshold,
+                engine = make_engine(
+                    config.protocol, node.node_id, self.directory,
+                    tracer=self.tracer,
+                    cache_entries=config.cache_entries,
+                    rmw_ns=self.params.timing.counter_cache_rmw_ns,
                 )
-        self._segments: Dict[str, "Segment"] = {}
-        self._collective_groups: Dict[str, "CollectiveGroup"] = {}
-        self._collective_gids = 0
-        self._register_metrics()
+                node.hib.coherence = engine
+                self.engines[node.node_id] = engine
+            if config.replication_threshold is not None:
+                backends = {n.node_id: n.backend for n in self.nodes}
+                for node in self.nodes:
+                    node.replication = AlarmReplicationPolicy(
+                        node.os, node.vm, self.directory, self.params,
+                        remote_backends=backends,
+                        threshold=config.replication_threshold,
+                    )
+            self._segments: Dict[str, "Segment"] = {}
+            self._collective_groups: Dict[str, "CollectiveGroup"] = {}
+            self._collective_gids = 0
+            self._register_metrics()
 
     # -- context management ------------------------------------------------
 

@@ -123,14 +123,26 @@ class SpecialModeTg1:
 
 
 class TelegraphosContext:
-    """One Telegraphos II context: a register set plus its key."""
+    """One Telegraphos II context: a register set plus its key.
+
+    A HIB has 16 and most are never assigned, so a context holds no
+    container of its own: its operands and latched addresses are
+    tuples, replaced on each write."""
+
+    __slots__ = ("ctx_id", "key", "opcode_value", "operands", "_latched")
 
     def __init__(self, ctx_id: int):
         self.ctx_id = ctx_id
         self.key: Optional[int] = None
         self.opcode_value = 0
-        self.operands = [0, 0]
-        self.addresses: List[int] = []
+        self.operands: Tuple[int, int] = (0, 0)
+        #: Physical addresses latched by shadow stores, oldest first.
+        self._latched: Tuple[int, ...] = ()
+
+    @property
+    def addresses(self) -> List[int]:
+        """The latched physical addresses, oldest first."""
+        return list(self._latched)
 
     # -- driver side ------------------------------------------------------
 
@@ -147,8 +159,8 @@ class TelegraphosContext:
 
     def clear_arguments(self) -> None:
         self.opcode_value = 0
-        self.operands = [0, 0]
-        self.addresses = []
+        self.operands = (0, 0)
+        self._latched = ()
 
     # -- user side (register writes within the context page) -----------------
 
@@ -156,9 +168,9 @@ class TelegraphosContext:
         if reg == Reg.CTX_OPCODE:
             self.opcode_value = value
         elif reg == Reg.CTX_OPERAND0:
-            self.operands[0] = value
+            self.operands = (value, self.operands[1])
         elif reg == Reg.CTX_OPERAND1:
-            self.operands[1] = value
+            self.operands = (self.operands[0], value)
         else:
             raise LaunchError(f"store to unknown context register 0x{reg:x}")
 
@@ -170,17 +182,17 @@ class TelegraphosContext:
         if reg == Reg.CTX_OPERAND1:
             return self.operands[1]
         if reg == Reg.CTX_STATUS:
-            return len(self.addresses)
+            return len(self._latched)
         raise LaunchError(f"load of unknown context register 0x{reg:x}")
 
     def latch_address(self, phys: int) -> None:
         """A key-checked shadow store delivered its physical address."""
-        if len(self.addresses) >= 2:
+        if len(self._latched) >= 2:
             # A stale address from an abandoned launch: start over,
             # keeping the newest (the driver's documented recovery is
             # to re-issue the sequence).
-            self.addresses = []
-        self.addresses.append(phys)
+            self._latched = ()
+        self._latched += (phys,)
 
     def take_launch(self) -> Launch:
         """Consume a GO trigger.  Arguments are cleared; the key and
@@ -191,9 +203,9 @@ class TelegraphosContext:
             raise LaunchError(
                 f"context {self.ctx_id}: bad opcode {self.opcode_value}"
             ) from None
-        addresses = list(self.addresses)
+        addresses = list(self._latched)
         operands = list(self.operands[: opcode.needed_operands])
-        self.addresses = []
+        self._latched = ()
         _validate(opcode, addresses, operands)
         return opcode, addresses, operands
 

@@ -14,14 +14,16 @@ access to shared data".
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict
 
 
 class DirectMappedCache:
     """Word-granular, direct-mapped, write-through, write-allocate.
 
     Tracks hit/miss counts; the CPU charges ``cache_hit_ns`` on hits
-    and the DRAM path on misses.
+    and the DRAM path on misses.  The tags are sparse, a dict keyed by
+    line index as :class:`~repro.machine.memory.WordMemory` keeps its
+    words: a line never filled holds no slot.
     """
 
     def __init__(self, n_lines: int = 1024, word_bytes: int = 4):
@@ -29,7 +31,7 @@ class DirectMappedCache:
             raise ValueError("cache line count must be a positive power of two")
         self.n_lines = n_lines
         self.word_bytes = word_bytes
-        self._tags: List[Optional[int]] = [None] * n_lines
+        self._tags: Dict[int, int] = {}
         self.hits = 0
         self.misses = 0
 
@@ -41,7 +43,7 @@ class DirectMappedCache:
         """True on hit.  On miss the line is allocated (the caller is
         assumed to fetch from DRAM)."""
         index, tag = self._split(addr)
-        if self._tags[index] == tag:
+        if self._tags.get(index) == tag:
             self.hits += 1
             return True
         self.misses += 1
@@ -52,7 +54,7 @@ class DirectMappedCache:
         """Write-through with allocate: the line becomes present; DRAM
         is updated by the caller either way.  Returns prior hit."""
         index, tag = self._split(addr)
-        hit = self._tags[index] == tag
+        hit = self._tags.get(index) == tag
         if hit:
             self.hits += 1
         else:
@@ -61,7 +63,7 @@ class DirectMappedCache:
         return hit
 
     def invalidate_all(self) -> None:
-        self._tags = [None] * self.n_lines
+        self._tags.clear()
 
     @property
     def hit_rate(self) -> float:

@@ -204,7 +204,8 @@ class TorusSwitch:
     def add_input(self, label: object, from_host: bool = False) -> BoundedQueue:
         """Create the input FIFO for an incoming link.  ``from_host``
         marks an injection port, which resets each packet's
-        ``vc_wrap``."""
+        ``vc_wrap``.  The port, its queue and its fault site are named
+        ``sw{switch_id}.in.{label}``."""
         if label in self._inputs:
             raise ValueError(
                 f"duplicate input port {label!r} on {self.switch_id!r}")

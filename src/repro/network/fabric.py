@@ -164,9 +164,9 @@ class Fabric:
         FIFOs (stored in ``egress``/``ingress``), the link from the HIB
         into ``switch_in``, and the switch-side buffer and link back to
         the host.  Returns that last link, for the caller to register
-        with the switch.  The queues post nothing, so only the links
-        (each posts its first ``_drain``) and the switch's own wiring
-        calls fix the event order."""
+        with the switch.  Nothing here posts an event: a link starts
+        waiting on its source when it is built, as a switch input
+        does."""
         sizing = self.params.sizing
         timing = self.params.timing
         egress[vc] = BoundedQueue(
@@ -230,12 +230,17 @@ class Fabric:
         }
         coords_order = list(
             itertools.product(*(range(size) for size in topo.dims)))
+        # Each switch's coordinate text, formatted once: every switch,
+        # channel, buffer and input name below is built from it.  The
+        # names are fault sites, which seed the fault schedule, so they
+        # stay byte for byte what formatting the tuples gives.
+        text = {coords: str(coords) for coords in coords_order}
 
         for vc in VCS:
             for coords in coords_order:
                 self.torus_switches[vc][coords] = TorusSwitch(
-                    self.sim, self.params, f"{coords}.{vc}", coords, topo,
-                    host_coords, adaptive, injector=self.injector,
+                    self.sim, self.params, f"{text[coords]}.{vc}", coords,
+                    topo, host_coords, adaptive, injector=self.injector,
                 )
 
         # Host attachments per VC.
@@ -251,7 +256,9 @@ class Fabric:
             self.ports[node_id] = NetworkPort(node_id, egress, ingress,
                                               self.pool)
 
-        # Inter-switch channels: every directed edge, every class.
+        # Inter-switch channels: every directed edge, every class.  An
+        # input's label is the text of its (source coordinates, class)
+        # pair, so its name reads as the pair's would.
         for vc in VCS:
             for coords in coords_order:
                 src = self.torus_switches[vc][coords]
@@ -261,17 +268,16 @@ class Fabric:
                         nxt[dim] = (coords[dim] + step) % size
                         dst_coords = tuple(nxt)
                         dst = self.torus_switches[vc][dst_coords]
+                        hop = f"sw{text[coords]}->sw{text[dst_coords]}"
                         for cls in classes:
                             cname = CHANNEL_NAMES[cls]
                             buffer = BoundedQueue(
                                 sizing.link_credits,
-                                name=(f"sw{coords}->sw{dst_coords}"
-                                      f".{cname}.buf.{vc}"),
-                            )
-                            dst_in = dst.add_input((coords, cname))
+                                name=f"{hop}.{cname}.buf.{vc}")
+                            dst_in = dst.add_input(
+                                f"({text[coords]}, {cname!r})")
                             link = Link(self.sim, timing, buffer, dst_in,
-                                        name=(f"sw{coords}->sw{dst_coords}"
-                                              f".{cname}.{vc}"),
+                                        name=f"{hop}.{cname}.{vc}",
                                         tracer=self.tracer,
                                         injector=self.injector)
                             src.add_channel(dim, step, cls, link)

@@ -39,7 +39,12 @@ class Link:
     decisions and trace records keep their order (DESIGN.md §7).
     Switches feed it through :meth:`put_then`, which runs a waiting
     link's serialization start and the switch's next step as one
-    event."""
+    event.  A link starts waiting on ``src`` when it is built, before
+    any packet can come, so building one posts no event."""
+
+    __slots__ = ("sim", "timing", "src", "dst", "name", "node", "injector",
+                 "packets_carried", "bytes_carried", "busy_ns", "_span",
+                 "_flight", "_wire", "_held", "_due", "_then")
 
     def __init__(self, sim: Simulator, timing: TimingParams,
                  src: BoundedQueue, dst: BoundedQueue, name: str = "link",
@@ -65,7 +70,7 @@ class Link:
         self._due = -1
         #: The continuation of a :meth:`put_then` in progress.
         self._then: _Then = None
-        sim._post(0, self._drain)
+        src.get_then(self._take)
 
     def put_then(self, packet: Packet, then: Callable[..., None],
                  args: Tuple[Any, ...] = ()) -> None:

@@ -33,7 +33,10 @@ step, exactly where a process looping over blocking queue operations
 would resume (DESIGN.md §7, "Switches are callback state machines").
 The virtual output queues, output queues and slot pool are plain
 state; only the input FIFOs, which the links fill, are
-:class:`~repro.sim.BoundedQueue`\\ s.  The plain queues are lists: each
+:class:`~repro.sim.BoundedQueue`\\ s.  The VOQs live in one dict on
+the :class:`Switch`, keyed by (input, output) and made on each pair's
+first packet, so an input port (the torus switch's too) holds no
+container of its own.  The plain queues are lists: each
 holds at most a port FIFO's depth, an output's quota, the input count
 or the slot count, so ``pop(0)`` costs what a deque's ``popleft``
 would, and an empty list takes under a tenth of an empty deque's memory.
@@ -62,7 +65,7 @@ class SwitchInput:
     """
 
     __slots__ = ("switch", "sim", "queue", "name", "reset_wrap", "route_ns",
-                 "injector", "voqs")
+                 "injector")
 
     def __init__(self, switch: Any, label: object, reset_wrap: bool = False):
         self.switch = switch
@@ -76,8 +79,6 @@ class SwitchInput:
         self.reset_wrap = reset_wrap
         self.route_ns: int = switch.params.timing.switch_route_ns
         self.injector = switch.injector
-        #: The tree switch's virtual output queues at this input.
-        self.voqs: Dict[Output, Voq] = {}
         # The forwarder starts waiting now, before any packet can come.
         self.listen()
 
@@ -300,6 +301,10 @@ class Switch:
         # Resolved at install_routes time: dst host -> output, so the
         # forwarder's per-packet work is one dict hit.
         self._resolved: Dict[int, Output] = {}
+        #: The virtual output queues, keyed by (input, output) and made
+        #: on each pair's first packet, so the set depends only on
+        #: traffic and an input holds no container of its own.
+        self._voqs: Dict[Tuple[SwitchInput, Output], Voq] = {}
         #: The shared central buffer: its size, its free slots, and the
         #: pumps waiting for one, in arrival order.
         self.slots = params.sizing.switch_buffer_slots
@@ -355,10 +360,9 @@ class Switch:
                 f"switch {self.switch_id!r} has no route to host {packet.dst} "
                 f"(packet {packet!r})"
             )
-        voq = port.voqs.get(output)
+        voq = self._voqs.get((port, output))
         if voq is None:
-            # Lazily, so the VOQ set depends only on traffic.
-            voq = port.voqs[output] = Voq(self, port, output)
+            voq = self._voqs[port, output] = Voq(self, port, output)
         # Waits only when THIS destination's VOQ is full.
         voq.put(packet, duplicate)
 

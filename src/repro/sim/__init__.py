@@ -20,6 +20,8 @@ links, switches, the OS model — runs on this kernel.  It provides:
   (HIB FIFOs, link credits, switch buffers).  Processes yield on its
   ``put`` and ``get``; callback state machines (links, switch inputs)
   use ``put_then`` and ``get_then``, which make no waitable.
+- :func:`~repro.sim.kernel.collector_paused`: pauses CPython's cyclic
+  garbage collector while a cluster is built and while a kernel runs.
 """
 
 from repro.sim.kernel import (
@@ -30,6 +32,7 @@ from repro.sim.kernel import (
     SimulationDeadlock,
     Simulator,
     Waitable,
+    collector_paused,
 )
 from repro.sim.queues import BoundedQueue
 from repro.sim.refkernel import ReferenceSimulator
@@ -68,6 +71,7 @@ __all__ = [
     "Process",
     "SimulationDeadlock",
     "Simulator",
+    "collector_paused",
     "make_simulator",
     "Tally",
     "Timer",

@@ -42,6 +42,7 @@ from repro.sim.kernel import (
     Simulator,
     _Entry,
     check_run_bounds,
+    collector_paused,
 )
 
 
@@ -87,31 +88,32 @@ class ReferenceSimulator(Simulator):
         hooks = self.hooks
         heap = self._heap
         executed = 0
-        if hooks is not None:
-            hooks.on_run_start(self)
-        try:
-            while True:
-                if not heap:
-                    break
-                if max_events is not None and executed >= max_events:
-                    break
-                time = heap[0][0]
-                if until is not None and time > until:
-                    break
-                _time, _seq, fn, args = _heappop(heap)
-                if hooks is not None and time != self.now:
-                    hooks.on_advance(self, self.now, time)
-                self.now = time
-                fn(*args)
-                executed += 1
-                if hooks is not None:
-                    hooks.on_execute(self, time, fn)
-                if self._failures and self.strict_failures:
-                    self._raise_failure()
-        finally:
+        with collector_paused():
             if hooks is not None:
-                hooks.on_run_end(self, executed)
-            self.events_executed += executed
+                hooks.on_run_start(self)
+            try:
+                while True:
+                    if not heap:
+                        break
+                    if max_events is not None and executed >= max_events:
+                        break
+                    time = heap[0][0]
+                    if until is not None and time > until:
+                        break
+                    _time, _seq, fn, args = _heappop(heap)
+                    if hooks is not None and time != self.now:
+                        hooks.on_advance(self, self.now, time)
+                    self.now = time
+                    fn(*args)
+                    executed += 1
+                    if hooks is not None:
+                        hooks.on_execute(self, time, fn)
+                    if self._failures and self.strict_failures:
+                        self._raise_failure()
+            finally:
+                if hooks is not None:
+                    hooks.on_run_end(self, executed)
+                self.events_executed += executed
         if (until is not None and self.now < until
                 and not (heap and heap[0][0] <= until)):
             if hooks is not None:
@@ -138,27 +140,28 @@ class ReferenceSimulator(Simulator):
         hooks = self.hooks
         heap = self._heap
         executed = 0
-        if hooks is not None:
-            hooks.on_run_start(self)
-        try:
-            while pending[0]:
-                if not heap:
-                    raise SimulationDeadlock(
-                        [p for p in targets if not p.done])
-                time, _seq, fn, args = heap[0]
-                if limit_ns is not None and time > limit_ns:
-                    self._raise_run_timeout(targets)
-                _heappop(heap)
-                if hooks is not None and time != self.now:
-                    hooks.on_advance(self, self.now, time)
-                self.now = time
-                fn(*args)
-                executed += 1
-                if hooks is not None:
-                    hooks.on_execute(self, time, fn)
-                if self._failures and self.strict_failures:
-                    self._raise_failure()
-        finally:
+        with collector_paused():
             if hooks is not None:
-                hooks.on_run_end(self, executed)
-            self.events_executed += executed
+                hooks.on_run_start(self)
+            try:
+                while pending[0]:
+                    if not heap:
+                        raise SimulationDeadlock(
+                            [p for p in targets if not p.done])
+                    time, _seq, fn, args = heap[0]
+                    if limit_ns is not None and time > limit_ns:
+                        self._raise_run_timeout(targets)
+                    _heappop(heap)
+                    if hooks is not None and time != self.now:
+                        hooks.on_advance(self, self.now, time)
+                    self.now = time
+                    fn(*args)
+                    executed += 1
+                    if hooks is not None:
+                        hooks.on_execute(self, time, fn)
+                    if self._failures and self.strict_failures:
+                        self._raise_failure()
+            finally:
+                if hooks is not None:
+                    hooks.on_run_end(self, executed)
+                self.events_executed += executed
