@@ -196,10 +196,6 @@ def cmd_sweep(args) -> int:
         print(f"sweep: --workers must be at least 1, got {args.workers}",
               file=sys.stderr)
         return 2
-    if args.retries < 0:
-        print(f"sweep: --retries must be at least 0, got {args.retries}",
-              file=sys.stderr)
-        return 2
 
     specs = default_registry()
     if args.only:
@@ -257,7 +253,7 @@ def cmd_sweep(args) -> int:
     if not args.render_only:
         outcome = run_sweep(
             specs, workers=args.workers, cache=cache, force=args.force,
-            retries=args.retries, progress=print,
+            progress=print,
         )
         print(f"sweep: {len(outcome.ran)} ran, {len(outcome.cached)} cached, "
               f"{len(outcome.failures)} failed "
@@ -418,9 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--force", action="store_true",
                          help="recompute even when the cached result "
                               "matches the spec version")
-    p_sweep.add_argument("--retries", type=int, default=1,
-                         help="retry budget per crashed/failed "
-                              "experiment (default: 1)")
     p_sweep.add_argument("--results-dir", default="results",
                          help="results cache directory (default: results)")
     p_sweep.add_argument("--out", default="EXPERIMENTS.md",

@@ -126,28 +126,25 @@ class ClusterReport:
                               switch.peak_buffer_use)
         return table
 
-    def metrics_table(self, include_zero: bool = False) -> Table:
+    def metrics_table(self) -> Table:
         """Flat view of the cluster's metrics-registry snapshot.
 
-        Scalar instruments render as-is; gauges as ``value (peak p)``;
-        histograms as ``count/mean/p99``.  All-zero scalars are elided
-        unless ``include_zero`` — with a couple of hundred instruments
-        per cluster, the silent ones are noise.
+        Scalar readings render as-is; distributions as
+        ``count/mean/p99``.  Zero readings and empty distributions are
+        elided — with a couple of hundred series per cluster, the
+        silent ones are noise.
         """
         table = Table(["metric", "tags", "value"],
                       title="Metrics registry")
         for name, series in self.cluster.metrics.snapshot().items():
             for tags, value in series.items():
                 if isinstance(value, dict):
-                    if "peak" in value:
-                        cell = f"{value['value']} (peak {value['peak']})"
-                    elif not value.get("count"):
+                    if not value.get("count"):
                         continue
-                    else:
-                        cell = (f"n={value['count']} "
-                                f"mean={value['mean']:.0f} "
-                                f"p99={value['p99']:.0f}")
-                elif value or include_zero:
+                    cell = (f"n={value['count']} "
+                            f"mean={value['mean']:.0f} "
+                            f"p99={value['p99']:.0f}")
+                elif value:
                     cell = value
                 else:
                     continue

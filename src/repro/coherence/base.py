@@ -122,11 +122,12 @@ class CoherenceEngine:
         return group
 
     def _update_copy(self, hib, dst: int, group: PageGroup, in_page: int,
-                     value: int, origin: int, meta: Optional[dict] = None):
+                     value: int, origin: int, op_id: Optional[int] = None,
+                     meta: Optional[dict] = None):
         self.stats["updates_sent"] += 1
         yield from hib.send(
             PacketKind.UPDATE, dst, address=group.home_offset(in_page),
-            value=value, origin=origin,
+            value=value, op_id=op_id, origin=origin,
             meta={"home": group.home, "gpage": group.gpage,
                   "in_page": in_page, **(meta or {})},
         )

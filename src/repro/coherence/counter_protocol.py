@@ -61,12 +61,12 @@ class CounterProtocolEngine(OwnerUpdateEngine):
     # Rules 2 and 3: filter reflections instead of blindly applying.
     def _handle_reflection(self, hib, group, in_page, packet):
         key = (group.home, group.gpage, in_page)
-        if packet.origin == self.node_id and packet.meta.get("completion", True):
+        if packet.origin == self.node_id and packet.op_id is not None:
             # Rule 2: my own counted write coming back — ignore,
             # decrement.  The reflection of a direct write I made
-            # through the remote window completes nothing and was never
-            # counted, so it is any other write (Rule 3, or applied).
-            hib.outstanding.decrement()
+            # through the remote window carries no op id: it completes
+            # nothing and is any other write (Rule 3, or applied).
+            hib.outstanding.close(packet.op_id)
             yield from self.counters.decrement(key)
             self.stats["updates_ignored"] += 1
             self._record(group, in_page, packet.value,

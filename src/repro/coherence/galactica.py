@@ -57,19 +57,20 @@ class GalacticaEngine(CoherenceEngine):
         if len(group.copy_holders) == 1:
             return
         self._in_flight[key] = {"value": value, "lost_to": None}
-        hib.outstanding.increment()
+        op_id = hib.outstanding.open()
         yield from self._send_ring(hib, group, in_page, value,
-                                   origin=self.node_id)
+                                   origin=self.node_id, op_id=op_id)
 
     def on_home_write(self, hib, offset: int, value: int, origin: int):
         """Direct remote writes behave like a local write by this node
-        (it injects the update into the ring on the writer's behalf)."""
+        (it injects the update into the ring on the writer's behalf),
+        except that the update completes no op of this node."""
         group = self._record_home(offset, value, origin)
         if group is None or len(group.copy_holders) == 1:
             return
         in_page = offset % self.directory.page_bytes
         yield from self._send_ring(hib, group, in_page, value,
-                                   origin=self.node_id, completion=False)
+                                   origin=self.node_id)
 
     # -- ring packets -----------------------------------------------------------
 
@@ -82,8 +83,8 @@ class GalacticaEngine(CoherenceEngine):
 
         if packet.origin == self.node_id:
             # My update (or repair) completed its loop.
-            if packet.meta.get("completion", True):
-                hib.outstanding.decrement()
+            if packet.op_id is not None:
+                hib.outstanding.close(packet.op_id)
             entry = self._in_flight.pop(key, None)
             if not repair and entry is not None and entry["lost_to"] is not None:
                 # Back off: a higher-priority write beat mine; restore
@@ -92,10 +93,10 @@ class GalacticaEngine(CoherenceEngine):
                 winner_value = entry["lost_to"][1]
                 yield from self._apply(hib, group, in_page, winner_value,
                                        origin=self.node_id, kind="backoff")
-                hib.outstanding.increment()
+                op_id = hib.outstanding.open()
                 yield from self._send_ring(
                     hib, group, in_page, winner_value,
-                    origin=self.node_id, repair=True,
+                    origin=self.node_id, op_id=op_id, repair=True,
                 )
             return
 
@@ -115,18 +116,17 @@ class GalacticaEngine(CoherenceEngine):
     # -- helpers ------------------------------------------------------------------
 
     def _send_ring(self, hib, group, in_page, value, origin,
-                   repair=False, completion=True):
+                   op_id=None, repair=False):
         dst = self._next_in_ring(group, self.node_id)
         self.stats["updates_sent"] += 1
         yield from hib.send(
             PacketKind.RING_UPDATE, dst, address=group.home_offset(in_page),
-            value=value, origin=origin,
+            value=value, op_id=op_id, origin=origin,
             meta={
                 "home": group.home,
                 "gpage": group.gpage,
                 "in_page": in_page,
                 "repair": repair,
-                "completion": completion,
             },
         )
 
@@ -134,5 +134,6 @@ class GalacticaEngine(CoherenceEngine):
         dst = self._next_in_ring(group, self.node_id)
         yield from hib.send(
             PacketKind.RING_UPDATE, dst, address=packet.address,
-            value=packet.value, origin=packet.origin, meta=dict(packet.meta),
+            value=packet.value, op_id=packet.op_id, origin=packet.origin,
+            meta=dict(packet.meta),
         )

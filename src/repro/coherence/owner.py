@@ -47,16 +47,16 @@ class OwnerUpdateEngine(CoherenceEngine):
             yield from self._apply(hib, group, in_page, value,
                                    origin=self.node_id, kind="local")
             yield from self._reflect(hib, group, in_page, value,
-                                     origin=self.node_id, skip_origin=True)
+                                     origin=self.node_id)
             return
         # A non-owner: forward to the owner (§2.3.1 "the write
         # operation must be forwarded to the owner of the page").
         if self.apply_local:
             yield from self._local_apply_before_forward(hib, group, in_page, value)
-        hib.outstanding.increment()
+        op_id = hib.outstanding.open()
         yield from self._update_copy(
             hib, group.home, group, in_page, value, origin=self.node_id,
-            meta={"to_owner": True},
+            op_id=op_id, meta={"to_owner": True},
         )
 
     def _local_apply_before_forward(self, hib, group, in_page, value):
@@ -70,10 +70,8 @@ class OwnerUpdateEngine(CoherenceEngine):
             return
         in_page = offset % self.directory.page_bytes
         # Reflect to every copy; the origin was already acked by the
-        # write path, so reflections carry no completion semantics.
-        yield from self._reflect(hib, group, in_page, value,
-                                 origin=origin, skip_origin=False,
-                                 completion=False)
+        # write path, so the reflections carry no op id.
+        yield from self._reflect(hib, group, in_page, value, origin=origin)
 
     # -- protocol packets ----------------------------------------------------
 
@@ -88,20 +86,19 @@ class OwnerUpdateEngine(CoherenceEngine):
                     f"page owned by {group.home}"
                 )
             # Serialize: apply at home in arrival order, then multicast
-            # the reflected write to every copy — including the writer
-            # (the writer's completion signal).
+            # the reflected write to every copy — including the writer,
+            # whose op it completes.
             yield from self._apply(hib, group, in_page, packet.value,
                                    origin=packet.origin, kind="serialize")
             yield from self._reflect(hib, group, in_page, packet.value,
-                                     origin=packet.origin, skip_origin=False)
+                                     origin=packet.origin, op_id=packet.op_id)
             return
         # A reflected write arriving at a copy holder.
         yield from self._handle_reflection(hib, group, in_page, packet)
 
     def _handle_reflection(self, hib, group, in_page, packet):
-        own = packet.origin == self.node_id
-        if own and packet.meta.get("completion", True):
-            hib.outstanding.decrement()
+        if packet.origin == self.node_id and packet.op_id is not None:
+            hib.outstanding.close(packet.op_id)
         # Both §2.3.2 variants apply every reflection unconditionally —
         # that is precisely what the counter protocol will refine.
         yield from self._apply(hib, group, in_page, packet.value,
@@ -109,15 +106,13 @@ class OwnerUpdateEngine(CoherenceEngine):
 
     # -- helpers ----------------------------------------------------------------
 
-    def _reflect(self, hib, group, in_page, value, origin, skip_origin,
-                 completion=True):
-        """Owner-side multicast of a serialized update to the copies."""
+    def _reflect(self, hib, group, in_page, value, origin, op_id=None):
+        """Owner-side multicast of a serialized update to the other
+        copies; ``op_id`` is the forwarded write's, which its
+        reflection to ``origin`` completes."""
         for node in group.copy_holders:
             if node == self.node_id:
                 continue
-            if skip_origin and node == origin:
-                continue
             yield from self._update_copy(
-                hib, node, group, in_page, value, origin=origin,
-                meta={"completion": completion},
+                hib, node, group, in_page, value, origin=origin, op_id=op_id,
             )

@@ -17,8 +17,8 @@ Runs a list of :class:`~repro.exp.spec.ExperimentSpec` across a
   a worker that dies outright (``os._exit``, segfault, OOM-kill) simply
   stops reporting.  Either way the unresolved experiments are retried
   in fresh single-experiment processes, and only after the retry budget
-  is exhausted does the sweep degrade into a structured
-  :class:`ExperimentFailure` — the sweep-level analogue of
+  (:data:`DEFAULT_RETRIES`) is exhausted does the sweep degrade into a
+  structured :class:`ExperimentFailure` — the sweep-level analogue of
   :class:`repro.faults.NodeFailure` (same vocabulary: bounded retries,
   then a machine-readable report instead of a hang or a crash).
 - **Check before store** — the parent runs each fresh result through
@@ -230,7 +230,6 @@ def run_sweep(
     workers: int = 1,
     cache: Optional[ResultCache] = None,
     force: bool = False,
-    retries: int = DEFAULT_RETRIES,
     progress: Optional[Callable[[str], None]] = None,
 ) -> SweepOutcome:
     """Run every spec (cache permitting) and persist its results
@@ -261,7 +260,7 @@ def run_sweep(
     results, errors = _run_sharded(shards, progress=progress)
 
     unresolved = [spec for spec in pending if spec.exp_id not in results]
-    for _ in range(retries):
+    for _ in range(DEFAULT_RETRIES):
         if not unresolved:
             break
         for spec in unresolved:

@@ -13,7 +13,8 @@ hardware, every shared-memory operation the paper lists:
 - page access counters and alarms (§2.2.6) —
   :mod:`repro.hib.page_counters`;
 - counters of outstanding remote operations and the FENCE /
-  MEMORY_BARRIER (§2.2, §2.3.5) — :mod:`repro.hib.outstanding`;
+  MEMORY_BARRIER (§2.2, §2.3.5), kept as one ledger of every op a
+  node starts — :mod:`repro.hib.outstanding`;
 - eager-update multicast (§2.2.7) — :mod:`repro.hib.multicast`;
 - the retry protocol a faulty fabric runs, with its per-peer delivery
   logs (an extension beyond the paper) — :mod:`repro.hib.reliable`;

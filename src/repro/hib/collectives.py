@@ -443,8 +443,7 @@ class CollectiveUnit:
         for round_ in group.rounds.values():
             for waiter in round_.waiters:
                 waiter.set_exception(
-                    NodeUnreachableError(self.hib.node_id, peer, packet.op_id)
-                )
+                    NodeUnreachableError(self.hib.node_id, peer))
                 recovered = True
             round_.waiters = []
         windows = list(group.open_windows.values())
@@ -453,10 +452,7 @@ class CollectiveUnit:
             for waiter, _child, _cwin, _prefix in window.entries:
                 if waiter is not None:
                     waiter.set_exception(
-                        NodeUnreachableError(
-                            self.hib.node_id, peer, packet.op_id
-                        )
-                    )
+                        NodeUnreachableError(self.hib.node_id, peer))
                     recovered = True
             window.entries = []
         return recovered

@@ -17,11 +17,16 @@ is retransmitted (go-back-N — cheap because the fabric preserves
 per-plane FIFO order, so a gap can only mean loss), after a capped
 exponential backoff, with the timeout itself backing off too.  After
 ``retry_limit`` consecutive retransmissions of the same window the
-peer is declared unreachable: the window is abandoned, outstanding-op
-counts for abandoned writes are unwound (so FENCE still resolves),
-pending read/atomic futures fail with
-:class:`~repro.faults.NodeUnreachableError`, and a structured
-:class:`~repro.faults.NodeFailure` lands in ``cluster.stats()``.
+peer is declared unreachable and both its windows are abandoned: each
+packet goes to :meth:`~repro.hib.hib.HIB.abandon_packet`, which
+finishes in the node's operation ledger
+(:mod:`repro.hib.outstanding`) any op of this node the packet still
+held open (FENCE stops waiting for a write or update; a blocked read
+or atomic fails with :class:`~repro.faults.NodeUnreachableError`).  A
+structured :class:`~repro.faults.NodeFailure` lands in
+``cluster.stats()``; its ``unrecovered`` count is the abandoned
+packets whose completion another node waits for (replies and
+WRITE_ACKs this node owes, forwarded coherence traffic).
 
 **Receiver side** — per ``(source, plane)`` the transport admits
 exactly the in-order prefix of the sequence space: duplicates are

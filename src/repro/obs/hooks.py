@@ -94,8 +94,7 @@ def _callback_label(fn: Callable) -> str:
 class EventLoopProfiler(KernelHooks):
     """Profiles the discrete-event kernel itself."""
 
-    def __init__(self, track_callbacks: bool = True):
-        self.track_callbacks = track_callbacks
+    def __init__(self):
         self.events_scheduled = 0
         self.events_executed = 0
         #: Peak of :attr:`_depth`, sampled after each event.
@@ -130,9 +129,8 @@ class EventLoopProfiler(KernelHooks):
         depth = self._depth = self._depth - 1
         if depth > self.max_queue_depth:
             self.max_queue_depth = depth
-        if self.track_callbacks:
-            label = _callback_label(fn)
-            self.callback_counts[label] = self.callback_counts.get(label, 0) + 1
+        label = _callback_label(fn)
+        self.callback_counts[label] = self.callback_counts.get(label, 0) + 1
 
     def on_run_end(self, sim, executed: int) -> None:
         if self._run_started is not None:

@@ -186,8 +186,7 @@ def test_worker_crash_is_retried_in_isolation(tmp_path):
         make_spec("CRASH", run_crash_once,
                   params={"flag_path": str(flag)}),
     ]
-    outcome = run_sweep(specs, workers=2, cache=ResultCache(str(tmp_path)),
-                        retries=1)
+    outcome = run_sweep(specs, workers=2, cache=ResultCache(str(tmp_path)))
     # The crash killed its worker mid-shard, yet both experiments
     # completed: OK from the first pass, CRASH from the isolated retry.
     assert outcome.ok
@@ -201,8 +200,7 @@ def test_retry_budget_exhaustion_degrades_to_structured_failure(tmp_path):
         make_spec("OK", run_value, params={"value": 1}),
         make_spec("BAD", run_always_raises),
     ]
-    outcome = run_sweep(specs, workers=2, cache=ResultCache(str(tmp_path)),
-                        retries=1)
+    outcome = run_sweep(specs, workers=2, cache=ResultCache(str(tmp_path)))
     assert not outcome.ok
     assert outcome.ran == ["OK"]
     (failure,) = outcome.failures
@@ -268,8 +266,7 @@ def test_dead_worker_failure_reports_exitcode_and_host(tmp_path):
     shrug.  (No host is named: every attempt runs on the sweeping
     machine.)"""
     specs = [make_spec("DIE", run_always_exits, params={"code": 13})]
-    outcome = run_sweep(specs, workers=1, cache=ResultCache(str(tmp_path)),
-                        retries=1)
+    outcome = run_sweep(specs, workers=1, cache=ResultCache(str(tmp_path)))
     assert not outcome.ok
     (failure,) = outcome.failures
     assert failure.experiment == "DIE"

@@ -11,7 +11,7 @@ schedule the injector can produce:
 
 Failure messages embed the fault seed so a red run is reproducible
 from the message alone.  ``REPRO_STRESS_ITERS=N`` multiplies the seed
-range (CI soak mode); the default matrix is 5 seeds x 4 scenarios.
+range (CI soak mode); the default matrix is 5 seeds x 8 scenarios.
 
 The final test is a mutation check: it breaks the retransmission path
 on purpose and demands that the same harness assertions catch it — a
@@ -29,24 +29,34 @@ from repro.sim import SimulationDeadlock
 STRESS_ITERS = max(1, int(os.environ.get("REPRO_STRESS_ITERS", "1")))
 SEEDS = list(range(1, 1 + 5 * STRESS_ITERS))
 
-#: (name, protocol, fault rates, contended writers).  Rates are per
-#: link traversal, so a run of ~100 writes sees a handful of each
-#: configured fault.  Galactica only promises *convergence* (the
-#: paper's §2.4 criticism is exactly that its repairs violate
-#: ordering), and its conflict detection assumes both updates traverse
-#: the ring "at about the same time" — an assumption retransmission
-#: delays legitimately break — so it runs single-producer here while
-#: the counter protocol takes the contended schedule.
+#: Every fault class at once, at rates a retry budget always absorbs.
+COMBINED = {"drop_rate": 0.01, "corrupt_rate": 0.01,
+            "duplicate_rate": 0.01, "stall_rate": 0.02}
+
+#: (name, protocol, fault rates, contended writers, subsequence
+#: checked).  Rates are per link traversal, so a run of ~100 writes
+#: sees a handful of each configured fault.  Galactica only promises
+#: *convergence* (the paper's §2.4 criticism is exactly that its
+#: repairs violate ordering), and its conflict detection assumes both
+#: updates traverse the ring "at about the same time" — an assumption
+#: retransmission delays legitimately break — so it runs
+#: single-producer here while the owner-serialized protocols take the
+#: contended schedule.  Owner-stale copies apply only the owner's
+#: reflections, so each sees a subsequence of its order; owner-local
+#: applies a write before its reflection (§2.3.2 problem 2), so it
+#: only converges.
 SCENARIOS = [
     ("none-drop", "none",
-     {"drop_rate": 0.05}, False),
+     {"drop_rate": 0.05}, False, False),
     ("none-drop-corrupt", "none",
-     {"drop_rate": 0.02, "corrupt_rate": 0.02}, False),
+     {"drop_rate": 0.02, "corrupt_rate": 0.02}, False, False),
     ("telegraphos-dup-stall", "telegraphos",
-     {"duplicate_rate": 0.03, "stall_rate": 0.05}, True),
-    ("galactica-combined", "galactica",
-     {"drop_rate": 0.01, "corrupt_rate": 0.01,
-      "duplicate_rate": 0.01, "stall_rate": 0.02}, False),
+     {"duplicate_rate": 0.03, "stall_rate": 0.05}, True, True),
+    ("galactica-combined", "galactica", COMBINED, False, False),
+    ("owner-stale-drop", "owner-stale", {"drop_rate": 0.03}, True, True),
+    ("owner-stale-combined", "owner-stale", COMBINED, True, True),
+    ("owner-local-drop", "owner-local", {"drop_rate": 0.03}, True, False),
+    ("owner-local-combined", "owner-local", COMBINED, True, False),
 ]
 
 #: Retransmissions observed across the whole matrix, so the aggregate
@@ -151,16 +161,16 @@ def check_replica(cluster, seed, subsequence=True):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("name,protocol,rates,contended",
+@pytest.mark.parametrize("name,protocol,rates,contended,subsequence",
                          SCENARIOS, ids=[s[0] for s in SCENARIOS])
-def test_fault_matrix(name, protocol, rates, contended, seed):
+def test_fault_matrix(name, protocol, rates, contended, subsequence, seed):
     faults = dict(rates, seed=seed)
     if protocol == "none":
         cluster, expected = run_remote(protocol, faults)
         check_remote(cluster, expected, seed)
     else:
         cluster = run_replica(protocol, faults, contended=contended)
-        check_replica(cluster, seed, subsequence=(protocol == "telegraphos"))
+        check_replica(cluster, seed, subsequence=subsequence)
     harvest(cluster)
 
 

@@ -8,6 +8,8 @@ of hanging.
 
 import dataclasses
 
+import pytest
+
 from repro.api import Cluster, ClusterConfig
 from repro.faults import NodeUnreachableError
 from repro.faults.plan import FaultDecision
@@ -243,6 +245,7 @@ def test_acked_write_is_not_counted_again_when_its_peer_dies():
     failures = cluster.stats()["faults"]["node_failures"]
     assert [(f["reporter"], f["peer"]) for f in failures] == [(0, 1)]
     assert failures[0]["lost_packets"] == {"WRITE_REQ": 1}
+    assert failures[0]["unrecovered"] == 0
 
 
 def test_abandoned_write_ignores_its_late_write_ack():
@@ -326,3 +329,107 @@ def test_abandoned_write_ack_leaves_the_homes_own_read_pending():
     assert failures[0]["lost_packets"] == {"WRITE_ACK": 1}
     assert failures[0]["unrecovered"] == 1
     cluster.assert_quiescent()
+
+
+def _one_request(cluster, op):
+    """Node 0 runs one ``op`` ("read" or "atomic") on a word homed at
+    node 1, then FENCE; returns the NodeUnreachableError the program
+    caught, or ``None``."""
+    seg = cluster.alloc_segment(home=1, pages=1, name="s")
+    proc = cluster.create_process(node=0, name="p")
+    base = proc.map(seg, mode="remote")
+    caught = {}
+
+    def program(p):
+        try:
+            if op == "read":
+                yield p.load(base)
+            else:
+                yield from p.fetch_and_add(base, 1)
+        except NodeUnreachableError as err:
+            caught["err"] = err
+        yield p.fence()
+
+    cluster.run(join=[cluster.start(proc, program)])
+    return caught.get("err")
+
+
+def test_late_reply_to_an_abandoned_read_is_dropped():
+    # Node 1 answers the read, but every LL_ACK it sends is lost and
+    # the READ_REPLY is stalled past node 0's retry budget: node 0
+    # declares node 1 dead and fails the load first.  The reply that
+    # arrives afterwards finishes nothing, and must not crash node 0.
+    cluster = Cluster(ClusterConfig(
+        n_nodes=2, protocol="none", params=small_retry_params(retry_limit=2),
+        faults={"seed": 1}))
+    stalled = []
+
+    def decide(packet):
+        if packet.kind is PacketKind.LL_ACK and packet.src == 1:
+            return FaultDecision("drop")
+        if packet.kind is PacketKind.READ_REPLY and not stalled:
+            stalled.append(packet)
+            return FaultDecision("stall", 1_000_000)
+        return FaultDecision()
+
+    _scripted_faults(cluster, decide)
+    err = _one_request(cluster, "read")
+    assert (err.node, err.peer) == (0, 1)
+    failures = {(f["reporter"], f["peer"]): f["at_ns"]
+                for f in cluster.stats()["faults"]["node_failures"]}
+    assert failures[0, 1] < 1_000_000 < cluster.now
+    # The late reply was served, and finished nothing.
+    assert cluster.nodes[0].hib.stats["packets_served"] == 1
+    cluster.assert_quiescent()
+
+
+@pytest.mark.parametrize("op", ["read", "atomic"])
+def test_answered_request_is_recovered_when_its_peer_dies(op):
+    # The request is answered and its reply completes it, but every
+    # LL_ACK from node 1 is lost, so the request stays in node 0's
+    # window until node 1 is declared dead.  The op was finished by its
+    # reply: abandoning the request loses nothing.
+    cluster = Cluster(ClusterConfig(
+        n_nodes=2, protocol="none", params=small_retry_params(retry_limit=2),
+        faults={"seed": 1}))
+
+    def decide(packet):
+        if packet.kind is PacketKind.LL_ACK and packet.src == 1:
+            return FaultDecision("drop")
+        return FaultDecision()
+
+    _scripted_faults(cluster, decide)
+    assert _one_request(cluster, op) is None
+    failures = cluster.stats()["faults"]["node_failures"]
+    assert [(f["reporter"], f["peer"]) for f in failures] == [(0, 1)]
+    kind = "READ_REQ" if op == "read" else "ATOMIC_REQ"
+    assert failures[0]["lost_packets"] == {kind: 1}
+    assert failures[0]["unrecovered"] == 0
+    cluster.assert_quiescent()
+
+
+@pytest.mark.parametrize("protocol", ["telegraphos", "owner-local",
+                                      "owner-stale", "eager", "galactica"])
+def test_own_update_abandoned_with_its_owner_releases_fence(protocol):
+    # Node 1 stores through its replica of a page homed at node 0, and
+    # everything node 0 sends is lost: the update's completion (its
+    # reflection, ack or returning ring update) never comes back, and
+    # node 1 declares node 0 dead.  Abandoning its own update must
+    # finish the op, so FENCE returns.
+    cluster = Cluster(ClusterConfig(
+        n_nodes=2, protocol=protocol, params=small_retry_params(retry_limit=2),
+        faults={"seed": 1, "drop_rate": 1.0, "sites": ["host0->sw"]}))
+    seg = cluster.alloc_segment(home=0, pages=1, name="s")
+    proc = cluster.create_process(node=1, name="w")
+    base = proc.map(seg, mode="replica")
+
+    def program(p):
+        yield p.store(base, 5)
+        yield p.fence()
+
+    cluster.run(join=[cluster.start(proc, program)])
+    failures = [f for f in cluster.stats()["faults"]["node_failures"]
+                if f["reporter"] == 1]
+    assert [f["peer"] for f in failures] == [0]
+    assert failures[0]["unrecovered"] == 0
+    assert cluster.nodes[1].hib.outstanding.count == 0
