@@ -100,6 +100,26 @@ def test_known_op_stream_produces_exact_counts():
     assert "hib.retransmits" not in snap
 
 
+def test_eager_update_acks_count_at_both_ends():
+    # The copy that applies a counted eager update acks it through the
+    # same path as a served write: acks sent and received agree.
+    cluster = Cluster(ClusterConfig(n_nodes=3, protocol="eager"))
+    seg = cluster.alloc_segment(home=0, pages=1, name="data")
+    proc = cluster.create_process(node=1, name="writer")
+    base = proc.map(seg, mode="replica")
+
+    def program(p):
+        for i in range(4):
+            yield p.store(base + 4 * i, i)
+        yield p.fence()
+
+    cluster.run(join=[cluster.start(proc, program)])
+    snap = cluster.stats()["metrics"]
+    assert snap["hib.acks_sent"]["node=0"] == 4
+    assert snap["hib.acks_received"]["node=1"] == 4
+    assert sum(snap["hib.acks_sent"].values()) == 4
+
+
 def test_metrics_disabled_cluster_still_runs_and_snapshots_empty():
     cluster = Cluster(ClusterConfig(n_nodes=2, metrics=False))
     seg = cluster.alloc_segment(home=1, pages=1, name="data")

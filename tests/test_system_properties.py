@@ -32,7 +32,7 @@ def test_property_operation_conservation(plan):
         per_node.setdefault(node, []).append((kind, word))
     expected_adds = sum(1 for _, kind, _ in plan if kind == "atomic")
     for station in cluster.nodes:
-        station.hib._pending = PeakDict()
+        station.hib.outstanding._open = PeakDict()
     ctxs = []
     for node, ops in per_node.items():
         proc = cluster.create_process(node=node, name=f"p{node}")
@@ -53,10 +53,10 @@ def test_property_operation_conservation(plan):
     assert seg.peek(0x100) == expected_adds
     for station in cluster.nodes:
         assert station.hib.outstanding.count == 0
-        assert not station.hib._pending, "reply future leaked"
+        assert not station.hib.outstanding._open, "op left open"
         # §2.3.5: a blocking read or atomic holds its CPU, so a node
         # never has two of them awaiting replies.
-        assert station.hib._pending.peak <= 1
+        assert station.hib.outstanding._open.peak <= 1
 
 
 @given(
