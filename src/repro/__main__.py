@@ -29,6 +29,8 @@ import sys
 
 from repro.analysis import comparison_table
 from repro.api import Cluster, ClusterConfig
+from repro.api.config import COLLECTIVES
+from repro.network.fabric import ROUTING_MODES
 
 #: Operations per §3.2 stream in the self-check: T2's methodology at a
 #: tenth of its 10000 operations, which keeps the check near a second.
@@ -366,14 +368,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--topology", default="star",
                        help="fabric topology: star, chain, ring, mesh, "
                             "torus, torus3d (default: star)")
-        p.add_argument("--routing", choices=("tree", "dor", "adaptive"),
+        p.add_argument("--routing", choices=ROUTING_MODES,
                        default="tree",
                        help="fabric routing mode: up*/down* spanning "
                             "tree (tree, any topology), dimension-order "
                             "(dor) or minimal-adaptive (adaptive); dor/"
                             "adaptive require --topology torus|torus3d "
                             "(default: tree)")
-        p.add_argument("--collectives", choices=("host", "nic"),
+        p.add_argument("--collectives", choices=COLLECTIVES,
                        default="host",
                        help="collective-operation backend: software "
                             "counter barrier (host) or NIC-resident "

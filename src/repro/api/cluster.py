@@ -243,9 +243,13 @@ class Cluster:
         for up to ``drain_ns`` (bounded so perpetual background
         processes — schedulers, pollers — cannot hold the simulation
         open).  It raises ``TimeoutError`` if they are still running
-        past ``limit_ns`` (default 10**12 ns).
+        past ``limit_ns`` (default 10**12 ns); ``limit_ns`` without
+        ``join`` is a ``TypeError``, as ``until`` with it is.
         """
         if join is None:
+            if limit_ns is not None:
+                raise TypeError("limit_ns= bounds a join; pass join= with "
+                                "it, or bound the run with until=")
             self.sim.run(until=until)
             return
         if until is not None:

@@ -12,8 +12,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Union
 
+from repro.coherence import PROTOCOLS
 from repro.faults.plan import FaultConfig
+from repro.network.fabric import ROUTING_MODES
+from repro.network.topology import TOPOLOGIES, TORI
 from repro.params import Params
+from repro.sim import KERNELS
+
+#: Collective backends (:mod:`repro.api.collectives`).
+COLLECTIVES = ("host", "nic")
+
+
+def _check_name(field: str, value: str, valid: tuple) -> None:
+    if value not in valid:
+        raise ValueError(
+            f"unknown {field} {value!r}; expected one of {valid}")
 
 
 @dataclass
@@ -94,21 +107,15 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
             raise ValueError("a cluster needs at least one node")
-        if self.routing not in ("tree", "dor", "adaptive"):
+        _check_name("protocol", self.protocol, PROTOCOLS)
+        _check_name("topology", self.topology, TOPOLOGIES)
+        _check_name("routing mode", self.routing, ROUTING_MODES)
+        _check_name("collectives backend", self.collectives, COLLECTIVES)
+        _check_name("kernel", self.kernel, KERNELS)
+        if self.routing != "tree" and self.topology not in TORI:
             raise ValueError(
-                f"unknown routing mode {self.routing!r}; "
-                "expected 'tree', 'dor' or 'adaptive'"
-            )
-        if self.collectives not in ("host", "nic"):
-            raise ValueError(
-                f"unknown collectives backend {self.collectives!r}; "
-                "expected 'host' or 'nic'"
-            )
-        if self.kernel not in ("bucket", "reference"):
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; "
-                "expected 'bucket' or 'reference'"
-            )
+                f"routing {self.routing!r} requires a torus topology, one "
+                f"of {TORI}; got {self.topology!r}")
         # Validate eagerly so a typo'd fault key fails at config time,
         # not mid-build.
         self.fault_config()

@@ -11,7 +11,8 @@ The wire is one deep: while one packet flies (or waits at ``dst``), the
 next waits on the wire and a third is held by the serializer, which
 then stops draining the source.  Serialization overlaps the flight
 before it, but flights are one at a time: packets leave at most one
-per max(serialization, propagation).  FIFO stages keep order.
+per max(serialization, propagation).  FIFO stages keep order.  Each
+step is an event of its own, a put from a switch included.
 
 A link is a **fault site**: a :class:`~repro.faults.FaultInjector` may
 drop, corrupt, duplicate or stall a traversal on its deterministic
@@ -28,7 +29,6 @@ from repro.sim import BoundedQueue, Simulator, Tracer
 from repro.network.packet import Packet
 
 _Slot = Optional[Tuple[int, Packet]]
-_Then = Optional[Tuple[Callable[..., None], Tuple[Any, ...]]]
 
 
 class Link:
@@ -37,14 +37,13 @@ class Link:
     that launches the flight, and arrival — each queued behind all
     already due at its instant, so the link's queue operations, fault
     decisions and trace records keep their order (DESIGN.md §7).
-    Switches feed it through :meth:`put_then`, which runs a waiting
-    link's serialization start and the switch's next step as one
-    event.  A link starts waiting on ``src`` when it is built, before
-    any packet can come, so building one posts no event."""
+    Switches feed it through :meth:`put_then`.  A link starts waiting
+    on ``src`` when it is built, before any packet can come, so
+    building one posts no event."""
 
     __slots__ = ("sim", "timing", "src", "dst", "name", "node", "injector",
                  "packets_carried", "bytes_carried", "busy_ns", "_span",
-                 "_flight", "_wire", "_held", "_due", "_then")
+                 "_flight", "_wire", "_held", "_due")
 
     def __init__(self, sim: Simulator, timing: TimingParams,
                  src: BoundedQueue, dst: BoundedQueue, name: str = "link",
@@ -68,25 +67,19 @@ class Link:
         self._held: _Slot = None
         #: When the latest serialization ends.
         self._due = -1
-        #: The continuation of a :meth:`put_then` in progress.
-        self._then: _Then = None
         src.get_then(self._take)
 
     def put_then(self, packet: Packet, then: Callable[..., None],
                  args: Tuple[Any, ...] = ()) -> None:
         """Put ``packet`` on ``src`` and run ``then(*args)`` one delay-0
         step after ``src`` accepts it, where a process resuming from the
-        put would.  When the link was waiting for the packet, the step
-        that starts serializing it is posted by the same put just
-        before, so one event runs both."""
-        self._then = (then, args)
-        if not self.src.try_put(packet):
-            # Full: ``then`` is posted by the get that admits the packet.
-            self._then = None
-            self.src.put_then(packet, partial(self.sim._post, 0, then, args))
-        elif self._then is not None:
-            self._then = None
+        put would: after the link's serialization start when the link
+        was waiting for the packet."""
+        if self.src.try_put(packet):
             self.sim._post(0, then, args)
+        else:
+            # Full: ``then`` is posted by the get that admits the packet.
+            self.src.put_then(packet, partial(self.sim._post, 0, then, args))
 
     def _launch(self) -> None:
         self.sim._post(self.timing.link_prop_ns, self._arrive)
@@ -98,22 +91,12 @@ class Link:
         self.src.get_then(self._take)
 
     def _take(self, packet: Packet) -> None:
-        then = self._then
-        if then is None:
-            self.sim._post(0, self._start, (packet,))
-        else:
-            self._then = None
-            self.sim._post(0, self._start_then, (packet,) + then)
+        self.sim._post(0, self._start, (packet,))
 
     def _start(self, packet: Packet) -> None:
         ns = self.timing.serialization_ns(packet.size_bytes)
         self._due = self.sim.now + ns
         self.sim._post(ns, self._clocked, ((self.sim.now, packet), ns))
-
-    def _start_then(self, packet: Packet, then: Callable[..., None],
-                    args: Tuple[Any, ...]) -> None:
-        self._start(packet)
-        then(*args)
 
     def _clocked(self, item: Tuple[int, Packet], ns: int) -> None:
         self.busy_ns += ns

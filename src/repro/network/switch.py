@@ -31,6 +31,8 @@ input ports through :class:`SwitchInput`.
 Every stage is a callback state machine that ``_post``\\ s its next
 step, exactly where a process looping over blocking queue operations
 would resume (DESIGN.md §7, "Switches are callback state machines").
+Each step is its own event: when one step wakes two, it posts both,
+back to back, in the order the processes would have run them.
 The virtual output queues, output queues and slot pool are plain
 state; only the input FIFOs, which the links fill, are
 :class:`~repro.sim.BoundedQueue`\\ s.  The VOQs live in one dict on
@@ -139,7 +141,8 @@ class Voq:
         """The forwarder's put; ``again`` puts a duplicate once more."""
         if self.waiting:
             self.waiting = False
-            self.sim._post(0, self._claim_resume, (packet, again))
+            self.sim._post(0, self.claim, (packet,))
+            self.sim._post(0, self.resume, (packet, again))
         elif len(self.items) < self.capacity:
             self.items.append(packet)
             self.sim._post(0, self.resume, (packet, again))
@@ -161,12 +164,11 @@ class Voq:
             return
         packet = items.pop(0)
         blocked = self.blocked
-        if blocked is None:
-            self.sim._post(0, self.claim, (packet,))
-        else:
+        if blocked is not None:
             self.blocked = None
             items.append(blocked[0])
-            self.sim._post(0, self._resume_claim, blocked + (packet,))
+            self.sim._post(0, self.resume, blocked)
+        self.sim._post(0, self.claim, (packet,))
 
     def claim(self, packet: Packet) -> None:
         """The pump takes a central buffer slot, or queues for one."""
@@ -190,17 +192,6 @@ class Voq:
         """The output accepted the pump's packet."""
         self.switch.packets_routed += 1
         self.pull()
-
-    # Sibling steps one event posts back to back run as one event.
-
-    def _claim_resume(self, packet: Packet, again: bool) -> None:
-        self.claim(packet)
-        self.resume(packet, again)
-
-    def _resume_claim(self, admitted: Packet, again: bool,
-                      packet: Packet) -> None:
-        self.resume(admitted, again)
-        self.claim(packet)
 
 
 class Output:
@@ -227,7 +218,8 @@ class Output:
         """A pump's put."""
         if self.waiting:
             self.waiting = False
-            self.sim._post(0, self._send_routed, (packet, voq))
+            self.sim._post(0, self.send, (packet,))
+            self.sim._post(0, voq.routed)
         elif len(self.items) < self.quota:
             self.items.append(packet)
             self.sim._post(0, voq.routed)
@@ -244,9 +236,8 @@ class Output:
         if self.blocked:
             voq, admitted = self.blocked.pop(0)
             items.append(admitted)
-            self.sim._post(0, self._routed_send, (voq, packet))
-        else:
-            self.sim._post(0, self.send, (packet,))
+            self.sim._post(0, voq.routed)
+        self.sim._post(0, self.send, (packet,))
 
     def send(self, packet: Packet) -> None:
         """Blocks on the link's credits."""
@@ -257,24 +248,11 @@ class Output:
         switch = self.switch
         stalled = switch._stalled
         if stalled:
-            self.sim._post(0, self._enter_pull, stalled.pop(0))
+            voq, packet = stalled.pop(0)
+            self.sim._post(0, voq.enter, (packet,))
         else:
             switch._free += 1
-            self.sim._post(0, self.pull)
-
-    # Sibling steps one event posts back to back run as one event.
-
-    def _send_routed(self, packet: Packet, voq: Voq) -> None:
-        self.send(packet)
-        voq.routed()
-
-    def _routed_send(self, voq: Voq, packet: Packet) -> None:
-        voq.routed()
-        self.send(packet)
-
-    def _enter_pull(self, voq: Voq, packet: Packet) -> None:
-        voq.enter(packet)
-        self.pull()
+        self.sim._post(0, self.pull)
 
 
 class Switch:

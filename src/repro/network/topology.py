@@ -228,6 +228,12 @@ def torus3d(nx: int, ny: int, nz: int,
     return _torus((nx, ny, nz), hosts_per_switch)
 
 
+#: The names :func:`by_name` builds, and those of them that are tori
+#: (:class:`TorusTopology`, which coordinate routing needs).
+TOPOLOGIES = ("star", "chain", "ring", "mesh", "torus", "torus3d")
+TORI = ("torus", "torus3d")
+
+
 def by_name(name: str, n_hosts: int) -> Topology:
     """Build a named topology sized for ``n_hosts`` workstations.
 
@@ -268,7 +274,8 @@ def by_name(name: str, n_hosts: int) -> Topology:
         topo = torus3d(side, side, side, 2)
         _trim_hosts(topo, n_hosts)
         return topo
-    raise ValueError(f"unknown topology {name!r}")
+    raise ValueError(
+        f"unknown topology {name!r}; expected one of {TOPOLOGIES}")
 
 
 def _trim_hosts(topo: Topology, n_hosts: int) -> None:

@@ -8,13 +8,14 @@ links, switches, the OS model — runs on this kernel.  It provides:
 - :class:`~repro.sim.kernel.Process`: generator-coroutine processes.
   A process is a Python generator that ``yield``\\ s either a
   non-negative ``int`` delay in nanoseconds or a
-  :class:`~repro.sim.kernel.Waitable` (a future, a done token, another
+  :class:`~repro.sim.kernel.Waitable` (a future or another
   process) and is resumed when the delay elapses or the waitable
   completes.  Nothing else resumes it: the kernel has no interrupts.
 - :class:`~repro.sim.kernel.Future`: one-shot completion tokens used
   for request/response interactions (e.g. a blocking remote read).
 - :class:`~repro.sim.timers.Timer`: a restartable deadline, the way
-  to call an action off; no queued event can be retracted.
+  to call an action off; no queued event can be retracted, so every
+  ``start`` posts an expiry and a superseded one runs as a no-op.
 - :class:`~repro.sim.queues.BoundedQueue`: a FIFO with blocking put
   and get, used to model every back-pressured buffer in the system
   (HIB FIFOs, link credits, switch buffers).  Processes yield on its
@@ -25,10 +26,8 @@ links, switches, the OS model — runs on this kernel.  It provides:
 """
 
 from repro.sim.kernel import (
-    READY,
     Future,
     Process,
-    Ready,
     SimulationDeadlock,
     Simulator,
     Waitable,
@@ -65,8 +64,6 @@ __all__ = [
     "BoundedQueue",
     "Future",
     "KERNELS",
-    "READY",
-    "Ready",
     "ReferenceSimulator",
     "Process",
     "SimulationDeadlock",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, List
 
-from repro.sim.kernel import READY, Future, Ready, Waitable
+from repro.sim.kernel import Future, Waitable
 
 
 class BoundedQueue:
@@ -96,21 +96,23 @@ class BoundedQueue:
     # -- process interface ---------------------------------------------------
 
     def put(self, item: Any) -> Waitable:
-        """Enqueue ``item``; the returned waitable resolves once it is
-        accepted — the shared done-token when accepted immediately."""
-        if self.try_put(item):
-            return READY
+        """Enqueue ``item``; the returned future resolves once it is
+        accepted, and is already complete when it is accepted at once."""
         future = Future()
-        self._waiters.append((future.set_result, item))
+        if self.try_put(item):
+            future.set_result()
+        else:
+            self._waiters.append((future.set_result, item))
         return future
 
     def get(self) -> Waitable:
-        """Dequeue the oldest item; the returned waitable resolves with
-        it — an already-done token when an item was waiting."""
-        if self._items:
-            return Ready(self._take())
+        """Dequeue the oldest item; the returned future resolves with
+        it, and is already complete when an item was waiting."""
         future = Future()
-        self._waiters.append(future.set_result)
+        if self._items:
+            future.set_result(self._take())
+        else:
+            self._waiters.append(future.set_result)
         return future
 
     def _take(self) -> Any:

@@ -20,10 +20,10 @@ kernel's buckets or instant list — which is precisely what
 ``tests/sim/test_kernel_equivalence.py`` exploits: the same workload is
 run under both and the dispatch sequences must match byte for byte.
 
-Every producer files an event through :meth:`Simulator._post` or
-:meth:`Simulator._push_back`, and this class overrides both to push
-onto the heap, so nothing ever writes the production kernel's instant
-list or buckets here: the heap is the whole queue.
+Every producer files an event through :meth:`Simulator._post`, and
+this class overrides it to push onto the heap, so nothing ever writes
+the production kernel's instant list or buckets here: the heap is the
+whole queue.
 
 No instant collection happens anywhere: this file must stay a
 pop-one-dispatch-one loop.  Do not "optimise" it to share code with
@@ -74,9 +74,6 @@ class ReferenceSimulator(Simulator):
         if self.hooks is not None:
             self.hooks.on_schedule(self, time, fn)
 
-    def _push_back(self, entry: _Entry) -> None:
-        _heappush(self._heap, entry)
-
     # -- execution --------------------------------------------------------
 
     def run(
@@ -108,7 +105,7 @@ class ReferenceSimulator(Simulator):
                     executed += 1
                     if hooks is not None:
                         hooks.on_execute(self, time, fn)
-                    if self._failures and self.strict_failures:
+                    if self._failures:
                         self._raise_failure()
             finally:
                 if hooks is not None:
@@ -159,7 +156,7 @@ class ReferenceSimulator(Simulator):
                     executed += 1
                     if hooks is not None:
                         hooks.on_execute(self, time, fn)
-                    if self._failures and self.strict_failures:
+                    if self._failures:
                         self._raise_failure()
             finally:
                 if hooks is not None:

@@ -2,16 +2,16 @@
 
 The reliable HIB transport (:mod:`repro.hib.reliable`) arms, pushes
 back and cancels its retransmission timers many times over their
-lives.  The kernel cannot retract an event, so a :class:`Timer` keeps
-its deadline beside at most one *live* expiry and lets every other
-expiry it filed fire as a no-op.  Each callback still runs under the
-exact ``(time, seq)`` key that a cancel-and-reschedule timer's event
-would have had (DESIGN.md §7, "Timers without cancellation").
+lives.  The kernel cannot retract an event, so a :class:`Timer` is a
+cancel-and-reschedule timer without the cancel: every ``start`` posts
+a fresh expiry like any other event, and a generation count turns
+every expiry that a later ``start`` or a ``cancel`` superseded into a
+no-op (DESIGN.md §7, "Timers").
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Optional
 
 from repro.sim.kernel import Simulator
 
@@ -23,24 +23,17 @@ class Timer:
     spawn a process from it if the reaction needs to block.
     """
 
-    __slots__ = ("sim", "callback", "name", "_deadline", "_seq", "_live",
-                 "_run_from", "_mark")
+    __slots__ = ("sim", "callback", "name", "_deadline", "_generation")
 
     def __init__(self, sim: Simulator, callback: Callable[[], Any],
                  name: str = "timer"):
         self.sim = sim
         self.callback = callback
         self.name = name
-        #: The armed deadline, and the seq of the key it fires under.
         self._deadline: Optional[int] = None
-        self._seq = -1
-        #: Key of the one filed expiry that may act.  While armed it is
-        #: at or before the deadline, and at it only under ``_seq``.
-        self._live: Optional[Tuple[int, int]] = None
-        #: Seqs ``_run_from`` .. ``_mark - 1`` were reserved here back
-        #: to back, with no other seq taken between them.
-        self._run_from = -1
-        self._mark = -1
+        #: Bumped by every ``start`` and ``cancel``: only the expiry
+        #: posted under the current generation may act.
+        self._generation = 0
 
     @property
     def armed(self) -> bool:
@@ -59,48 +52,17 @@ class Timer:
                 f"timer delay must be a non-negative int, got {delay_ns!r}")
         if delay_ns < 0:
             raise ValueError("timer delay must be non-negative")
-        sim = self.sim
-        deadline = self._deadline = sim.now + delay_ns
-        live = self._live
-        seq = sim._seq
-        if (live is not None and live[0] == deadline and seq == self._mark
-                and self._run_from <= live[1]):
-            # Only this timer's own reservations lie between the live
-            # key and a fresh one: nothing can sort between them.
-            self._seq = live[1]
-            return
-        # Reserve the seq a post would take now.  File under it only
-        # if this deadline is at or before the live expiry's time; a
-        # later one waits for the live expiry to fire and re-file.
-        sim._seq = seq + 1
-        if seq != self._mark:
-            self._run_from = seq
-        self._seq = seq
-        self._mark = seq + 1
-        if live is None or deadline <= live[0]:
-            self._file(deadline, seq)
+        generation = self._generation = self._generation + 1
+        self._deadline = self.sim.now + delay_ns
+        self.sim._post(delay_ns, self._fire, (generation,))
 
     def cancel(self) -> None:
         """Disarm; a pending expiry fires as a no-op."""
+        self._generation += 1
         self._deadline = None
 
-    def _file(self, time: int, seq: int) -> None:
-        self._live = (time, seq)
-        sim = self.sim
-        sim._push_back((time, seq, self._fire, (seq,)))
-        if sim.hooks is not None:
-            sim.hooks.on_schedule(sim, time, self._fire)
-
-    def _fire(self, seq: int) -> None:
-        live = self._live
-        if live is None or live[1] != seq:
+    def _fire(self, generation: int) -> None:
+        if generation != self._generation:
             return
-        deadline = self._deadline
-        if deadline is None:
-            self._live = None
-        elif deadline > live[0]:
-            self._file(deadline, self._seq)
-        else:
-            self._live = None
-            self._deadline = None
-            self.callback()
+        self._deadline = None
+        self.callback()

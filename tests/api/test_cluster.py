@@ -54,6 +54,18 @@ def test_run_join_honours_a_zero_limit():
     assert cluster.now == 0
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"limit_ns": 5}, {"limit_ns": 0}, {"until": 5, "join": []},
+], ids=["limit-without-join", "zero-limit-without-join", "until-with-join"])
+def test_run_rejects_a_bound_of_the_other_mode(kwargs):
+    """``limit_ns`` bounds a join and ``until`` a plain run: either
+    with the other mode is a ``TypeError``, not a silent full drain."""
+    cluster = Cluster(ClusterConfig(n_nodes=2))
+    with pytest.raises(TypeError):
+        cluster.run(**kwargs)
+    assert cluster.sim.events_executed == 0
+
+
 def test_segment_names_unique():
     cluster = Cluster(ClusterConfig(n_nodes=2))
     cluster.alloc_segment(home=0, pages=1, name="s")

@@ -224,8 +224,9 @@ def test_nic_fetch_add_on_private_memory_fails_in_the_hib():
         yield from collective.fetch_add(vaddr)
 
     ctx = proc.start(body)
-    cluster.sim.strict_failures = False
-    cluster.sim.run()
+    with pytest.raises(RuntimeError, match="failed") as info:
+        cluster.sim.run()
+    assert info.value.__cause__ is ctx.process.exception
     assert isinstance(ctx.process.exception, LaunchError)
     assert "not shared memory" in str(ctx.process.exception)
 

@@ -229,9 +229,13 @@ def test_cluster_builds_restore_the_collector(enabled):
         with Cluster(ClusterConfig(n_nodes=2)) as cluster:
             cluster.run()
         assert gc.isenabled() is enabled
-        # A build that fails inside the pause: DOR needs a torus.
+        # A build that fails inside the pause: DOR needs a torus,
+        # which the fabric checks again when a config changed after
+        # its own check.
+        config = ClusterConfig(n_nodes=2)
+        config.routing = "dor"
         with pytest.raises(ValueError, match="requires a torus"):
-            Cluster(ClusterConfig(n_nodes=2, routing="dor"))
+            Cluster(config)
         assert gc.isenabled() is enabled
     finally:
         gc.enable()

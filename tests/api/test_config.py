@@ -7,7 +7,12 @@ import warnings
 import pytest
 
 from repro.api import Cluster, ClusterConfig
+from repro.api.config import COLLECTIVES
+from repro.coherence import PROTOCOLS
+from repro.network.fabric import ROUTING_MODES
+from repro.network.topology import TOPOLOGIES
 from repro.params import DEFAULT_PARAMS
+from repro.sim import KERNELS
 
 
 # -- the config object ----------------------------------------------------
@@ -44,6 +49,32 @@ def test_config_collectives_default_to_host():
 def test_config_rejects_unknown_collectives_backend():
     with pytest.raises(ValueError, match="collectives"):
         ClusterConfig(collectives="fpga")
+
+
+@pytest.mark.parametrize("field, value, valid", [
+    ("protocol", "telegraphoss", PROTOCOLS),
+    ("topology", "torsu", TOPOLOGIES),
+    ("routing", "updown", ROUTING_MODES),
+    ("collectives", "fpga", COLLECTIVES),
+    ("kernel", "fibonacci", KERNELS),
+])
+def test_config_rejects_unknown_names_listing_the_valid_ones(field, value,
+                                                             valid):
+    """A misspelt name fails when the config is built, before any
+    fabric or node, and the error names every valid value."""
+    with pytest.raises(ValueError, match=f"unknown .*{value!r}") as info:
+        ClusterConfig(**{field: value})
+    assert all(repr(name) in str(info.value) for name in valid)
+
+
+@pytest.mark.parametrize("topology", ["star", "chain", "ring", "mesh"])
+@pytest.mark.parametrize("routing", ["dor", "adaptive"])
+def test_config_rejects_coordinate_routing_off_a_torus(routing, topology):
+    with pytest.raises(ValueError, match="requires a torus topology") as info:
+        ClusterConfig(topology=topology, routing=routing)
+    assert "'torus', 'torus3d'" in str(info.value)
+    for torus in ("torus", "torus3d"):
+        assert ClusterConfig(topology=torus, routing=routing).routing == routing
 
 
 # -- the one constructor form --------------------------------------------

@@ -82,8 +82,9 @@ def test_payload_size_enforced():
         yield from channel.sender.send([1, 2, 3])
 
     ctx = cluster.start(sp, send)
-    cluster.sim.strict_failures = False
-    cluster.sim.run()
+    with pytest.raises(RuntimeError, match="failed") as info:
+        cluster.sim.run()
+    assert info.value.__cause__ is ctx.process.exception
     assert isinstance(ctx.process.exception, ValueError)
 
 

@@ -115,15 +115,16 @@ def test_cache_increment_decrement_cycle():
 
 def test_cache_underflow_detected():
     sim = Simulator()
-    sim.strict_failures = False
     cache = CounterCache(entries=4, rmw_ns=10)
 
     def body():
         yield from cache.decrement((0, 0, 0))
 
     proc = run_gen(sim, body())
-    sim.run()
-    assert isinstance(proc.exception, RuntimeError)
+    with pytest.raises(RuntimeError, match="failed") as info:
+        sim.run()
+    assert info.value.__cause__ is proc.exception
+    assert type(proc.exception) is RuntimeError
 
 
 def test_cache_full_stalls_until_entry_frees():

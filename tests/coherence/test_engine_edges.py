@@ -125,7 +125,6 @@ def test_owner_engine_rejects_misrouted_owner_update():
     rig = CoherenceRig(n_nodes=3)
     rig.attach_protocol("telegraphos")
     rig.share_page(HOME, 0, {1: 16, 2: 17})
-    rig.sim.strict_failures = False
     from repro.network.packet import Packet, PacketKind
 
     pkt = Packet(
@@ -138,5 +137,8 @@ def test_owner_engine_rejects_misrouted_owner_update():
         yield rig.fabric.port(1).send(pkt)
 
     rig.sim.spawn(inject())
-    rig.sim.run()
-    assert rig.sim.failures
+    with pytest.raises(RuntimeError, match="failed") as info:
+        rig.sim.run()
+    (_, error), = rig.sim.failures
+    assert error is info.value.__cause__
+    assert "owner-bound update" in str(error)

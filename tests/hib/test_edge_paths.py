@@ -105,7 +105,6 @@ def test_unknown_reply_op_id_is_fatal(rig):
     corruption; the HIB refuses to continue silently."""
     from repro.network.packet import Packet, PacketKind
 
-    rig.sim.strict_failures = False
     pkt = Packet(PacketKind.READ_REPLY, src=1, dst=0,
                  size_bytes=10, value=1, op_id=424242)
 
@@ -113,10 +112,11 @@ def test_unknown_reply_op_id_is_fatal(rig):
         yield rig.fabric.port(1).send(pkt)
 
     rig.sim.spawn(inject())
-    rig.sim.run()
-    assert rig.sim.failures, "the stray reply must surface an error"
+    with pytest.raises(RuntimeError, match="failed") as info:
+        rig.sim.run()
+    assert isinstance(info.value.__cause__, OutstandingUnderflowError)
     (_, error), = rig.sim.failures
-    assert isinstance(error, OutstandingUnderflowError)
+    assert error is info.value.__cause__
 
 
 @pytest.mark.parametrize("kind, open_as", [("READ_REPLY", "write"),
@@ -128,7 +128,6 @@ def test_completion_of_the_wrong_kind_is_fatal(rig, kind, open_as):
     resolve a blocked load with nothing.  The op stays open."""
     from repro.network.packet import Packet, PacketKind
 
-    rig.sim.strict_failures = False
     ledger = rig.node(0).hib.outstanding
     if open_as == "write":
         op_id = ledger.open()
@@ -141,9 +140,11 @@ def test_completion_of_the_wrong_kind_is_fatal(rig, kind, open_as):
         yield rig.fabric.port(1).send(pkt)
 
     rig.sim.spawn(inject())
-    rig.sim.run()
+    with pytest.raises(RuntimeError, match="failed") as info:
+        rig.sim.run()
+    assert isinstance(info.value.__cause__, OutstandingUnderflowError)
     (_, error), = rig.sim.failures
-    assert isinstance(error, OutstandingUnderflowError)
+    assert error is info.value.__cause__
     if open_as == "write":
         assert ledger.count == 1 and not ledger.fence().done
     else:
@@ -172,7 +173,6 @@ def test_stats_counters_accumulate(rig):
 def test_hib_register_load_unknown_offset_fails(rig):
     from repro.hib import LaunchError
 
-    rig.sim.strict_failures = False
     space = rig.space(0)
     hib_base = rig.map_hib_page(space, vpage=0)
 
@@ -180,14 +180,15 @@ def test_hib_register_load_unknown_offset_fails(rig):
         yield Load(hib_base + 0x1000)  # in the register page, no such register
 
     ctx = rig.run_on(0, prog(), space)
-    rig.sim.run()
+    with pytest.raises(RuntimeError, match="failed") as info:
+        rig.sim.run()
+    assert info.value.__cause__ is ctx.process.exception
     assert isinstance(ctx.process.exception, LaunchError)
 
 
 def test_hib_register_store_unknown_offset_fails(rig):
     from repro.hib import LaunchError
 
-    rig.sim.strict_failures = False
     space = rig.space(0)
     hib_base = rig.map_hib_page(space, vpage=0)
 
@@ -195,5 +196,7 @@ def test_hib_register_store_unknown_offset_fails(rig):
         yield Store(hib_base + Reg.NODE_ID, 7)  # read-only register
 
     ctx = rig.run_on(0, prog(), space)
-    rig.sim.run()
+    with pytest.raises(RuntimeError, match="failed") as info:
+        rig.sim.run()
+    assert info.value.__cause__ is ctx.process.exception
     assert isinstance(ctx.process.exception, LaunchError)

@@ -212,13 +212,14 @@ def test_pal_sequence_returns_last_result():
 
 def test_nested_pal_rejected():
     sim, cpu, amap, _, _ = make_cpu()
-    sim.strict_failures = False
 
     def prog():
         yield PalSequence([PalSequence([Think(1)])])
 
-    ctx = run_program(sim, cpu, local_space(amap), prog())
-    assert isinstance(ctx.process.exception, RuntimeError)
+    with pytest.raises(RuntimeError, match="failed") as info:
+        run_program(sim, cpu, local_space(amap), prog())
+    assert type(info.value.__cause__) is RuntimeError
+    assert "PAL" in str(info.value.__cause__)
 
 
 def test_preemption_switches_between_programs():
@@ -311,13 +312,13 @@ def test_cacheable_loads_hit_cache_second_time():
 
 def test_unknown_op_rejected():
     sim, cpu, amap, _, _ = make_cpu()
-    sim.strict_failures = False
 
     def prog():
         yield "bogus"
 
-    ctx = run_program(sim, cpu, local_space(amap), prog())
-    assert isinstance(ctx.process.exception, TypeError)
+    with pytest.raises(RuntimeError, match="failed") as info:
+        run_program(sim, cpu, local_space(amap), prog())
+    assert isinstance(info.value.__cause__, TypeError)
 
 
 def test_program_stats_counted():

@@ -3,9 +3,8 @@ switches they replaced (``reference_switch.py``, ``reference_torus.py``).
 
 The two must be indistinguishable from outside: every queue put and
 get, fault decision, counter and trace record at the same simulated
-time and in the same order relative to every other event.  Only sibling
-steps (two delay-0 steps one event posts back to back, which nothing
-can separate) may share an event.  Three levels check it:
+time and in the same order relative to every other event, each step an
+event of its own.  Three levels check it:
 
 - **One tree switch, seeded traffic.**  2–4 ports, each fed and drained
   through real links, with a shared buffer of 2–6 slots, output quotas

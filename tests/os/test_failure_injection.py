@@ -135,10 +135,11 @@ def test_atomic_via_nonblocking_go_is_a_launch_error():
         ])
 
     ctx = cluster.start(proc, program)
-    cluster.sim.strict_failures = False
-    cluster.sim.run()
+    with pytest.raises(RuntimeError, match="failed") as info:
+        cluster.sim.run()
     from repro.hib import LaunchError
 
+    assert info.value.__cause__ is ctx.process.exception
     assert isinstance(ctx.process.exception, LaunchError)
 
 
@@ -158,10 +159,11 @@ def test_malformed_copy_missing_address_fails_cleanly():
         ])
 
     ctx = cluster.start(proc, program)
-    cluster.sim.strict_failures = False
-    cluster.sim.run()
+    with pytest.raises(RuntimeError, match="failed") as info:
+        cluster.sim.run()
     from repro.hib import LaunchError
 
+    assert info.value.__cause__ is ctx.process.exception
     assert isinstance(ctx.process.exception, LaunchError)
     # The failed launch left special mode (take_launch resets first).
     assert not cluster.node(0).hib.special1.armed
@@ -174,25 +176,22 @@ def test_special_op_argument_must_be_shared_memory():
     proc = cluster.create_process(node=0, name="p")
     private = proc.map_private(pages=1)
     hib_vaddr = proc.binding.hib_vaddr
-    outcome = []
 
     def program(p):
-        try:
-            yield PalSequence([
-                Store(hib_vaddr + Reg.SPECIAL_MODE,
-                      SpecialOpcode.FETCH_AND_ADD.value),
-                Store(private, 1),  # goes to DRAM, not the HIB: the
-                                    # launch never sees an address
-                Load(hib_vaddr + Reg.SPECIAL_RESULT),
-            ])
-        except Exception as err:
-            outcome.append(type(err).__name__)
+        yield PalSequence([
+            Store(hib_vaddr + Reg.SPECIAL_MODE,
+                  SpecialOpcode.FETCH_AND_ADD.value),
+            Store(private, 1),  # goes to DRAM, not the HIB: the
+                                # launch never sees an address
+            Load(hib_vaddr + Reg.SPECIAL_RESULT),
+        ])
 
     ctx = cluster.start(proc, program)
-    cluster.sim.strict_failures = False
-    cluster.sim.run()
-    # Either path is acceptable: the launch errored (no address
-    # collected) — never a silent wrong-memory atomic.
+    with pytest.raises(RuntimeError, match="failed") as info:
+        cluster.sim.run()
+    # The launch errors (no address collected) — never a silent
+    # wrong-memory atomic.
     from repro.hib import LaunchError
 
-    assert isinstance(ctx.process.exception, LaunchError) or outcome
+    assert info.value.__cause__ is ctx.process.exception
+    assert isinstance(ctx.process.exception, LaunchError)

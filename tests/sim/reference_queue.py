@@ -16,7 +16,15 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque
 
-from repro.sim import READY, Future, Ready, Waitable
+from repro.sim import Future, Waitable
+
+
+def _done(value: Any = None) -> Future:
+    """A completed future: the token for a put or get satisfied at
+    once."""
+    future = Future()
+    future.set_result(value)
+    return future
 
 
 class ReferenceQueue:
@@ -60,13 +68,13 @@ class ReferenceQueue:
 
     def put(self, item: Any) -> Waitable:
         """Enqueue ``item``; the returned waitable resolves once it is
-        accepted — the shared done-token when accepted immediately."""
+        accepted — already complete when accepted immediately."""
         if self._getters and not self._items:
             # Hand the item straight to the oldest waiting getter.
             getter = self._getters.popleft()
             self.total_puts += 1
             getter.set_result(item)
-            return READY
+            return _done()
         if len(self._items) < self.capacity:
             # _account_put inlined (put is on the per-packet hot path).
             self._items.append(item)
@@ -74,19 +82,19 @@ class ReferenceQueue:
             occupancy = len(self._items)
             if occupancy > self.max_occupancy:
                 self.max_occupancy = occupancy
-            return READY
+            return _done()
         future = Future()
         self._putters.append((future, item))
         return future
 
     def get(self) -> Waitable:
         """Dequeue the oldest item; the returned waitable resolves with
-        it — an already-done token when an item was waiting."""
+        it — already complete when an item was waiting."""
         if self._items:
             item = self._items.popleft()
             if self._putters:
                 self._admit_blocked_putter()
-            return Ready(item)
+            return _done(item)
         future = Future()
         self._getters.append(future)
         return future

@@ -242,18 +242,20 @@ def test_process_failure_is_reported_by_run():
         sim.run()
 
 
-def test_process_failure_collected_when_not_strict():
+def test_process_failure_recorded_in_failures():
     sim = Simulator()
-    sim.strict_failures = False
 
     def bad():
         yield 1
-        raise RuntimeError("kaboom")
+        raise KeyError("kaboom")
 
     proc = sim.spawn(bad(), name="bad")
-    sim.run()
+    with pytest.raises(RuntimeError, match="'bad' failed at t=1ns") as info:
+        sim.run()
     assert proc.done
-    assert isinstance(sim.failures[0][1], RuntimeError)
+    assert sim.failures == [(proc, proc.exception)]
+    assert info.value.__cause__ is proc.exception
+    assert isinstance(proc.exception, KeyError)
 
 
 def test_spawn_rejects_non_generator():
@@ -270,7 +272,6 @@ def test_yielding_garbage_fails_the_process(command):
     neither truncates a float nor reads a bool or ``None`` as a
     delay."""
     sim = Simulator()
-    sim.strict_failures = False
     resumed = []
 
     def bad():
@@ -278,8 +279,10 @@ def test_yielding_garbage_fails_the_process(command):
         resumed.append(sim.now)
 
     proc = sim.spawn(bad(), name="bad")
-    sim.run()
+    with pytest.raises(RuntimeError, match="failed") as info:
+        sim.run()
     assert proc.done
+    assert info.value.__cause__ is proc.exception
     assert isinstance(proc.exception, TypeError)
     assert "bad" in str(proc.exception)
     assert repr(command) in str(proc.exception)
@@ -288,13 +291,14 @@ def test_yielding_garbage_fails_the_process(command):
 
 def test_negative_delay_fails_the_process():
     sim = Simulator()
-    sim.strict_failures = False
 
     def bad():
         yield -5
 
     proc = sim.spawn(bad(), name="bad")
-    sim.run()
+    with pytest.raises(RuntimeError, match="failed") as info:
+        sim.run()
+    assert info.value.__cause__ is proc.exception
     assert isinstance(proc.exception, ValueError)
 
 

@@ -23,12 +23,10 @@ This file checks that promise two ways:
   serialize to identical bytes.  Each script also runs on both kernels
   with :class:`~repro.obs.KernelHooks` attached that check every clock
   move is announced, which must change neither log, and the moves
-  must agree.  Two mutants of the production kernel show the scripts
-  can tell: a ``Timer`` expiry keyed at ``now`` filed in a bucket, and
-  a later keyed expiry appended to its bucket instead of inserted in
-  ``seq`` order; a directed scenario pins the second, which few
-  scripts reach.  ``REPRO_STRESS_ITERS=N`` multiplies the schedule
-  count.
+  must agree.  Two mutants of the production kernel's ``_post`` show
+  the scripts can tell: a bucket filled newest-first, and a new time
+  appended to the time heap unsorted.  ``REPRO_STRESS_ITERS=N``
+  multiplies the schedule count.
 - **Cross-kernel cluster pins**: full-cluster workloads (the golden
   retry run, a coherence/hotspot run, the 8-node NIC-collectives run)
   are executed under ``kernel="bucket"`` and ``kernel="reference"``
@@ -45,7 +43,6 @@ import functools
 import json
 import os
 import random
-from bisect import insort
 from heapq import heappush
 
 import pytest
@@ -316,68 +313,47 @@ def test_randomized_schedules_dispatch_identically():
     )
 
 
-def _file_in_bucket(sim, entry, insert):
-    bucket = sim._buckets.get(entry[0])
-    if bucket is None:
-        sim._buckets[entry[0]] = [entry]
-        heappush(sim._times, entry[0])
-    else:
-        insert(bucket, entry)
-
-
-def now_keyed_expiry_in_bucket(self, entry):
-    """Mutant: a timer expiry keyed at ``now`` goes to a bucket, so it
-    runs after the delay-0 posts made after its ``start(0)``."""
-    _file_in_bucket(self, entry, insort)
-
-
-def later_expiry_appended(self, entry):
-    """Mutant: a later timer expiry is appended to its time's bucket,
-    after posts with newer seqs, instead of inserted in seq order."""
-    if entry[0] == self.now:
+def newest_first_bucket(self, delay, fn, args=()):
+    """Mutant: a post to a time that already has a bucket goes to the
+    bucket's front, so each later instant runs newest-first."""
+    seq = self._seq
+    self._seq = seq + 1
+    time = self.now + delay
+    entry = (time, seq, fn, args)
+    if delay == 0:
         self._now_list.append(entry)
+    elif time in self._buckets:
+        self._buckets[time].insert(0, entry)
     else:
-        _file_in_bucket(self, entry, list.append)
+        self._buckets[time] = [entry]
+        heappush(self._times, time)
 
 
-def sorted_insert_log(kernel):
-    """A timer expiry re-filed between two posts to one time.  At t=0 a
-    timer starts for t=50 and Y is posted for t=100; at t=20 the timer
-    restarts for t=100, a later deadline that reserves a seq and files
-    nothing; at t=30 Z is posted for t=100.  The expiry at t=50 fires
-    early and re-files itself under the reserved key, between Y's and
-    Z's."""
-    sim = make_simulator(kernel)
-    runner = ScriptRunner(sim)
-    timer = runner.timers[0]
-    timer.start(50)
-    sim._post(100, runner._fire, ("Y", ()))
-    sim._post(20, timer.start, (80,))
-    sim._post(30, sim._post, (70, runner._fire, ("Z", ())))
-    sim.run()
-    return runner.log
-
-
-SORTED_INSERT_LOG = [(100, "Y"), (100, "timer", 0), (100, "Z")]
-
-
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_later_expiry_sorts_between_posts_to_its_time(kernel):
-    assert sorted_insert_log(kernel) == SORTED_INSERT_LOG
+def times_appended_unsorted(self, delay, fn, args=()):
+    """Mutant: a new time is appended to the time heap instead of
+    pushed onto it, so instants can run out of time order."""
+    seq = self._seq
+    self._seq = seq + 1
+    time = self.now + delay
+    entry = (time, seq, fn, args)
+    if delay == 0:
+        self._now_list.append(entry)
+    elif time in self._buckets:
+        self._buckets[time].append(entry)
+    else:
+        self._buckets[time] = [entry]
+        self._times.append(time)
 
 
 @pytest.mark.parametrize("mutant", [
-    now_keyed_expiry_in_bucket, later_expiry_appended,
-], ids=["now-keyed-expiry-in-bucket", "later-appended"])
+    newest_first_bucket, times_appended_unsorted,
+], ids=["newest-first-bucket", "times-appended-unsorted"])
 def test_randomized_schedules_catch_kernel_mutants(mutant, monkeypatch):
-    # The reference kernel overrides _push_back, so only the
-    # production kernel changes.
-    monkeypatch.setattr(Simulator, "_push_back", mutant)
+    # The reference kernel overrides _post, so only the production
+    # kernel changes.
+    monkeypatch.setattr(Simulator, "_post", mutant)
     assert _first_divergent_seed() is not None, (
         f"no randomized schedule tells the {mutant.__name__} mutant apart")
-    if mutant is later_expiry_appended:
-        # Few scripts reach it; the directed scenario always does.
-        assert sorted_insert_log("bucket") != SORTED_INSERT_LOG
 
 
 def test_mid_batch_bound_preserves_order():
@@ -551,7 +527,7 @@ def test_reference_kernel_is_selectable_and_distinct(monkeypatch):
     with pytest.raises(ValueError):
         make_simulator("fibonacci")
     # Its queue is its heap alone: every producer files through the
-    # overridden _post or _push_back, so a whole faulty cluster run
+    # overridden _post, so a whole faulty cluster run
     # never leaves an event in the production kernel's list or buckets.
     watch = _TierWatch()
 
