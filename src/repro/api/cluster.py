@@ -233,23 +233,25 @@ class Cluster:
         until: Optional[int] = None,
         join=None,
         limit_ns: Optional[int] = None,
-        drain_ns: int = 20_000_000,
+        drain_ns: Optional[int] = None,
     ) -> None:
         """Advance the simulation.
 
         ``run()`` drains the event queue; ``run(until=t)`` advances to
         ``t``.  ``run(join=contexts)`` runs until every given program
         context (or process) completes, then drains in-flight traffic
-        for up to ``drain_ns`` (bounded so perpetual background
-        processes — schedulers, pollers — cannot hold the simulation
-        open).  It raises ``TimeoutError`` if they are still running
-        past ``limit_ns`` (default 10**12 ns); ``limit_ns`` without
-        ``join`` is a ``TypeError``, as ``until`` with it is.
+        for up to ``drain_ns`` (default 20,000,000 ns; bounded so
+        perpetual background processes — schedulers, pollers — cannot
+        hold the simulation open).  It raises ``TimeoutError`` if they
+        are still running past ``limit_ns`` (default 10**12 ns);
+        ``limit_ns`` or ``drain_ns`` without ``join`` is a
+        ``TypeError``, as ``until`` with it is.
         """
         if join is None:
-            if limit_ns is not None:
-                raise TypeError("limit_ns= bounds a join; pass join= with "
-                                "it, or bound the run with until=")
+            if limit_ns is not None or drain_ns is not None:
+                raise TypeError("limit_ns= and drain_ns= bound a join; pass "
+                                "join= with them, or bound the run with "
+                                "until=")
             self.sim.run(until=until)
             return
         if until is not None:
@@ -257,6 +259,8 @@ class Cluster:
         processes = [getattr(c, "process", c) for c in join]
         self.sim.run_until_done(
             processes, limit_ns=10**12 if limit_ns is None else limit_ns)
+        if drain_ns is None:
+            drain_ns = 20_000_000
         if drain_ns:
             self.sim.run(until=self.sim.now + drain_ns)
 

@@ -62,8 +62,8 @@ class ClusterConfig:
       (see :func:`repro.sim.make_simulator`): ``"bucket"`` (the
       production calendar kernel, default) or ``"reference"`` (the
       pure-heap per-event oracle used for differential kernel
-      testing).  Both dispatch events in the identical ``(time, seq)``
-      order.
+      testing).  Both dispatch events in the identical
+      (time, insertion-order) order.
 
     Observability:
 

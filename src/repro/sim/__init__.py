@@ -46,10 +46,13 @@ def make_simulator(kernel: str = "bucket") -> Simulator:
     """Build an event-loop kernel by name.
 
     ``"bucket"`` is the production kernel (the current instant's list
-    plus per-timestamp buckets for every later event); ``"reference"``
-    is the pure-heap per-event oracle used for differential testing.
-    Both expose the identical :class:`Simulator` API and the identical
-    ``(time, seq)`` dispatch order.
+    plus per-timestamp buckets for every later event, each entry
+    ``(fn, args)`` and ordered by its place in its list);
+    ``"reference"`` is the pure-heap per-event oracle used for
+    differential testing, whose ``(time, seq, fn, args)`` heap is the
+    one place a ``seq`` lives.  Both expose the identical
+    :class:`Simulator` API and the identical (time, insertion-order)
+    dispatch order.
     """
     if kernel == "bucket":
         return Simulator()

@@ -24,11 +24,12 @@ CPU preemption is modelled between operations by the machine model
 
 Fast-path design (see DESIGN.md, "Kernel internals"):
 
-- Every queued event at time ``now`` is in one list, the **current
-  instant's list** (``_now_list``), in ``seq`` order; a delay-0 post
-  appends to it.  Every later event waits in a calendar of
-  per-timestamp buckets (``{time: [entry, ...]}`` plus a min-heap of
-  the *distinct* times), each bucket in ``seq`` order: the common
+- A queued entry is ``(fn, args)``: it holds neither its time nor a
+  sequence number, because its place says both.  Every queued event
+  at time ``now`` is in one list, the **current instant's list**
+  (``_now_list``); a delay-0 post appends to it.  Every later event
+  waits in a calendar of per-timestamp buckets (``{time: [entry,
+  ...]}`` plus a min-heap of the *distinct* times): the common
   FIFO-link insert at ``now + link_ns`` costs a dict hit and a list
   append, and N events sharing a timestamp cost one time-heap push.
 - One method files an event: :meth:`Simulator._post`, unvalidated,
@@ -36,11 +37,12 @@ Fast-path design (see DESIGN.md, "Kernel internals"):
   yield of a completed waitable, a completed waitable's waiters),
   every fabric step and every :class:`~repro.sim.timers.Timer`
   expiry, and, after checking the delay, for
-  :meth:`Simulator.schedule`.  A post takes the newest
-  ``seq``, so it appends to the instant's list or its time's bucket
-  and every list stays in order: the kernel keeps the exact
-  ``(time, seq)`` order of a pure heap — :mod:`repro.sim.refkernel` is
-  that pure heap, kept as a differential reference
+  :meth:`Simulator.schedule`.  A post only appends, to the instant's
+  list or its time's bucket, so a list's order is the order of the
+  posts that filled it: the kernel keeps the exact (time,
+  insertion-order) order of a pure heap keyed by ``(time, seq)`` —
+  :mod:`repro.sim.refkernel` is that pure heap, the one place a
+  ``seq`` lives, kept as a differential reference
   (``tests/sim/test_kernel_equivalence.py``).  Nothing else touches
   the queue, so a kernel that overrides ``_post`` owns it.
 - Nothing is cancelled, so the queue holds one kind of entry and the
@@ -52,7 +54,8 @@ Fast-path design (see DESIGN.md, "Kernel internals"):
   posted at delay 0 during the pass is appended to the list the
   loop's ``for`` is walking, so it runs in the same pass, after every
   event posted before it.  When the list is empty, the earliest
-  bucket becomes the list.
+  bucket becomes the list.  A pass adds its events to the executed
+  count once, when it ends.
 - Both kernels run with CPython's cyclic garbage collector paused
   (:func:`collector_paused`): a run makes no cyclic garbage, so its
   passes would find nothing.
@@ -73,10 +76,6 @@ from typing import (
     Optional,
     Tuple,
 )
-
-#: A queued event: ``fn(*args)`` runs at ``time``, and the globally
-#: unique ``seq`` orders events that share a time.
-_Entry = Tuple[int, int, Callable[..., None], Tuple[Any, ...]]
 
 _WaiterCallback = Callable[[Any, Optional[BaseException]], None]
 
@@ -321,17 +320,17 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: int = 0
-        #: The current instant's list: every queued event at ``now``, in
-        #: ``seq`` order.  The run loop drains it in place and, once it
-        #: is empty, rebinds it to the next instant's bucket.
+        #: The current instant's list: every queued event at ``now``, as
+        #: ``(fn, args)`` in post order.  The run loop drains it in
+        #: place and, once it is empty, rebinds it to the next
+        #: instant's bucket.
         self._now_list: list = []
-        #: Every later event: per-timestamp buckets, each in ``seq``
-        #: order, plus a min-heap of the distinct bucket times.
-        #: Invariant: ``_times`` holds exactly the keys of ``_buckets``,
-        #: each once, and every key is later than ``now``.
+        #: Every later event: per-timestamp buckets of ``(fn, args)``,
+        #: each in post order, plus a min-heap of the distinct bucket
+        #: times.  Invariant: ``_times`` holds exactly the keys of
+        #: ``_buckets``, each once, and every key is later than ``now``.
         self._buckets: dict = {}
         self._times: List[int] = []
-        self._seq = 0
         #: Every spawned, unfinished process.  Nothing reads it: it
         #: keeps a blocked process alive until it finishes, so the
         #: garbage collector never closes a suspended generator in the
@@ -366,24 +365,22 @@ class Simulator:
         """File an event, unvalidated: the one way an event enters the
         queue, for internal steps whose delay is known non-negative
         (process resumptions, fabric steps, timer expiries) and, once
-        checked, :meth:`schedule`.  The entry takes the newest ``seq``,
-        so it appends to the instant's list or its time's bucket in
-        order: a dict hit and a list append, and only the first event
-        at a new timestamp pays a (time-heap) push."""
-        seq = self._seq
-        self._seq = seq + 1
-        time = self.now + delay
+        checked, :meth:`schedule`.  The entry ``(fn, args)`` appends to
+        the instant's list or its time's bucket, behind every event
+        posted there before it: a dict hit and a list append, and only
+        the first event at a new timestamp pays a (time-heap) push."""
         if delay == 0:
-            self._now_list.append((time, seq, fn, args))
+            self._now_list.append((fn, args))
         else:
+            time = self.now + delay
             bucket = self._buckets.get(time)
             if bucket is None:
-                self._buckets[time] = [(time, seq, fn, args)]
+                self._buckets[time] = [(fn, args)]
                 heappush(self._times, time)
             else:
-                bucket.append((time, seq, fn, args))
+                bucket.append((fn, args))
         if self.hooks is not None:
-            self.hooks.on_schedule(self, time, fn)
+            self.hooks.on_schedule(self, self.now + delay, fn)
 
     def spawn(self, gen: ProcessBody, name: str = "proc") -> Process:
         """Create a process from a generator and start it immediately
@@ -479,7 +476,11 @@ class Simulator:
         instant later than ``until`` (left queued), when the queue
         drains, after ``max_events`` events, or once ``pending[0]``
         reaches zero; the last two, and an exception, leave the rest of
-        the instant in the list at ``now`` for the next run.
+        the instant in the list at ``now`` for the next run.  Each pass
+        adds its events to the count once, as it ends: a process
+        failure, a ``max_events`` stop and a completed join count the
+        event that stopped the run, and a callback that raises is
+        consumed but not counted.
         """
         times = self._times
         buckets = self._buckets
@@ -505,21 +506,27 @@ class Simulator:
                     self.now = time
                 elif until is not None and self.now > until:
                     break
-                # Entries consumed: deleted once per pass, whatever ends it.
+                # Entries consumed: deleted and counted once per pass,
+                # whatever ends it.
                 i = 0
+                left = stop_at - executed
                 try:
-                    for time, _seq, fn, args in now_list:
+                    for fn, args in now_list:
                         i += 1
-                        fn(*args)
-                        executed += 1
+                        try:
+                            fn(*args)
+                        except BaseException:
+                            executed -= 1  # consumed, not counted
+                            raise
                         if hooks is not None:
-                            hooks.on_execute(self, time, fn)
+                            hooks.on_execute(self, self.now, fn)
                         if failures:
                             self._raise_failure()
-                        if executed == stop_at or not pending[0]:
+                        if i == left or not pending[0]:
                             break
                 finally:
                     del now_list[:i]
+                    executed += i
         finally:
             if hooks is not None:
                 hooks.on_run_end(self, executed)

@@ -13,10 +13,13 @@ once per move of the clock, as the production kernel's single loop does;
 a join raises ``TimeoutError`` before dispatching any event later than
 ``limit_ns``.
 
+Its heap entry is ``(time, seq, fn, args)``, and this class keeps the
+``seq`` counter: the production kernel's entry is ``(fn, args)``, whose
+time and order are its place in the instant's list or a bucket.
 Because both kernels share :class:`~repro.sim.kernel.Process`,
-:class:`~repro.sim.kernel.Future` and the ``(time, seq)`` total order,
-any ordering divergence between them is a bug in the production
-kernel's buckets or instant list — which is precisely what
+:class:`~repro.sim.kernel.Future` and the (time, insertion-order)
+total order, any ordering divergence between them is a bug in the
+production kernel's buckets or instant list — which is precisely what
 ``tests/sim/test_kernel_equivalence.py`` exploits: the same workload is
 run under both and the dispatch sequences must match byte for byte.
 
@@ -40,10 +43,13 @@ from repro.sim.kernel import (
     Process,
     SimulationDeadlock,
     Simulator,
-    _Entry,
     check_run_bounds,
     collector_paused,
 )
+
+#: A queued event: ``fn(*args)`` runs at ``time``, and the globally
+#: unique ``seq`` orders events that share a time.
+_Entry = Tuple[int, int, Callable[..., None], Tuple[Any, ...]]
 
 
 class ReferenceSimulator(Simulator):
@@ -58,6 +64,7 @@ class ReferenceSimulator(Simulator):
         super().__init__()
         #: The whole queue: one binary heap of ``(time, seq, fn, args)``.
         self._heap: List[_Entry] = []
+        self._seq = 0
 
     @property
     def pending_events(self) -> int:

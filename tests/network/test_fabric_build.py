@@ -99,7 +99,7 @@ def test_a_cluster_build_leaves_only_its_processes_pending(name):
     cluster = Cluster(ClusterConfig(routing=routing, **shape))
     pending = cluster.sim._now_list
     assert cluster.sim.pending_events == len(pending)
-    assert [fn.__self__.name for _, _, fn, _ in pending] == [
+    assert [fn.__self__.name for fn, _ in pending] == [
         process for node in range(len(cluster))
         for process in (f"irq-dispatch{node}", f"hib{node}.svc",
                         f"hib{node}.rsp")]

@@ -2,15 +2,17 @@
 
 The production kernel (:class:`repro.sim.Simulator`) keeps every event
 due at ``now`` in one list, the current instant's list, which its run
-loop drains in place; later events wait in per-timestamp buckets, each
-in ``seq`` order, until their instant becomes the list.  The reference
-kernel (:class:`repro.sim.ReferenceSimulator`) is the pre-rewrite
-discipline: one heap, one event per loop iteration.  Both promise the
-*identical* ``(time, seq)`` dispatch order, so any observable
-divergence is a bug in the production kernel's buckets or instant
-list.
+loop drains in place; later events wait in per-timestamp buckets until
+their instant becomes the list.  Its entries are ``(fn, args)``: an
+entry's time is its list's, and its order is its position, since
+every post appends.  The reference kernel
+(:class:`repro.sim.ReferenceSimulator`) is the pre-rewrite discipline:
+one heap of ``(time, seq, fn, args)``, the one place a ``seq`` lives,
+and one event per loop iteration.  Both promise the *identical*
+(time, insertion-order) dispatch order, so any observable divergence
+is a bug in the production kernel's buckets or instant list.
 
-This file checks that promise two ways:
+This file checks that promise three ways:
 
 - **Randomized schedules**: ``N_SCHEDULES`` seeded scripts of
   post/process/wakeup operations and starts and cancels on a pool of
@@ -27,6 +29,9 @@ This file checks that promise two ways:
   the scripts can tell: a bucket filled newest-first, and a new time
   appended to the time heap unsorted.  ``REPRO_STRESS_ITERS=N``
   multiplies the schedule count.
+- **Directed stops**: bounds that land mid-instant, a callback that
+  raises (consumed, not counted) and a process that fails (counted),
+  each leaving the rest of the instant queued in order.
 - **Cross-kernel cluster pins**: full-cluster workloads (the golden
   retry run, a coherence/hotspot run, the 8-node NIC-collectives run)
   are executed under ``kernel="bucket"`` and ``kernel="reference"``
@@ -316,32 +321,26 @@ def test_randomized_schedules_dispatch_identically():
 def newest_first_bucket(self, delay, fn, args=()):
     """Mutant: a post to a time that already has a bucket goes to the
     bucket's front, so each later instant runs newest-first."""
-    seq = self._seq
-    self._seq = seq + 1
     time = self.now + delay
-    entry = (time, seq, fn, args)
     if delay == 0:
-        self._now_list.append(entry)
+        self._now_list.append((fn, args))
     elif time in self._buckets:
-        self._buckets[time].insert(0, entry)
+        self._buckets[time].insert(0, (fn, args))
     else:
-        self._buckets[time] = [entry]
+        self._buckets[time] = [(fn, args)]
         heappush(self._times, time)
 
 
 def times_appended_unsorted(self, delay, fn, args=()):
     """Mutant: a new time is appended to the time heap instead of
     pushed onto it, so instants can run out of time order."""
-    seq = self._seq
-    self._seq = seq + 1
     time = self.now + delay
-    entry = (time, seq, fn, args)
     if delay == 0:
-        self._now_list.append(entry)
+        self._now_list.append((fn, args))
     elif time in self._buckets:
-        self._buckets[time].append(entry)
+        self._buckets[time].append((fn, args))
     else:
-        self._buckets[time] = [entry]
+        self._buckets[time] = [(fn, args)]
         self._times.append(time)
 
 
@@ -409,7 +408,7 @@ def _boom(runner):
 def test_exception_mid_instant_leaves_the_rest_queued():
     # Five events at t=10; the second posts a delay-0 child and the
     # third raises out of the run.  The raising event is consumed and
-    # not counted, and the next run continues the instant in seq order.
+    # not counted, and the next run continues the instant in order.
     logs = {}
     for kernel in KERNELS:
         sim = make_simulator(kernel)
@@ -431,6 +430,46 @@ def test_exception_mid_instant_leaves_the_rest_queued():
     assert json.loads(logs["bucket"]) == [
         [10, 100], [10, 101], [10, "boom"], ["raised", 10, 2, 3],
         [10, 103], [10, 104], [10, 0], ["final", 10, 5]]
+
+
+def _failing(runner):
+    yield 10
+    runner.log.append((runner.sim.now, "fail"))
+    raise KeyError("fail")
+
+
+def test_process_failure_mid_instant_counts_the_failing_step():
+    # Five events at t=10, the third a process step that raises.  The
+    # run raises RuntimeError from the process's error, counts the
+    # failing step (with the process's start at t=0, four events), and
+    # leaves the rest of the instant queued in order.  The failure
+    # stays recorded, so each later run stops after one event.
+    logs = {}
+    for kernel in KERNELS:
+        sim = make_simulator(kernel)
+        runner = ScriptRunner(sim)
+        for tag in (100, 101):
+            sim._post(10, runner._fire, (tag, ()))
+        proc = sim.spawn(_failing(runner), name="p102")
+        sim.run(until=0)  # the start files the failing step at t=10
+        for tag in (103, 104):
+            sim._post(10, runner._fire, (tag, ()))
+        with pytest.raises(RuntimeError, match="'p102' failed at t=10ns") \
+                as info:
+            sim.run()
+        assert isinstance(proc.exception, KeyError)
+        assert info.value.__cause__ is proc.exception
+        runner.log.append(("raised", sim.now, sim.events_executed,
+                           sim.pending_events))
+        while sim.pending_events:
+            with pytest.raises(RuntimeError):
+                sim.run()
+        runner.log.append(("final", sim.now, sim.events_executed))
+        logs[kernel] = _log_bytes(runner.log)
+    assert logs["bucket"] == logs["reference"]
+    assert json.loads(logs["bucket"]) == [
+        [10, 100], [10, 101], [10, "fail"], ["raised", 10, 4, 2],
+        [10, 103], [10, 104], ["final", 10, 6]]
 
 
 @pytest.mark.parametrize("hooked", [False, True], ids=["plain", "hooked"])
