@@ -44,7 +44,7 @@ from repro.obs import EventLoopProfiler, MetricsRegistry
 from repro.os import NodeOS, TelegraphosDriver, VirtualMemoryManager
 from repro.os.replication import AlarmReplicationPolicy
 from repro.params import DEFAULT_PARAMS, Params
-from repro.sim import Simulator, Tracer, collector_paused, make_simulator
+from repro.sim import Simulator, Tracer, collector_paused
 
 #: Main memory per workstation (4 MiB); Telegraphos II reserves up to
 #: half of it for shared data.
@@ -103,7 +103,7 @@ class Cluster:
             self.config = config
             self.params = config.params or DEFAULT_PARAMS
             self.protocol = config.protocol
-            self.sim = make_simulator(config.kernel)
+            self.sim = Simulator()
             self.metrics = MetricsRegistry(enabled=config.metrics)
             self.profiler: Optional[EventLoopProfiler] = None
             if config.profile_kernel:
@@ -230,32 +230,21 @@ class Cluster:
 
     def run(
         self,
-        until: Optional[int] = None,
-        join=None,
+        join,
         limit_ns: Optional[int] = None,
         drain_ns: Optional[int] = None,
     ) -> None:
-        """Advance the simulation.
+        """Run until every program context (or process) in ``join``
+        completes, then drain in-flight traffic for up to ``drain_ns``
+        (default 20,000,000 ns; bounded so perpetual background
+        processes — schedulers, pollers — cannot hold the simulation
+        open).
 
-        ``run()`` drains the event queue; ``run(until=t)`` advances to
-        ``t``.  ``run(join=contexts)`` runs until every given program
-        context (or process) completes, then drains in-flight traffic
-        for up to ``drain_ns`` (default 20,000,000 ns; bounded so
-        perpetual background processes — schedulers, pollers — cannot
-        hold the simulation open).  It raises ``TimeoutError`` if they
-        are still running past ``limit_ns`` (default 10**12 ns);
-        ``limit_ns`` or ``drain_ns`` without ``join`` is a
-        ``TypeError``, as ``until`` with it is.
+        Raises ``TimeoutError`` if they are still running past
+        ``limit_ns`` (default 10**12 ns), and ``RuntimeError`` from the
+        error of a process that fails.  A time-bounded run is
+        ``cluster.sim.run(until=t)``.
         """
-        if join is None:
-            if limit_ns is not None or drain_ns is not None:
-                raise TypeError("limit_ns= and drain_ns= bound a join; pass "
-                                "join= with them, or bound the run with "
-                                "until=")
-            self.sim.run(until=until)
-            return
-        if until is not None:
-            raise TypeError("pass either until= or join=, not both")
         processes = [getattr(c, "process", c) for c in join]
         self.sim.run_until_done(
             processes, limit_ns=10**12 if limit_ns is None else limit_ns)

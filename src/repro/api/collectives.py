@@ -38,7 +38,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional, Sequence
 
-from repro.api.shmem import Proc, Segment
+from repro.api.shmem import POLL_NS, Proc, Segment
 from repro.hib.collectives import CollectiveGroupSpec
 from repro.machine.ops import CollectiveCall
 
@@ -56,10 +56,9 @@ class Mutex:
     program.  The lock word must start at 0 (unlocked).
     """
 
-    def __init__(self, proc: Proc, vaddr: int, backoff_ns: int = 2000):
+    def __init__(self, proc: Proc, vaddr: int):
         self.proc = proc
         self.vaddr = vaddr
-        self.backoff_ns = backoff_ns
         self.acquisitions = 0
         self.spins = 0
 
@@ -74,7 +73,7 @@ class Mutex:
                 yield self.proc.fence()
                 return
             self.spins += 1
-            yield self.proc.think(self.backoff_ns)
+            yield self.proc.think(POLL_NS)
 
     def release(self):
         # FENCE first: every write made inside the critical section
@@ -92,10 +91,9 @@ class Signal:
     its write(data)/write(flag) anomaly.
     """
 
-    def __init__(self, proc: Proc, vaddr: int, poll_ns: int = 2000):
+    def __init__(self, proc: Proc, vaddr: int):
         self.proc = proc
         self.vaddr = vaddr
-        self.poll_ns = poll_ns
 
     def raise_signal(self, value: int = 1):
         yield self.proc.fence()
@@ -111,11 +109,11 @@ class Signal:
             current = yield self.proc.load(self.vaddr)
             if current == value:
                 return
-            yield self.proc.think(self.poll_ns)
+            yield self.proc.think(POLL_NS)
 
 
 def counter_barrier_wait(proc: Proc, count_vaddr: int, gen_vaddr: int,
-                         n_parties: int, poll_ns: int = 2000):
+                         n_parties: int):
     """One wait on a sense-reversing counter barrier (two shared
     words: a fetch&add arrival counter and a generation number spun on
     with remote reads)."""
@@ -133,7 +131,7 @@ def counter_barrier_wait(proc: Proc, count_vaddr: int, gen_vaddr: int,
         current = yield proc.load(gen_vaddr)
         if current != generation:
             return
-        yield proc.think(poll_ns)
+        yield proc.think(POLL_NS)
 
 
 # -- the unified collective surface -------------------------------------
@@ -182,16 +180,13 @@ class HostCollective(Collective):
     at the home HIB — the baseline the NIC backend is measured against.
     """
 
-    def __init__(self, proc: Proc, n_parties: int, rank: int, base: int,
-                 poll_ns: int = 2000):
+    def __init__(self, proc: Proc, n_parties: int, rank: int, base: int):
         super().__init__(proc, n_parties, rank)
         self.base = base
-        self.poll_ns = poll_ns
 
     def barrier(self):
         yield from counter_barrier_wait(
-            self.proc, self.base + _CNT, self.base + _GEN,
-            self.n_parties, self.poll_ns,
+            self.proc, self.base + _CNT, self.base + _GEN, self.n_parties,
         )
 
     def all_reduce(self, op: str, value: int):
@@ -209,7 +204,7 @@ class HostCollective(Collective):
                 old = yield from proc.compare_and_swap(base + _LOCK, 0, 1)
                 if old == 0:
                     break
-                yield proc.think(self.poll_ns)
+                yield proc.think(POLL_NS)
             seen = yield proc.load(base + _CNT2)
             if seen == 0:
                 yield proc.store(base + _ACC, value)
@@ -234,7 +229,7 @@ class HostCollective(Collective):
             current = yield proc.load(base + _GEN)
             if current != generation:
                 break
-            yield proc.think(self.poll_ns)
+            yield proc.think(POLL_NS)
         # RES cannot be overwritten before we re-enter: the next
         # round's publisher needs *our* next arrival first.
         result = yield proc.load(base + _RES)

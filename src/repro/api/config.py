@@ -17,7 +17,6 @@ from repro.faults.plan import FaultConfig
 from repro.network.fabric import ROUTING_MODES
 from repro.network.topology import TOPOLOGIES, TORI
 from repro.params import Params
-from repro.sim import KERNELS
 
 #: Collective backends (:mod:`repro.api.collectives`).
 COLLECTIVES = ("host", "nic")
@@ -58,12 +57,6 @@ class ClusterConfig:
       (:mod:`repro.api.collectives`): ``"host"`` (software counter
       barrier over remote atomics — the classic path, default) or
       ``"nic"`` (HIB-resident combining tree + multicast release).
-    - ``kernel`` — event-loop implementation
-      (see :func:`repro.sim.make_simulator`): ``"bucket"`` (the
-      production calendar kernel, default) or ``"reference"`` (the
-      pure-heap per-event oracle used for differential kernel
-      testing).  Both dispatch events in the identical
-      (time, insertion-order) order.
 
     Observability:
 
@@ -102,7 +95,6 @@ class ClusterConfig:
     profile_kernel: bool = False
     faults: Optional[Union[Dict[str, Any], FaultConfig]] = None
     collectives: str = "host"
-    kernel: str = "bucket"
 
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
@@ -111,7 +103,6 @@ class ClusterConfig:
         _check_name("topology", self.topology, TOPOLOGIES)
         _check_name("routing mode", self.routing, ROUTING_MODES)
         _check_name("collectives backend", self.collectives, COLLECTIVES)
-        _check_name("kernel", self.kernel, KERNELS)
         if self.routing != "tree" and self.topology not in TORI:
             raise ValueError(
                 f"routing {self.routing!r} requires a torus topology, one "

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.api.shmem import Proc
+from repro.api.shmem import POLL_NS, Proc
 
 
 class _Ring:
@@ -38,14 +38,12 @@ class _Ring:
     LEN = 4
     PAYLOAD = 8
 
-    def __init__(self, cluster, capacity: int, slot_words: int,
-                 poll_ns: int):
+    def __init__(self, cluster, capacity: int, slot_words: int):
         if capacity < 1 or slot_words < 3:
             raise ValueError("capacity >= 1 and slot_words >= 3 required")
         self.cluster = cluster
         self.capacity = capacity
         self.slot_words = slot_words
-        self.poll_ns = poll_ns
 
     def slot_offset(self, index: int) -> int:
         return (index % self.capacity) * self.slot_words * 4
@@ -63,9 +61,8 @@ class Channel(_Ring):
     """
 
     def __init__(self, cluster, sender_node: int, receiver_node: int,
-                 name: str, capacity: int = 16, slot_words: int = 16,
-                 poll_ns: int = 2000):
-        super().__init__(cluster, capacity, slot_words, poll_ns)
+                 name: str, capacity: int = 16, slot_words: int = 16):
+        super().__init__(cluster, capacity, slot_words)
         slot_bytes = slot_words * 4
         pages = (capacity * slot_bytes + cluster.amap.page_bytes - 1) \
             // cluster.amap.page_bytes
@@ -100,9 +97,8 @@ class BroadcastChannel(_Ring):
     """
 
     def __init__(self, cluster, sender_node: int, receiver_nodes,
-                 name: str, capacity: int = 8, slot_words: int = 16,
-                 poll_ns: int = 2000):
-        super().__init__(cluster, capacity, slot_words, poll_ns)
+                 name: str, capacity: int = 8, slot_words: int = 16):
+        super().__init__(cluster, capacity, slot_words)
         if not receiver_nodes:
             raise ValueError("need at least one receiver")
         if sender_node in receiver_nodes:
@@ -182,7 +178,7 @@ class RingSender:
                 consumed.append((yield proc.load(credit)))
             if self._sent - min(consumed) < channel.capacity:
                 break
-            yield proc.think(channel.poll_ns)
+            yield proc.think(POLL_NS)
         slot = self._ring_base + channel.slot_offset(self._sent)
         for i, word in enumerate(payload):
             yield proc.store(slot + _Ring.PAYLOAD + 4 * i, word)
@@ -227,7 +223,7 @@ class RingReceiver:
             stamp = yield proc.load(slot + _Ring.SEQ)
             if stamp == expected:
                 break
-            yield proc.think(channel.poll_ns)
+            yield proc.think(POLL_NS)
         length = yield proc.load(slot + _Ring.LEN)
         payload = []
         for i in range(length):

@@ -18,7 +18,13 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.hib.backend import copy_page
 from repro.machine.ops import Fence, Load, Store, Think
+
+#: How long a program thinks between two polls of a shared word, or
+#: two failed attempts at a lock (ns): every spin loop of the
+#: synchronization and messaging layers waits this long.
+POLL_NS = 2000
 
 
 class Segment:
@@ -157,15 +163,10 @@ class Proc:
         for i, group in enumerate(groups):
             if i in resident:
                 continue
-            local_page = local_pages[i]
             # Copy current contents (the OS replication step).
-            gpage = segment.gpage + i
-            for w in range(0, page_bytes, 4):
-                local_backend.poke(
-                    local_page * page_bytes + w,
-                    home_backend.peek(gpage * page_bytes + w),
-                )
-            directory.add_replica(group, self.node_id, local_page)
+            copy_page(home_backend, segment.gpage + i, local_backend,
+                      local_pages[i], page_bytes)
+            directory.add_replica(group, self.node_id, local_pages[i])
         return vm.map_local_shared(
             self.space, local_pages[0], segment.pages,
             home_id=(segment.home, segment.gpage), writable=writable,

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
+from repro.hib.backend import copy_page
 from repro.machine.mmu import PageTableEntry
 from repro.sim import BoundedQueue
 
@@ -200,11 +201,9 @@ class VsmManager:
         view = self.views[station.node_id]
         if idx not in view.local_page:
             view.local_page[idx] = station.vm.alloc_backend_pages(1)
-        src_backend = self.cluster.node(owner).backend
-        src_base = self.cluster.amap.page_base(self.views[owner].local_page[idx])
-        dst_base = self.cluster.amap.page_base(view.local_page[idx])
-        for w in range(0, page_bytes, 4):
-            station.backend.poke(dst_base + w, src_backend.peek(src_base + w))
+        copy_page(self.cluster.node(owner).backend,
+                  self.views[owner].local_page[idx], station.backend,
+                  view.local_page[idx], page_bytes)
 
     # -- mapping maintenance ------------------------------------------------------
 

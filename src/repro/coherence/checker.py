@@ -19,6 +19,11 @@ pattern scan over an observer's applied-value sequence.
 
 **Convergence**: at quiescence every copy of every page group equals
 the home copy.
+
+The first two read the ``apply`` trace events, so they need a cluster
+built with ``ClusterConfig(trace=True)`` (the default); with tracing
+off they raise ``ValueError`` rather than pass on no evidence.
+Convergence reads the backends and works either way.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.coherence.directory import SharingDirectory
-from repro.sim import Tracer
+from repro.sim.trace import TraceEvent, Tracer
 
 Key = Tuple[int, int, int]  # (home, gpage, in_page)
 
@@ -70,6 +75,15 @@ class CoherenceChecker:
 
     # -- raw sequences ---------------------------------------------------
 
+    def _apply_events(self) -> List[TraceEvent]:
+        """Every ``apply`` trace event; refused when the tracer is off,
+        since it then recorded none."""
+        if not self.tracer.enabled:
+            raise ValueError(
+                "the coherence checker reads apply trace events, which a "
+                "cluster records only with ClusterConfig(trace=True)")
+        return [e for e in self.tracer.events if e.category == "apply"]
+
     def applied_values(self, node: int, key: Key) -> List[int]:
         """Values actually written into ``node``'s copy of ``key``, in
         order (ignored updates excluded)."""
@@ -79,18 +93,14 @@ class CoherenceChecker:
         }
         return [
             e.value
-            for e in self.tracer.events
-            if e.category == "apply"
-            and e.fields["node"] == node
+            for e in self._apply_events()
+            if e.fields["node"] == node
             and e.fields["key"] == key
             and e.fields["kind"] in applied_kinds
         ]
 
     def keys_touched(self) -> List[Key]:
-        keys = {
-            e.fields["key"] for e in self.tracer.events if e.category == "apply"
-        }
-        return sorted(keys)
+        return sorted({e.fields["key"] for e in self._apply_events()})
 
     # -- the §2.3.3 subsequence property -------------------------------------
 

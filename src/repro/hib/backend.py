@@ -20,8 +20,20 @@ prototypes share one datapath:
 from __future__ import annotations
 
 from repro.machine.bus import Bus
-from repro.machine.memory import WordMemory
+from repro.machine.memory import WORD_BYTES, WordMemory
 from repro.params import TimingParams
+
+
+def copy_page(src, src_page: int, dst, dst_page: int,
+              page_bytes: int) -> None:
+    """Copy page ``src_page`` of backend ``src`` into page ``dst_page``
+    of backend ``dst``, word by word in address order through the
+    zero-time ``peek``/``poke`` accessors: the OS's page copy
+    (replication, paging), whose time the caller charges."""
+    src_base = src_page * page_bytes
+    dst_base = dst_page * page_bytes
+    for offset in range(0, page_bytes, WORD_BYTES):
+        dst.poke(dst_base + offset, src.peek(src_base + offset))
 
 
 class MpmBackend:

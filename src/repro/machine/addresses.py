@@ -41,6 +41,8 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.machine.memory import WORD_BYTES
+
 
 class Region(enum.Enum):
     DRAM = 0
@@ -82,8 +84,7 @@ class AddressMap:
     #: Decoded-address cache bound; cleared wholesale when exceeded.
     _DECODE_CACHE_MAX = 65536
 
-    def __init__(self, word_bytes: int = 4, page_bytes: int = 8192):
-        self.word_bytes = word_bytes
+    def __init__(self, page_bytes: int = 8192):
         self.page_bytes = page_bytes
         # phys -> DecodedAddress.  Decoding is pure and DecodedAddress
         # frozen, so memoization is safe; workloads touch a small set
@@ -154,10 +155,10 @@ class AddressMap:
     # -- geometry helpers --------------------------------------------------------
 
     def word_aligned(self, addr: int) -> int:
-        return addr & ~(self.word_bytes - 1)
+        return addr & ~(WORD_BYTES - 1)
 
     def is_word_aligned(self, addr: int) -> bool:
-        return addr % self.word_bytes == 0
+        return addr % WORD_BYTES == 0
 
     def page_of(self, addr: int) -> int:
         """Page number of a byte offset (region-local)."""

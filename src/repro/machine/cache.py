@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Dict
 
+from repro.machine.memory import WORD_BYTES
+
 
 class DirectMappedCache:
     """Word-granular, direct-mapped, write-through, write-allocate.
@@ -26,17 +28,16 @@ class DirectMappedCache:
     words: a line never filled holds no slot.
     """
 
-    def __init__(self, n_lines: int = 1024, word_bytes: int = 4):
+    def __init__(self, n_lines: int = 1024):
         if n_lines < 1 or n_lines & (n_lines - 1):
             raise ValueError("cache line count must be a positive power of two")
         self.n_lines = n_lines
-        self.word_bytes = word_bytes
         self._tags: Dict[int, int] = {}
         self.hits = 0
         self.misses = 0
 
     def _split(self, addr: int):
-        word = addr // self.word_bytes
+        word = addr // WORD_BYTES
         return word % self.n_lines, word // self.n_lines
 
     def lookup(self, addr: int) -> bool:

@@ -12,6 +12,10 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Tuple
 
+#: Bytes per word: the HIB datapath is 32-bit (Table 1), and every
+#: memory, cache line and address map in the model is word-addressed.
+WORD_BYTES = 4
+
 
 class WordMemory:
     """A sparse array of 32-bit words with bounds checking.
@@ -22,18 +26,15 @@ class WordMemory:
 
     WORD_MASK = 0xFFFFFFFF
 
-    def __init__(self, size_bytes: int, word_bytes: int = 4, name: str = "mem"):
-        if size_bytes <= 0 or size_bytes % word_bytes:
+    def __init__(self, size_bytes: int, name: str = "mem"):
+        if size_bytes <= 0 or size_bytes % WORD_BYTES:
             raise ValueError("memory size must be a positive multiple of word size")
         self.size_bytes = size_bytes
-        self.word_bytes = word_bytes
         self.name = name
         self._words: Dict[int, int] = {}
-        self.reads = 0
-        self.writes = 0
 
     def _index(self, addr: int) -> int:
-        if addr % self.word_bytes:
+        if addr % WORD_BYTES:
             raise ValueError(
                 f"{self.name}: unaligned word access at 0x{addr:x}"
             )
@@ -41,36 +42,17 @@ class WordMemory:
             raise ValueError(
                 f"{self.name}: address 0x{addr:x} outside {self.size_bytes} bytes"
             )
-        return addr // self.word_bytes
+        return addr // WORD_BYTES
 
     def load_word(self, addr: int) -> int:
         """Read the word at byte address ``addr`` (0 if never written)."""
-        index = self._index(addr)
-        self.reads += 1
-        return self._words.get(index, 0)
+        return self._words.get(self._index(addr), 0)
 
     def store_word(self, addr: int, value: int, mask: bool = True) -> None:
         """Write the word at byte address ``addr``."""
-        index = self._index(addr)
-        self.writes += 1
-        self._words[index] = value & self.WORD_MASK if mask else value
-
-    def copy_words(self, src: int, dst: int, n_words: int) -> None:
-        """Bulk copy (page replication, remote paging)."""
-        for i in range(n_words):
-            offset = i * self.word_bytes
-            self.store_word(dst + offset, self.load_word(src + offset), mask=False)
-
-    def snapshot_range(self, addr: int, n_words: int) -> Tuple[int, ...]:
-        """Values of ``n_words`` consecutive words (for checkers)."""
-        return tuple(
-            self.load_word(addr + i * self.word_bytes) for i in range(n_words)
-        )
+        self._words[self._index(addr)] = value & self.WORD_MASK if mask else value
 
     def written_words(self) -> Iterator[Tuple[int, int]]:
         """(byte_address, value) for every word ever written."""
         for index in sorted(self._words):
-            yield index * self.word_bytes, self._words[index]
-
-    def clear(self) -> None:
-        self._words.clear()
+            yield index * WORD_BYTES, self._words[index]

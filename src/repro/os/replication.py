@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Set, Tuple
 
 from repro.coherence.directory import SharingDirectory
+from repro.hib.backend import copy_page
 from repro.machine.mmu import PageTableEntry
 from repro.os.kernel import NodeOS
 from repro.os.vm import VirtualMemoryManager
@@ -83,12 +84,8 @@ class AlarmReplicationPolicy:
         yield timing.os_fault_ns
         yield self.params.timing.serialization_ns(page_bytes)
 
-        home_backend = self.remote_backends[home]
-        local_backend = self.node_os.hib.backend
-        for w in range(0, page_bytes, 4):
-            local_backend.poke(
-                local_page * page_bytes + w, home_backend.peek(gpage * page_bytes + w)
-            )
+        copy_page(self.remote_backends[home], gpage,
+                  self.node_os.hib.backend, local_page, page_bytes)
         self.directory.add_replica(group, node_id, local_page)
         self.replications += 1
 

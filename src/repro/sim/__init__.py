@@ -4,7 +4,10 @@ Everything in the Telegraphos reproduction — CPUs, buses, the HIB,
 links, switches, the OS model — runs on this kernel.  It provides:
 
 - :class:`~repro.sim.kernel.Simulator`: the event loop, with integer
-  nanosecond time.
+  nanosecond time.  ``run(until=)`` runs a time slice (or everything);
+  ``run_until_done(processes, limit_ns=)`` runs until the given
+  processes finish.  A failing process raises ``RuntimeError`` from
+  its error out of either, and the next run goes on after it.
 - :class:`~repro.sim.kernel.Process`: generator-coroutine processes.
   A process is a Python generator that ``yield``\\ s either a
   non-negative ``int`` delay in nanoseconds or a
@@ -23,6 +26,10 @@ links, switches, the OS model — runs on this kernel.  It provides:
   use ``put_then`` and ``get_then``, which make no waitable.
 - :func:`~repro.sim.kernel.collector_paused`: pauses CPython's cyclic
   garbage collector while a cluster is built and while a kernel runs.
+
+:mod:`repro.sim.refkernel` holds the pure-heap reference kernel the
+tests check :class:`~repro.sim.kernel.Simulator` against; nothing
+here selects it.
 """
 
 from repro.sim.kernel import (
@@ -34,45 +41,17 @@ from repro.sim.kernel import (
     collector_paused,
 )
 from repro.sim.queues import BoundedQueue
-from repro.sim.refkernel import ReferenceSimulator
 from repro.sim.timers import Timer
 from repro.sim.trace import Accumulator, Tally, Tracer
-
-#: Selectable kernel implementations (``ClusterConfig.kernel``).
-KERNELS = ("bucket", "reference")
-
-
-def make_simulator(kernel: str = "bucket") -> Simulator:
-    """Build an event-loop kernel by name.
-
-    ``"bucket"`` is the production kernel (the current instant's list
-    plus per-timestamp buckets for every later event, each entry
-    ``(fn, args)`` and ordered by its place in its list);
-    ``"reference"`` is the pure-heap per-event oracle used for
-    differential testing, whose ``(time, seq, fn, args)`` heap is the
-    one place a ``seq`` lives.  Both expose the identical
-    :class:`Simulator` API and the identical (time, insertion-order)
-    dispatch order.
-    """
-    if kernel == "bucket":
-        return Simulator()
-    if kernel == "reference":
-        return ReferenceSimulator()
-    raise ValueError(
-        f"unknown kernel {kernel!r}; expected one of {list(KERNELS)}")
-
 
 __all__ = [
     "Accumulator",
     "BoundedQueue",
     "Future",
-    "KERNELS",
-    "ReferenceSimulator",
     "Process",
     "SimulationDeadlock",
     "Simulator",
     "collector_paused",
-    "make_simulator",
     "Tally",
     "Timer",
     "Tracer",

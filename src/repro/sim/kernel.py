@@ -19,6 +19,9 @@ Anything else fails the process: a negative ``int`` with
 with ``TypeError``.  If a waitable fails with an exception, the
 exception is thrown *into* the waiting generator at the ``yield``.
 Nothing else ever resumes a process: the kernel has no interrupts.
+A process that fails completes with its error and raises
+``RuntimeError`` from it out of the failing step, so the run stops
+there as it does for any callback that raises.
 CPU preemption is modelled between operations by the machine model
 (``repro.machine.cpu.CPU.switch_to``), where the hardware takes it.
 
@@ -48,14 +51,17 @@ Fast-path design (see DESIGN.md, "Kernel internals"):
 - Nothing is cancelled, so the queue holds one kind of entry and the
   run loop tests none (a :class:`~repro.sim.timers.Timer` leaves a
   superseded expiry to fire as a no-op).
-- One run loop serves :meth:`Simulator.run` and
-  :meth:`Simulator.run_until_done`, with or without bounds or hooks.
-  Each pass drains the current instant's list **in place**: an event
-  posted at delay 0 during the pass is appended to the list the
-  loop's ``for`` is walking, so it runs in the same pass, after every
-  event posted before it.  When the list is empty, the earliest
-  bucket becomes the list.  A pass adds its events to the executed
-  count once, when it ends.
+- One run loop serves :meth:`Simulator.run` (bounded by ``until``)
+  and :meth:`Simulator.run_until_done` (a join, bounded by
+  ``limit_ns``), with or without hooks.  Each pass drains the current
+  instant's list **in place**: an event posted at delay 0 during the
+  pass is appended to the list the loop's ``for`` is walking, so it
+  runs in the same pass, after every event posted before it.  When
+  the list is empty, the earliest bucket becomes the list.  A pass
+  adds its events to the executed count once, when it ends.  A
+  completed join or an exception (a failing process's included)
+  stops a pass mid-instant and leaves the rest of the instant in the
+  list for the next run.
 - Both kernels run with CPython's cyclic garbage collector paused
   (:func:`collector_paused`): a run makes no cyclic garbage, so its
   passes would find nothing.
@@ -80,18 +86,13 @@ from typing import (
 _WaiterCallback = Callable[[Any, Optional[BaseException]], None]
 
 
-def check_run_bounds(name: str, bound: Optional[int],
-                     max_events: Optional[int] = None) -> None:
-    """Check a run's bounds, for both kernels, as :meth:`Simulator.schedule`
-    checks a delay: the time bound ``name`` (``until`` or ``limit_ns``)
-    is ``None`` or an ``int`` (a ``bool`` is not), so the clock stays an
-    ``int``, and ``max_events`` is ``None`` or a non-negative ``int``."""
+def check_run_bounds(name: str, bound: Optional[int]) -> None:
+    """Check a run's time bound, for both kernels, as
+    :meth:`Simulator.schedule` checks a delay: ``name`` (``until`` or
+    ``limit_ns``) is ``None`` or an ``int`` (a ``bool`` is not), so the
+    clock stays an ``int``."""
     if bound is not None and type(bound) is not int:
         raise TypeError(f"{name} must be None or an int, got {bound!r}")
-    if max_events is not None and type(max_events) is not int:
-        raise TypeError(f"max_events must be None or an int, got {max_events!r}")
-    if max_events is not None and max_events < 0:
-        raise ValueError(f"max_events must be non-negative, got {max_events!r}")
 
 
 @contextmanager
@@ -296,10 +297,14 @@ class Process(Waitable):
         self._finish(None, error)
 
     def _finish(self, value: Any, exception: Optional[BaseException]) -> None:
+        """Complete the process; if it failed, then raise out of the
+        failing step, which stops the run like any raising callback."""
         self.sim._live_processes.discard(self)
-        if exception is not None:
-            self.sim._note_failure(self, exception)
         self._complete(value, exception)
+        if exception is not None:
+            raise RuntimeError(
+                f"process {self.name!r} failed at t={self.sim.now}ns"
+            ) from exception
 
 
 class Simulator:
@@ -313,9 +318,11 @@ class Simulator:
         assert proc.done
 
     ``run`` drains the event queue (optionally bounded by ``until`` in
-    nanoseconds or ``max_events``); :meth:`run_until_done` runs until
-    given processes finish, raising :class:`SimulationDeadlock` if the
-    queue drains first.
+    nanoseconds); :meth:`run_until_done` runs until given processes
+    finish, raising :class:`SimulationDeadlock` if the queue drains
+    first.  A process failure raises ``RuntimeError`` from the
+    process's error out of either; the next run goes on from the event
+    after the failing step.
     """
 
     def __init__(self) -> None:
@@ -336,7 +343,6 @@ class Simulator:
         #: garbage collector never closes a suspended generator in the
         #: middle of a run (its ``finally`` blocks may post events).
         self._live_processes: set = set()
-        self._failures: List[Tuple[Process, BaseException]] = []
         #: Total events executed over the simulator's lifetime (the
         #: benchmark harness's work measure).
         self.events_executed: int = 0
@@ -402,24 +408,18 @@ class Simulator:
 
     # -- execution ---------------------------------------------------------
 
-    def run(
-        self,
-        until: Optional[int] = None,
-        max_events: Optional[int] = None,
-    ) -> int:
-        """Run events until the queue drains (or a bound is hit).
+    def run(self, until: Optional[int] = None) -> int:
+        """Run events until the queue drains, or only those at times
+        ``<= until``, then advance ``now`` to ``until`` if it is later.
 
-        Returns the number of events executed.  With ``until``, events
-        at times ``<= until`` run and ``now`` advances to ``until``
-        unless ``max_events`` stopped the run with one of them still
-        queued: the clock never passes a pending event.  Both bounds
-        are checked by :func:`check_run_bounds`.
+        Returns the number of events executed.  ``until`` is checked
+        by :func:`check_run_bounds`; a bound below ``now`` runs nothing
+        and leaves the clock where it is.
         """
-        check_run_bounds("until", until, max_events)
+        check_run_bounds("until", until)
         with collector_paused():
-            executed = self._run_loop(until, max_events, [1])
-        if (until is not None and self.now < until and not self._now_list
-                and not (self._times and self._times[0] <= until)):
+            executed = self._run_loop(until, [1])
+        if until is not None and self.now < until:
             if self.hooks is not None:
                 self.hooks.on_advance(self, self.now, until)
             self.now = until
@@ -454,7 +454,7 @@ class Simulator:
                 p.add_callback(_one_done)
 
         with collector_paused():
-            self._run_loop(limit_ns, None, pending)
+            self._run_loop(limit_ns, pending)
         if pending[0]:
             if self._buckets or self._now_list:
                 # The loop stopped at the limit with events queued.
@@ -467,32 +467,28 @@ class Simulator:
             f"processes still running at t={self.now}ns: {waiting}"
         )
 
-    def _run_loop(self, until: Optional[int], max_events: Optional[int],
-                  pending: List[int]) -> int:
+    def _run_loop(self, until: Optional[int], pending: List[int]) -> int:
         """The loop behind :meth:`run` and :meth:`run_until_done`;
         returns the events executed.  Each pass drains the current
         instant's list in place, delay-0 posts made during it included,
         then takes the next instant as the list.  It stops before an
         instant later than ``until`` (left queued), when the queue
-        drains, after ``max_events`` events, or once ``pending[0]``
-        reaches zero; the last two, and an exception, leave the rest of
-        the instant in the list at ``now`` for the next run.  Each pass
-        adds its events to the count once, as it ends: a process
-        failure, a ``max_events`` stop and a completed join count the
-        event that stopped the run, and a callback that raises is
-        consumed but not counted.
+        drains, or once ``pending[0]`` reaches zero; that last stop,
+        and an exception, leave the rest of the instant in the list at
+        ``now`` for the next run.  Each pass adds its events to the
+        count once, as it ends: a completed join counts the event that
+        stopped the run, and a callback that raises (a failing
+        process's step included) is consumed but not counted.
         """
         times = self._times
         buckets = self._buckets
         now_list = self._now_list
-        failures = self._failures
         hooks = self.hooks
-        stop_at = -1 if max_events is None else max_events
         executed = 0
         if hooks is not None:
             hooks.on_run_start(self)
         try:
-            while pending[0] and executed != stop_at:
+            while pending[0]:
                 if not now_list:
                     if not times:
                         break
@@ -509,7 +505,6 @@ class Simulator:
                 # Entries consumed: deleted and counted once per pass,
                 # whatever ends it.
                 i = 0
-                left = stop_at - executed
                 try:
                     for fn, args in now_list:
                         i += 1
@@ -520,9 +515,7 @@ class Simulator:
                             raise
                         if hooks is not None:
                             hooks.on_execute(self, self.now, fn)
-                        if failures:
-                            self._raise_failure()
-                        if i == left or not pending[0]:
+                        if not pending[0]:
                             break
                 finally:
                     del now_list[:i]
@@ -532,18 +525,3 @@ class Simulator:
                 hooks.on_run_end(self, executed)
             self.events_executed += executed
         return executed
-
-    def _raise_failure(self) -> None:
-        process, error = self._failures[0]
-        raise RuntimeError(
-            f"process {process.name!r} failed at t={self.now}ns"
-        ) from error
-
-    # -- failure bookkeeping ------------------------------------------------
-
-    def _note_failure(self, process: Process, error: BaseException) -> None:
-        self._failures.append((process, error))
-
-    @property
-    def failures(self) -> List[Tuple[Process, BaseException]]:
-        return list(self._failures)

@@ -5,13 +5,19 @@ calendar-queue production kernel (:class:`~repro.sim.kernel.Simulator`).
 It keeps the exact queue discipline the repository shipped before the
 calendar-queue rewrite: one binary heap ordered by ``(time, seq)``, one
 event popped and dispatched per loop iteration, every bound
-(``until``, ``max_events``, ``limit_ns``, deadlock) checked per event.
+(``until``, ``limit_ns``, deadlock) checked per event.
 Its :meth:`~ReferenceSimulator.run` and
 :meth:`~ReferenceSimulator.run_until_done` are separate loops, each
 calling the kernel hooks once around the call, once per event and
 once per move of the clock, as the production kernel's single loop does;
 a join raises ``TimeoutError`` before dispatching any event later than
-``limit_ns``.
+``limit_ns``.  An event that raises (a failing process's step
+included) is popped and not counted, as in the production kernel.
+
+Nothing in ``src/`` builds one: the tests do, by name from their own
+table (``tests/kernels.py``), and run a whole cluster on it by
+substituting it for the ``Simulator`` that ``repro.api.cluster``
+builds.
 
 Its heap entry is ``(time, seq, fn, args)``, and this class keeps the
 ``seq`` counter: the production kernel's entry is ``(fn, args)``, whose
@@ -53,12 +59,8 @@ _Entry = Tuple[int, int, Callable[..., None], Tuple[Any, ...]]
 
 
 class ReferenceSimulator(Simulator):
-    """Single-heap, per-event-dispatch oracle kernel.
-
-    API-identical to :class:`Simulator`; selected through
-    ``ClusterConfig(kernel="reference")`` or
-    :func:`repro.sim.make_simulator`.
-    """
+    """Single-heap, per-event-dispatch oracle kernel, API-identical
+    to :class:`Simulator`."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -83,12 +85,8 @@ class ReferenceSimulator(Simulator):
 
     # -- execution --------------------------------------------------------
 
-    def run(
-        self,
-        until: Optional[int] = None,
-        max_events: Optional[int] = None,
-    ) -> int:
-        check_run_bounds("until", until, max_events)
+    def run(self, until: Optional[int] = None) -> int:
+        check_run_bounds("until", until)
         hooks = self.hooks
         heap = self._heap
         executed = 0
@@ -98,8 +96,6 @@ class ReferenceSimulator(Simulator):
             try:
                 while True:
                     if not heap:
-                        break
-                    if max_events is not None and executed >= max_events:
                         break
                     time = heap[0][0]
                     if until is not None and time > until:
@@ -112,14 +108,11 @@ class ReferenceSimulator(Simulator):
                     executed += 1
                     if hooks is not None:
                         hooks.on_execute(self, time, fn)
-                    if self._failures:
-                        self._raise_failure()
             finally:
                 if hooks is not None:
                     hooks.on_run_end(self, executed)
                 self.events_executed += executed
-        if (until is not None and self.now < until
-                and not (heap and heap[0][0] <= until)):
+        if until is not None and self.now < until:
             if hooks is not None:
                 hooks.on_advance(self, self.now, until)
             self.now = until
@@ -163,8 +156,6 @@ class ReferenceSimulator(Simulator):
                     executed += 1
                     if hooks is not None:
                         hooks.on_execute(self, time, fn)
-                    if self._failures:
-                        self._raise_failure()
             finally:
                 if hooks is not None:
                     hooks.on_run_end(self, executed)

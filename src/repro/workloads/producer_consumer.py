@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
+from repro.api.shmem import POLL_NS
 from repro.sim import Accumulator
 
 
@@ -43,7 +44,6 @@ def run_producer_consumer(
     batches: int = 5,
     words_per_batch: int = 16,
     sharing: str = "replica",
-    poll_ns: int = 2000,
 ) -> ProducerConsumerResult:
     """Build and run the workload on ``cluster``; the data segment is
     homed at the producer (the natural owner)."""
@@ -84,7 +84,7 @@ def run_producer_consumer(
                     seen = yield p.load(consume_flag)
                     if seen >= batch + 1:
                         break
-                    yield p.think(poll_ns)
+                    yield p.think(POLL_NS)
                 for w in range(words_per_batch):
                     start = cluster.now
                     value = yield p.load(consume_base + 4 * w)

@@ -55,16 +55,17 @@ def test_run_join_honours_a_zero_limit():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"limit_ns": 5}, {"limit_ns": 0}, {"drain_ns": 5}, {"drain_ns": 0},
+    {}, {"limit_ns": 5}, {"limit_ns": 0}, {"drain_ns": 5}, {"drain_ns": 0},
     {"until": 5, "join": []},
-], ids=["limit-without-join", "zero-limit-without-join",
+], ids=["nothing", "limit-without-join", "zero-limit-without-join",
         "drain-without-join", "zero-drain-without-join", "until-with-join"])
 def test_run_rejects_a_bound_of_the_other_mode(kwargs):
-    """``limit_ns`` and ``drain_ns`` bound a join and ``until`` a plain
-    run: any of them with the other mode is a ``TypeError`` naming the
-    mode, not a silent full drain."""
+    """``Cluster.run`` is a join: ``limit_ns`` and ``drain_ns`` bound
+    it, and a time-bounded run is ``cluster.sim.run(until=)``.  A call
+    without ``join``, or with ``until``, is a ``TypeError`` naming the
+    missing or unexpected argument, not a silent full drain."""
     cluster = Cluster(ClusterConfig(n_nodes=2))
-    with pytest.raises(TypeError, match="join="):
+    with pytest.raises(TypeError, match="'join'|'until'"):
         cluster.run(**kwargs)
     assert cluster.sim.events_executed == 0
 

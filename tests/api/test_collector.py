@@ -24,7 +24,8 @@ import weakref
 import pytest
 
 from repro.api import Cluster, ClusterConfig
-from repro.sim import KERNELS, Future, SimulationDeadlock, Simulator, make_simulator
+from repro.sim import Future, SimulationDeadlock, Simulator
+from tests.kernels import KERNELS, build_cluster
 
 FABRICS = {
     "star": {"topology": "star"},
@@ -49,14 +50,13 @@ def build_and_run(fabric: str, rate: float, protocol: str, kernel: str,
                   seed: int):
     """Build a cluster, run ``run_cluster``'s program on it and return
     the cluster and how the run ended (``"done"`` or ``"deadlock"``)."""
-    config = dict(n_nodes=N_NODES, protocol=protocol, kernel=kernel,
-                  trace=True, trace_lanes=True, metrics=True,
-                  **FABRICS[fabric])
+    config = dict(n_nodes=N_NODES, protocol=protocol, trace=True,
+                  trace_lanes=True, metrics=True, **FABRICS[fabric])
     if rate:
         config["faults"] = {
             "seed": seed, "drop_rate": rate, "corrupt_rate": rate,
             "duplicate_rate": rate, "stall_rate": rate, "stall_ns": 700}
-    cluster = Cluster(ClusterConfig(**config))
+    cluster = build_cluster(ClusterConfig(**config), kernel)
     assert gc.isenabled(), "the build left the collector disabled"
     segments = [cluster.alloc_segment(home=home, pages=1, name=f"s{home}")
                 for home in range(N_NODES)]
@@ -181,11 +181,6 @@ def _limit_ns(sim):
     sim.run_until_done([sim.spawn(_ticks())], limit_ns=1_000)
 
 
-def _max_events(sim):
-    sim.spawn(_ticks())
-    sim.run(max_events=5)
-
-
 def _until(sim):
     sim.spawn(_ticks())
     sim.run(until=1_000)
@@ -196,7 +191,6 @@ STOPS = [
     pytest.param(_failed_join, RuntimeError, id="strict-failure-join"),
     pytest.param(_deadlock, SimulationDeadlock, id="deadlock"),
     pytest.param(_limit_ns, TimeoutError, id="limit_ns"),
-    pytest.param(_max_events, None, id="max_events"),
     pytest.param(_until, None, id="until"),
 ]
 
@@ -206,7 +200,7 @@ STOPS = [
 @pytest.mark.parametrize("stop, raises", STOPS)
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_every_stop_restores_the_collector(kernel, stop, raises, enabled):
-    sim = make_simulator(kernel)
+    sim = KERNELS[kernel]()
     if not enabled:
         gc.disable()
     try:
@@ -227,7 +221,7 @@ def test_cluster_builds_restore_the_collector(enabled):
         gc.disable()
     try:
         with Cluster(ClusterConfig(n_nodes=2)) as cluster:
-            cluster.run()
+            cluster.sim.run()
         assert gc.isenabled() is enabled
         # A build that fails inside the pause: DOR needs a torus,
         # which the fabric checks again when a config changed after

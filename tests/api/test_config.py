@@ -12,7 +12,6 @@ from repro.coherence import PROTOCOLS
 from repro.network.fabric import ROUTING_MODES
 from repro.network.topology import TOPOLOGIES
 from repro.params import DEFAULT_PARAMS
-from repro.sim import KERNELS
 
 
 # -- the config object ----------------------------------------------------
@@ -56,7 +55,6 @@ def test_config_rejects_unknown_collectives_backend():
     ("topology", "torsu", TOPOLOGIES),
     ("routing", "updown", ROUTING_MODES),
     ("collectives", "fpga", COLLECTIVES),
-    ("kernel", "fibonacci", KERNELS),
 ])
 def test_config_rejects_unknown_names_listing_the_valid_ones(field, value,
                                                              valid):

@@ -17,9 +17,9 @@ byte-for-byte under ``tests/fixtures/``:
 The retry/coherence fixtures were produced by the pre-refactor kernel
 (commit 531526b), so ``test_golden_traces.py`` proves the fast-path
 and calendar-queue rewrites preserved the event schedule
-*bit-for-bit*.  Every builder takes a ``kernel=`` argument so
-``tests/sim/test_kernel_equivalence.py`` can replay the same run under
-the reference kernel.  Regenerate (only after an intentional semantic
+*bit-for-bit*.  Every builder takes a ``kernel=`` name from
+``tests/kernels.py`` so ``tests/sim/test_kernel_equivalence.py`` can
+replay the same run under the reference kernel.  Regenerate (only after an intentional semantic
 change) with::
 
     PYTHONPATH=src python -m tests.fixtures.golden_runs --regen
@@ -32,6 +32,7 @@ import os
 
 from repro.api import Cluster, ClusterConfig
 from repro.obs import chrome_trace
+from tests.kernels import build_cluster
 
 FIXTURE_DIR = os.path.dirname(__file__)
 
@@ -46,8 +47,8 @@ GOLDEN_FAULTS = {"seed": 1, "drop_exact": [["host0->sw.req", 2]]}
 
 def retry_run(kernel: str = "bucket") -> Cluster:
     """The golden single-drop retry scenario (8 stores + fence)."""
-    cluster = Cluster(ClusterConfig(n_nodes=2, protocol="none",
-                                    faults=GOLDEN_FAULTS, kernel=kernel))
+    cluster = build_cluster(ClusterConfig(n_nodes=2, protocol="none",
+                                          faults=GOLDEN_FAULTS), kernel)
     seg = cluster.alloc_segment(home=1, pages=1, name="g")
     proc = cluster.create_process(node=0, name="g")
     base = proc.map(seg, mode="remote")
@@ -64,9 +65,9 @@ def retry_run(kernel: str = "bucket") -> Cluster:
 
 def coherence_run(kernel: str = "bucket") -> Cluster:
     """A telegraphos true-sharing run with lane spans enabled."""
-    cluster = Cluster(ClusterConfig(n_nodes=3, protocol="telegraphos",
-                                    topology="chain", trace_lanes=True,
-                                    kernel=kernel))
+    cluster = build_cluster(ClusterConfig(n_nodes=3, protocol="telegraphos",
+                                          topology="chain", trace_lanes=True),
+                            kernel)
     seg = cluster.alloc_segment(home=0, pages=1, name="coh")
     ctxs = []
     for node in (1, 2):
@@ -92,8 +93,8 @@ def collectives_run(kernel: str = "bucket") -> Cluster:
     calendar-queue kernel's densest same-timestamp batches come from
     exactly this release fan-out)."""
     n = 8
-    cluster = Cluster(ClusterConfig(n_nodes=n, collectives="nic",
-                                    kernel=kernel))
+    cluster = build_cluster(ClusterConfig(n_nodes=n, collectives="nic"),
+                            kernel)
     group = cluster.collective_group("bar")
     contexts = []
     for node in range(n):

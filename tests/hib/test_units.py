@@ -1,6 +1,6 @@
 """Unit tests for the HIB's standalone blocks: outstanding-op
 counters, page access counters, multicast table, atomic ALU,
-launch state machines, register map."""
+launch state machines, register map, the OS's page copy."""
 
 import pytest
 
@@ -17,6 +17,7 @@ from repro.hib import (
     TelegraphosContext,
 )
 from repro.hib.atomic import apply_atomic, operand_count
+from repro.hib.backend import copy_page
 from repro.hib.special import SpecialModeTg1
 
 
@@ -451,3 +452,36 @@ def test_context_page_offsets():
     off = Reg.context_page_offset(2, page)
     assert Reg.split_context_offset(off + Reg.CTX_GO, page) == (2, Reg.CTX_GO)
     assert Reg.split_context_offset(0x100, page) is None
+
+
+# -- copy_page ------------------------------------------------------------
+
+
+class _LoggedBackend:
+    """A backend that logs its zero-time accesses."""
+
+    def __init__(self, name, log):
+        self.name = name
+        self.log = log
+        self.words = {}
+
+    def peek(self, offset):
+        self.log.append((self.name, "peek", offset))
+        return self.words.get(offset, 0)
+
+    def poke(self, offset, value):
+        self.log.append((self.name, "poke", offset, value))
+        self.words[offset] = value
+
+
+def test_copy_page_reads_then_writes_each_word_in_address_order():
+    log = []
+    src, dst = _LoggedBackend("src", log), _LoggedBackend("dst", log)
+    src.words = {2 * 16 + 4: 7, 2 * 16 + 12: 9}
+    copy_page(src, 2, dst, 5, page_bytes=16)
+    assert log == [
+        ("src", "peek", 32), ("dst", "poke", 80, 0),
+        ("src", "peek", 36), ("dst", "poke", 84, 7),
+        ("src", "peek", 40), ("dst", "poke", 88, 0),
+        ("src", "peek", 44), ("dst", "poke", 92, 9),
+    ]

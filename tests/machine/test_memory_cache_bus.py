@@ -50,28 +50,11 @@ def test_memory_bad_size():
         WordMemory(10)  # not a word multiple
 
 
-def test_memory_copy_words():
-    mem = WordMemory(256)
-    for i in range(4):
-        mem.store_word(i * 4, i + 1)
-    mem.copy_words(0, 64, 4)
-    assert mem.snapshot_range(64, 4) == (1, 2, 3, 4)
-
-
 def test_memory_written_words_sorted():
     mem = WordMemory(256)
     mem.store_word(8, 2)
     mem.store_word(0, 1)
     assert list(mem.written_words()) == [(0, 1), (8, 2)]
-
-
-def test_memory_access_counters():
-    mem = WordMemory(64)
-    mem.store_word(0, 1)
-    mem.load_word(0)
-    mem.load_word(4)
-    assert mem.writes == 1
-    assert mem.reads == 2
 
 
 # -- DirectMappedCache ---------------------------------------------------

@@ -40,14 +40,15 @@ import random
 import pytest
 
 import repro.network.fabric as fabric_module
-from repro.api import Cluster, ClusterConfig
+from repro.api import ClusterConfig
 from repro.faults.plan import FaultDecision
 from repro.network.link import Link
 from repro.network.packet import Packet, PacketKind
 from repro.obs import KernelHooks
 from repro.params import DEFAULT_PARAMS
-from repro.sim import BoundedQueue, make_simulator
+from repro.sim import BoundedQueue
 from tests.fixtures.golden_runs import canonical_trace_bytes
+from tests.kernels import KERNELS, build_cluster
 from tests.network.reference_link import ReferenceLink
 
 STRESS_ITERS = max(1, int(os.environ.get("REPRO_STRESS_ITERS", "1")))
@@ -154,7 +155,7 @@ class InstantEnds(KernelHooks):
 
 def run_link(link_class, scenario: Scenario, kernel: str):
     """Drive one link through ``scenario``; return its logs."""
-    sim = make_simulator(kernel)
+    sim = KERNELS[kernel]()
     src = BoundedQueue(scenario.src_cap, name="src")
     dst = BoundedQueue(scenario.dst_cap, name="dst")
     actions: list = []
@@ -216,7 +217,7 @@ def first_difference(want, have) -> int:
     return min(len(want), len(have))
 
 
-@pytest.mark.parametrize("kernel", ["bucket", "reference"])
+@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("faults", [False, True], ids=["lossless", "faults"])
 def test_single_link_matches_process_pair_link(faults, kernel):
     for seed in LINK_SEEDS:
@@ -271,13 +272,12 @@ N_NODES = 6
 
 
 def run_cluster(fabric: str, faults: bool, kernel: str, seed: int):
-    config = dict(n_nodes=N_NODES, trace_lanes=True, kernel=kernel,
-                  **FABRICS[fabric])
+    config = dict(n_nodes=N_NODES, trace_lanes=True, **FABRICS[fabric])
     if faults:
         config["faults"] = {
             "seed": seed, "drop_rate": 0.03, "corrupt_rate": 0.03,
             "duplicate_rate": 0.03, "stall_rate": 0.03, "stall_ns": 700}
-    cluster = Cluster(ClusterConfig(**config))
+    cluster = build_cluster(ClusterConfig(**config), kernel)
     segments = [cluster.alloc_segment(home=home, pages=1, name=f"s{home}")
                 for home in range(N_NODES)]
     contexts = []
@@ -323,7 +323,7 @@ def switch_counters(fabric) -> list:
     return tree + torus
 
 
-@pytest.mark.parametrize("kernel", ["bucket", "reference"])
+@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("faults", [False, True], ids=["lossless", "faults"])
 @pytest.mark.parametrize("fabric", sorted(FABRICS))
 def test_cluster_matches_process_pair_links(fabric, faults, kernel,

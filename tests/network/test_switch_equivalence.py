@@ -58,8 +58,9 @@ from repro.network.link import Link
 from repro.network.packet import Packet, PacketKind
 from repro.network.switch import Output, Switch
 from repro.params import DEFAULT_PARAMS
-from repro.sim import BoundedQueue, make_simulator
+from repro.sim import BoundedQueue
 from tests.fixtures.golden_runs import canonical_trace_bytes
+from tests.kernels import KERNELS
 from tests.network.reference_switch import ReferenceSwitch
 from tests.network.reference_torus import ReferenceTorusSwitch
 from tests.network.test_link_equivalence import (
@@ -226,7 +227,7 @@ class SwitchScenario:
 
 
 def run_switch(switch_class, sc: SwitchScenario, kernel: str):
-    sim = make_simulator(kernel)
+    sim = KERNELS[kernel]()
     timing = sc.params.timing
     log: list = []
     injector = SiteInjector(sc.faults, sc.stalls, sim, log)
@@ -274,7 +275,7 @@ def mismatch(expected, got):
     return None
 
 
-@pytest.mark.parametrize("kernel", ["bucket", "reference"])
+@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("faults", [False, True], ids=["lossless", "faults"])
 def test_single_switch_matches_process_switch(faults, kernel):
     for seed in SWITCH_SEEDS:
@@ -342,7 +343,7 @@ def torus_switch(switch_class):
 
 
 def run_torus(switch_class, sc: TorusScenario, routing: str, kernel: str):
-    sim = make_simulator(kernel)
+    sim = KERNELS[kernel]()
     log: list = []
     injector = SiteInjector(sc.faults, sc.stalls, sim, log)
     with torus_switch(switch_class):
@@ -405,7 +406,7 @@ def process_switches(patch):
         yield
 
 
-@pytest.mark.parametrize("kernel", ["bucket", "reference"])
+@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("faults", [False, True], ids=["lossless", "faults"])
 @pytest.mark.parametrize("fabric", sorted(FABRICS))
 def test_cluster_matches_process_switches(fabric, faults, kernel, monkeypatch):

@@ -27,7 +27,8 @@ from repro.network.adaptive import (
     minimal_directions,
 )
 from repro.params import DEFAULT_PARAMS
-from repro.sim import make_simulator
+from repro.sim import Simulator
+from tests.kernels import KERNELS
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +154,7 @@ def _check_follows_dor(topo, routing):
     """Send one packet per ordered host pair through an idle fabric,
     one at a time, and check from the links' ``packets_carried`` that
     it crossed exactly the hops :func:`_expected_hops` names."""
-    sim = make_simulator("bucket")
+    sim = Simulator()
     fabric = Fabric(sim, DEFAULT_PARAMS, topo, routing=routing)
     links = fabric.links
     where = topo.host_attachment
@@ -217,7 +218,7 @@ def _write_packet(src, dst, seq):
 def _all_to_all(kernel, routing, n_each=3):
     """Run a small all-to-all on a 3x3 torus; returns (received map,
     protocol-relevant trace tuples)."""
-    sim = make_simulator(kernel)
+    sim = KERNELS[kernel]()
     topo = T.torus2d(3, 3, hosts_per_switch=1)
     fabric = Fabric(sim, DEFAULT_PARAMS, topo, routing=routing)
     hosts = topo.hosts
@@ -263,7 +264,7 @@ def test_all_to_all_delivers_everything(routing):
 def test_kernel_equivalence_on_torus(routing):
     """The adaptive queue-depth heuristic reads state both kernels
     agree on at every dispatch, so delivery order must be identical —
-    the property that makes `make_simulator` backends interchangeable
+    the property that makes the two kernels interchangeable
     for the A2 grid."""
     _, bucket = _all_to_all("bucket", routing)
     _, reference = _all_to_all("reference", routing)
@@ -287,7 +288,7 @@ def test_tree_routing_works_on_torus_graph():
 
 
 def test_torus_requires_torus_topology():
-    sim = make_simulator("bucket")
+    sim = Simulator()
     with pytest.raises(ValueError):
         Fabric(sim, DEFAULT_PARAMS, T.star(4), routing="dor")
     with pytest.raises(ValueError):

@@ -5,7 +5,8 @@ import pytest
 
 from repro.api import Cluster, ClusterConfig
 from repro.obs import EventLoopProfiler, KernelHooks
-from repro.sim import KERNELS, Simulator, make_simulator
+from repro.sim import Simulator
+from tests.kernels import KERNELS
 
 
 def test_base_hooks_are_no_ops():
@@ -43,7 +44,7 @@ def test_profiler_counts_events_exactly():
 def test_profiler_peak_depth_is_the_same_on_both_kernels(kernel):
     # Five events at t=10, the first of which posts three more: seven
     # are queued once it is done, however the kernel batches them.
-    sim = make_simulator(kernel)
+    sim = KERNELS[kernel]()
     profiler = EventLoopProfiler()
     sim.hooks = profiler
 
@@ -115,7 +116,7 @@ def test_cluster_exit_detaches_hooks():
 
 def test_stats_includes_kernel_section_only_when_profiling():
     with Cluster(ClusterConfig(n_nodes=2, profile_kernel=True)) as cluster:
-        cluster.run(until=1000)
+        cluster.sim.run(until=1000)
         assert "kernel" in cluster.stats()
     plain = Cluster(ClusterConfig(n_nodes=2))
     assert "kernel" not in plain.stats()

@@ -4,14 +4,8 @@ import re
 
 import pytest
 
-from repro.sim import (
-    KERNELS,
-    Future,
-    SimulationDeadlock,
-    Simulator,
-    Timer,
-    make_simulator,
-)
+from repro.sim import Future, SimulationDeadlock, Simulator, Timer
+from tests.kernels import KERNELS
 
 
 def test_schedule_runs_in_time_order():
@@ -49,7 +43,7 @@ def test_schedule_rejects_non_int_delay(kernel, delay):
     """A float is not truncated and a bool is not read as 1 ns: both
     kernels refuse anything but an int, naming the value, whether it
     is an event's delay or a timer's."""
-    sim = make_simulator(kernel)
+    sim = KERNELS[kernel]()
     with pytest.raises(TypeError, match=re.escape(repr(delay))):
         sim.schedule(delay, lambda: None)
     with pytest.raises(TypeError, match=re.escape(repr(delay))):
@@ -58,7 +52,7 @@ def test_schedule_rejects_non_int_delay(kernel, delay):
 
 
 def _five_events(kernel):
-    sim = make_simulator(kernel)
+    sim = KERNELS[kernel]()
     for _ in range(5):
         sim.schedule(1, lambda: None)
     return sim
@@ -67,28 +61,15 @@ def _five_events(kernel):
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("bound", [2.5, True], ids=["float", "bool"])
 def test_run_rejects_non_int_bounds(kernel, bound):
-    """A run's bounds are checked as a delay is: ``until`` and
+    """A run's time bound is checked as a delay is: ``until`` and
     ``limit_ns`` are ``None`` or an int, so no bound makes the clock a
-    float, and ``max_events`` is ``None`` or an int that both kernels
-    read alike.  A refused run executes nothing."""
+    float.  A refused run executes nothing."""
     sim = _five_events(kernel)
     with pytest.raises(TypeError, match=re.escape(repr(bound))):
         sim.run(until=bound)
     with pytest.raises(TypeError, match=re.escape(repr(bound))):
-        sim.run(max_events=bound)
-    with pytest.raises(TypeError, match=re.escape(repr(bound))):
         sim.run_until_done([], limit_ns=bound)
     assert (sim.now, sim.events_executed, sim.pending_events) == (0, 0, 5)
-
-
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_run_rejects_negative_max_events(kernel):
-    sim = _five_events(kernel)
-    with pytest.raises(ValueError, match="-1"):
-        sim.run(max_events=-1)
-    assert (sim.events_executed, sim.pending_events) == (0, 5)
-    assert sim.run(max_events=0) == 0
-    assert sim.run(max_events=2) == 2
 
 
 def test_run_until_stops_and_advances_clock():
@@ -101,16 +82,6 @@ def test_run_until_stops_and_advances_clock():
     assert sim.now == 50
     sim.run()
     assert seen == ["early", "late"]
-
-
-def test_run_max_events():
-    sim = Simulator()
-    seen = []
-    for i in range(5):
-        sim.schedule(i, seen.append, i)
-    executed = sim.run(max_events=3)
-    assert executed == 3
-    assert seen == [0, 1, 2]
 
 
 def test_process_delays_advance_time():
@@ -242,20 +213,33 @@ def test_process_failure_is_reported_by_run():
         sim.run()
 
 
-def test_process_failure_recorded_in_failures():
-    sim = Simulator()
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_process_failure_raises_from_its_error(kernel):
+    """A failing process completes with its error and the run raises
+    ``RuntimeError`` from it.  Nothing stays latched: the next run goes
+    on, and a joiner's failure is its own."""
+    sim = KERNELS[kernel]()
 
     def bad():
         yield 1
         raise KeyError("kaboom")
 
+    def joiner():
+        yield proc
+
     proc = sim.spawn(bad(), name="bad")
+    sim.spawn(joiner(), name="joiner")
     with pytest.raises(RuntimeError, match="'bad' failed at t=1ns") as info:
         sim.run()
     assert proc.done
-    assert sim.failures == [(proc, proc.exception)]
     assert info.value.__cause__ is proc.exception
     assert isinstance(proc.exception, KeyError)
+    with pytest.raises(RuntimeError, match="'joiner' failed at t=1ns") as info:
+        sim.run()
+    assert info.value.__cause__ is proc.exception
+    sim.schedule(5, lambda: None)
+    assert sim.run() == 1
+    assert sim.now == 6
 
 
 def test_spawn_rejects_non_generator():

@@ -6,7 +6,8 @@ loop drains in place; later events wait in per-timestamp buckets until
 their instant becomes the list.  Its entries are ``(fn, args)``: an
 entry's time is its list's, and its order is its position, since
 every post appends.  The reference kernel
-(:class:`repro.sim.ReferenceSimulator`) is the pre-rewrite discipline:
+(:class:`repro.sim.refkernel.ReferenceSimulator`) is the pre-rewrite
+discipline:
 one heap of ``(time, seq, fn, args)``, the one place a ``seq`` lives,
 and one event per loop iteration.  Both promise the *identical*
 (time, insertion-order) dispatch order, so any observable divergence
@@ -18,28 +19,30 @@ This file checks that promise three ways:
   post/process/wakeup operations and starts and cancels on a pool of
   :class:`~repro.sim.Timer` objects, made between runs and from inside
   events, where a ``start(0)`` lands between the delay-0 posts of its
-  instant (including bound ``run(until=…)`` / ``run(max_events=…)``
-  slices that stop mid-instant, ``until`` bounds below ``now``, and
-  ``run_until_done`` joins that complete, time out or deadlock) are
-  interpreted against both kernels; the full dispatch logs must
-  serialize to identical bytes.  Each script also runs on both kernels
+  instant (including ``run(until=…)`` slices, ``until`` bounds below
+  ``now``, and ``run_until_done`` joins that complete, time out or
+  deadlock; a join that completes stops mid-instant whenever a later
+  post shares its last event's time, and the log records how many
+  events it left queued at ``now``) are interpreted against both
+  kernels; the full dispatch logs must serialize to identical
+  bytes.  Each script also runs on both kernels
   with :class:`~repro.obs.KernelHooks` attached that check every clock
   move is announced, which must change neither log, and the moves
   must agree.  Two mutants of the production kernel's ``_post`` show
   the scripts can tell: a bucket filled newest-first, and a new time
   appended to the time heap unsorted.  ``REPRO_STRESS_ITERS=N``
   multiplies the schedule count.
-- **Directed stops**: bounds that land mid-instant, a callback that
-  raises (consumed, not counted) and a process that fails (counted),
-  each leaving the rest of the instant queued in order.
+- **Directed stops**: joins that stop mid-instant, a callback that
+  raises and a process that fails (each consumed, not counted), each
+  leaving the rest of the instant queued in order.
 - **Cross-kernel cluster pins**: full-cluster workloads (the golden
   retry run, a coherence/hotspot run, the 8-node NIC-collectives run)
-  are executed under ``kernel="bucket"`` and ``kernel="reference"``
-  and their canonical Chrome-trace exports must be byte-identical.
+  are built on both kernels (``tests/kernels.py``) and their
+  canonical Chrome-trace exports must be byte-identical.
 
 The oracle stays independent of the code it checks: after every event
-of a faulty star-cluster run under ``kernel="reference"``, the
-production kernel's instant list and buckets are empty.
+of a faulty star-cluster run on the reference kernel, the production
+kernel's instant list and buckets are empty.
 """
 
 from __future__ import annotations
@@ -52,23 +55,16 @@ from heapq import heappush
 
 import pytest
 
-import repro.api.cluster as cluster_module
 from repro.obs import KernelHooks
-from repro.sim import (
-    KERNELS,
-    Future,
-    ReferenceSimulator,
-    SimulationDeadlock,
-    Simulator,
-    Timer,
-    make_simulator,
-)
+from repro.sim import Future, SimulationDeadlock, Simulator, Timer
+from repro.sim.refkernel import ReferenceSimulator
 from tests.fixtures.golden_runs import (
     canonical_trace_bytes,
     coherence_run,
     collectives_run,
     retry_run,
 )
+from tests.kernels import KERNELS
 from tests.network.test_link_equivalence import run_cluster
 
 STRESS_ITERS = max(1, int(os.environ.get("REPRO_STRESS_ITERS", "1")))
@@ -146,7 +142,7 @@ def build_script(seed: int):
             # A bound below ``now``: the run must execute nothing.
             script.append(("run_until", -rng.randrange(1, 100)))
         elif r < 0.91:
-            script.append(("run_max", rng.randrange(1, 8)))
+            script.append(("stop", rng.choice(DELAYS)))
         else:
             script.append(("join", rng.randrange(6),
                            rng.choice(JOIN_LIMITS)))
@@ -215,8 +211,8 @@ class ScriptRunner:
                         f"run(until={before + op[1]}) at now={before} "
                         f"ran {ran} events and moved now to {sim.now}")
                 self.log.append(("ran", sim.now, ran))
-            elif kind == "run_max":
-                self.log.append(("ran", sim.now, sim.run(max_events=op[1])))
+            elif kind == "stop":
+                self._stop(op[1])
             elif kind == "join":
                 self._join(op[1], op[2])
             else:
@@ -225,6 +221,17 @@ class ScriptRunner:
         self.log.append(("final", sim.now, sim.events_executed,
                          sim.pending_events))
         return self.log
+
+    def _stop(self, delay):
+        """Join a fresh process whose one step is filed at ``now +
+        delay``, behind every post there before it: the join stops
+        mid-instant when a later post shares that time."""
+        sim = self.sim
+        tag = next(self._tags)
+        sim.run_until_done([sim.spawn(
+            self._process(tag, (("delay", delay),)), name=f"p{tag}")])
+        self.log.append(("stop", sim.now, sim.events_executed,
+                         queued_now(sim)))
 
     def _join(self, pick, limit):
         live = [p for p in self.processes if not p.done]
@@ -240,7 +247,16 @@ class ScriptRunner:
             assert sim.now <= limit_ns, (sim.now, limit_ns)
         except SimulationDeadlock:
             outcome = "deadlock"
-        self.log.append(("join", outcome, sim.now, sim.events_executed))
+        self.log.append(("join", outcome, sim.now, sim.events_executed,
+                         queued_now(sim)))
+
+
+def queued_now(sim) -> int:
+    """Events queued at ``now``: the rest of an instant a run stopped
+    in, read from either kernel's queue."""
+    if isinstance(sim, ReferenceSimulator):
+        return sum(entry[0] == sim.now for entry in sim._heap)
+    return len(sim._now_list)
 
 
 def _log_bytes(log) -> bytes:
@@ -272,7 +288,7 @@ class ClockWatch(KernelHooks):
 def _watched_log(kernel, script):
     """The script's log with a :class:`ClockWatch` attached, and the
     clock moves it saw."""
-    sim = make_simulator(kernel)
+    sim = KERNELS[kernel]()
     watch = sim.hooks = ClockWatch()
     log = ScriptRunner(sim).execute(script)
     assert sim.now == watch.now, "the clock moved unannounced"
@@ -284,7 +300,7 @@ def _first_divergent_seed():
     ``None``."""
     for seed in range(N_SCHEDULES):
         script = build_script(seed)
-        logs = {_log_bytes(ScriptRunner(make_simulator(kernel)).execute(script))
+        logs = {_log_bytes(ScriptRunner(KERNELS[kernel]()).execute(script))
                 for kernel in KERNELS}
         if len(logs) > 1:
             return seed
@@ -294,12 +310,16 @@ def _first_divergent_seed():
 def test_randomized_schedules_dispatch_identically():
     divergent = []
     hook_divergent = []
+    # Joins that stopped with the rest of their instant still queued
+    # (128 of the first 1,000 scripts' 2,375 completed joins).
+    mid_instant = 0
     for seed in range(N_SCHEDULES):
         script = build_script(seed)
-        logs = {}
-        for kernel in KERNELS:
-            logs[kernel] = _log_bytes(
-                ScriptRunner(make_simulator(kernel)).execute(script))
+        runs = {kernel: ScriptRunner(KERNELS[kernel]()).execute(script)
+                for kernel in KERNELS}
+        logs = {kernel: _log_bytes(log) for kernel, log in runs.items()}
+        mid_instant += sum(1 for entry in runs["bucket"]
+                           if entry[0] in ("stop", "join") and entry[-1])
         if logs["bucket"] != logs["reference"]:
             divergent.append(seed)
         watched = [_watched_log(kernel, script) for kernel in KERNELS]
@@ -309,13 +329,15 @@ def test_randomized_schedules_dispatch_identically():
     assert not divergent, (
         f"{len(divergent)}/{N_SCHEDULES} schedules diverged between "
         f"kernels; first failing seeds: {divergent[:10]} — replay with "
-        "ScriptRunner(make_simulator(k)).execute(build_script(seed))"
+        "ScriptRunner(KERNELS[k]()).execute(build_script(seed))"
     )
     assert not hook_divergent, (
         f"{len(hook_divergent)}/{N_SCHEDULES} schedules changed their log "
         "when hooks were attached, or moved the clock differently on the "
         f"two kernels; first failing seeds: {hook_divergent[:10]}"
     )
+    assert mid_instant >= N_SCHEDULES // 20, (
+        f"only {mid_instant} joins stopped mid-instant")
 
 
 def newest_first_bucket(self, delay, fn, args=()):
@@ -356,48 +378,53 @@ def test_randomized_schedules_catch_kernel_mutants(mutant, monkeypatch):
 
 
 def test_mid_batch_bound_preserves_order():
-    # max_events bounds land mid-instant by construction: 7 events
-    # share one timestamp, the run is sliced one event at a time, and
-    # the rest of the instant, left queued at ``now``, must keep seq
-    # order on both kernels.
+    # Joins stop mid-instant by construction: seven processes wake at
+    # t=10 in spawn order, the instant is sliced one join (one event)
+    # at a time, and the rest of the instant, left queued at ``now``,
+    # must keep post order on both kernels.
     logs = {}
     for kernel in KERNELS:
-        sim = make_simulator(kernel)
+        sim = KERNELS[kernel]()
         runner = ScriptRunner(sim)
-        for i in range(7):
-            sim._post(10, runner._fire, (i, ()))
-        for _ in range(7):
-            sim.run(max_events=1)
+        procs = [sim.spawn(runner._process(i, (("delay", 10),)),
+                           name=f"p{i}") for i in range(7)]
+        sim.run(until=0)  # the starts file the seven wakes at t=10
+        for proc in procs:
+            sim.run_until_done([proc])
+            runner.log.append(("joined", sim.now, sim.events_executed,
+                               queued_now(sim)))
         logs[kernel] = _log_bytes(runner.log)
     assert logs["bucket"] == logs["reference"]
-    assert json.loads(logs["bucket"])[0] == [10, 0]
+    assert json.loads(logs["bucket"])[:2] == [[10, "step", 0],
+                                              ["joined", 10, 8, 6]]
 
 
 def test_bounded_run_keeps_the_clock_behind_pending_events():
-    # run(until=, max_events=) that stops with events at or before
-    # ``until`` still queued leaves ``now`` at the last event it ran, so
-    # a delay-0 post lands there and the clock never goes backwards.
-    # Once nothing at or before ``until`` is queued, ``now`` moves to it.
+    # A join that stops with events at ``now`` still queued leaves the
+    # clock there: a run bounded below ``now`` runs nothing and keeps
+    # it, and a delay-0 post lands behind those events.  Once nothing
+    # at or before ``until`` is queued, ``now`` moves to it.
     logs = {}
     for kernel in KERNELS:
-        sim = make_simulator(kernel)
+        sim = KERNELS[kernel]()
         runner = ScriptRunner(sim)
+        proc = sim.spawn(runner._process(5, (("delay", 10),)), name="p5")
+        sim.run(until=0)  # the start files the process's wake at t=10
         for tag, delay in enumerate((10, 50, 100, 300)):
             sim._post(delay, runner._fire, (tag, ()))
-        assert sim.run(until=100, max_events=1) == 1
+        sim.run_until_done([proc])
+        assert (sim.now, queued_now(sim)) == (10, 1)
+        assert sim.run(until=5) == 0
         assert sim.now == 10
         sim._post(0, runner._fire, (4, ()))
-        assert sim.run(until=200, max_events=2) == 2
-        assert sim.now == 50
-        assert sim.run(until=200, max_events=2) == 1
-        assert sim.now == 200
+        assert sim.run(until=60) == 3
+        assert sim.now == 60
         sim.run()
         logs[kernel] = _log_bytes(runner.log)
     assert logs["bucket"] == logs["reference"]
     log = json.loads(logs["bucket"])
-    assert log == [[10, 0], [10, 4], [50, 1], [100, 2], [300, 3]]
-    times = [time for time, _ in log]
-    assert times == sorted(times)
+    assert log == [[10, "step", 5], [10, 0], [10, 4], [50, 1], [100, 2],
+                   [300, 3]]
 
 
 def _boom(runner):
@@ -411,7 +438,7 @@ def test_exception_mid_instant_leaves_the_rest_queued():
     # not counted, and the next run continues the instant in order.
     logs = {}
     for kernel in KERNELS:
-        sim = make_simulator(kernel)
+        sim = KERNELS[kernel]()
         runner = ScriptRunner(sim)
         for tag in range(100, 105):
             if tag == 102:
@@ -438,15 +465,15 @@ def _failing(runner):
     raise KeyError("fail")
 
 
-def test_process_failure_mid_instant_counts_the_failing_step():
+def test_process_failure_mid_instant_leaves_the_rest_queued():
     # Five events at t=10, the third a process step that raises.  The
-    # run raises RuntimeError from the process's error, counts the
-    # failing step (with the process's start at t=0, four events), and
-    # leaves the rest of the instant queued in order.  The failure
-    # stays recorded, so each later run stops after one event.
+    # run raises RuntimeError from the process's error and consumes the
+    # failing step without counting it, as it does any raising
+    # callback; the rest of the instant stays queued, and one more run
+    # executes it in order.
     logs = {}
     for kernel in KERNELS:
-        sim = make_simulator(kernel)
+        sim = KERNELS[kernel]()
         runner = ScriptRunner(sim)
         for tag in (100, 101):
             sim._post(10, runner._fire, (tag, ()))
@@ -461,15 +488,13 @@ def test_process_failure_mid_instant_counts_the_failing_step():
         assert info.value.__cause__ is proc.exception
         runner.log.append(("raised", sim.now, sim.events_executed,
                            sim.pending_events))
-        while sim.pending_events:
-            with pytest.raises(RuntimeError):
-                sim.run()
+        sim.run()
         runner.log.append(("final", sim.now, sim.events_executed))
         logs[kernel] = _log_bytes(runner.log)
     assert logs["bucket"] == logs["reference"]
     assert json.loads(logs["bucket"]) == [
-        [10, 100], [10, 101], [10, "fail"], ["raised", 10, 4, 2],
-        [10, 103], [10, 104], ["final", 10, 6]]
+        [10, 100], [10, 101], [10, "fail"], ["raised", 10, 3, 2],
+        [10, 103], [10, 104], ["final", 10, 5]]
 
 
 @pytest.mark.parametrize("hooked", [False, True], ids=["plain", "hooked"])
@@ -477,7 +502,7 @@ def test_process_failure_mid_instant_counts_the_failing_step():
 def test_join_timeout_runs_nothing_past_the_limit(kernel, hooked):
     # Five events at t=100 and a join limited to t=50: the join times
     # out before dispatching any of them, and they stay queued.
-    sim = make_simulator(kernel)
+    sim = KERNELS[kernel]()
     if hooked:
         sim.hooks = KernelHooks()
     runner = ScriptRunner(sim)
@@ -497,7 +522,7 @@ def test_join_timeout_runs_nothing_past_the_limit(kernel, hooked):
 def test_until_bound_strands_and_resumes_identically():
     logs = {}
     for kernel in KERNELS:
-        sim = make_simulator(kernel)
+        sim = KERNELS[kernel]()
         runner = ScriptRunner(sim)
         # Delay-0 events posted *by* an event at t=5, observed across
         # an until=5 boundary, then drained.
@@ -514,7 +539,7 @@ def test_until_bound_strands_and_resumes_identically():
 def test_cancellation_interleaved_with_dispatch():
     logs = {}
     for kernel in KERNELS:
-        sim = make_simulator(kernel)
+        sim = KERNELS[kernel]()
         runner = ScriptRunner(sim)
         timers = [Timer(sim, functools.partial(runner._fire, i, ()))
                   for i in range(10)]
@@ -560,23 +585,19 @@ class _TierWatch(KernelHooks):
 
 
 def test_reference_kernel_is_selectable_and_distinct(monkeypatch):
-    sim = make_simulator("reference")
-    assert isinstance(sim, ReferenceSimulator)
-    assert isinstance(sim, Simulator)
-    with pytest.raises(ValueError):
-        make_simulator("fibonacci")
+    assert issubclass(ReferenceSimulator, Simulator)
     # Its queue is its heap alone: every producer files through the
-    # overridden _post, so a whole faulty cluster run
-    # never leaves an event in the production kernel's list or buckets.
+    # overridden _post, so a whole faulty cluster run, built on it in
+    # place of repro.api.cluster's Simulator, never leaves an event in
+    # the production kernel's list or buckets.
     watch = _TierWatch()
 
-    def watched_simulator(kernel):
-        sim = make_simulator(kernel)
-        assert isinstance(sim, ReferenceSimulator)
+    def watched_simulator():
+        sim = ReferenceSimulator()
         sim.hooks = watch
         return sim
 
-    monkeypatch.setattr(cluster_module, "make_simulator", watched_simulator)
+    monkeypatch.setitem(KERNELS, "reference", watched_simulator)
     run_cluster("star", faults=True, kernel="reference", seed=0)
     assert watch.events > 0
     assert watch.dirty == 0, (

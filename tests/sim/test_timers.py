@@ -17,7 +17,8 @@ from __future__ import annotations
 import pytest
 
 import repro.hib.reliable as reliable_module
-from repro.sim import KERNELS, Timer, make_simulator
+from repro.sim import Timer
+from tests.kernels import KERNELS
 from tests.network.test_link_equivalence import run_cluster
 
 
@@ -64,7 +65,7 @@ def rearm_log(kernel: str, timer_class=Timer):
     at t=20 the timer restarts for t=100; at t=30 Z is posted for
     t=100.  The expiry takes its key at the re-arm, so it must run
     between Y and Z."""
-    sim = make_simulator(kernel)
+    sim = KERNELS[kernel]()
     log = []
 
     def note(tag):
@@ -101,7 +102,7 @@ def test_cluster_tells_the_plain_repost_apart(monkeypatch):
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_fires_once_at_the_last_armed_deadline(kernel):
-    sim = make_simulator(kernel)
+    sim = KERNELS[kernel]()
     fired = []
     timer = Timer(sim, lambda: fired.append(sim.now))
     for delay in (50, 10, 80, 30):
@@ -114,7 +115,7 @@ def test_fires_once_at_the_last_armed_deadline(kernel):
 def test_every_start_posts_one_expiry(kernel):
     # Nothing is retracted: each start leaves one more expiry pending,
     # and every superseded or cancelled one runs as a no-op event.
-    sim = make_simulator(kernel)
+    sim = KERNELS[kernel]()
     fired = []
     timer = Timer(sim, lambda: fired.append(sim.now))
     for cycle in range(1_000):
@@ -128,7 +129,7 @@ def test_every_start_posts_one_expiry(kernel):
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_cancelled_timer_never_fires(kernel):
-    sim = make_simulator(kernel)
+    sim = KERNELS[kernel]()
     fired = []
     timer = Timer(sim, lambda: fired.append(sim.now))
     timer.start(10)
@@ -143,7 +144,7 @@ def test_cancelled_timer_never_fires(kernel):
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_armed_and_deadline_track_state(kernel):
-    sim = make_simulator(kernel)
+    sim = KERNELS[kernel]()
     timer = Timer(sim, lambda: None)
     assert (timer.armed, timer.deadline) == (False, None)
     timer.start(100)

@@ -1,14 +1,16 @@
-"""Smoke tests: every example script must run to completion and print
-its headline output.  (Each example also asserts its own invariants
-internally.)"""
+"""Smoke tests: every example script, and README.md's Quickstart
+block, must run to completion and print its headline output.  (Each
+example also asserts its own invariants internally.)"""
 
 import importlib.util
 import io
+import re
 from contextlib import redirect_stdout
 from pathlib import Path
 
 
-EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES_DIR = ROOT / "examples"
 
 
 def run_example(name: str) -> str:
@@ -57,3 +59,22 @@ def test_trace_driven_study_example():
     out = run_example("trace_driven_study.py")
     assert "Data-alignment sensitivity" in out
     assert "Cluster report" in out
+
+
+def quickstart_block() -> str:
+    """The first fenced ``python`` block under README.md's
+    ``## Quickstart`` heading."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Quickstart\n", 1)[1]
+    match = re.search(r"^```python\n(.*?)^```$", section, re.S | re.M)
+    assert match, "README.md's Quickstart has no python block"
+    return match.group(1)
+
+
+def test_readme_quickstart_runs():
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(compile(quickstart_block(), "README.md#quickstart", "exec"), {})
+    # The block prints the per-node remote-write counts: node 0's one
+    # store.
+    assert out.getvalue().strip() == "{'node=0': 1, 'node=1': 0}"
